@@ -13,7 +13,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -106,15 +105,10 @@ def _compress_run(args, outdir) -> dict:
             config.morton_bits or DEFAULT_BITS,
         )
 
-    pieces = [
-        (start, batch.time_slice(start, min(start + seg_len, n_t)))
-        for start in range(0, n_t, seg_len)
-    ]
-
-    def compress_one(piece):
-        start, sub = piece
-        return compress_segment(
-            sub,
+    t0 = time.perf_counter()
+    segments = [
+        compress_segment(
+            batch.time_slice(start, min(start + seg_len, n_t)),
             seg_config,
             first_step=start,
             stats_reference=global_stats
@@ -123,13 +117,8 @@ def _compress_run(args, outdir) -> dict:
             permutation_override=perm_override,
             pad_time_to=seg_len if merging else None,
         )
-
-    t0 = time.perf_counter()
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            segments = list(pool.map(compress_one, pieces))
-    else:
-        segments = [compress_one(p) for p in pieces]
+        for start in range(0, n_t, seg_len)
+    ]
     compress_time = time.perf_counter() - t0
 
     seg_dir = os.path.join(outdir, "segments")
@@ -536,7 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--reorder", choices=["none", "segment", "timestep"], default="segment"
     )
     p.add_argument("--morton-bits", type=int, default=None, dest="morton_bits")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--verify", action="store_true")
     p.add_argument("--no-tensorize", dest="tensorize", action="store_false")
     p.add_argument("--max-factor", type=int, default=5, dest="max_factor")

@@ -3,9 +3,14 @@
 Truncated SVD with an absolute Frobenius truncation budget, an economy QR
 with a numerical-rank estimate, and a matrix-free spectral-norm estimator.
 These are the primitives the tensor-train sweeps are built from.
+
+Importing this module runs every OpenBLAS loaded in the process on one
+thread (see :func:`_pin_blas_threads`).
 """
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
@@ -18,6 +23,59 @@ from .errors import ConfigError, DataError
 # |R_ii| below this multiple of max |R_jj| counts as numerically zero when
 # estimating rank from a triangular factor.
 QR_RANK_RTOL = 1e-14
+
+# A wide matrix whose truncation budget is at least this multiple of its
+# Frobenius norm is truncated through its Gram matrix.  Squaring costs
+# eigenvalue accuracy of about rows * eps * ||M||^2 <= 1e-14 * ||M||^2,
+# far below the squared budget of at least 1e-12 * ||M||^2.
+GRAM_MIN_RELATIVE_BUDGET = 1e-6
+
+# the C entry points of numpy's and scipy's OpenBLAS builds (scipy-openblas,
+# 64-bit integer and 32-bit integer) and of a plain OpenBLAS
+_OPENBLAS_SET_THREADS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _pin_blas_threads() -> None:
+    """Run every OpenBLAS loaded in this process on one thread.
+
+    The sweeps make thousands of small LAPACK calls on matrices with at
+    most a few dozen rows; threads fighting over them made compression
+    several times slower on two cores, and the thread count changed the
+    last bits of the cores.  The count is set through each library's own
+    entry point because numpy is usually imported, and its OpenBLAS
+    initialised, before this module, so environment variables come too
+    late.  Libraries are found in ``/proc/self/maps``; where that file or
+    the entry point does not exist nothing is changed.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split() for line in fh]
+    except OSError:
+        return
+    paths = {
+        f[5] for f in fields
+        if len(f) == 6 and "openblas" in os.path.basename(f[5])
+    }
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_SET_THREADS:
+            set_threads = getattr(lib, symbol, None)
+            if set_threads is not None:
+                set_threads.argtypes = [ctypes.c_int]
+                set_threads.restype = None
+                set_threads(1)
+                break
+
+
+_pin_blas_threads()
 
 
 def _as_2d(m) -> np.ndarray:
@@ -78,21 +136,63 @@ class TruncatedSVD:
         return (u * self.singular_values) @ v.T
 
 
-def _truncated_svd_arrays(arr: np.ndarray, delta: float):
-    """numpy-level truncated SVD used by the tensor-train sweeps.
-
-    Returns ``(U, s, Vt, discarded_energy)`` with the smallest rank whose
-    discarded tail energy is within ``delta``.
-    """
+def _checked_norm(arr: np.ndarray, delta: float) -> float:
     if delta < 0:
         raise ConfigError(f"truncation budget must be >= 0, got {delta}")
     if not np.isfinite(arr).all():
         raise DataError("matrix contains non-finite entries")
-    accurate = 0.0 < delta < 1e-12 * float(np.linalg.norm(arr))
+    return float(np.linalg.norm(arr))
+
+
+def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
+    accurate = 0.0 < delta < 1e-12 * norm
     u, s, vt = _svd(arr, accurate=accurate)
     r = svd_truncation_rank(s, delta)
     discarded = float(np.sqrt(np.sum(s[r:] ** 2)))
     return u[:, :r], s[:r].copy(), vt[:r, :], discarded
+
+
+def _gram_truncation(arr: np.ndarray, delta: float, norm: float):
+    """Truncation of a wide matrix through ``G = M M^T`` and ``eigh``.
+
+    Returns ``(U, W, lost)`` with ``U`` the leading eigenvectors and
+    ``W = U^T M``; for orthonormal ``U`` the error ``||M - U W||_F^2``
+    equals ``lost = ||M||_F^2 - ||W||_F^2``, whatever the accuracy of the
+    eigenvalues that chose the rank.
+    """
+    evals, evecs = np.linalg.eigh(arr @ arr.T)
+    # eigh sorts ascending; rounding can leave tiny negative eigenvalues
+    sigma = np.sqrt(np.maximum(evals[::-1], 0.0))
+    r = svd_truncation_rank(sigma, delta)
+    u = evecs[:, ::-1][:, :r]
+    # M^T U is C-ordered, so W comes out F-ordered for the sweeps' reshapes
+    w = (arr.T @ u).T
+    lost = norm**2 - float(np.linalg.norm(w)) ** 2
+    return u, w, lost
+
+
+def _truncated_svd_arrays(arr: np.ndarray, delta: float):
+    """numpy-level truncation used by the tensor-train sweeps.
+
+    Returns ``(U, W, discarded_energy)`` with ``M ~ U @ W``: ``U`` has
+    orthonormal columns, ``W = U^T M`` (``diag(s) V^T`` of an SVD) is the
+    carry the sweeps fold into the next core, and the rank is the smallest
+    whose discarded energy is within ``delta``.
+
+    A wide matrix with a budget of at least ``GRAM_MIN_RELATIVE_BUDGET``
+    times its norm goes through its Gram matrix, which is far cheaper than
+    an SVD when the rows are few; the error is checked afterwards and the
+    SVD runs instead when it exceeds ``delta``.  Tall matrices, smaller
+    budgets and the zero matrix go straight to the SVD.
+    """
+    norm = _checked_norm(arr, delta)
+    rows, cols = arr.shape
+    if rows <= cols and 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
+        u, w, lost = _gram_truncation(arr, delta, norm)
+        if lost <= delta**2:
+            return u, w, math.sqrt(max(lost, 0.0))
+    u, s, vt, discarded = _exact_truncation(arr, delta, norm)
+    return u, s[:, None] * vt, discarded
 
 
 def truncated_svd(m, delta: float) -> TruncatedSVD:
@@ -104,7 +204,7 @@ def truncated_svd(m, delta: float) -> TruncatedSVD:
     drops below 1.
     """
     arr = _as_2d(m)
-    u, s, vt, discarded = _truncated_svd_arrays(arr, delta)
+    u, s, vt, discarded = _exact_truncation(arr, delta, _checked_norm(arr, delta))
     return TruncatedSVD(
         U=DenseMatrix.from_numpy(u),
         singular_values=s,
@@ -129,9 +229,7 @@ def triangular_rank(r_diag: np.ndarray) -> int:
 def _qr_arrays(arr: np.ndarray):
     if not np.isfinite(arr).all():
         raise DataError("matrix contains non-finite entries")
-    q, r = np.linalg.qr(arr, mode="reduced")
-    rank = triangular_rank(np.diag(r))
-    return q, r, rank
+    return np.linalg.qr(arr, mode="reduced")
 
 
 def rank_revealing_qr(m):
@@ -139,11 +237,13 @@ def rank_revealing_qr(m):
 
     Returns ``(Q, R, rank)`` with ``Q @ R == M`` (Q has orthonormal columns,
     R is upper triangular).  The rank comes from R's diagonal via
-    :func:`triangular_rank`; callers that truncate should keep the first
-    ``rank`` columns of Q and rows of R.
+    :func:`triangular_rank`.  The QR is not pivoted, so a negligible R_ii
+    can come before a needed one: keeping only the first ``rank`` columns
+    of Q and rows of R can drop a direction of M.
     """
     wrap = isinstance(m, DenseMatrix)
-    q, r, rank = _qr_arrays(_as_2d(m))
+    q, r = _qr_arrays(_as_2d(m))
+    rank = triangular_rank(np.diag(r))
     if wrap:
         return DenseMatrix.from_numpy(q), DenseMatrix.from_numpy(r), rank
     return q, r, rank

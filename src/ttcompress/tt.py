@@ -125,10 +125,9 @@ def tt_svd(t: DenseTensor, tau_rel_frob: float) -> TTTensor:
     cores = []
     r_prev = 1
     for k in range(d - 1):
-        u, s, vt, _ = _truncated_svd_arrays(m, delta)
-        r = s.size
+        u, m, _ = _truncated_svd_arrays(m, delta)
+        r = u.shape[1]
         cores.append(u.reshape((r_prev, dims[k], r), order="F"))
-        m = s[:, None] * vt
         if k < d - 2:
             m = m.reshape((r * dims[k + 1], -1), order="F")
         r_prev = r
@@ -200,7 +199,7 @@ def tt_norm(t: TTTensor) -> float:
             mat = (mat.reshape((r0 * n, r1), order="F") @ carry).reshape(
                 (r0, -1), order="F"
             )
-        _, r_fact, _ = _qr_arrays(mat.T)
+        _, r_fact = _qr_arrays(mat.T)
         carry = r_fact.T
     first = t.cores[0].reshape((t.cores[0].shape[1], -1), order="F")
     if carry is not None:
@@ -212,9 +211,14 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     """Shrink inflated TT ranks while keeping the result within tolerance.
 
     Two sweeps: a right-to-left QR pass makes every core but the first
-    right-orthogonal (dropping numerically zero rank directions), then a
-    left-to-right truncated-SVD pass trims ranks against the budget
-    ``tau * ||X||_F / sqrt(d - 1)`` per step.  The output satisfies
+    right-orthogonal, then a left-to-right truncated-SVD pass trims ranks
+    against the budget ``tau * ||X||_F / sqrt(d - 1)`` per step.  The QR
+    pass keeps every column of each economy QR, so there a rank
+    ``r_{k-1}`` only shrinks to ``n_k * r_k`` when it exceeds it; all
+    other trimming is left to the SVD pass, which measures what it drops.
+    (Cutting at a rank counted from an unpivoted QR's diagonal can drop a
+    needed direction when stacked parts are linearly dependent.)  The
+    output satisfies
     ``||X - Y||_F <= tau * ||X||_F`` relative to the input train, and no
     rank ever increases.
     """
@@ -230,12 +234,12 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     for k in range(d - 1, 0, -1):
         r0, n, r1 = cores[k].shape
         mat = cores[k].reshape((r0, n * r1), order="F")
-        q, r_fact, rank = _qr_arrays(mat.T)
-        rank = min(rank, q.shape[1])
-        cores[k] = q[:, :rank].T.reshape((rank, n, r1), order="F")
+        q, r_fact = _qr_arrays(mat.T)
+        rank = q.shape[1]
+        cores[k] = q.T.reshape((rank, n, r1), order="F")
         left = cores[k - 1]
         l0, ln, lr = left.shape
-        folded = left.reshape((l0 * ln, lr), order="F") @ r_fact[:rank, :].T
+        folded = left.reshape((l0 * ln, lr), order="F") @ r_fact.T
         cores[k - 1] = folded.reshape((l0, ln, rank), order="F")
 
     # after the sweep the entire norm sits in the first core
@@ -248,12 +252,12 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     for k in range(d - 1):
         r0, n, r1 = cores[k].shape
         mat = cores[k].reshape((r0 * n, r1), order="F")
-        u, s, vt, _ = _truncated_svd_arrays(mat, delta)
-        rank = s.size
+        u, carry, _ = _truncated_svd_arrays(mat, delta)
+        rank = u.shape[1]
         cores[k] = u.reshape((r0, n, rank), order="F")
         nxt = cores[k + 1]
         n0, nn, nr = nxt.shape
-        folded = (s[:, None] * vt) @ nxt.reshape((n0, nn * nr), order="F")
+        folded = carry @ nxt.reshape((n0, nn * nr), order="F")
         cores[k + 1] = folded.reshape((rank, nn, nr), order="F")
     return TTTensor(tuple(cores))
 

@@ -1,17 +1,42 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ttcompress import (
     DataError,
     DenseMatrix,
+    lowrank,
     rank_revealing_qr,
     spectral_norm_estimate,
     truncated_svd,
 )
+from ttcompress.lowrank import _truncated_svd_arrays, svd_truncation_rank
 
 
 def random_matrix(rng, m, n):
     return DenseMatrix.from_numpy(rng.standard_normal((m, n)))
+
+
+def matrix_with_spectrum(rng, sigma, cols):
+    """Wide ``len(sigma) x cols`` matrix with the given singular values."""
+    rows = len(sigma)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, rows)))
+    v, _ = np.linalg.qr(rng.standard_normal((cols, rows)))
+    return (u * sigma) @ v.T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices handed to the SVD driver."""
+    calls = []
+    original = lowrank._svd
+
+    def counting(arr, accurate=False):
+        calls.append(arr.shape)
+        return original(arr, accurate=accurate)
+
+    monkeypatch.setattr(lowrank, "_svd", counting)
+    return calls
 
 
 class TestTruncatedSVD:
@@ -77,6 +102,81 @@ class TestTruncatedSVD:
         bad[0, 0] = np.nan
         with pytest.raises(DataError):
             truncated_svd(DenseMatrix.from_numpy(bad), 0.0)
+
+
+class TestGramTruncation:
+    SPECTRA = {
+        "slow": 0.9 ** np.arange(24),
+        "geometric": 0.5 ** np.arange(24),
+        "fast": 0.1 ** np.arange(12),
+        "cliff": np.concatenate([np.linspace(3.0, 1.0, 8), 1e-4 * 0.5 ** np.arange(16)]),
+    }
+
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    @pytest.mark.parametrize("keep", [1, 3, 6])
+    def test_wide_matrix_within_budget(self, svd_calls, spectrum, keep):
+        sigma = self.SPECTRA[spectrum]
+        rng = np.random.default_rng([keep, len(sigma)])
+        m = matrix_with_spectrum(rng, sigma, 3000)
+        # budget halfway (geometrically) between the tail energies of
+        # ranks keep and keep + 1, so no near-tie decides the rank
+        tail = np.sqrt(np.cumsum(sigma[::-1] ** 2)[::-1])
+        delta = float(np.sqrt(tail[keep] * tail[keep - 1]))
+        norm = float(np.linalg.norm(m))
+        assert delta >= lowrank.GRAM_MIN_RELATIVE_BUDGET * norm
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        assert svd_calls == []
+        err = float(np.linalg.norm(m - u @ w))
+        assert err <= delta
+        assert discarded == pytest.approx(err, abs=1e-6 * norm)
+        gram = u.T @ u
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+        gesdd = scipy.linalg.svd(m, compute_uv=False, lapack_driver="gesdd")
+        assert u.shape[1] == svd_truncation_rank(gesdd, delta) == keep
+
+    def test_small_budget_uses_svd(self, svd_calls):
+        rng = np.random.default_rng(10)
+        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500)
+        delta = 0.5 * lowrank.GRAM_MIN_RELATIVE_BUDGET * np.linalg.norm(m)
+        u, w, _ = _truncated_svd_arrays(m, delta)
+        assert svd_calls == [m.shape]
+        assert np.linalg.norm(m - u @ w) <= delta
+
+    def test_tall_matrix_uses_svd(self, svd_calls):
+        rng = np.random.default_rng(11)
+        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500).T
+        delta = 1e-2 * np.linalg.norm(m)
+        u, w, _ = _truncated_svd_arrays(m, delta)
+        assert svd_calls == [m.shape]
+        assert np.linalg.norm(m - u @ w) <= delta
+
+    def test_zero_matrix_uses_svd(self, svd_calls):
+        u, w, discarded = _truncated_svd_arrays(np.zeros((3, 50)), 0.5)
+        assert svd_calls == [(3, 50)]
+        assert u.shape == (3, 1) and w.shape == (1, 50)
+        assert np.all(w == 0.0) and discarded == 0.0
+
+    def test_result_over_budget_falls_back(self, svd_calls, monkeypatch):
+        rng = np.random.default_rng(12)
+        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500)
+        eigh = np.linalg.eigh
+        # right eigenvalues, wrong eigenvectors: the rank is chosen as
+        # usual but the kept directions miss the budget
+        monkeypatch.setattr(
+            np.linalg, "eigh", lambda g: (eigh(g)[0], np.eye(g.shape[0]))
+        )
+        delta = 1e-2 * np.linalg.norm(m)
+        u, w, _ = _truncated_svd_arrays(m, delta)
+        assert svd_calls == [m.shape]
+        assert np.linalg.norm(m - u @ w) <= delta
+
+    def test_public_truncated_svd_is_exact(self, svd_calls):
+        rng = np.random.default_rng(13)
+        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500)
+        res = truncated_svd(m, 1e-2 * np.linalg.norm(m))
+        assert svd_calls == [m.shape]
+        v = res.V.to_numpy()
+        assert np.allclose(v.T @ v, np.eye(res.rank), atol=1e-12)
 
 
 class TestRankRevealingQR:
