@@ -141,6 +141,23 @@ def long_index(indices, dims) -> int:
     return linear + 1
 
 
+def index_rows(indices, dims) -> np.ndarray:
+    """New ``(N, len(dims))`` int64 array of 1-based multi-indices, one per
+    row, each checked against ``dims``."""
+    idx = np.array(indices, dtype=np.int64)
+    if idx.ndim != 2 or idx.shape[1] != len(dims):
+        raise ShapeError(
+            f"multi-index rows of shape {idx.shape} do not match rank {len(dims)}"
+        )
+    bad = np.argwhere((idx < 1) | (idx > np.asarray(dims)))
+    if len(bad):
+        row, k = bad[0]
+        raise IndexRangeError(
+            f"index {idx[row, k]} out of range 1..{dims[k]} at position {k + 1}"
+        )
+    return idx
+
+
 def multi_index(linear: int, dims) -> tuple:
     """Inverse of :func:`long_index`: 1-based linear index -> 1-based multi-index."""
     dims = tuple(int(n) for n in dims)

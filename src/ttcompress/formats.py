@@ -11,6 +11,7 @@ bytes of UTF-8 JSON metadata.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -30,8 +31,17 @@ class _Reader:
     def __init__(self, fh):
         self.fh = fh
         self.offset = 0
+        self.size = os.fstat(fh.fileno()).st_size
 
     def read(self, n: int) -> bytes:
+        # checked before reading, so a corrupt header declaring a huge
+        # payload cannot trigger the allocation
+        left = self.size - self.offset
+        if n > left:
+            raise FormatError(
+                f"truncated file: wanted {n} bytes at byte offset "
+                f"{self.offset}, {left} left"
+            )
         buf = self.fh.read(n)
         if len(buf) != n:
             raise FormatError(
@@ -46,8 +56,14 @@ class _Reader:
 
     def read_f64(self, count: int) -> np.ndarray:
         return np.frombuffer(self.read(8 * count), dtype="<f8").astype(
-            np.float64
+            np.float64, copy=False
         )
+
+
+def _write_f64(fh, values: np.ndarray) -> None:
+    """Write values as contiguous little-endian float64, copying only when
+    they are not already laid out that way."""
+    fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
 def write_dt64(path, t: DenseTensor) -> None:
@@ -55,7 +71,7 @@ def write_dt64(path, t: DenseTensor) -> None:
         fh.write(DT64_MAGIC)
         fh.write(struct.pack("<I", t.ndim))
         fh.write(struct.pack(f"<{t.ndim}Q", *t.dims))
-        fh.write(t.values.astype("<f8").tobytes())
+        _write_f64(fh, t.values)
 
 
 def read_dt64(path) -> DenseTensor:
@@ -86,7 +102,7 @@ def write_ttc1(path, t: TTTensor, metadata: dict) -> None:
         fh.write(struct.pack(f"<{t.ndim + 1}Q", *t.ranks))
         fh.write(struct.pack(f"<{t.ndim}Q", *t.dims))
         for core in t.cores:
-            fh.write(core.flatten(order="F").astype("<f8").tobytes())
+            _write_f64(fh, core.reshape(-1, order="F"))
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
 

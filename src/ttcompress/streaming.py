@@ -10,6 +10,7 @@ concatenation serves untensorized streaming axes.
 
 import base64
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -20,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, index_rows
 from .errors import (
     ConfigError,
     IndexRangeError,
@@ -36,15 +37,16 @@ from .tensorize import (
     TensorizePlan,
     apply_plan,
     factor_dims,
-    invert_plan,
     next_factorable,
+    original_view,
 )
 from .tt import (
     TTTensor,
+    _check_full_cap,
+    _contract_cores,
     constant_tt,
     tt_concat_existing,
-    tt_full,
-    tt_get,
+    tt_gather,
     tt_round,
     tt_stack_new,
     tt_svd,
@@ -53,6 +55,9 @@ from .tt import (
 TOLERANCE_KINDS = ("nrmse", "relfrob")
 REORDER_POLICIES = ("none", "segment", "timestep")
 SEGMENT_FILE_RE = re.compile(r"^seg_(\d+)_(\d+)\.ttc$")
+# entries x largest rank per block of a region query, which keeps each
+# array of prefix vectors near 8 MB
+_REGION_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,28 @@ class CompressedSegment:
     def compression_ratio(self) -> float:
         """Unpadded original entries per stored core entry."""
         return self.stats.entry_count / self.tt.core_entry_count
+
+    @functools.cached_property
+    def inverse_permutations(self) -> Optional[np.ndarray]:
+        """Sorted position of each original particle, per step of a leaf
+        for per-timestep permutations; ``None`` without reordering.
+        Checked on first use."""
+        perms = self.permutations
+        if perms is None:
+            return None
+        n_p = self.plan.original_dims[1]
+        fits = perms.shape == (n_p,) or (
+            perms.ndim == 2
+            and perms.shape[1] == n_p
+            and len(perms) >= max(self.part_time_extents)
+        )
+        inverse = np.argsort(perms, axis=-1) if fits else None
+        if not fits or np.any(np.take_along_axis(perms, inverse, -1) != np.arange(n_p)):
+            raise StructureError(
+                f"particle permutations of shape {perms.shape} do not "
+                f"permute {n_p} particles"
+            )
+        return inverse
 
 
 def _morton_permutation(positions, bits: Optional[int]) -> np.ndarray:
@@ -723,53 +750,58 @@ def merge_tree(segments, arity: int, tau_schedule, budget=None):
     return levels
 
 
-def _leaf_digits(leaf: int, stack_dims) -> tuple:
-    digits = []
-    rem = leaf
-    for extent in stack_dims:
-        digits.append(rem % extent)
-        rem //= extent
-    return tuple(digits)
-
-
-def _unpermute(seg: CompressedSegment, slab: np.ndarray, t0: int) -> np.ndarray:
-    """Undo the particle ordering of one reconstructed time slab."""
-    if seg.permutations is None:
-        return slab
-    out = np.empty_like(slab)
-    perms = seg.permutations
-    if perms.ndim == 1:
-        out[:, perms, :] = slab
-    else:
-        for t in range(slab.shape[0]):
-            out[t, perms[t0 + t], :] = slab[t]
-    return out
-
-
 def reconstruct_segment(
     seg: CompressedSegment, max_entries=None
 ) -> DenseTensor:
     """Full dense reconstruction in original order, padding cropped.
 
-    Each stacked leaf is extracted, the tensorization plan inverted, the
-    leaf cropped to its real timestep count and the particle permutation
-    undone; the leaves are then concatenated along time.
+    The plan cores are contracted once, then each stacked leaf is undone
+    through the plan, cropped to its real timesteps and written in
+    original particle order into one preallocated output.
+    ``max_entries`` caps the train's entry count as in :func:`tt_full`.
     """
-    dense = tt_full(seg.tt, max_entries=max_entries).to_numpy()
-    n_plan_dims = len(seg.plan.tensorized_dims())
-    slabs = []
+    _check_full_cap(seg.tt.dims, max_entries)
+    n_plan = len(seg.plan.tensorized_dims())
+    plan_mat = _contract_cores(seg.tt.cores[:n_plan])
+    rank = plan_mat.shape[1]
+    leaf_mat = _contract_cores(seg.tt.cores[n_plan:], rank).reshape(
+        (rank, -1), order="F"
+    )
+    inverse = seg.inverse_permutations
+    dims = (seg.total_steps,) + seg.plan.original_dims[1:]
+    out = np.empty(dims, order="F")
     t0 = 0
-    n_leaves = math.prod(seg.stack_dims) if seg.stack_dims else 1
-    for leaf in range(n_leaves):
-        digits = _leaf_digits(leaf, seg.stack_dims)
-        slab = dense[(slice(None),) * n_plan_dims + digits]
-        block = invert_plan(
-            DenseTensor.from_numpy(slab), seg.plan
-        ).to_numpy()
-        block = block[: seg.part_time_extents[leaf]]
-        slabs.append(_unpermute(seg, block, t0))
-        t0 += seg.part_time_extents[leaf]
-    return DenseTensor.from_numpy(np.concatenate(slabs, axis=0))
+    for leaf, extent in enumerate(seg.part_time_extents):
+        block = original_view(plan_mat @ leaf_mat[:, leaf], seg.plan)[:extent]
+        if inverse is not None:
+            rows = inverse[:extent] if inverse.ndim == 2 else inverse[None]
+            block = block[np.arange(extent)[:, None], rows]
+        out[t0 : t0 + extent] = block
+        t0 += extent
+    return DenseTensor(dims, out.reshape(-1, order="F"))
+
+
+def _train_indices(seg: CompressedSegment, coords) -> np.ndarray:
+    """1-based train multi-indices of 1-based original coordinates.
+
+    One row per entry; the time coordinate counts within the segment
+    (1..total steps) and selects the stacked leaf and the step within it.
+    """
+    coords = index_rows(coords, (seg.total_steps,) + seg.plan.original_dims[1:])
+    bounds = np.cumsum((0,) + seg.part_time_extents)
+    leaf = np.searchsorted(bounds, coords[:, 0] - 1, side="right") - 1
+    coords[:, 0] -= bounds[leaf]
+    inverse = seg.inverse_permutations
+    if inverse is not None:
+        # position of each original particle in the sorted order
+        rows = (coords[:, 0] - 1,) if inverse.ndim == 2 else ()
+        coords[:, 1] = inverse[rows + (coords[:, 1] - 1,)] + 1
+    leaf_digits = ()
+    if seg.stack_dims:
+        leaf_digits = np.unravel_index(leaf, seg.stack_dims, order="F")
+    return np.column_stack(
+        [seg.plan.forward_indices(coords)] + [d + 1 for d in leaf_digits]
+    )
 
 
 def segment_entry(seg: CompressedSegment, step: int, indices) -> float:
@@ -777,40 +809,25 @@ def segment_entry(seg: CompressedSegment, step: int, indices) -> float:
 
     ``step`` is the global timestep index (within ``time_range``);
     ``indices`` holds the remaining 1-based original coordinates
-    (particle, component, ...).  Served through per-element train access,
-    so memory stays at the size of the cores.
+    (particle, component, ...).  Served from the cores, so memory stays
+    at the size of the cores.
     """
     first, last = seg.time_range
     if not first <= step <= last:
         raise IndexRangeError(
             f"step {step} outside this segment's range {seg.time_range}"
         )
-    offset = step - first
-    bounds = np.cumsum((0,) + seg.part_time_extents)
-    leaf = int(np.searchsorted(bounds, offset, side="right") - 1)
-    t_within = offset - int(bounds[leaf])
-
-    indices = tuple(int(i) for i in indices)
-    if len(indices) != len(seg.plan.original_dims) - 1:
-        raise IndexRangeError(
-            f"expected {len(seg.plan.original_dims) - 1} trailing indices"
-        )
-    coords = list(indices)
-    if seg.permutations is not None:
-        perms = seg.permutations
-        perm = perms if perms.ndim == 1 else perms[offset]
-        # position of the original particle in the sorted order
-        coords[0] = int(np.nonzero(perm == coords[0] - 1)[0][0]) + 1
-    full = seg.plan.forward_index((t_within + 1, *coords))
-    leaf_digits = tuple(d + 1 for d in _leaf_digits(leaf, seg.stack_dims))
-    return tt_get(seg.tt, full + leaf_digits)
+    t = step - first + 1
+    box = [(t, t)] + [(int(i), int(i)) for i in indices]
+    return float(reconstruct_region(seg, box).values[0])
 
 
 def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:
-    """Reconstruct a sub-box via per-entry access only.
+    """Reconstruct a sub-box from the cores, without the full tensor.
 
     ``region`` lists one inclusive 1-based (lo, hi) pair per original
-    axis; the time axis counts within the segment (1..total steps).
+    axis; the time axis counts within the segment (1..total steps).  The
+    box is evaluated in blocks, so memory stays bounded whatever its size.
     """
     dims = (seg.total_steps,) + seg.plan.original_dims[1:]
     region = [tuple(int(x) for x in r) for r in region]
@@ -823,35 +840,17 @@ def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:
             raise IndexRangeError(
                 f"region ({lo}, {hi}) out of range 1..{n}"
             )
-    inv_perm = None
-    if seg.permutations is not None and seg.permutations.ndim == 1:
-        inv_perm = np.argsort(seg.permutations)
     out_dims = tuple(hi - lo + 1 for lo, hi in region)
-    out = np.empty(out_dims)
-    first = seg.time_range[0]
-    bounds = np.cumsum((0,) + seg.part_time_extents)
-    for flat in range(math.prod(out_dims)):
-        rem = flat
-        local = []
-        for n in out_dims:
-            local.append(rem % n)
-            rem //= n
-        coords = [r[0] + o for r, o in zip(region, local)]  # 1-based
-        offset = coords[0] - 1
-        leaf = int(np.searchsorted(bounds, offset, side="right") - 1)
-        t_within = offset - int(bounds[leaf])
-        rest = list(coords[1:])
-        if seg.permutations is not None:
-            if inv_perm is not None:
-                rest[0] = int(inv_perm[rest[0] - 1]) + 1
-            else:
-                perm = seg.permutations[offset]
-                rest[0] = int(np.nonzero(perm == rest[0] - 1)[0][0]) + 1
-        full = seg.plan.forward_index((t_within + 1, *rest))
-        leaf_digits = tuple(d + 1 for d in _leaf_digits(leaf, seg.stack_dims))
-        out[tuple(local)] = tt_get(seg.tt, full + leaf_digits)
-    # local digits were generated column-major, so out is already aligned
-    return DenseTensor.from_numpy(out)
+    corner = np.array([lo for lo, _ in region])
+    total = math.prod(out_dims)
+    values = np.empty(total)
+    block = max(1, _REGION_BLOCK_VALUES // max(seg.tt.ranks))
+    for start in range(0, total, block):
+        flat = np.arange(start, min(start + block, total))
+        coords = np.stack(np.unravel_index(flat, out_dims, order="F"), axis=1)
+        rows = _train_indices(seg, coords + corner)
+        values[start : start + len(flat)] = tt_gather(seg.tt, rows)
+    return DenseTensor(out_dims, values)
 
 
 def segment_metrics(

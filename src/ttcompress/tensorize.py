@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import DenseMatrix, DenseTensor
-from .errors import ConfigError, IndexRangeError, PlanError, ShapeError
+from .dense import DenseMatrix, DenseTensor, index_rows
+from .errors import ConfigError, IndexRangeError, PlanError
 
 
 def factor_dims(n: int, max_factor: int):
@@ -179,22 +179,20 @@ class TensorizePlan:
     def forward_index(self, indices) -> tuple:
         """Map a 1-based multi-index of the (unpadded) original tensor to
         the 1-based multi-index of the tensorized tensor."""
-        if len(indices) != len(self.original_dims):
-            raise ShapeError("multi-index length does not match the plan")
+        return tuple(int(i) for i in self.forward_indices([indices])[0])
+
+    def forward_indices(self, indices) -> np.ndarray:
+        """:meth:`forward_index` of every row of an ``(N, axes)`` array."""
+        idx = index_rows(indices, self.original_dims)
         digits = []
-        for ax0, i in enumerate(indices):
-            i = int(i)
-            if not 1 <= i <= self.original_dims[ax0]:
-                raise IndexRangeError(
-                    f"index {i} out of range on axis {ax0 + 1}"
-                )
-            rem = i - 1
+        for ax0 in range(len(self.original_dims)):
+            rem = idx[:, ax0] - 1
             for extent in self.axis_split_dims(ax0 + 1):
-                digits.append(rem % extent + 1)
-                rem //= extent
-        if self.interlace is None:
-            return tuple(digits)
-        return tuple(digits[p] for p in self.interlace)
+                rem, digit = np.divmod(rem, extent)
+                digits.append(digit + 1)
+        if self.interlace is not None:
+            digits = [digits[p] for p in self.interlace]
+        return np.stack(digits, axis=1)
 
 
 def pad_replicate(t: DenseTensor, axis: int, target_extent: int):
@@ -223,18 +221,6 @@ def pad_replicate(t: DenseTensor, axis: int, target_extent: int):
     ), record
 
 
-def crop(t: DenseTensor, axis: int, extent: int) -> DenseTensor:
-    """Keep the first ``extent`` slices along a 1-based axis."""
-    if not 1 <= axis <= t.ndim:
-        raise IndexRangeError(f"axis {axis} out of range 1..{t.ndim}")
-    if not 1 <= extent <= t.dims[axis - 1]:
-        raise IndexRangeError(f"extent {extent} out of range")
-    if extent == t.dims[axis - 1]:
-        return t
-    arr = t.to_numpy().take(range(extent), axis=axis - 1)
-    return DenseTensor.from_numpy(arr)
-
-
 def apply_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     """Pad, split and (optionally) interlace per the plan."""
     if data.dims != plan.original_dims:
@@ -251,6 +237,19 @@ def apply_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     return DenseTensor.from_numpy(arr)
 
 
+def original_view(values: np.ndarray, plan: TensorizePlan) -> np.ndarray:
+    """Flat values in tensorized (column-major) order as an array over the
+    original, unpadded box.
+
+    A view of ``values`` unless the plan interlaces, which costs one copy.
+    """
+    arr = values.reshape(plan.tensorized_dims(), order="F")
+    if plan.interlace is not None:
+        arr = np.transpose(arr, np.argsort(plan.interlace))
+    arr = arr.reshape(plan.padded_dims(), order="F")
+    return arr[tuple(slice(0, n) for n in plan.original_dims)]
+
+
 def invert_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     """Exact inverse of :func:`apply_plan` onto the original (unpadded) box."""
     if data.dims != plan.tensorized_dims():
@@ -258,13 +257,7 @@ def invert_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
             f"data dims {data.dims} do not match the plan's tensorized "
             f"dims {plan.tensorized_dims()}"
         )
-    arr = data.to_numpy()
-    if plan.interlace is not None:
-        arr = np.transpose(arr, np.argsort(plan.interlace))
-    t = DenseTensor(plan.padded_dims(), arr.flatten(order="F"))
-    for pad in plan.pads:
-        t = crop(t, pad.axis, pad.original)
-    return t
+    return DenseTensor.from_numpy(original_view(data.values, plan))
 
 
 def tensorize_vector(v: DenseTensor, level: int) -> DenseTensor:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor
+from .dense import DenseTensor, index_rows
 from .errors import (
     CapacityError,
     ConfigError,
@@ -135,30 +135,81 @@ def tt_svd(t: DenseTensor, tau_rel_frob: float) -> TTTensor:
     return TTTensor(tuple(cores))
 
 
+def _prefix_vectors(cores, idx):
+    """Row vectors of every distinct index prefix, contracted left to right.
+
+    ``idx`` holds one 0-based digit per core and row.  Returns the vectors
+    and, per row, the position of its prefix's vector; rows sharing a
+    prefix share its products.
+    """
+    vecs = np.ones((1, 1))
+    ids = np.zeros(len(idx), dtype=np.int64)
+    for k, core in enumerate(cores):
+        n = core.shape[1]
+        keys, ids = np.unique(ids * n + idx[:, k], return_inverse=True)
+        parent, digit = np.divmod(keys, n)
+        nxt = np.empty((len(keys), core.shape[2]))
+        order = np.argsort(digit, kind="stable")
+        cuts = np.flatnonzero(np.diff(digit[order])) + 1
+        for rows in np.split(order, cuts):
+            nxt[rows] = vecs[parent[rows]] @ core[:, digit[rows[0]], :]
+        vecs = nxt
+    return vecs, ids
+
+
+def tt_gather(t: TTTensor, indices) -> np.ndarray:
+    """Entries at many 1-based multi-indices, one per row of ``indices``.
+
+    The cores left of the largest rank are contracted left to right and
+    the others right to left, each distinct prefix and suffix of the rows
+    once; one row-wise dot product of the two halves finishes each entry.
+    Memory is O(rows x largest rank).
+    """
+    idx = index_rows(indices, t.dims) - 1
+    if not len(idx):
+        return np.empty(0)
+    split = int(np.argmax(t.ranks))
+    left, left_ids = _prefix_vectors(t.cores[:split], idx[:, :split])
+    right, right_ids = _prefix_vectors(
+        [c.transpose(2, 1, 0) for c in reversed(t.cores[split:])],
+        idx[:, split:][:, ::-1],
+    )
+    return np.einsum("ij,ij->i", left[left_ids], right[right_ids])
+
+
 def tt_get(t: TTTensor, indices) -> float:
     """Entry at a 1-based multi-index: the product of one slice per core."""
-    indices = tuple(int(i) for i in indices)
-    dims = t.dims
-    if len(indices) != len(dims):
-        raise ShapeError(f"multi-index length {len(indices)} != rank {len(dims)}")
-    for k, (i, n) in enumerate(zip(indices, dims)):
-        if not 1 <= i <= n:
-            raise IndexRangeError(
-                f"index {i} out of range 1..{n} at position {k + 1}"
-            )
-    v = t.cores[0][:, indices[0] - 1, :]
-    for core, i in zip(t.cores[1:], indices[1:]):
-        v = v @ core[:, i - 1, :]
-    return float(v[0, 0])
+    return float(tt_gather(t, [tuple(indices)])[0])
 
 
-def _resolve_full_cap(max_entries=None) -> int:
+def _check_full_cap(dims, max_entries=None) -> None:
+    """Refuse to materialize more than ``max_entries`` entries (default
+    2**31, or the QTT_MEMORY_CAP_ENTRIES environment variable)."""
     if max_entries is not None:
-        return int(max_entries)
-    env = os.environ.get(FULL_CAP_ENV_VAR)
-    if env is not None:
-        return int(env)
-    return DEFAULT_FULL_CAP_ENTRIES
+        cap = int(max_entries)
+    elif FULL_CAP_ENV_VAR in os.environ:
+        cap = int(os.environ[FULL_CAP_ENV_VAR])
+    else:
+        cap = DEFAULT_FULL_CAP_ENTRIES
+    total = math.prod(dims)
+    if total > cap:
+        raise CapacityError(
+            f"materializing {total} entries exceeds the cap of {cap}"
+        )
+
+
+def _contract_cores(cores, r_in: int = 1) -> np.ndarray:
+    """Consecutive cores, the first with ``r_in`` rows, contracted into one
+    ``(r_in * n_1 ... n_k, r_out)`` matrix whose rows run column-major,
+    ``r_in`` fastest (the identity when there are no cores)."""
+    mat = np.eye(r_in)
+    for core in cores:
+        r0, n, r1 = core.shape
+        # the transposed product comes out column-major, so the reshape
+        # below is a view and not a copy
+        mat = (core.reshape((r0, n * r1), order="F").T @ mat.T).T
+        mat = mat.reshape((-1, r1), order="F")
+    return mat
 
 
 def tt_full(t: TTTensor, max_entries=None) -> DenseTensor:
@@ -168,19 +219,8 @@ def tt_full(t: TTTensor, max_entries=None) -> DenseTensor:
     overridable per call or via the QTT_MEMORY_CAP_ENTRIES environment
     variable) so tensorized datasets are not expanded by accident.
     """
-    dims = t.dims
-    total = math.prod(dims)
-    cap = _resolve_full_cap(max_entries)
-    if total > cap:
-        raise CapacityError(
-            f"materializing {total} entries exceeds the cap of {cap}"
-        )
-    result = t.cores[0].reshape((dims[0], -1), order="F")
-    for core in t.cores[1:]:
-        r0, n, r1 = core.shape
-        result = result @ core.reshape((r0, n * r1), order="F")
-        result = result.reshape((-1, r1), order="F")
-    return DenseTensor(dims, result.reshape(-1, order="F"))
+    _check_full_cap(t.dims, max_entries)
+    return DenseTensor(t.dims, _contract_cores(t.cores).reshape(-1, order="F"))
 
 
 def tt_norm(t: TTTensor) -> float:

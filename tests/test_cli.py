@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import struct
 import subprocess
 import sys
 
@@ -158,6 +159,12 @@ class TestCompress:
             })
         assert archives[0] == archives[1]
 
+    def test_oversized_dt64_header_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.dt64"
+        path.write_bytes(b"DT64" + struct.pack("<I2Q", 2, 2**40, 2**40))
+        assert main(["compress", str(path), "-o", str(tmp_path / "out")]) == 2
+        assert "byte offset" in capsys.readouterr().err
+
     def test_dt64_input(self, tmp_path):
         rng = np.random.default_rng(0)
         t = DenseTensor.from_numpy(rng.uniform(size=(16, 16)))
@@ -200,6 +207,38 @@ class TestReconstruct:
         assert np.allclose(
             traj_t.to_numpy()[:, 0, :], full_t.to_numpy()[:, 6, :], atol=1e-9
         )
+
+    def test_region_matches_full_on_merged_archive(self, tmp_path):
+        # four stacked leaves, the last holding 8 real steps of 16
+        run = settling_run(tmp_path / "run", 3, 40, 56)
+        out = str(tmp_path / "out")
+        args = ["compress", run, "-o", out, "--tolerance", "1e-3"]
+        assert main(args + ["--segment-length", "16"]) == 0
+        archive = os.path.join(out, "seg_0_55.ttc")
+        full = str(tmp_path / "full.dt64")
+        assert main(["reconstruct", archive, "-o", full]) == 0
+        dense = read_dt64(full).to_numpy()
+        assert dense.shape == (56, 40, 3)
+        scale = np.abs(dense).max()
+        for box in ([(1, 56), (9, 9), (1, 3)], [(13, 56), (3, 31), (2, 3)],
+                    [(17, 17), (1, 40), (1, 3)], [(14, 50), (1, 40), (3, 3)]):
+            part = str(tmp_path / "part.dt64")
+            text = ",".join(f"{lo}:{hi}" for lo, hi in box)
+            assert main(["reconstruct", archive, "-o", part, "--region", text]) == 0
+            got = read_dt64(part).to_numpy()
+            want = dense[tuple(slice(lo - 1, hi) for lo, hi in box)]
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_oversized_archive_header_exits_two(self, tmp_path, capsys):
+        # 52 bytes whose header declares one core of 2^40 entries
+        archive = tmp_path / "huge.ttc"
+        header = b"TTC1" + struct.pack("<II2QQ", 1, 1, 1, 1, 2**40)
+        archive.write_bytes(header + b"\x00" * 16)
+        assert main(["info", str(archive)]) == 2
+        out = str(tmp_path / "x.dt64")
+        assert main(["reconstruct", str(archive), "-o", out]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     def test_region_out_of_bounds_exits_two(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,13 @@ class TestDT64:
         with pytest.raises(FormatError, match="byte offset"):
             read_dt64(path)
 
+    def test_oversized_header_is_a_format_error(self, tmp_path):
+        # 2^40 x 2^40 entries: the byte count does not even fit an index
+        path = tmp_path / "huge.dt64"
+        path.write_bytes(b"DT64" + struct.pack("<I2Q", 2, 2**40, 2**40))
+        with pytest.raises(FormatError, match="byte offset"):
+            read_dt64(path)
+
 
 class TestTTC1:
     def test_roundtrip_with_metadata(self, tmp_path):
@@ -53,6 +62,14 @@ class TestTTC1:
         for a, b in zip(back.cores, t.cores):
             assert np.array_equal(a, b)
         assert meta_back == meta
+
+    def test_oversized_core_is_a_format_error(self, tmp_path):
+        # 52 bytes whose header declares one core of 2^40 entries
+        path = tmp_path / "huge.ttc"
+        header = b"TTC1" + struct.pack("<II2QQ", 1, 1, 1, 1, 2**40)
+        path.write_bytes(header + b"\x00" * 16)
+        with pytest.raises(FormatError, match="byte offset"):
+            read_ttc1(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ttc"

@@ -2,19 +2,24 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttcompress import (
+    CapacityError,
     CompressionConfig,
     ConfigError,
     DenseTensor,
+    IndexRangeError,
     MergeError,
     SnapshotBatch,
     StructureError,
+    apply_plan,
     combine_stats,
     compose_tolerances,
     compress_segment,
     compress_tensor,
     load_segment,
+    matrix_interlace_plan,
     merge_concat,
     merge_stack,
     merge_tree,
@@ -28,8 +33,9 @@ from ttcompress import (
     segment_entry,
     stats_of,
     synth_particles,
+    tt_svd,
 )
-from ttcompress.streaming import DataStats
+from ttcompress.streaming import CompressedSegment, DataStats
 
 
 def batch_from_array(arr):
@@ -411,6 +417,210 @@ class TestElementAccess:
         assert np.allclose(
             region.to_numpy()[:, :, 0], arr[2:6, :, 1], atol=1e-10
         )
+
+
+def reference_entry(seg, t, coords):
+    """Per-entry reference: leaf lookup, permutation scan, mixed-radix
+    digits and one slice product per core, as the read path did before it
+    was batched.  ``t`` counts within the segment from 1."""
+    bounds = np.cumsum((0,) + seg.part_time_extents)
+    leaf = int(np.searchsorted(bounds, t - 1, side="right") - 1)
+    t_within = t - 1 - int(bounds[leaf])
+    coords = list(coords)
+    if seg.permutations is not None:
+        perms = seg.permutations
+        perm = perms if perms.ndim == 1 else perms[t_within]
+        coords[0] = int(np.nonzero(perm == coords[0] - 1)[0][0]) + 1
+    digits = []
+    for ax, i in enumerate([t_within + 1] + coords):
+        rem = i - 1
+        for extent in seg.plan.axis_split_dims(ax + 1):
+            digits.append(rem % extent)
+            rem //= extent
+    if seg.plan.interlace is not None:
+        digits = [digits[p] for p in seg.plan.interlace]
+    rem = leaf
+    for extent in seg.stack_dims:
+        digits.append(rem % extent)
+        rem //= extent
+    v = np.ones((1, 1))
+    for core, i in zip(seg.tt.cores, digits):
+        v = v @ core[:, i, :]
+    return float(v[0, 0])
+
+
+def reference_region(seg, region):
+    out = np.empty(tuple(hi - lo + 1 for lo, hi in region))
+    for local in np.ndindex(out.shape):
+        coords = [lo + o for (lo, _), o in zip(region, local)]
+        out[local] = reference_entry(seg, coords[0], coords[1:])
+    return out
+
+
+def seg_dims(seg):
+    return (seg.total_steps,) + seg.plan.original_dims[1:]
+
+
+def assert_matches(got, want):
+    scale = max(float(np.abs(want).max()), 1.0)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * scale
+
+
+def merged_ragged_segment(reorder="segment"):
+    # four segments of 4 steps, the last holding 2 real steps: stack (2, 2)
+    rng = np.random.default_rng(40)
+    arr = np.cumsum(rng.uniform(size=(14, 5, 3)), axis=0)
+    cfg = relfrob_config(1e-3, reorder=reorder)
+    perm = None
+    if reorder == "segment":
+        perm = rng.permutation(5)
+    parts = [
+        compress_segment(
+            batch_from_array(arr[start : start + 4]),
+            cfg,
+            first_step=start,
+            permutation_override=perm,
+            pad_time_to=4,
+        )
+        for start in range(0, 14, 4)
+    ]
+    return merge_tree(parts, 2, [1e-3, 1e-3])[-1][0]
+
+
+def interlaced_segment():
+    rng = np.random.default_rng(41)
+    x = np.add.outer(np.arange(8.0), np.arange(8.0)) + rng.uniform(size=(8, 8))
+    data = DenseTensor.from_numpy(x)
+    plan = matrix_interlace_plan(8, 2)
+    return CompressedSegment(
+        tt=tt_svd(apply_plan(data, plan), 1e-2),
+        plan=plan,
+        reorder="none",
+        permutations=None,
+        time_range=(0, 7),
+        part_time_extents=(8,),
+        stack_dims=(),
+        stats=stats_of(x),
+        tolerance_spent=1e-2,
+    )
+
+
+def single_segment(shape, **cfg_kwargs):
+    rng = np.random.default_rng(42)
+    arr = np.cumsum(rng.uniform(size=shape), axis=0)
+    cfg = relfrob_config(1e-2, **cfg_kwargs)
+    return compress_segment(batch_from_array(arr), cfg, first_step=5)
+
+
+READ_CASES = {
+    "reorder-none": lambda: single_segment((8, 6, 3)),
+    "reorder-segment": lambda: single_segment((8, 6, 3), reorder="segment"),
+    "reorder-timestep": lambda: single_segment((8, 6, 3), reorder="timestep"),
+    "padded-particles": lambda: single_segment((6, 7, 3), reorder="segment"),
+    "untensorized": lambda: single_segment((8, 6, 3), tensorize=False),
+    "merged-ragged": merged_ragged_segment,
+    "merged-ragged-none": lambda: merged_ragged_segment("none"),
+    "interlaced": interlaced_segment,
+}
+
+
+@pytest.fixture(params=sorted(READ_CASES))
+def read_case(request):
+    return READ_CASES[request.param]()
+
+
+class TestBatchedReadPath:
+    """Regions, entries and full reconstruction against the per-entry
+    reference loop."""
+
+    def test_full_reconstruction(self, read_case):
+        box = [(1, n) for n in seg_dims(read_case)]
+        assert_matches(
+            reconstruct_segment(read_case).to_numpy(),
+            reference_region(read_case, box),
+        )
+
+    def test_regions(self, read_case):
+        dims = seg_dims(read_case)
+        rng = np.random.default_rng(43)
+        boxes = [[(1, n) for n in dims], [(n, n) for n in dims]]
+        for _ in range(5):
+            box = []
+            for n in dims:
+                lo, hi = sorted(int(v) for v in rng.integers(1, n + 1, size=2))
+                box.append((lo, hi))
+            boxes.append(box)
+        for box in boxes:
+            assert_matches(
+                reconstruct_region(read_case, box).to_numpy(),
+                reference_region(read_case, box),
+            )
+
+    def test_entries(self, read_case):
+        dims = seg_dims(read_case)
+        first = read_case.time_range[0]
+        rng = np.random.default_rng(44)
+        for _ in range(20):
+            coords = [int(rng.integers(1, n + 1)) for n in dims]
+            got = segment_entry(read_case, first + coords[0] - 1, coords[1:])
+            want = reference_entry(read_case, coords[0], coords[1:])
+            assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
+
+    def test_out_of_range_entry(self, read_case):
+        dims = seg_dims(read_case)
+        first = read_case.time_range[0]
+        with pytest.raises(IndexRangeError):
+            segment_entry(read_case, first, [n + 1 for n in dims[1:]])
+        with pytest.raises(IndexRangeError):
+            segment_entry(read_case, first, [0] * (len(dims) - 1))
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.data())
+    def test_random_boxes_of_merged_segment(self, data):
+        seg = merged_ragged_segment()
+        box = []
+        for n in seg_dims(seg):
+            lo = data.draw(st.integers(1, n))
+            box.append((lo, data.draw(st.integers(lo, n))))
+        assert_matches(
+            reconstruct_region(seg, box).to_numpy(), reference_region(seg, box)
+        )
+
+    def test_full_reconstruction_respects_cap(self, monkeypatch):
+        seg = merged_ragged_segment()
+        n_train = int(np.prod(seg.tt.dims))
+        with pytest.raises(CapacityError):
+            reconstruct_segment(seg, max_entries=n_train - 1)
+        assert reconstruct_segment(seg, max_entries=n_train).dims == (14, 5, 3)
+        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", str(n_train - 1))
+        with pytest.raises(CapacityError):
+            reconstruct_segment(seg)
+        # regions are served from the cores whatever the cap
+        box = [(1, 14), (2, 4), (1, 3)]
+        assert_matches(
+            reconstruct_region(seg, box).to_numpy(), reference_region(seg, box)
+        )
+
+    def test_entry_on_per_timestep_permutations(self):
+        rng = np.random.default_rng(45)
+        arr = rng.uniform(size=(6, 9, 3))
+        cfg = relfrob_config(0.0, reorder="timestep")
+        seg = compress_segment(batch_from_array(arr), cfg, first_step=10)
+        assert seg.permutations.shape == (6, 9)
+        for t in range(6):
+            for p in range(9):
+                got = segment_entry(seg, 10 + t, (p + 1, 2))
+                assert got == pytest.approx(arr[t, p, 1], abs=1e-12)
+
+    def test_malformed_permutation_is_rejected(self):
+        seg = single_segment((8, 6, 3), reorder="segment")
+        broken = dataclasses.replace(seg, permutations=np.zeros(6, dtype=np.int64))
+        with pytest.raises(StructureError):
+            segment_entry(broken, 5, (1, 1))
+        with pytest.raises(StructureError):
+            reconstruct_segment(broken)
+
 
 
 class TestStoreRoundtrip:
