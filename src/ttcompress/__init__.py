@@ -63,6 +63,7 @@ from .streaming import (
     DataStats,
     combine_stats,
     compose_tolerances,
+    compress_run,
     compress_segment,
     compress_tensor,
     list_segments,
@@ -74,6 +75,7 @@ from .streaming import (
     plan_tau_schedule,
     reconstruct_region,
     reconstruct_segment,
+    reconstruct_segments,
     save_segment,
     segment_entry,
     segment_metrics,
@@ -82,6 +84,7 @@ from .streaming import (
 from .synthdata import (
     SnapshotBatch,
     load_snapshots,
+    open_run,
     sample_kernel_matrix,
     sample_univariate,
     synth_particles,

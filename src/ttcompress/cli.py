@@ -17,29 +17,26 @@ import time
 import numpy as np
 
 from . import __version__
-from .dense import DenseTensor
 from .errors import ConfigError, IndexRangeError, IngestionError, TTCompressError
 from .formats import read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
 from .metrics import nrmse as nrmse_metric, rel_frob, write_csv
-from .morton import fit_domain, morton_sort, DEFAULT_BITS
 from .streaming import (
     CompressionConfig,
-    compress_segment,
+    combine_stats,
+    compress_run,
     compress_tensor,
     list_segments,
     load_segment,
-    merge_tree,
-    merge_tree_levels,
-    nrmse_to_relfrob,
-    plan_tau_schedule,
     reconstruct_region,
     reconstruct_segment,
+    reconstruct_segments,
     save_segment,
+    segment_filename,
     segment_metrics,
     stats_of,
 )
-from .synthdata import load_snapshots, sample_kernel_matrix, sample_univariate, synth_particles
+from .synthdata import open_run, sample_kernel_matrix, sample_univariate, synth_particles
 from .tensorize import invert_plan, matrix_interlace_plan, tensorize_matrix_interlaced, tensorize_vector
 from .tt import compression_ratio, tt_full, tt_svd
 
@@ -70,167 +67,95 @@ def _write_manifest(outdir, payload) -> str:
     return path
 
 
-def _output_record(path) -> dict:
-    return {"path": path, "bytes": os.path.getsize(path)}
-
-
-def _compress_run(args, outdir) -> dict:
-    config = _config_from_args(args)
-    batch = load_snapshots(args.input)
-    n_t = batch.n_t
-    seg_len = config.segment_length
-    n_segments = math.ceil(n_t / seg_len)
-    merging = args.merge and n_segments > 1
-    if merging and config.reorder == "timestep":
-        raise ConfigError(
-            "per-timestep reordering produces per-step permutations that "
-            "cannot be merged; rerun with --no-merge or --reorder segment"
-        )
-
-    # one overall error target: segments get half the budget, merge levels
-    # split the rest; a single unmerged segment keeps the full budget
-    seg_config = config
-    if merging:
-        seg_config = dataclasses.replace(config, tolerance=config.tolerance / 2)
-
-    global_stats = stats_of(batch.data.values)
-    perm_override = None
-    if merging and config.reorder == "segment":
-        # one ordering for the whole merged group
-        if batch.positions_first is None:
-            raise ConfigError("Morton reordering needs positions; use --reorder none")
-        transform = fit_domain(batch.positions_first)
-        perm_override = morton_sort(
-            transform.apply(batch.positions_first),
-            config.morton_bits or DEFAULT_BITS,
-        )
-
-    t0 = time.perf_counter()
-    segments = [
-        compress_segment(
-            batch.time_slice(start, min(start + seg_len, n_t)),
-            seg_config,
-            first_step=start,
-            stats_reference=global_stats
-            if config.tolerance_kind == "nrmse"
-            else None,
-            permutation_override=perm_override,
-            pad_time_to=seg_len if merging else None,
-        )
-        for start in range(0, n_t, seg_len)
-    ]
-    compress_time = time.perf_counter() - t0
-
-    seg_dir = os.path.join(outdir, "segments")
-    outputs = []
-    for seg in segments:
-        outputs.append(
-            _output_record(save_segment(seg_dir, seg, config.config_hash()))
-        )
-
-    merged = None
-    merge_time = 0.0
-    if merging:
-        t0 = time.perf_counter()
-        n_levels = merge_tree_levels(len(segments), config.merge_arity)
-        if config.tolerance_kind == "nrmse":
-            total_rel = nrmse_to_relfrob(config.tolerance, global_stats)
-        else:
-            total_rel = config.tolerance
-        worst = max(s.tolerance_spent for s in segments)
-        if total_rel is None:
-            schedule = [0.0] * n_levels
-            budget = None
-        else:
-            schedule = plan_tau_schedule(total_rel, worst, n_levels)
-            budget = total_rel
-        levels = merge_tree(segments, config.merge_arity, schedule, budget)
-        merged = levels[-1][0]
-        merge_time = time.perf_counter() - t0
-        outputs.append(
-            _output_record(save_segment(outdir, merged, config.config_hash()))
-        )
-
-    metrics = {}
-    final = merged if merged is not None else None
-    if args.verify:
-        original = batch.data
-        if final is not None:
-            report = segment_metrics(final, original=original)
-        elif len(segments) == 1:
-            report = segment_metrics(segments[0], original=original)
-        else:
-            parts = [
-                reconstruct_segment(s).to_numpy() for s in segments
-            ]
-            recon = DenseTensor.from_numpy(np.concatenate(parts, axis=0))
-            report = None
-            metrics["nrmse"] = nrmse_metric(original, recon)
-            metrics["rel_frob"] = rel_frob(original, recon)
-        if report is not None:
-            metrics = {
-                k: v for k, v in report.to_dict().items() if v is not None
-            }
-    headline = merged if merged is not None else segments[0]
-    metrics.setdefault(
-        "compression_ratio_cores_only",
-        sum(s.stats.entry_count for s in ([merged] if merged else segments))
-        / sum(s.tt.core_entry_count for s in ([merged] if merged else segments)),
+def _overall_ratio(segs) -> float:
+    """Unpadded entries per stored core entry over several parts."""
+    return sum(s.stats.entry_count for s in segs) / sum(
+        s.tt.core_entry_count for s in segs
     )
-    metrics["ranks_final"] = list(headline.tt.ranks)
 
-    return {
-        "command": "compress",
-        "tool_version": __version__,
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "inputs": [args.input],
-        "outputs": outputs,
-        "timings_s": {"compress": compress_time, "merge": merge_time},
-        "metrics": metrics,
+
+def _verify_run(read, n_t, seg_len, parts) -> dict:
+    """Error of the stored parts against the run's step files, which are
+    re-read one segment at a time."""
+    recon = reconstruct_segments(parts).to_numpy()
+    err2 = 0.0
+    stats = []
+    for start in range(0, n_t, seg_len):
+        original = read(start, min(start + seg_len, n_t)).data.to_numpy()
+        diff = original - recon[start : start + len(original)]
+        err2 += float(np.sum(diff**2))
+        stats.append(stats_of(original))
+    stats = combine_stats(stats)
+    metrics = {
+        "entry_count": stats.entry_count,
+        "x_min": stats.x_min,
+        "x_max": stats.x_max,
     }
+    if stats.x_max > stats.x_min:
+        rmse = math.sqrt(err2 / stats.entry_count)
+        metrics["nrmse"] = rmse / (stats.x_max - stats.x_min)
+    if stats.frobenius_norm > 0:
+        metrics["rel_frob"] = math.sqrt(err2) / stats.frobenius_norm
+    return metrics
 
 
-def _compress_dt64(args, outdir) -> dict:
-    config = _config_from_args(args)
-    if args.reorder != "none":
-        config = dataclasses.replace(config, reorder="none")
+
+def _compress_run(args, config, outdir):
+    n_t, read = open_run(args.input)
+    timings = {}
+    levels = compress_run(read, n_t, config, args.merge, timings)
+    seg_dir = os.path.join(outdir, "segments")
+    paths = [save_segment(seg_dir, s, config.config_hash()) for s in levels[0]]
+    if len(levels) > 1:
+        paths.append(save_segment(outdir, levels[-1][0], config.config_hash()))
+    metrics = {}
+    if args.verify:
+        metrics = _verify_run(read, n_t, config.segment_length, levels[-1])
+    # the merged part, or the segments themselves when there is no merge
+    return levels[-1], paths, timings, metrics
+
+
+def _compress_dt64(args, config, outdir):
     tensor = read_dt64(args.input)
     t0 = time.perf_counter()
     seg = compress_tensor(tensor, config, level=args.level)
-    compress_time = time.perf_counter() - t0
-    outputs = [_output_record(save_segment(outdir, seg, config.config_hash()))]
+    timings = {"compress": time.perf_counter() - t0, "merge": 0.0}
+    paths = [save_segment(outdir, seg, config.config_hash())]
     metrics = {}
     if args.verify:
         report = segment_metrics(seg, original=tensor)
         metrics = {k: v for k, v in report.to_dict().items() if v is not None}
-    metrics.setdefault("compression_ratio_cores_only", seg.compression_ratio)
-    metrics["ranks_final"] = list(seg.tt.ranks)
-    return {
-        "command": "compress",
-        "tool_version": __version__,
-        "config": config.to_dict(),
-        "config_hash": config.config_hash(),
-        "inputs": [args.input],
-        "outputs": outputs,
-        "timings_s": {"compress": compress_time, "merge": 0.0},
-        "metrics": metrics,
-    }
+    return [seg], paths, timings, metrics
 
 
 def cmd_compress(args) -> int:
     outdir = args.output
     os.makedirs(outdir, exist_ok=True)
+    config = _config_from_args(args)
     if os.path.isdir(args.input):
-        manifest = _compress_run(args, outdir)
+        compress = _compress_run
     elif os.path.isfile(args.input):
-        manifest = _compress_dt64(args, outdir)
+        compress = _compress_dt64
+        config = dataclasses.replace(config, reorder="none")
     else:
         raise IngestionError(
             f"input {args.input!r} is neither a run directory nor a file"
         )
+    final, paths, timings, metrics = compress(args, config, outdir)
+    metrics["compression_ratio_cores_only"] = _overall_ratio(final)
+    metrics["ranks_final"] = list(final[0].tt.ranks)
+    manifest = {
+        "command": "compress",
+        "tool_version": __version__,
+        "config": config.to_dict(),
+        "config_hash": config.config_hash(),
+        "inputs": [args.input],
+        "outputs": [{"path": p, "bytes": os.path.getsize(p)} for p in paths],
+        "timings_s": timings,
+        "metrics": metrics,
+    }
     path = _write_manifest(outdir, manifest)
-    print(f"wrote {len(manifest['outputs'])} archive(s); manifest: {path}")
+    print(f"wrote {len(paths)} archive(s); manifest: {path}")
     return EXIT_OK
 
 
@@ -254,17 +179,33 @@ def _parse_region(text, ndim):
     return region
 
 
+def _load_run_segments(directory):
+    """The segment archives of a directory, which must cover one run from
+    step 0 on, each named after its own time range."""
+    paths = list_segments(directory)
+    if not paths:
+        raise IngestionError(f"no segment archives found in {directory!r}")
+    segs = [load_segment(p) for p in paths]
+    for path, seg in zip(paths, segs):
+        if os.path.basename(path) != segment_filename(seg):
+            raise IngestionError(
+                f"{path} holds steps {seg.time_range[0]}..{seg.time_range[1]}"
+                f"; its name does not match"
+            )
+    if segs[0].time_range[0] != 0:
+        raise IngestionError(
+            f"the first segment starts at step {segs[0].time_range[0]}, not 0"
+        )
+    return segs
+
+
 def cmd_reconstruct(args) -> int:
     if os.path.isdir(args.archive):
-        paths = list_segments(args.archive)
-        if not paths:
-            raise IngestionError(f"no segment archives found in {args.archive!r}")
         if args.region:
             raise ConfigError(
                 "region selection works on a single archive file"
             )
-        parts = [reconstruct_segment(load_segment(p)).to_numpy() for p in paths]
-        out = DenseTensor.from_numpy(np.concatenate(parts, axis=0))
+        out = reconstruct_segments(_load_run_segments(args.archive))
     else:
         seg = load_segment(args.archive)
         if args.region:
@@ -407,73 +348,32 @@ def bench_streaming(args):
     """Segmented compression of a settling run plus its merge-tree levels."""
     n_t = args.segments * args.segment_length
     batch = synth_particles(args.particles, n_t, args.scenario, args.seed)
-    # segments get half the error budget, the merge levels share the rest
     config = CompressionConfig(
-        tolerance=args.tolerance / 2,
+        tolerance=args.tolerance,
         tolerance_kind="nrmse",
         segment_length=args.segment_length,
         merge_arity=args.merge_arity,
         reorder="segment",
     )
-    config_flat = dataclasses.replace(config, tensorize=False)
-    global_stats = stats_of(batch.data.values)
-    transform = fit_domain(batch.positions_first)
-    perm = morton_sort(transform.apply(batch.positions_first), DEFAULT_BITS)
+    levels = compress_run(batch.time_slice, n_t, config)
+    # the same segments untensorized, at the same budget and ordering
+    flat = compress_run(
+        batch.time_slice, n_t, dataclasses.replace(config, tensorize=False)
+    )[0]
 
-    segments = []
-    flat_ratios = []
-    for start in range(0, n_t, args.segment_length):
-        sub = batch.time_slice(start, start + args.segment_length)
-        seg = compress_segment(
-            sub,
-            config,
-            first_step=start,
-            stats_reference=global_stats,
-            permutation_override=perm,
-        )
-        segments.append(seg)
-        flat = compress_segment(
-            sub,
-            config_flat,
-            first_step=start,
-            stats_reference=global_stats,
-            permutation_override=perm,
-        )
-        flat_ratios.append(flat.compression_ratio)
-
-    n_levels = merge_tree_levels(len(segments), args.merge_arity)
-    total_rel = nrmse_to_relfrob(args.tolerance, global_stats)
-    worst = max(s.tolerance_spent for s in segments)
-    schedule = plan_tau_schedule(total_rel, worst, n_levels)
-    levels = merge_tree(segments, args.merge_arity, schedule, total_rel)
-
-    original = batch.data.to_numpy()
     rows = []
     for lvl, segs in enumerate(levels):
-        entries = sum(s.stats.entry_count for s in segs)
-        stored = sum(s.tt.core_entry_count for s in segs)
-        # assemble the whole run from this level's segments; the error
-        # budget composes globally, not per segment
-        assembled = np.empty_like(original)
-        for s in segs:
-            first, last = s.time_range
-            assembled[first : last + 1] = reconstruct_segment(s).to_numpy()
-        overall_nrmse = nrmse_metric(
-            batch.data, DenseTensor.from_numpy(assembled)
-        )
+        # the error budget composes over the whole run, not per segment
         row = {
             "study": "streaming",
             "level": lvl,
             "steps_per_segment": segs[0].total_steps,
             "n_segments": len(segs),
-            "overall_ratio": entries / stored,
-            "overall_nrmse": overall_nrmse,
+            "overall_ratio": _overall_ratio(segs),
+            "overall_nrmse": nrmse_metric(batch.data, reconstruct_segments(segs)),
         }
         if lvl == 0:
-            total = sum(s.stats.entry_count for s in segments)
-            row["overall_ratio_untensorized"] = total / sum(
-                s.stats.entry_count / r for s, r in zip(segments, flat_ratios)
-            )
+            row["overall_ratio_untensorized"] = _overall_ratio(flat)
         rows.append(row)
     columns = [
         "study",

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import re
+import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -50,6 +51,7 @@ from .tt import (
     tt_round,
     tt_stack_new,
     tt_svd,
+    zero_tt,
 )
 
 TOLERANCE_KINDS = ("nrmse", "relfrob")
@@ -249,72 +251,54 @@ def _morton_permutation(positions, bits: Optional[int]) -> np.ndarray:
     return morton_sort(transform.apply(positions), bits or DEFAULT_BITS)
 
 
-def _plan_axis(extent, max_factor, level, allow_padding, axis):
-    factors = factor_dims(extent, max_factor)
-    pad = None
-    if factors is None:
-        if not allow_padding:
-            raise PlanError(
-                f"axis {axis} extent {extent} has a prime factor above "
-                f"{max_factor} and padding is disabled"
-            )
-        padded = next_factorable(extent, max_factor)
-        pad = AxisPad(axis=axis, original=extent, padded=padded)
-        factors = factor_dims(padded, max_factor)
-    if level is None:
-        level = len(factors)
-    return tuple(factors), int(level), pad
-
-
-def build_batch_plan(
-    dims, config: CompressionConfig, pad_time_to: Optional[int] = None
+def build_plan(
+    dims, config: CompressionConfig, levels, pad_time_to: Optional[int] = None
 ) -> TensorizePlan:
-    """Tensorization plan for an (n_t, n_p, n_c) batch.
+    """Tensorization plan for a tensor of extents ``dims``; axis 1 is time.
 
-    Time and particle axes are factored into small primes (padding by
-    replication when an extent will not factor); the component axis stays
-    whole.  ``pad_time_to`` grows a short segment to a common length so
-    segments of one run share a shape and can be merged.  With
-    tensorization off the plan is a pass-through.
+    The leading ``len(levels)`` axes are factored into small primes
+    (padding by replication when an extent will not factor) and keep
+    ``levels[ax]`` tree levels as dimensions (None: all of them; a larger
+    level is capped).  Later axes, and every axis when tensorization is
+    off, stay whole.  ``pad_time_to`` grows a short segment to a common
+    length so the segments of one run share a shape and can be merged.
     """
-    n_t, n_p, n_c = dims
-    t_target = n_t
+    t_target = dims[0]
     if pad_time_to is not None:
-        if pad_time_to < n_t:
+        if pad_time_to < dims[0]:
             raise PlanError(
-                f"cannot pad {n_t} timesteps down to {pad_time_to}"
+                f"cannot pad {dims[0]} timesteps down to {pad_time_to}"
             )
-        if pad_time_to > n_t and not config.allow_padding:
+        if pad_time_to > dims[0] and not config.allow_padding:
             raise PlanError("time padding needed but padding is disabled")
         t_target = pad_time_to
-    if not config.tensorize:
-        pads = ()
-        if t_target != n_t:
-            pads = (AxisPad(axis=1, original=n_t, padded=t_target),)
-        return TensorizePlan(
-            original_dims=(n_t, n_p, n_c),
-            axis_factors=((t_target,), (n_p,), (n_c,)),
-            axis_levels=(1, 1, 1),
-            interlace=None,
-            pads=pads,
-        )
-    t_factors, t_level, t_pad = _plan_axis(
-        t_target, config.max_factor, config.time_level, config.allow_padding, 1
-    )
-    if t_pad is None and t_target != n_t:
-        t_pad = AxisPad(axis=1, original=n_t, padded=t_target)
-    elif t_pad is not None:
-        t_pad = AxisPad(axis=1, original=n_t, padded=t_pad.padded)
-    p_factors, p_level, p_pad = _plan_axis(
-        n_p, config.max_factor, config.particle_level, config.allow_padding, 2
-    )
-    pads = tuple(p for p in (t_pad, p_pad) if p is not None)
+    axis_factors, axis_levels, pads = [], [], []
+    for ax, extent in enumerate(dims):
+        target = t_target if ax == 0 else extent
+        if config.tensorize and ax < len(levels):
+            factors = factor_dims(target, config.max_factor)
+            if factors is None:
+                if not config.allow_padding:
+                    raise PlanError(
+                        f"axis {ax + 1} extent {target} has a prime factor "
+                        f"above {config.max_factor} and padding is disabled"
+                    )
+                target = next_factorable(target, config.max_factor)
+                factors = factor_dims(target, config.max_factor)
+            level = levels[ax]
+            level = len(factors) if level is None else min(level, len(factors))
+        else:
+            factors, level = (target,), 1
+        if target != extent:
+            pads.append(AxisPad(axis=ax + 1, original=extent, padded=target))
+        axis_factors.append(tuple(factors))
+        axis_levels.append(level)
     return TensorizePlan(
-        original_dims=(n_t, n_p, n_c),
-        axis_factors=(t_factors, p_factors, (n_c,)),
-        axis_levels=(t_level, p_level, 1),
+        original_dims=dims,
+        axis_factors=tuple(axis_factors),
+        axis_levels=tuple(axis_levels),
         interlace=None,
-        pads=pads,
+        pads=tuple(pads),
     )
 
 
@@ -325,6 +309,43 @@ def _target_relfrob(config: CompressionConfig, stats: DataStats, reference):
     if config.tolerance_kind == "relfrob":
         return config.tolerance
     return nrmse_to_relfrob(config.tolerance, reference or stats)
+
+
+def _compress(
+    data: DenseTensor,
+    plan: TensorizePlan,
+    config: CompressionConfig,
+    stats: DataStats,
+    reference: Optional[DataStats] = None,
+    perms: Optional[np.ndarray] = None,
+    first_step: int = 0,
+) -> CompressedSegment:
+    """TT-SVD of ``data`` (already in particle order) under ``plan``.
+
+    Constant (or zero) data is exactly rank 1 after any reshaping and is
+    stored as such.  When padding grows the tensor the internal tolerance
+    is tightened by the norm ratio so the guarantee still holds on the
+    real data region.
+    """
+    tau_rel = _target_relfrob(config, stats, reference)
+    if tau_rel is None:
+        tt, tau_rel = constant_tt(plan.tensorized_dims(), stats.x_min), 0.0
+    else:
+        tensorized = apply_plan(data, plan)
+        padded_norm = float(np.linalg.norm(tensorized.values))
+        tt = tt_svd(tensorized, tau_rel * stats.frobenius_norm / padded_norm)
+    n_t = data.dims[0]
+    return CompressedSegment(
+        tt=tt,
+        plan=plan,
+        reorder="none" if perms is None else config.reorder,
+        permutations=perms,
+        time_range=(first_step, first_step + n_t - 1),
+        part_time_extents=(n_t,),
+        stack_dims=(),
+        stats=stats,
+        tolerance_spent=tau_rel,
+    )
 
 
 def compress_segment(
@@ -339,16 +360,14 @@ def compress_segment(
 
     Pipeline: reorder particles by the Morton policy, pad and tensorize
     per the plan, then TT-SVD at the converted tolerance.  Statistics are
-    recorded from the raw (pre-padding) data.  When padding grows the
-    tensor the internal tolerance is tightened by the norm ratio so the
-    guarantee still holds on the real data region.
+    recorded from the raw (pre-padding) data.
 
-    ``stats_reference`` feeds the nRMSE conversion with running global
-    statistics when a multi-segment run targets one overall error;
+    ``stats_reference`` feeds the nRMSE conversion with the statistics of
+    the whole run when a multi-segment run targets one overall error;
     ``permutation_override`` pins one particle ordering across segments
     that will later be merged.
     """
-    arr = np.array(batch.data.to_numpy())
+    arr = batch.data.to_numpy()
     n_t, n_p, n_c = arr.shape
     stats = stats_of(arr)
 
@@ -360,7 +379,6 @@ def compress_segment(
                 f"permutation override has shape {perms.shape}, "
                 f"expected ({n_p},)"
             )
-        arr = arr[:, perms, :]
     elif config.reorder == "segment":
         if batch.positions_first is None:
             raise ConfigError(
@@ -368,51 +386,32 @@ def compress_segment(
                 "use reorder='none' for data without them"
             )
         perms = _morton_permutation(batch.positions_first, config.morton_bits)
-        arr = arr[:, perms, :]
     elif config.reorder == "timestep":
         if n_c != 3:
             raise ConfigError(
                 "per-timestep reordering uses the data itself as positions "
                 "and needs exactly 3 components"
             )
-        perms = np.empty((n_t, n_p), dtype=np.int64)
-        for t in range(n_t):
-            perms[t] = _morton_permutation(arr[t], config.morton_bits)
-            arr[t] = arr[t][perms[t]]
-
-    plan = build_batch_plan((n_t, n_p, n_c), config, pad_time_to=pad_time_to)
-    tau_rel = _target_relfrob(config, stats, stats_reference)
-    time_range = (first_step, first_step + n_t - 1)
-
-    if tau_rel is None:
-        # constant (or zero) data is exactly rank 1 after any reshaping
-        tt = constant_tt(plan.tensorized_dims(), stats.x_min)
-        return CompressedSegment(
-            tt=tt,
-            plan=plan,
-            reorder="none" if perms is None else config.reorder,
-            permutations=perms,
-            time_range=time_range,
-            part_time_extents=(n_t,),
-            stack_dims=(),
-            stats=stats,
-            tolerance_spent=0.0,
+        perms = np.stack(
+            [_morton_permutation(arr[t], config.morton_bits) for t in range(n_t)]
         )
+    data = batch.data
+    if perms is not None:
+        # column-major results, so the flat values below are a view
+        if perms.ndim == 1:
+            # the transpose is row-major: take copies whole time columns
+            permuted = arr.T.take(perms, axis=1).T
+        else:
+            permuted = np.empty(arr.shape, order="F")
+            for t in range(n_t):
+                permuted[t] = arr[t, perms[t]]
+        data = DenseTensor(arr.shape, permuted.reshape(-1, order="F"))
 
-    tensorized = apply_plan(DenseTensor.from_numpy(arr), plan)
-    padded_norm = float(np.linalg.norm(tensorized.values))
-    tau_eff = tau_rel * stats.frobenius_norm / padded_norm
-    tt = tt_svd(tensorized, tau_eff)
-    return CompressedSegment(
-        tt=tt,
-        plan=plan,
-        reorder="none" if perms is None else config.reorder,
-        permutations=perms,
-        time_range=time_range,
-        part_time_extents=(n_t,),
-        stack_dims=(),
-        stats=stats,
-        tolerance_spent=tau_rel,
+    plan = build_plan(
+        data.dims, config, (config.time_level, config.particle_level), pad_time_to
+    )
+    return _compress(
+        data, plan, config, stats, stats_reference, perms, first_step
     )
 
 
@@ -425,51 +424,8 @@ def compress_tensor(
     the per-axis split depth.  The first axis plays the role of time in
     the segment bookkeeping.
     """
-    dims = data.dims
-    stats = stats_of(data.values)
-    if config.tensorize:
-        per_axis = [
-            _plan_axis(n, config.max_factor, level, config.allow_padding, ax + 1)
-            for ax, n in enumerate(dims)
-        ]
-        plan = TensorizePlan(
-            original_dims=dims,
-            axis_factors=tuple(f for f, _, _ in per_axis),
-            axis_levels=tuple(
-                min(l, len(f)) for f, l, _ in per_axis
-            ),
-            interlace=None,
-            pads=tuple(p for _, _, p in per_axis if p is not None),
-        )
-    else:
-        plan = TensorizePlan(
-            original_dims=dims,
-            axis_factors=tuple((n,) for n in dims),
-            axis_levels=tuple(1 for _ in dims),
-            interlace=None,
-            pads=(),
-        )
-    tau_rel = _target_relfrob(config, stats, None)
-    if tau_rel is None:
-        tt = constant_tt(plan.tensorized_dims(), stats.x_min)
-        spent = 0.0
-    else:
-        tensorized = apply_plan(data, plan)
-        padded_norm = float(np.linalg.norm(tensorized.values))
-        tau_eff = tau_rel * stats.frobenius_norm / padded_norm
-        tt = tt_svd(tensorized, tau_eff)
-        spent = tau_rel
-    return CompressedSegment(
-        tt=tt,
-        plan=plan,
-        reorder="none",
-        permutations=None,
-        time_range=(0, dims[0] - 1),
-        part_time_extents=(dims[0],),
-        stack_dims=(),
-        stats=stats,
-        tolerance_spent=spent,
-    )
+    plan = build_plan(data.dims, config, (level,) * data.ndim)
+    return _compress(data, plan, config, stats_of(data.values))
 
 
 def compose_tolerances(base: float, rounding_taus) -> float:
@@ -538,6 +494,11 @@ def _check_stack_compatible(parts) -> None:
                 "parts use different particle permutations; reuse one "
                 "ordering per merged group"
             )
+    _check_contiguous(parts)
+
+
+def _check_contiguous(parts) -> None:
+    """Each part's steps follow the previous part's, without gap or overlap."""
     for prev, nxt in zip(parts, parts[1:]):
         if prev.time_range[1] + 1 != nxt.time_range[0]:
             raise MergeError(
@@ -644,12 +605,7 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
         if _concat_axis_position(p.plan, dim) != pos:
             raise MergeError("concat axis sits at different train positions")
     if dim == 1:
-        for prev, nxt in zip(parts, parts[1:]):
-            if prev.time_range[1] + 1 != nxt.time_range[0]:
-                raise MergeError(
-                    f"time ranges are not contiguous: {prev.time_range} "
-                    f"then {nxt.time_range}"
-                )
+        _check_contiguous(parts)
     else:
         for p in parts[1:]:
             if p.time_range != base.time_range:
@@ -735,50 +691,171 @@ def merge_tree(segments, arity: int, tau_schedule, budget=None):
                 f"budget {budget:.3e}"
             )
     levels = [segments]
-    current = segments
-    for lvl in range(n_levels):
-        tau = tau_schedule[lvl]
+    for tau in tau_schedule[:n_levels]:
         nxt = []
-        for start in range(0, len(current), arity):
-            group = current[start : start + arity]
-            if len(group) == 1:
-                nxt.append(group[0])
-            else:
-                nxt.append(merge_stack(group, tau))
+        for start in range(0, len(levels[-1]), arity):
+            group = levels[-1][start : start + arity]
+            group += [_empty_part(group[-1])] * (arity - len(group))
+            nxt.append(merge_stack(group, tau))
         levels.append(nxt)
-        current = nxt
     return levels
+
+
+def _empty_part(like: CompressedSegment) -> CompressedSegment:
+    """An exact all-zero part shaped like ``like`` that covers no steps.
+
+    It fills a short trailing group up to the merge arity, so every part
+    of a merge level has the same stack dims; its leaves have a time
+    extent of 0, so no reconstruction reads them, and the rounding step
+    removes its rank.
+    """
+    end = like.time_range[1]
+    return dataclasses.replace(
+        like,
+        tt=zero_tt(like.tt.dims),
+        time_range=(end + 1, end),
+        part_time_extents=(0,) * len(like.part_time_extents),
+        stats=DataStats(like.stats.x_min, like.stats.x_max, 0.0, 0),
+        tolerance_spent=0.0,
+    )
+
+
+def compress_run(
+    read,
+    n_t: int,
+    config: CompressionConfig,
+    merge: bool = True,
+    timings: Optional[dict] = None,
+):
+    """Compress a run of ``n_t`` steps segment by segment and merge it.
+
+    ``read(start, stop)`` returns the :class:`SnapshotBatch` of steps
+    [start, stop).  Raw data is read one segment at a time, so memory
+    holds one segment plus the compressed parts.  In order: a stats-only
+    pre-pass over the segments, which also checks every step before
+    anything is compressed; when merging with per-segment reordering, one
+    Morton permutation from step 0's positions; each segment compressed
+    against the run's statistics, at half the error budget when merged;
+    and :func:`merge_tree` at equal per-level rounding tolerances that
+    spend the rest of the budget.
+
+    Returns the merge-tree levels: level 0 holds the segments and the last
+    level the merged part (only level 0 without merging).  ``timings``,
+    when given, receives the seconds of the pre-pass, the segment
+    compression and the merge.
+    """
+    seg_len = config.segment_length
+    starts = range(0, n_t, seg_len)
+    merging = merge and len(starts) > 1
+    if merging and config.reorder == "timestep":
+        raise ConfigError(
+            "per-timestep reordering produces per-step permutations that "
+            "cannot be merged; rerun with --no-merge or --reorder segment"
+        )
+
+    def segment(start):
+        return read(start, min(start + seg_len, n_t))
+
+    t0 = time.perf_counter()
+    stats = combine_stats(stats_of(segment(s).data.values) for s in starts)
+    perms = None
+    if merging and config.reorder == "segment":
+        positions = read(0, 1).positions_first
+        if positions is None:
+            raise ConfigError(
+                "Morton reordering needs positions; use reorder='none'"
+            )
+        perms = _morton_permutation(positions, config.morton_bits)
+    t1 = time.perf_counter()
+
+    seg_config = config
+    if merging:
+        seg_config = dataclasses.replace(config, tolerance=config.tolerance / 2)
+    segments = [
+        compress_segment(
+            segment(start),
+            seg_config,
+            first_step=start,
+            stats_reference=stats,
+            permutation_override=perms,
+            pad_time_to=seg_len if merging else None,
+        )
+        for start in starts
+    ]
+    t2 = time.perf_counter()
+
+    levels = [segments]
+    if merging:
+        n_levels = merge_tree_levels(len(segments), config.merge_arity)
+        budget = config.tolerance
+        if config.tolerance_kind == "nrmse":
+            budget = nrmse_to_relfrob(config.tolerance, stats)
+        schedule = [0.0] * n_levels
+        if budget is not None:
+            worst = max(s.tolerance_spent for s in segments)
+            schedule = plan_tau_schedule(budget, worst, n_levels)
+        levels = merge_tree(segments, config.merge_arity, schedule, budget)
+    if timings is not None:
+        timings.update(
+            stats=t1 - t0, compress=t2 - t1, merge=time.perf_counter() - t2
+        )
+    return levels
+
+
+def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
+    """Full dense reconstruction of consecutive segments of one run, in
+    original order, padding cropped.
+
+    The segments' own time ranges must follow each other without a gap or
+    an overlap, and their plans must agree on every axis but time;
+    otherwise a :class:`MergeError` is raised.  Per segment, the plan
+    cores are contracted once, then each stacked leaf is undone through
+    the plan, cropped to its real timesteps and written in original
+    particle order into one preallocated output.  ``max_entries`` caps
+    each train's entry count as in :func:`tt_full`.
+    """
+    segs = list(segs)
+    if not segs:
+        raise MergeError("no segments to reconstruct")
+    _check_contiguous(segs)
+    extents = segs[0].plan.original_dims[1:]
+    for seg in segs:
+        if seg.plan.original_dims[1:] != extents:
+            raise MergeError(
+                f"segments disagree on their non-time extents: {extents} "
+                f"and {seg.plan.original_dims[1:]}"
+            )
+        _check_full_cap(seg.tt.dims, max_entries)
+    first = segs[0].time_range[0]
+    dims = (segs[-1].time_range[1] + 1 - first,) + extents
+    out = np.empty(dims, order="F")
+    for seg in segs:
+        n_plan = len(seg.plan.tensorized_dims())
+        plan_mat = _contract_cores(seg.tt.cores[:n_plan])
+        rank = plan_mat.shape[1]
+        leaf_mat = _contract_cores(seg.tt.cores[n_plan:], rank).reshape(
+            (rank, -1), order="F"
+        )
+        inverse = seg.inverse_permutations
+        t0 = seg.time_range[0] - first
+        for leaf, extent in enumerate(seg.part_time_extents):
+            if extent == 0:
+                continue
+            block = original_view(plan_mat @ leaf_mat[:, leaf], seg.plan)[:extent]
+            if inverse is not None:
+                rows = inverse[:extent] if inverse.ndim == 2 else inverse[None]
+                block = block[np.arange(extent)[:, None], rows]
+            out[t0 : t0 + extent] = block
+            t0 += extent
+    return DenseTensor(dims, out.reshape(-1, order="F"))
 
 
 def reconstruct_segment(
     seg: CompressedSegment, max_entries=None
 ) -> DenseTensor:
-    """Full dense reconstruction in original order, padding cropped.
-
-    The plan cores are contracted once, then each stacked leaf is undone
-    through the plan, cropped to its real timesteps and written in
-    original particle order into one preallocated output.
-    ``max_entries`` caps the train's entry count as in :func:`tt_full`.
-    """
-    _check_full_cap(seg.tt.dims, max_entries)
-    n_plan = len(seg.plan.tensorized_dims())
-    plan_mat = _contract_cores(seg.tt.cores[:n_plan])
-    rank = plan_mat.shape[1]
-    leaf_mat = _contract_cores(seg.tt.cores[n_plan:], rank).reshape(
-        (rank, -1), order="F"
-    )
-    inverse = seg.inverse_permutations
-    dims = (seg.total_steps,) + seg.plan.original_dims[1:]
-    out = np.empty(dims, order="F")
-    t0 = 0
-    for leaf, extent in enumerate(seg.part_time_extents):
-        block = original_view(plan_mat @ leaf_mat[:, leaf], seg.plan)[:extent]
-        if inverse is not None:
-            rows = inverse[:extent] if inverse.ndim == 2 else inverse[None]
-            block = block[np.arange(extent)[:, None], rows]
-        out[t0 : t0 + extent] = block
-        t0 += extent
-    return DenseTensor(dims, out.reshape(-1, order="F"))
+    """Full dense reconstruction of one segment (see
+    :func:`reconstruct_segments`)."""
+    return reconstruct_segments([seg], max_entries)
 
 
 def _train_indices(seg: CompressedSegment, coords) -> np.ndarray:

@@ -246,12 +246,14 @@ def write_run(path, batch: SnapshotBatch, components=None) -> None:
             fh.write(step.tobytes())
 
 
-def load_snapshots(path, layout: Optional[dict] = None) -> SnapshotBatch:
-    """Assemble a run directory into a snapshot batch.
+def open_run(path, layout: Optional[dict] = None):
+    """Open a run directory for reading by step range.
 
-    ``layout`` may override which components are positions via
-    ``{"position_components": [i, j, k]}`` (1-based); by default the first
-    three components are used when at least three exist.
+    Returns ``(n_t, read)``: ``read(start, stop)`` assembles steps
+    [start, stop) (0-based) into a snapshot batch, checking every step
+    file it reads.  ``layout`` may override which components are positions
+    via ``{"position_components": [i, j, k]}`` (1-based); by default the
+    first three components are used when at least three exist.
     """
     meta_path = os.path.join(path, META_NAME)
     if not os.path.isfile(meta_path):
@@ -269,20 +271,6 @@ def load_snapshots(path, layout: Optional[dict] = None) -> SnapshotBatch:
     if n_t < 1 or n_p < 1 or n_c < 1:
         raise IngestionError("header extents must be >= 1")
 
-    expected = n_p * n_c
-    data = np.empty((n_t, n_p, n_c))
-    for k in range(n_t):
-        step_path = os.path.join(path, _step_name(k))
-        if not os.path.isfile(step_path):
-            raise IngestionError(f"timestep {k}: missing {_step_name(k)}")
-        raw = np.fromfile(step_path, dtype="<f8")
-        if raw.size != expected:
-            raise IngestionError(
-                f"timestep {k}: expected {expected} values "
-                f"({n_p} particles x {n_c} components), found {raw.size}"
-            )
-        data[k] = raw.reshape((n_p, n_c), order="F")
-
     pos_cols = None
     if layout and "position_components" in layout:
         pos_cols = [int(c) - 1 for c in layout["position_components"]]
@@ -293,10 +281,39 @@ def load_snapshots(path, layout: Optional[dict] = None) -> SnapshotBatch:
             )
     elif n_c >= 3:
         pos_cols = [0, 1, 2]
-    positions = data[0][:, pos_cols].copy() if pos_cols is not None else None
-    return SnapshotBatch(
-        data=DenseTensor.from_numpy(data),
-        positions_first=positions,
-        timestep_size=dt,
-        position_columns=tuple(pos_cols) if pos_cols is not None else None,
-    )
+
+    expected = n_p * n_c
+
+    def read(start: int, stop: int) -> SnapshotBatch:
+        if not 0 <= start < stop <= n_t:
+            raise IngestionError(
+                f"step range [{start}, {stop}) outside the run's 0..{n_t - 1}"
+            )
+        # column-major, so the flat values below are a view
+        data = np.empty((stop - start, n_p, n_c), order="F")
+        for k in range(start, stop):
+            step_path = os.path.join(path, _step_name(k))
+            if not os.path.isfile(step_path):
+                raise IngestionError(f"timestep {k}: missing {_step_name(k)}")
+            raw = np.fromfile(step_path, dtype="<f8")
+            if raw.size != expected:
+                raise IngestionError(
+                    f"timestep {k}: expected {expected} values "
+                    f"({n_p} particles x {n_c} components), found {raw.size}"
+                )
+            data[k - start] = raw.reshape((n_p, n_c), order="F")
+        return SnapshotBatch(
+            data=DenseTensor(data.shape, data.reshape(-1, order="F")),
+            positions_first=None if pos_cols is None else data[0][:, pos_cols],
+            timestep_size=dt,
+            position_columns=None if pos_cols is None else tuple(pos_cols),
+        )
+
+    return n_t, read
+
+
+def load_snapshots(path, layout: Optional[dict] = None) -> SnapshotBatch:
+    """Assemble a whole run directory into one snapshot batch (see
+    :func:`open_run`)."""
+    n_t, read = open_run(path, layout)
+    return read(0, n_t)

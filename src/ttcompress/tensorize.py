@@ -231,10 +231,11 @@ def apply_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     t = data
     for pad in plan.pads:
         t, _ = pad_replicate(t, pad.axis, pad.padded)
+    if plan.interlace is None:
+        # splitting axes is a pure reshape of the column-major values
+        return DenseTensor(plan.tensorized_dims(), t.values)
     arr = t.values.reshape(plan.pre_interlace_dims(), order="F")
-    if plan.interlace is not None:
-        arr = np.transpose(arr, plan.interlace)
-    return DenseTensor.from_numpy(arr)
+    return DenseTensor.from_numpy(np.transpose(arr, plan.interlace))
 
 
 def original_view(values: np.ndarray, plan: TensorizePlan) -> np.ndarray:

@@ -10,10 +10,16 @@ import pytest
 
 import ttcompress
 from ttcompress import (
+    CompressionConfig,
     DenseTensor,
     SnapshotBatch,
+    compress_run,
+    load_segment,
     load_snapshots,
+    nrmse,
     read_dt64,
+    reconstruct_segment,
+    save_segment,
     synth_particles,
     write_dt64,
     write_run,
@@ -61,6 +67,14 @@ def settling_run(path, seed, n_p, n_t):
     batch = SnapshotBatch(DenseTensor.from_numpy(data), data[0].copy(), dt)
     write_run(path, batch)
     return str(path)
+
+
+def unmerged_segments(run, out, length=16):
+    """Compress ``run`` losslessly into unmerged segments; their directory."""
+    args = ["compress", run, "-o", str(out), "--tolerance", "0"]
+    args += ["--tolerance-kind", "relfrob", "--no-merge"]
+    assert main(args + ["--segment-length", str(length)]) == 0
+    return os.path.join(out, "segments")
 
 
 class TestCompress:
@@ -117,6 +131,55 @@ class TestCompress:
         )
         assert code == 0
         assert read_manifest(out)["metrics"]["nrmse"] <= 1e-2
+
+    @pytest.mark.parametrize("n_seg", [3, 5, 40])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_any_segment_count_merges(self, tmp_path, n_seg, arity):
+        # the last segment holds 11 of 16 steps, and short trailing merge
+        # groups are filled up to the arity
+        run = settling_run(tmp_path / "run", 3, 40, 16 * n_seg - 5)
+        out = str(tmp_path / "out")
+        args = ["compress", run, "-o", out, "--tolerance", "1e-2", "--verify"]
+        args += ["--segment-length", "16", "--merge-arity", str(arity)]
+        assert main(args) == 0
+        reported = read_manifest(out)["metrics"]["nrmse"]
+        archive = os.path.join(out, f"seg_0_{16 * n_seg - 6}.ttc")
+        measured = nrmse(
+            load_snapshots(run).data, reconstruct_segment(load_segment(archive))
+        )
+        assert measured <= 1e-2
+        assert reported == pytest.approx(measured, rel=1e-9)
+
+    def test_cli_matches_in_memory_pipeline(self, tmp_path):
+        # three segments, so the merge fills a short group
+        batch = synth_particles(40, 40, "settle", seed=4)
+        run = str(tmp_path / "run")
+        write_run(run, batch)
+        out = tmp_path / "cli"
+        args = ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
+        assert main(args + ["--segment-length", "16"]) == 0
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        mem = tmp_path / "mem"
+        for seg in levels[0]:
+            save_segment(mem / "segments", seg, config.config_hash())
+        save_segment(mem, levels[-1][0], config.config_hash())
+        names = ["seg_0_39.ttc"] + [
+            f"segments/seg_{a}_{b}.ttc" for a, b in ((0, 15), (16, 31), (32, 39))
+        ]
+        for name in names:
+            assert (out / name).read_bytes() == (mem / name).read_bytes()
+
+    def test_bad_last_step_writes_nothing(self, run_dir, tmp_path, capsys):
+        step = os.path.join(run_dir, "step_39.bin")
+        with open(step, "rb") as fh:
+            data = fh.read()
+        with open(step, "wb") as fh:
+            fh.write(data[:-8])
+        out = tmp_path / "out"
+        assert main(["compress", run_dir, "-o", str(out)]) == 2
+        assert "timestep 39" in capsys.readouterr().err
+        assert not list(out.rglob("*.ttc"))
 
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
@@ -229,6 +292,38 @@ class TestReconstruct:
             want = dense[tuple(slice(lo - 1, hi) for lo, hi in box)]
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * scale
+
+    def test_segment_directory(self, run_dir, tmp_path):
+        seg_dir = unmerged_segments(run_dir, tmp_path / "out")
+        full = str(tmp_path / "full.dt64")
+        assert main(["reconstruct", seg_dir, "-o", full]) == 0
+        original = load_snapshots(run_dir).data.to_numpy()
+        got = read_dt64(full).to_numpy()
+        assert got.shape == original.shape
+        assert np.abs(got - original).max() <= 1e-9
+
+    @pytest.mark.parametrize("fault", ["gap", "overlap", "renamed", "particles"])
+    def test_inconsistent_segment_directory_exits_two(
+        self, run_dir, tmp_path, capsys, fault
+    ):
+        seg_dir = unmerged_segments(run_dir, tmp_path / "out")
+        middle = os.path.join(seg_dir, "seg_16_31.ttc")
+        if fault == "gap":
+            os.remove(middle)
+        elif fault == "overlap":
+            other = unmerged_segments(run_dir, tmp_path / "other", 24)
+            os.rename(os.path.join(other, "seg_24_39.ttc"),
+                      os.path.join(seg_dir, "seg_24_39.ttc"))
+        elif fault == "renamed":
+            os.rename(middle, os.path.join(seg_dir, "seg_16_30.ttc"))
+        else:
+            batch = synth_particles(65, 40, "ballistic", seed=11)
+            write_run(tmp_path / "run65", batch)
+            other = unmerged_segments(str(tmp_path / "run65"), tmp_path / "other")
+            os.replace(os.path.join(other, "seg_16_31.ttc"), middle)
+        code = main(["reconstruct", seg_dir, "-o", str(tmp_path / "x.dt64")])
+        assert code == 2
+        assert "internal error" not in capsys.readouterr().err
 
     def test_oversized_archive_header_exits_two(self, tmp_path, capsys):
         # 52 bytes whose header declares one core of 2^40 entries

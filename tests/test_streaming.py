@@ -16,9 +16,11 @@ from ttcompress import (
     apply_plan,
     combine_stats,
     compose_tolerances,
+    compress_run,
     compress_segment,
     compress_tensor,
     load_segment,
+    open_run,
     matrix_interlace_plan,
     merge_concat,
     merge_stack,
@@ -34,8 +36,9 @@ from ttcompress import (
     stats_of,
     synth_particles,
     tt_svd,
+    write_run,
 )
-from ttcompress.streaming import CompressedSegment, DataStats
+from ttcompress.streaming import CompressedSegment, DataStats, merge_tree_levels
 
 
 def batch_from_array(arr):
@@ -324,13 +327,23 @@ class TestMergeConcat:
             merge_concat(parts, 1, 0.0)
 
 
+MERGE_SHAPES = [(32, 2, [32, 16, 8, 4, 2, 1]), (3, 2, [3, 2, 1]), (5, 3, [5, 2, 1])]
+
+
 class TestMergeTree:
-    def test_level_counts(self):
+    @pytest.mark.parametrize(
+        "n_seg, arity, counts", MERGE_SHAPES, ids=["32-of-2", "3-of-2", "5-of-3"]
+    )
+    def test_level_counts(self, n_seg, arity, counts):
         rng = np.random.default_rng(19)
-        arr = rng.uniform(size=(32, 4, 3))
-        parts = split_time(arr, 32, relfrob_config(1e-3))
-        levels = merge_tree(parts, 2, [1e-4] * 5)
-        assert [len(lv) for lv in levels] == [32, 16, 8, 4, 2, 1]
+        arr = rng.uniform(size=(n_seg, 4, 3))
+        parts = split_time(arr, n_seg, relfrob_config(1e-3))
+        levels = merge_tree(parts, arity, [1e-4] * (len(counts) - 1))
+        assert [len(lv) for lv in levels] == counts
+        for level in levels:
+            # short trailing groups are filled, so every part stacks alike
+            assert len({p.stack_dims for p in level}) == 1
+            assert sum(p.total_steps for p in level) == n_seg
 
     def test_single_segment_identity(self):
         rng = np.random.default_rng(20)
@@ -339,14 +352,20 @@ class TestMergeTree:
         levels = merge_tree([seg], 2, [])
         assert levels == [[seg]]
 
-    def test_final_error_within_budget(self):
+    @pytest.mark.parametrize(
+        "n_seg, arity", [(4, 2), (3, 2), (5, 3)], ids=["4-of-2", "3-of-2", "5-of-3"]
+    )
+    def test_final_error_within_budget(self, n_seg, arity):
         rng = np.random.default_rng(21)
-        arr = rng.uniform(size=(8, 4, 3))
+        arr = rng.uniform(size=(2 * n_seg, 4, 3))
         tau = 1e-2
-        parts = split_time(arr, 4, relfrob_config(tau))
-        schedule = plan_tau_schedule(3 * tau, tau, 2)
-        levels = merge_tree(parts, 2, schedule, budget=3 * tau)
+        parts = split_time(arr, n_seg, relfrob_config(tau))
+        schedule = plan_tau_schedule(
+            3 * tau, tau, merge_tree_levels(n_seg, arity)
+        )
+        levels = merge_tree(parts, arity, schedule, budget=3 * tau)
         final = levels[-1][0]
+        assert final.total_steps == 2 * n_seg
         err = rel_frob(
             DenseTensor.from_numpy(arr), reconstruct_segment(final)
         )
@@ -366,6 +385,34 @@ class TestMergeTree:
         parts = split_time(arr, 4, relfrob_config(1e-2))
         with pytest.raises(ConfigError):
             merge_tree(parts, 2, [1e-3])
+
+
+class TestCompressRun:
+    def test_memory_follows_the_segment(self, tmp_path):
+        import tracemalloc
+
+        batch = synth_particles(1024, 16 * 32, "settle", seed=8)
+        write_run(tmp_path / "run", batch)
+        raw = batch.data.values.nbytes
+        del batch
+        n_t, read = open_run(tmp_path / "run")
+        config = CompressionConfig(tolerance=0.1, segment_length=32)
+        tracemalloc.start()
+        try:
+            levels = compress_run(read, n_t, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(levels[0]) == 16
+        assert peak < raw / 4
+
+    def test_timestep_reorder_cannot_merge(self):
+        batch = synth_particles(8, 8, "ballistic", seed=9)
+        config = CompressionConfig(segment_length=4, reorder="timestep")
+        with pytest.raises(ConfigError):
+            compress_run(batch.time_slice, 8, config)
+        levels = compress_run(batch.time_slice, 8, config, merge=False)
+        assert [s.time_range for s in levels[0]] == [(0, 3), (4, 7)]
 
 
 class TestScheduling:
@@ -467,10 +514,12 @@ def assert_matches(got, want):
     assert np.abs(got - want).max() <= 1e-12 * scale
 
 
-def merged_ragged_segment(reorder="segment"):
-    # four segments of 4 steps, the last holding 2 real steps: stack (2, 2)
+def merged_ragged_segment(reorder="segment", n_seg=4, arity=2):
+    # segments of 4 steps, the last holding 2 real steps; four of them
+    # stack (2, 2), and other counts fill their last groups with empty parts
     rng = np.random.default_rng(40)
-    arr = np.cumsum(rng.uniform(size=(14, 5, 3)), axis=0)
+    n_t = 4 * n_seg - 2
+    arr = np.cumsum(rng.uniform(size=(n_t, 5, 3)), axis=0)
     cfg = relfrob_config(1e-3, reorder=reorder)
     perm = None
     if reorder == "segment":
@@ -483,9 +532,9 @@ def merged_ragged_segment(reorder="segment"):
             permutation_override=perm,
             pad_time_to=4,
         )
-        for start in range(0, 14, 4)
+        for start in range(0, n_t, 4)
     ]
-    return merge_tree(parts, 2, [1e-3, 1e-3])[-1][0]
+    return merge_tree(parts, arity, [1e-3] * 3)[-1][0]
 
 
 def interlaced_segment():
@@ -521,6 +570,8 @@ READ_CASES = {
     "untensorized": lambda: single_segment((8, 6, 3), tensorize=False),
     "merged-ragged": merged_ragged_segment,
     "merged-ragged-none": lambda: merged_ragged_segment("none"),
+    "merged-3-arity-2": lambda: merged_ragged_segment(n_seg=3),
+    "merged-5-arity-3": lambda: merged_ragged_segment(n_seg=5, arity=3),
     "interlaced": interlaced_segment,
 }
 

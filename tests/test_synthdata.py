@@ -10,6 +10,7 @@ from ttcompress import (
     IngestionError,
     compress_segment,
     load_snapshots,
+    open_run,
     sample_kernel_matrix,
     sample_univariate,
     synth_particles,
@@ -139,6 +140,20 @@ class TestRunDirectory:
         os.remove(tmp_path / "run" / "step_1.bin")
         with pytest.raises(IngestionError, match="timestep 1"):
             load_snapshots(tmp_path / "run")
+
+    def test_step_ranges_match_the_whole_run(self, tmp_path):
+        batch = synth_particles(6, 7, "ballistic", seed=12)
+        write_run(tmp_path / "run", batch)
+        n_t, read = open_run(tmp_path / "run")
+        assert n_t == 7
+        for start, stop in ((0, 7), (2, 5), (6, 7)):
+            part = read(start, stop)
+            want = batch.time_slice(start, stop)
+            assert np.array_equal(part.data.values, want.data.values)
+            assert np.array_equal(part.positions_first, want.positions_first)
+        for start, stop in ((0, 8), (3, 3), (-1, 2)):
+            with pytest.raises(IngestionError):
+                read(start, stop)
 
     def test_position_component_override(self, tmp_path):
         batch = synth_particles(6, 3, "noise", seed=10)
