@@ -42,7 +42,6 @@ from .lowrank import (
 )
 from .metrics import (
     AutocorrelationProfile,
-    MetricsReport,
     autocorrelation,
     autocorrelation_profile,
     nrmse,
@@ -78,7 +77,6 @@ from .streaming import (
     reconstruct_segments,
     save_segment,
     segment_entry,
-    segment_metrics,
     stats_of,
 )
 from .synthdata import (

@@ -20,7 +20,7 @@ from . import __version__
 from .errors import ConfigError, IndexRangeError, IngestionError, TTCompressError
 from .formats import read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
-from .metrics import nrmse as nrmse_metric, rel_frob, write_csv
+from .metrics import rel_frob, write_csv
 from .streaming import (
     CompressionConfig,
     combine_stats,
@@ -33,7 +33,6 @@ from .streaming import (
     reconstruct_segments,
     save_segment,
     segment_filename,
-    segment_metrics,
     stats_of,
 )
 from .synthdata import open_run, sample_kernel_matrix, sample_univariate, synth_particles
@@ -74,15 +73,17 @@ def _overall_ratio(segs) -> float:
     )
 
 
-def _verify_run(read, n_t, seg_len, parts) -> dict:
-    """Error of the stored parts against the run's step files, which are
-    re-read one segment at a time."""
+def _measure(parts, blocks) -> dict:
+    """Error of the stored parts against the original data, given as
+    consecutive blocks of steps from the parts' first step on."""
     recon = reconstruct_segments(parts).to_numpy()
     err2 = 0.0
     stats = []
-    for start in range(0, n_t, seg_len):
-        original = read(start, min(start + seg_len, n_t)).data.to_numpy()
+    start = 0
+    for block in blocks:
+        original = block.to_numpy()
         diff = original - recon[start : start + len(original)]
+        start += len(original)
         err2 += float(np.sum(diff**2))
         stats.append(stats_of(original))
     stats = combine_stats(stats)
@@ -99,7 +100,6 @@ def _verify_run(read, n_t, seg_len, parts) -> dict:
     return metrics
 
 
-
 def _compress_run(args, config, outdir):
     n_t, read = open_run(args.input)
     timings = {}
@@ -110,7 +110,12 @@ def _compress_run(args, config, outdir):
         paths.append(save_segment(outdir, levels[-1][0], config.config_hash()))
     metrics = {}
     if args.verify:
-        metrics = _verify_run(read, n_t, config.segment_length, levels[-1])
+        # the step files are re-read one segment at a time
+        seg_len = config.segment_length
+        blocks = (
+            read(s, min(s + seg_len, n_t)).data for s in range(0, n_t, seg_len)
+        )
+        metrics = _measure(levels[-1], blocks)
     # the merged part, or the segments themselves when there is no merge
     return levels[-1], paths, timings, metrics
 
@@ -121,10 +126,7 @@ def _compress_dt64(args, config, outdir):
     seg = compress_tensor(tensor, config, level=args.level)
     timings = {"compress": time.perf_counter() - t0, "merge": 0.0}
     paths = [save_segment(outdir, seg, config.config_hash())]
-    metrics = {}
-    if args.verify:
-        report = segment_metrics(seg, original=tensor)
-        metrics = {k: v for k, v in report.to_dict().items() if v is not None}
+    metrics = _measure([seg], [tensor]) if args.verify else {}
     return [seg], paths, timings, metrics
 
 
@@ -222,7 +224,6 @@ def cmd_reconstruct(args) -> int:
 def cmd_info(args) -> int:
     seg = load_segment(args.archive)
     archive_bytes = os.path.getsize(args.archive)
-    report = segment_metrics(seg, archive_bytes=archive_bytes)
     payload = {
         "archive": args.archive,
         "archive_bytes": archive_bytes,
@@ -233,8 +234,10 @@ def cmd_info(args) -> int:
         "time_range": list(seg.time_range),
         "reorder": seg.reorder,
         "tolerance_spent": seg.tolerance_spent,
-        "compression_ratio_cores_only": report.compression_ratio_cores_only,
-        "compression_ratio_total_archive": report.compression_ratio_total_archive,
+        "compression_ratio_cores_only": seg.compression_ratio,
+        "compression_ratio_total_archive": (
+            seg.stats.entry_count * 8 / archive_bytes
+        ),
         "entry_count": seg.stats.entry_count,
         "x_min": seg.stats.x_min,
         "x_max": seg.stats.x_max,
@@ -370,7 +373,7 @@ def bench_streaming(args):
             "steps_per_segment": segs[0].total_steps,
             "n_segments": len(segs),
             "overall_ratio": _overall_ratio(segs),
-            "overall_nrmse": nrmse_metric(batch.data, reconstruct_segments(segs)),
+            "overall_nrmse": _measure(segs, [batch.data]).get("nrmse"),
         }
         if lvl == 0:
             row["overall_ratio_untensorized"] = _overall_ratio(flat)

@@ -8,8 +8,7 @@ has for the compressor to exploit.
 """
 
 import csv
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -134,31 +133,6 @@ def autocorrelation_profile(
     return AutocorrelationProfile(
         lags=lags, means=means, fibers_used=used, fibers_skipped=skipped
     )
-
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Quality summary for one compressed tensor.
-
-    Every quantity refers to unpadded entries only.  The cores-only ratio
-    counts stored core entries; the total-archive ratio counts the bytes
-    of the serialized file (cores plus metadata) against 8 bytes per
-    original entry.
-    """
-
-    nrmse: Optional[float]
-    rel_frob: Optional[float]
-    compression_ratio_cores_only: float
-    compression_ratio_total_archive: Optional[float]
-    entry_count: int
-    x_min: float
-    x_max: float
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, **kwargs)
 
 
 def write_csv(path, rows, columns) -> None:

@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import re
 import time
@@ -30,7 +31,6 @@ from .errors import (
     PlanError,
     StructureError,
 )
-from .metrics import MetricsReport, nrmse as nrmse_metric, rel_frob
 from .morton import DEFAULT_BITS, fit_domain, morton_sort
 from .synthdata import SnapshotBatch
 from .tensorize import (
@@ -44,9 +44,9 @@ from .tensorize import (
 from .tt import (
     TTTensor,
     _check_full_cap,
+    _concat_trains,
     _contract_cores,
     constant_tt,
-    tt_concat_existing,
     tt_gather,
     tt_round,
     tt_stack_new,
@@ -191,11 +191,18 @@ class CompressedSegment:
     tolerance_spent: float
 
     def __post_init__(self):
-        object.__setattr__(self, "time_range", tuple(self.time_range))
+        # integers, so step arithmetic and indexing cannot fail later
         object.__setattr__(
-            self, "part_time_extents", tuple(self.part_time_extents)
+            self, "time_range", tuple(map(operator.index, self.time_range))
         )
-        object.__setattr__(self, "stack_dims", tuple(self.stack_dims))
+        object.__setattr__(
+            self,
+            "part_time_extents",
+            tuple(map(operator.index, self.part_time_extents)),
+        )
+        object.__setattr__(
+            self, "stack_dims", tuple(map(operator.index, self.stack_dims))
+        )
         expected = self.plan.tensorized_dims() + self.stack_dims
         if self.tt.dims != expected:
             raise StructureError(
@@ -206,6 +213,12 @@ class CompressedSegment:
         if len(self.part_time_extents) != n_leaves:
             raise StructureError(
                 "per-leaf time extents do not match the stack shape"
+            )
+        n_t = self.plan.original_dims[0]
+        if not all(0 <= n <= n_t for n in self.part_time_extents):
+            raise StructureError(
+                f"leaf time extents {self.part_time_extents} must each lie "
+                f"in 0..{n_t}"
             )
         first, last = self.time_range
         if sum(self.part_time_extents) != last - first + 1:
@@ -614,9 +627,7 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
                     "same steps"
                 )
 
-    merged_tt = parts[0].tt
-    for p in parts[1:]:
-        merged_tt = tt_concat_existing(merged_tt, p.tt, pos)
+    merged_tt = _concat_trains([p.tt for p in parts], pos - 1)
     if tau_round > 0:
         merged_tt = tt_round(merged_tt, tau_round)
 
@@ -928,36 +939,6 @@ def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:
         rows = _train_indices(seg, coords + corner)
         values[start : start + len(flat)] = tt_gather(seg.tt, rows)
     return DenseTensor(out_dims, values)
-
-
-def segment_metrics(
-    seg: CompressedSegment,
-    original: Optional[DenseTensor] = None,
-    archive_bytes: Optional[int] = None,
-    max_entries=None,
-) -> MetricsReport:
-    """Quality report; reconstruction errors are filled in when the
-    original data is supplied."""
-    err_nrmse = None
-    err_rel = None
-    if original is not None:
-        recon = reconstruct_segment(seg, max_entries=max_entries)
-        if seg.stats.x_max > seg.stats.x_min:
-            err_nrmse = nrmse_metric(original, recon)
-        if seg.stats.frobenius_norm > 0:
-            err_rel = rel_frob(original, recon)
-    total_ratio = None
-    if archive_bytes:
-        total_ratio = seg.stats.entry_count * 8 / archive_bytes
-    return MetricsReport(
-        nrmse=err_nrmse,
-        rel_frob=err_rel,
-        compression_ratio_cores_only=seg.compression_ratio,
-        compression_ratio_total_archive=total_ratio,
-        entry_count=seg.stats.entry_count,
-        x_min=seg.stats.x_min,
-        x_max=seg.stats.x_max,
-    )
 
 
 # --- segment store -------------------------------------------------------

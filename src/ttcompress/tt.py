@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseTensor, index_rows
+from .dense import DenseTensor, _freeze, index_rows
 from .errors import (
     CapacityError,
     ConfigError,
@@ -31,14 +31,6 @@ DEFAULT_FULL_CAP_ENTRIES = 2**31
 FULL_CAP_ENV_VAR = "QTT_MEMORY_CAP_ENTRIES"
 
 
-def _freeze_core(arr: np.ndarray) -> np.ndarray:
-    out = np.asarray(arr, dtype=np.float64)
-    if out.flags.writeable:
-        out = out.view()
-        out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class TTTensor:
     """Chain of order-3 cores; core ``k`` has shape ``(r_{k-1}, n_k, r_k)``.
@@ -50,7 +42,7 @@ class TTTensor:
     cores: tuple
 
     def __post_init__(self):
-        cores = tuple(_freeze_core(c) for c in self.cores)
+        cores = tuple(_freeze(c) for c in self.cores)
         if len(cores) < 1:
             raise StructureError("a tensor train needs at least one core")
         for k, c in enumerate(cores):
@@ -269,7 +261,7 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     if d == 1:
         return TTTensor((t.cores[0],))
 
-    cores = [np.array(c) for c in t.cores]
+    cores = list(t.cores)
     # right-to-left orthogonalization
     for k in range(d - 1, 0, -1):
         r0, n, r1 = cores[k].shape
@@ -307,83 +299,66 @@ def compression_ratio(t: TTTensor) -> float:
     return math.prod(t.dims) / t.core_entry_count
 
 
+def _concat_trains(parts, ax: int) -> TTTensor:
+    """Concatenate trains of equal order along mode ``ax`` (0-based).
+
+    Each core becomes a zero-padded block combination of the parts'
+    cores: interior ranks add, the first core shares its single row and
+    the last its single column, and along mode ``ax`` each part's block
+    takes its own range of indices.  Values are copied without
+    arithmetic, so reconstruction equals the dense concatenation exactly.
+    """
+    dims = parts[0].dims
+    for p in parts[1:]:
+        if p.ndim != len(dims):
+            raise ShapeError(f"rank mismatch: {p.ndim} != {len(dims)}")
+        for k, (n, m) in enumerate(zip(p.dims, dims)):
+            if k != ax and n != m:
+                raise ShapeError(f"dims differ on axis {k + 1}: {n} != {m}")
+    last = len(dims) - 1
+    cores = []
+    for k in range(len(dims)):
+        blocks = [p.cores[k] for p in parts]
+        rows = 1 if k == 0 else sum(b.shape[0] for b in blocks)
+        cols = 1 if k == last else sum(b.shape[2] for b in blocks)
+        n_out = sum(b.shape[1] for b in blocks) if k == ax else dims[k]
+        core = np.zeros((rows, n_out, cols))
+        r = i = c = 0
+        for b in blocks:
+            r0, n, r1 = b.shape
+            modes = slice(i, i + n) if k == ax else slice(None)
+            core[r : r + r0, modes, c : c + r1] = b
+            r += r0 if k > 0 else 0
+            i += n
+            c += r1 if k < last else 0
+        cores.append(core)
+    return TTTensor(tuple(cores))
+
+
 def tt_concat_existing(a: TTTensor, b: TTTensor, dim: int) -> TTTensor:
     """Concatenate two trains along an existing dimension (1-based).
 
-    Every core becomes a zero-padded block combination of the two input
-    cores; along the concatenation axis the two blocks occupy disjoint
-    mode ranges.  Interior ranks add.  The construction copies values
-    without arithmetic, so reconstruction equals the dense concatenation
+    Interior ranks add; reconstruction equals the dense concatenation
     exactly.
     """
-    da, db = a.ndim, b.ndim
-    if da != db:
-        raise ShapeError(f"rank mismatch: {da} != {db}")
-    if not 1 <= dim <= da:
-        raise IndexRangeError(f"axis {dim} out of range 1..{da}")
-    ax = dim - 1
-    for k in range(da):
-        if k != ax and a.dims[k] != b.dims[k]:
-            raise ShapeError(
-                f"dims differ on axis {k + 1}: {a.dims[k]} != {b.dims[k]}"
-            )
-    d = da
-    na, nb = a.dims[ax], b.dims[ax]
-    cores = []
-    for k in range(d):
-        ca, cb = a.cores[k], b.cores[k]
-        rows_a, cols_a = ca.shape[0], ca.shape[2]
-        rows_b, cols_b = cb.shape[0], cb.shape[2]
-        row_off = rows_a if k > 0 else 0
-        col_off = cols_a if k < d - 1 else 0
-        n_out = na + nb if k == ax else a.dims[k]
-        core = np.zeros((row_off + rows_b, n_out, col_off + cols_b))
-        if k == ax:
-            core[:rows_a, :na, :cols_a] = ca
-            core[row_off:, na:, col_off:] = cb
-        else:
-            core[:rows_a, :, :cols_a] = ca
-            core[row_off:, :, col_off:] = cb
-        cores.append(core)
-    return TTTensor(tuple(cores))
+    if not 1 <= dim <= a.ndim:
+        raise IndexRangeError(f"axis {dim} out of range 1..{a.ndim}")
+    return _concat_trains([a, b], dim - 1)
 
 
 def tt_stack_new(parts) -> TTTensor:
     """Stack trains with identical dims along a new trailing dimension.
 
-    The first cores are concatenated horizontally, interior cores become
-    block-diagonal, and the new final core's slices are the canonical
-    basis columns selecting one part per trailing index.  Exact: entry
-    ``(..., k)`` of the result equals entry ``(...)`` of part k.
+    Each part gains a trailing mode of extent 1, and the parts are
+    concatenated along it: the first cores are joined horizontally,
+    interior cores become block-diagonal, and the new final core's slices
+    are the canonical basis columns selecting one part per trailing
+    index.  Exact: entry ``(..., k)`` of the result equals entry ``(...)``
+    of part k.
     """
     parts = list(parts)
     if not parts:
         raise ShapeError("need at least one tensor to stack")
-    dims = parts[0].dims
-    for p in parts[1:]:
-        if p.dims != dims:
-            raise ShapeError(f"dims differ across parts: {p.dims} != {dims}")
-    d = len(dims)
-    n_parts = len(parts)
-    cores = []
-    for k in range(d):
-        blocks = [p.cores[k] for p in parts]
-        rows = [b.shape[0] for b in blocks]
-        cols = [b.shape[2] for b in blocks]
-        if k == 0:
-            core = np.zeros((1, dims[k], sum(cols)))
-        else:
-            core = np.zeros((sum(rows), dims[k], sum(cols)))
-        ro = co = 0
-        for b, nr, nc in zip(blocks, rows, cols):
-            if k == 0:
-                core[0:1, :, co : co + nc] = b
-            else:
-                core[ro : ro + nr, :, co : co + nc] = b
-            ro += nr
-            co += nc
-        cores.append(core)
-    # trailing core: slice i is the i-th canonical basis column
-    basis = np.eye(n_parts).reshape((n_parts, n_parts, 1))
-    cores.append(basis)
-    return TTTensor(tuple(cores))
+    one = np.ones((1, 1, 1))
+    extended = [TTTensor(p.cores + (one,)) for p in parts]
+    return _concat_trains(extended, parts[0].ndim)

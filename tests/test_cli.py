@@ -18,11 +18,15 @@ from ttcompress import (
     load_snapshots,
     nrmse,
     read_dt64,
+    read_ttc1,
     reconstruct_segment,
+    reconstruct_segments,
+    rel_frob,
     save_segment,
     synth_particles,
     write_dt64,
     write_run,
+    write_ttc1,
 )
 from ttcompress.cli import main
 
@@ -248,8 +252,11 @@ class TestCompress:
             ]
         )
         assert code == 0
-        manifest = read_manifest(out)
-        assert manifest["metrics"]["rel_frob"] <= 1e-6
+        metrics = read_manifest(out)["metrics"]
+        recon = reconstruct_segment(load_segment(os.path.join(out, "seg_0_15.ttc")))
+        assert metrics["rel_frob"] <= 1e-6
+        assert metrics["rel_frob"] == pytest.approx(rel_frob(t, recon), rel=1e-9)
+        assert metrics["nrmse"] == pytest.approx(nrmse(t, recon), rel=1e-9)
 
 
 class TestReconstruct:
@@ -323,6 +330,31 @@ class TestReconstruct:
             os.replace(os.path.join(other, "seg_16_31.ttc"), middle)
         code = main(["reconstruct", seg_dir, "-o", str(tmp_path / "x.dt64")])
         assert code == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("part_time_extents", [44, -4]),
+            ("time_range", [0.5, 39.5]),
+            ("stack_dims", [2.0]),
+        ],
+    )
+    def test_malformed_leaf_bookkeeping_exits_two(
+        self, run_dir, tmp_path, capsys, key, value
+    ):
+        # the edits keep the extents summing to the range's length and the
+        # stack shape matching the train
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out, "--segment-length", "20"]) == 0
+        tt, meta = read_ttc1(os.path.join(out, "seg_0_39.ttc"))
+        assert meta["part_time_extents"] == [20, 20]
+        meta[key] = value
+        archive = str(tmp_path / "bad.ttc")
+        write_ttc1(archive, tt, meta)
+        args = ["reconstruct", archive, "-o", str(tmp_path / "x.dt64")]
+        assert main(args) == 2
+        assert main(args + ["--region", "1:40,1:64,1:3"]) == 2
         assert "internal error" not in capsys.readouterr().err
 
     def test_oversized_archive_header_exits_two(self, tmp_path, capsys):
@@ -477,5 +509,10 @@ class TestBench:
         assert [int(r["level"]) for r in rows] == [0, 1, 2]
         assert [int(r["n_segments"]) for r in rows] == [4, 2, 1]
         assert [int(r["steps_per_segment"]) for r in rows] == [8, 16, 32]
-        for row in rows:
-            assert float(row["overall_nrmse"]) <= 0.1
+        batch = synth_particles(64, 32, "settle", 3)
+        config = CompressionConfig(tolerance=0.1, segment_length=8)
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        for row, level in zip(rows, levels):
+            measured = nrmse(batch.data, reconstruct_segments(level))
+            assert float(row["overall_nrmse"]) == pytest.approx(measured, rel=1e-12)
+            assert measured <= 0.1
