@@ -36,7 +36,6 @@ from .formats import read_dt64, read_ttc1, write_dt64, write_ttc1
 from .lowrank import (
     SpectralEstimate,
     TruncatedSVD,
-    rank_revealing_qr,
     spectral_norm_estimate,
     truncated_svd,
 )

@@ -23,6 +23,7 @@ from .lowrank import spectral_norm_estimate
 from .metrics import rel_frob, write_csv
 from .streaming import (
     CompressionConfig,
+    combine_error_bounds,
     combine_stats,
     compress_run,
     compress_tensor,
@@ -71,6 +72,23 @@ def _overall_ratio(segs) -> float:
     return sum(s.stats.entry_count for s in segs) / sum(
         s.tt.core_entry_count for s in segs
     )
+
+
+def _certified(parts) -> dict:
+    """Relative-Frobenius error and nRMSE the parts' error bounds certify,
+    against their own data statistics; ``None`` where a bound is unknown
+    or the measure is undefined (zero norm, constant data).  The parts
+    cover disjoint steps, so their bounds add in squares."""
+    err = combine_error_bounds(parts)
+    stats = combine_stats(p.stats for p in parts)
+    rel_frob = nrmse = None
+    if err is not None:
+        if stats.frobenius_norm > 0:
+            rel_frob = err / stats.frobenius_norm
+        if stats.x_max > stats.x_min:
+            scale = (stats.x_max - stats.x_min) * math.sqrt(stats.entry_count)
+            nrmse = err / scale
+    return {"certified_rel_frob": rel_frob, "certified_nrmse": nrmse}
 
 
 def _measure(parts, blocks) -> dict:
@@ -144,6 +162,7 @@ def cmd_compress(args) -> int:
             f"input {args.input!r} is neither a run directory nor a file"
         )
     final, paths, timings, metrics = compress(args, config, outdir)
+    metrics.update(_certified(final))
     metrics["compression_ratio_cores_only"] = _overall_ratio(final)
     metrics["ranks_final"] = list(final[0].tt.ranks)
     manifest = {
@@ -234,6 +253,8 @@ def cmd_info(args) -> int:
         "time_range": list(seg.time_range),
         "reorder": seg.reorder,
         "tolerance_spent": seg.tolerance_spent,
+        "error_bound": seg.error_bound,
+        **_certified([seg]),
         "compression_ratio_cores_only": seg.compression_ratio,
         "compression_ratio_total_archive": (
             seg.stats.entry_count * 8 / archive_bytes
@@ -258,6 +279,9 @@ def cmd_info(args) -> int:
             "entry_count",
         ):
             print(f"{key}: {payload[key]}")
+        for key in ("error_bound", "certified_rel_frob", "certified_nrmse"):
+            value = payload[key]
+            print(f"{key}: {'unknown' if value is None else f'{value:.4g}'}")
         print(
             "compression ratio (cores only): "
             f"{payload['compression_ratio_cores_only']:.4g}"

@@ -1,8 +1,8 @@
 """Low-rank matrix factorization kernels.
 
 Truncated SVD with an absolute Frobenius truncation budget, an economy QR
-with a numerical-rank estimate, and a matrix-free spectral-norm estimator.
-These are the primitives the tensor-train sweeps are built from.
+and a matrix-free spectral-norm estimator.  These are the primitives the
+tensor-train sweeps are built from.
 
 Importing this module runs every OpenBLAS loaded in the process on one
 thread (see :func:`_pin_blas_threads`).
@@ -20,15 +20,12 @@ import scipy.linalg
 from .dense import DenseMatrix
 from .errors import ConfigError, DataError
 
-# |R_ii| below this multiple of max |R_jj| counts as numerically zero when
-# estimating rank from a triangular factor.
-QR_RANK_RTOL = 1e-14
-
 # A wide matrix whose truncation budget is at least this multiple of its
 # Frobenius norm is truncated through its Gram matrix.  Squaring costs
-# eigenvalue accuracy of about rows * eps * ||M||^2 <= 1e-14 * ||M||^2,
-# far below the squared budget of at least 1e-12 * ||M||^2.
+# eigenvalue accuracy of about rows * eps * ||M||^2 (_EPS below), under
+# the squared budget of at least 1e-12 * ||M||^2 for fewer than 4500 rows.
 GRAM_MIN_RELATIVE_BUDGET = 1e-6
+_EPS = float(np.finfo(np.float64).eps)
 
 # the C entry points of numpy's and scipy's OpenBLAS builds (scipy-openblas,
 # 64-bit integer and 32-bit integer) and of a plain OpenBLAS
@@ -184,13 +181,20 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
     an SVD when the rows are few; the error is checked afterwards and the
     SVD runs instead when it exceeds ``delta``.  Tall matrices, smaller
     budgets and the zero matrix go straight to the SVD.
+
+    ``discarded_energy`` is ``||M - U W||_F``.  On the Gram path it is a
+    difference of squares, and it also holds ``rows * eps * ||M||_F^2``,
+    an estimate (not a proven bound) of that difference's float error:
+    ``U`` from ``eigh`` is orthonormal only to about ``rows * eps``.  So
+    it can exceed ``delta`` by that much.
     """
     norm = _checked_norm(arr, delta)
     rows, cols = arr.shape
     if rows <= cols and 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
         u, w, lost = _gram_truncation(arr, delta, norm)
         if lost <= delta**2:
-            return u, w, math.sqrt(max(lost, 0.0))
+            slack = rows * _EPS * norm**2
+            return u, w, math.sqrt(max(lost, 0.0) + slack)
     u, s, vt, discarded = _exact_truncation(arr, delta, norm)
     return u, s[:, None] * vt, discarded
 
@@ -213,40 +217,10 @@ def truncated_svd(m, delta: float) -> TruncatedSVD:
     )
 
 
-def triangular_rank(r_diag: np.ndarray) -> int:
-    """Numerical rank from a triangular factor's diagonal.
-
-    Entries with magnitude <= QR_RANK_RTOL * max |R_jj| count as zero;
-    floor of 1.
-    """
-    mags = np.abs(np.asarray(r_diag, dtype=np.float64))
-    if mags.size == 0:
-        return 1
-    cutoff = QR_RANK_RTOL * float(mags.max())
-    return max(int(np.sum(mags > cutoff)), 1)
-
-
 def _qr_arrays(arr: np.ndarray):
     if not np.isfinite(arr).all():
         raise DataError("matrix contains non-finite entries")
     return np.linalg.qr(arr, mode="reduced")
-
-
-def rank_revealing_qr(m):
-    """Economy QR plus a numerical-rank estimate.
-
-    Returns ``(Q, R, rank)`` with ``Q @ R == M`` (Q has orthonormal columns,
-    R is upper triangular).  The rank comes from R's diagonal via
-    :func:`triangular_rank`.  The QR is not pivoted, so a negligible R_ii
-    can come before a needed one: keeping only the first ``rank`` columns
-    of Q and rows of R can drop a direction of M.
-    """
-    wrap = isinstance(m, DenseMatrix)
-    q, r = _qr_arrays(_as_2d(m))
-    rank = triangular_rank(np.diag(r))
-    if wrap:
-        return DenseMatrix.from_numpy(q), DenseMatrix.from_numpy(r), rank
-    return q, r, rank
 
 
 class SpectralEstimate(NamedTuple):

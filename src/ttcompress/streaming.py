@@ -1,11 +1,16 @@
 """Segment-wise streaming compression.
 
 Incoming snapshot batches are compressed independently (reorder particles,
-pad, tensorize, TT-SVD), then merged under an explicit error budget:
-if every part meets relative tolerance ``t`` and the merge is rounded at
-``t_r``, the combination meets ``t + t_r + t * t_r``.  Stacking along a
-new trailing dimension preserves tensorized time hierarchies; plain
-concatenation serves untensorized streaming axes.
+pad, tensorize, TT-SVD), then merged under an explicit error budget.  Two
+accounts are kept.  A priori, if every part meets relative tolerance ``t``
+and the merge is rounded at ``t_r``, the combination meets
+``t + t_r + t * t_r``; this governs :func:`merge_stack`,
+:func:`merge_concat` and :func:`merge_tree`.  The ledger certifies each
+part's actual error from what its truncations discarded
+(``CompressedSegment.error_bound``); :func:`compress_run` uses it to spend
+the budget the a-priori schedule leaves unused at its last merge level.
+Stacking along a new trailing dimension preserves tensorized time
+hierarchies; plain concatenation serves untensorized streaming axes.
 """
 
 import base64
@@ -14,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import numbers
 import operator
 import os
 import re
@@ -46,11 +52,11 @@ from .tt import (
     _check_full_cap,
     _concat_trains,
     _contract_cores,
+    _tt_round,
+    _tt_svd,
     constant_tt,
     tt_gather,
-    tt_round,
     tt_stack_new,
-    tt_svd,
     zero_tt,
 )
 
@@ -176,8 +182,13 @@ class CompressedSegment:
     ``time_range`` holds inclusive global step indices.  A merged segment
     carries extra trailing stack dimensions on its train; each stacked
     leaf covers ``part_time_extents[j]`` real timesteps (padding copies
-    excluded).  ``tolerance_spent`` is the cumulative relative-Frobenius
-    budget consumed against this segment's own unpadded data.
+    excluded).  ``tolerance_spent`` is the relative-Frobenius budget
+    consumed against this segment's own unpadded data: the a-priori
+    composition of its merges, or, for the last merge of
+    :func:`compress_run`, the certified bound over the data's norm.
+    ``error_bound`` is the certified absolute Frobenius error against the
+    same data, from the ledger of discarded energies (``None`` when
+    unknown, as in archives written without it).
     """
 
     tt: TTTensor
@@ -189,6 +200,7 @@ class CompressedSegment:
     stack_dims: tuple
     stats: DataStats
     tolerance_spent: float
+    error_bound: Optional[float] = None
 
     def __post_init__(self):
         # integers, so step arithmetic and indexing cannot fail later
@@ -226,6 +238,17 @@ class CompressedSegment:
         if self.permutations is not None:
             perms = np.asarray(self.permutations)
             object.__setattr__(self, "permutations", perms)
+        bound = self.error_bound
+        if bound is not None:
+            if (
+                isinstance(bound, bool)
+                or not isinstance(bound, numbers.Real)
+                or not 0.0 <= bound < math.inf
+            ):
+                raise StructureError(
+                    f"error bound {bound!r} is not a finite number >= 0"
+                )
+            object.__setattr__(self, "error_bound", float(bound))
 
     @property
     def total_steps(self) -> int:
@@ -338,15 +361,19 @@ def _compress(
     Constant (or zero) data is exactly rank 1 after any reshaping and is
     stored as such.  When padding grows the tensor the internal tolerance
     is tightened by the norm ratio so the guarantee still holds on the
-    real data region.
+    real data region.  The error bound is the one TT-SVD certifies on the
+    padded tensor, which bounds the real data region's error too.
     """
     tau_rel = _target_relfrob(config, stats, reference)
     if tau_rel is None:
         tt, tau_rel = constant_tt(plan.tensorized_dims(), stats.x_min), 0.0
+        lost = 0.0
     else:
         tensorized = apply_plan(data, plan)
         padded_norm = float(np.linalg.norm(tensorized.values))
-        tt = tt_svd(tensorized, tau_rel * stats.frobenius_norm / padded_norm)
+        tt, lost = _tt_svd(
+            tensorized, tau_rel * stats.frobenius_norm / padded_norm
+        )
     n_t = data.dims[0]
     return CompressedSegment(
         tt=tt,
@@ -358,6 +385,7 @@ def _compress(
         stack_dims=(),
         stats=stats,
         tolerance_spent=tau_rel,
+        error_bound=lost,
     )
 
 
@@ -520,12 +548,30 @@ def _check_contiguous(parts) -> None:
             )
 
 
+def combine_error_bounds(parts) -> Optional[float]:
+    """Certified error of parts that cover disjoint entries: their errors
+    add in squares.  ``None`` when a part's bound is unknown."""
+    bounds = [p.error_bound for p in parts]
+    if None in bounds:
+        return None
+    return math.hypot(*bounds)
+
+
+def _merged_bound(parts, lost: float) -> Optional[float]:
+    """Certified error of merged parts whose rounding discarded ``lost``;
+    the rounding error is not orthogonal to the parts' and adds in full."""
+    bound = combine_error_bounds(parts)
+    return None if bound is None else bound + lost
+
+
 def merge_stack(parts, tau_round: float) -> CompressedSegment:
     """Merge segments by stacking along a new trailing dimension.
 
     The stacked train is exact; rounding at ``tau_round`` (skipped when 0)
-    then shrinks the inflated ranks.  The budget update is
-    ``t + tau_round + t * tau_round`` with ``t`` the worst part tolerance.
+    then shrinks the inflated ranks.  The a-priori budget update is
+    ``t + tau_round + t * tau_round`` with ``t`` the worst part tolerance;
+    the error bound is the parts' bounds in root-sum-square plus what the
+    rounding discarded.
     """
     parts = list(parts)
     if not parts:
@@ -536,7 +582,9 @@ def merge_stack(parts, tau_round: float) -> CompressedSegment:
         return parts[0]
     _check_stack_compatible(parts)
     stacked = tt_stack_new([p.tt for p in parts])
-    merged = tt_round(stacked, tau_round) if tau_round > 0 else stacked
+    merged, lost = stacked, 0.0
+    if tau_round > 0:
+        merged, lost = _tt_round(stacked, tau_round)
     spent = compose_tolerances(
         max(p.tolerance_spent for p in parts), [tau_round]
     )
@@ -553,6 +601,7 @@ def merge_stack(parts, tau_round: float) -> CompressedSegment:
         stack_dims=parts[0].stack_dims + (len(parts),),
         stats=combine_stats([p.stats for p in parts]),
         tolerance_spent=spent,
+        error_bound=_merged_bound(parts, lost),
     )
 
 
@@ -576,7 +625,7 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
 
     Cores are combined with zero padding so reconstruction equals the
     dense concatenation exactly, then rounded at ``tau_round`` (skipped
-    when 0).  Budget update as in :func:`merge_stack`.
+    when 0).  Budget update and error bound as in :func:`merge_stack`.
     """
     parts = list(parts)
     if not parts:
@@ -627,9 +676,9 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
                     "same steps"
                 )
 
-    merged_tt = _concat_trains([p.tt for p in parts], pos - 1)
+    merged_tt, lost = _concat_trains([p.tt for p in parts], pos - 1), 0.0
     if tau_round > 0:
-        merged_tt = tt_round(merged_tt, tau_round)
+        merged_tt, lost = _tt_round(merged_tt, tau_round)
 
     total_extent = sum(p.plan.original_dims[dim - 1] for p in parts)
     new_dims = list(base.plan.original_dims)
@@ -661,6 +710,7 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
         tolerance_spent=compose_tolerances(
             max(p.tolerance_spent for p in parts), [tau_round]
         ),
+        error_bound=_merged_bound(parts, lost),
     )
 
 
@@ -728,6 +778,38 @@ def _empty_part(like: CompressedSegment) -> CompressedSegment:
         part_time_extents=(0,) * len(like.part_time_extents),
         stats=DataStats(like.stats.x_min, like.stats.x_max, 0.0, 0),
         tolerance_spent=0.0,
+        error_bound=0.0,
+    )
+
+
+def _spend_leftover(
+    stacked: CompressedSegment, planned: float, budget: float
+) -> CompressedSegment:
+    """Round the last merge level's exact stack at what its ledger leaves
+    of the absolute ``budget``, never at less than ``planned``.
+
+    The certified bound is then within the budget and becomes the part's
+    ``tolerance_spent``.  Only the Gram path's float slack can carry the
+    bound past the budget; the stack is then rounded at ``planned`` and
+    keeps the a-priori composition.  A zero budget and schedule (lossless)
+    leave the stack as it is.
+    """
+    spare = budget - stacked.error_bound
+    if planned == 0 and spare <= 0:
+        return stacked
+    tt, lost = _tt_round(stacked.tt, planned, spare)
+    norm = stacked.stats.frobenius_norm
+    if lost <= spare and norm > 0:
+        spent = (stacked.error_bound + lost) / norm
+    else:
+        if lost > spare:
+            tt, lost = _tt_round(stacked.tt, planned)
+        spent = compose_tolerances(stacked.tolerance_spent, [planned])
+    return dataclasses.replace(
+        stacked,
+        tt=tt,
+        error_bound=stacked.error_bound + lost,
+        tolerance_spent=spent,
     )
 
 
@@ -747,8 +829,13 @@ def compress_run(
     anything is compressed; when merging with per-segment reordering, one
     Morton permutation from step 0's positions; each segment compressed
     against the run's statistics, at half the error budget when merged;
-    and :func:`merge_tree` at equal per-level rounding tolerances that
-    spend the rest of the budget.
+    and :func:`merge_tree`.  Every level below the last rounds at the
+    equal per-level tolerances of :func:`plan_tau_schedule`, which the a
+    priori composition needs to stay within the budget.  Those bounds are
+    worst cases, so the last level rounds instead at whatever the ledger
+    of certified errors leaves of the budget; the merged part's
+    ``tolerance_spent`` is then its certified relative bound, never above
+    the target.
 
     Returns the merge-tree levels: level 0 holds the segments and the last
     level the merged part (only level 0 without merging).  ``timings``,
@@ -805,7 +892,15 @@ def compress_run(
         if budget is not None:
             worst = max(s.tolerance_spent for s in segments)
             schedule = plan_tau_schedule(budget, worst, n_levels)
-        levels = merge_tree(segments, config.merge_arity, schedule, budget)
+        # the last level is stacked exactly here and rounded below
+        levels = merge_tree(
+            segments, config.merge_arity, schedule[:-1] + [0.0], budget
+        )
+        if budget is not None:
+            absolute = budget * stats.frobenius_norm
+            levels[-1] = [
+                _spend_leftover(levels[-1][0], schedule[-1], absolute)
+            ]
     if timings is not None:
         timings.update(
             stats=t1 - t0, compress=t2 - t1, merge=time.perf_counter() - t2
@@ -996,6 +1091,8 @@ def segment_metadata(
         "tolerance_spent": seg.tolerance_spent,
         "tool_version": __version__,
     }
+    if seg.error_bound is not None:
+        meta["error_bound"] = seg.error_bound
     if seg.permutations is not None:
         perms = seg.permutations
         meta["permutation"] = {
@@ -1027,6 +1124,7 @@ def segment_from_parts(tt: TTTensor, meta: dict) -> CompressedSegment:
             stack_dims=tuple(meta["stack_dims"]),
             stats=stats,
             tolerance_spent=float(meta["tolerance_spent"]),
+            error_bound=meta.get("error_bound"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):

@@ -100,6 +100,15 @@ def tt_svd(t: DenseTensor, tau_rel_frob: float) -> TTTensor:
     second mode to truncate against), and a zero tensor short-circuits to
     the all-zero rank-1 train.
     """
+    return _tt_svd(t, tau_rel_frob)[0]
+
+
+def _tt_svd(t: DenseTensor, tau_rel_frob: float):
+    """:func:`tt_svd` and its certified error: ``(train, lost)`` with
+    ``||X - train||_F <= lost``, the root-sum-square of what the steps
+    discarded (their pieces are mutually orthogonal).  This holds in
+    exact arithmetic; float rounding is covered by the estimate that
+    :func:`_truncated_svd_arrays` adds on its Gram path."""
     if tau_rel_frob < 0:
         raise ConfigError(f"tolerance must be >= 0, got {tau_rel_frob}")
     if not np.isfinite(t.values).all():
@@ -108,23 +117,25 @@ def tt_svd(t: DenseTensor, tau_rel_frob: float) -> TTTensor:
     d = len(dims)
     norm = float(np.linalg.norm(t.values))
     if norm == 0.0:
-        return zero_tt(dims)
+        return zero_tt(dims), 0.0
     if d == 1:
-        return TTTensor((t.values.reshape((1, dims[0], 1)),))
+        return TTTensor((t.values.reshape((1, dims[0], 1)),)), 0.0
 
     delta = tau_rel_frob * norm / math.sqrt(d - 1)
     m = t.values.reshape((dims[0], -1), order="F")
     cores = []
+    lost2 = 0.0
     r_prev = 1
     for k in range(d - 1):
-        u, m, _ = _truncated_svd_arrays(m, delta)
+        u, m, discarded = _truncated_svd_arrays(m, delta)
+        lost2 += discarded**2
         r = u.shape[1]
         cores.append(u.reshape((r_prev, dims[k], r), order="F"))
         if k < d - 2:
             m = m.reshape((r * dims[k + 1], -1), order="F")
         r_prev = r
     cores.append(m.reshape((r_prev, dims[-1], 1), order="F"))
-    return TTTensor(tuple(cores))
+    return TTTensor(tuple(cores)), math.sqrt(lost2)
 
 
 def _prefix_vectors(cores, idx):
@@ -254,12 +265,23 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     ``||X - Y||_F <= tau * ||X||_F`` relative to the input train, and no
     rank ever increases.
     """
+    return _tt_round(t, tau_rel_frob)[0]
+
+
+def _tt_round(t: TTTensor, tau_rel_frob: float, abs_budget: float = 0.0):
+    """:func:`tt_round` and its certified error: ``(train, lost)`` with
+    ``||X - train||_F <= lost``.  After the orthogonalization the cores
+    right of the SVD step are orthonormal and those left of it too, so
+    the discarded pieces are mutually orthogonal, as in TT-SVD.
+
+    The sweep spends ``max(tau * ||X||_F, abs_budget)``, with the norm
+    taken from its own orthogonalization."""
     if tau_rel_frob < 0:
         raise ConfigError(f"tolerance must be >= 0, got {tau_rel_frob}")
     d = t.ndim
     dims = t.dims
     if d == 1:
-        return TTTensor((t.cores[0],))
+        return TTTensor((t.cores[0],)), 0.0
 
     cores = list(t.cores)
     # right-to-left orthogonalization
@@ -277,21 +299,23 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     # after the sweep the entire norm sits in the first core
     norm = float(np.linalg.norm(cores[0]))
     if norm == 0.0:
-        return zero_tt(dims)
-    delta = tau_rel_frob * norm / math.sqrt(d - 1)
+        return zero_tt(dims), 0.0
+    delta = max(tau_rel_frob * norm, abs_budget) / math.sqrt(d - 1)
 
     # left-to-right rank truncation
+    lost2 = 0.0
     for k in range(d - 1):
         r0, n, r1 = cores[k].shape
         mat = cores[k].reshape((r0 * n, r1), order="F")
-        u, carry, _ = _truncated_svd_arrays(mat, delta)
+        u, carry, discarded = _truncated_svd_arrays(mat, delta)
+        lost2 += discarded**2
         rank = u.shape[1]
         cores[k] = u.reshape((r0, n, rank), order="F")
         nxt = cores[k + 1]
         n0, nn, nr = nxt.shape
         folded = carry @ nxt.reshape((n0, nn * nr), order="F")
         cores[k + 1] = folded.reshape((rank, nn, nr), order="F")
-    return TTTensor(tuple(cores))
+    return TTTensor(tuple(cores)), math.sqrt(lost2)
 
 
 def compression_ratio(t: TTTensor) -> float:

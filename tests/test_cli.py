@@ -136,6 +136,36 @@ class TestCompress:
         assert code == 0
         assert read_manifest(out)["metrics"]["nrmse"] <= 1e-2
 
+    @pytest.mark.parametrize("seed", range(23, 31))
+    def test_spent_budget_meets_target(self, tmp_path, seed):
+        # the last merge level spends what the ledger leaves of the budget
+        run = settling_run(tmp_path / "run", seed, 512, 256)
+        out = str(tmp_path / "out")
+        code = main(
+            ["compress", run, "-o", out, "--tolerance", "1e-2", "--verify"]
+        )
+        assert code == 0
+        metrics = read_manifest(out)["metrics"]
+        assert metrics["nrmse"] <= metrics["certified_nrmse"] <= 1e-2
+        assert metrics["rel_frob"] <= metrics["certified_rel_frob"]
+
+    def test_manifest_certifies_without_verify(self, run_dir, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out, "--tolerance", "0.1"]) == 0
+        metrics = read_manifest(out)["metrics"]
+        assert "nrmse" not in metrics
+        assert 0 < metrics["certified_nrmse"] <= 0.1
+        seg = load_segment(os.path.join(out, "seg_0_39.ttc"))
+        assert metrics["certified_rel_frob"] == pytest.approx(
+            seg.error_bound / seg.stats.frobenius_norm, rel=1e-12
+        )
+        # unmerged segments: their bounds add in squares
+        out = str(tmp_path / "flat")
+        args = ["compress", run_dir, "-o", out, "--no-merge", "--verify"]
+        assert main(args + ["--segment-length", "16"]) == 0
+        metrics = read_manifest(out)["metrics"]
+        assert metrics["nrmse"] <= metrics["certified_nrmse"] <= 0.1
+
     @pytest.mark.parametrize("n_seg", [3, 5, 40])
     @pytest.mark.parametrize("arity", [2, 3])
     def test_any_segment_count_merges(self, tmp_path, n_seg, arity):
@@ -153,6 +183,22 @@ class TestCompress:
         )
         assert measured <= 1e-2
         assert reported == pytest.approx(measured, rel=1e-9)
+
+    @pytest.mark.parametrize("tolerance", ["0.1", "0"])
+    def test_all_zero_run_merges(self, tmp_path, tolerance):
+        zeros = np.zeros((40, 8, 3))
+        run = str(tmp_path / "run")
+        batch = SnapshotBatch(DenseTensor.from_numpy(zeros), zeros[0], 1.0)
+        write_run(run, batch)
+        out = str(tmp_path / "out")
+        args = ["compress", run, "-o", out, "--tolerance", tolerance]
+        args += ["--tolerance-kind", "relfrob", "--segment-length", "16"]
+        assert main(args + ["--verify"]) == 0
+        metrics = read_manifest(out)["metrics"]
+        assert metrics["certified_rel_frob"] is None
+        seg = load_segment(os.path.join(out, "seg_0_39.ttc"))
+        assert seg.error_bound == 0.0
+        assert not reconstruct_segment(seg).to_numpy().any()
 
     def test_cli_matches_in_memory_pipeline(self, tmp_path):
         # three segments, so the merge fills a short group
@@ -256,6 +302,9 @@ class TestCompress:
         recon = reconstruct_segment(load_segment(os.path.join(out, "seg_0_15.ttc")))
         assert metrics["rel_frob"] <= 1e-6
         assert metrics["rel_frob"] == pytest.approx(rel_frob(t, recon), rel=1e-9)
+        # nothing is discarded here; decoding adds float error of ~1e-15
+        assert metrics["certified_rel_frob"] == 0.0
+        assert metrics["rel_frob"] <= 1e-12
         assert metrics["nrmse"] == pytest.approx(nrmse(t, recon), rel=1e-9)
 
 
@@ -427,6 +476,46 @@ class TestInfo:
         assert payload["ranks"][0] == 1
         assert payload["compression_ratio_cores_only"] > 0
         assert payload["compression_ratio_total_archive"] > 0
+        seg = load_segment(archive)
+        assert payload["error_bound"] == seg.error_bound > 0
+        assert payload["certified_rel_frob"] == pytest.approx(
+            seg.error_bound / seg.stats.frobenius_norm, rel=1e-12
+        )
+        assert 0 < payload["certified_nrmse"] <= 0.1
+        assert f"error_bound: {seg.error_bound:.4g}" in text
+
+    def test_archive_without_bound(self, run_dir, tmp_path, capsys):
+        # archives written before the ledger carry no error_bound key
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        tt, meta = read_ttc1(os.path.join(out, "seg_0_39.ttc"))
+        del meta["error_bound"]
+        archive = str(tmp_path / "old.ttc")
+        write_ttc1(archive, tt, meta)
+        rec = str(tmp_path / "rec.dt64")
+        assert main(["reconstruct", archive, "-o", rec]) == 0
+        assert read_dt64(rec).dims == (40, 64, 3)
+        capsys.readouterr()
+        assert main(["info", archive]) == 0
+        text = capsys.readouterr().out
+        assert "error_bound: unknown" in text
+        assert "certified_nrmse: unknown" in text
+        assert main(["info", archive, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["error_bound"] is None
+        assert payload["certified_rel_frob"] is None
+
+    @pytest.mark.parametrize("bound", [-1.0, float("nan"), "0.1"])
+    def test_malformed_bound_exits_two(self, run_dir, tmp_path, capsys, bound):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        tt, meta = read_ttc1(os.path.join(out, "seg_0_39.ttc"))
+        meta["error_bound"] = bound
+        archive = str(tmp_path / "bad.ttc")
+        write_ttc1(archive, tt, meta)
+        assert main(["info", archive]) == 2
+        assert main(["reconstruct", archive, "-o", str(tmp_path / "x.dt64")]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     def test_truncated_archive_reports_offset(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -6,7 +6,6 @@ from ttcompress import (
     DataError,
     DenseMatrix,
     lowrank,
-    rank_revealing_qr,
     spectral_norm_estimate,
     truncated_svd,
 )
@@ -177,48 +176,6 @@ class TestGramTruncation:
         assert svd_calls == [m.shape]
         v = res.V.to_numpy()
         assert np.allclose(v.T @ v, np.eye(res.rank), atol=1e-12)
-
-
-class TestRankRevealingQR:
-    def test_identity(self):
-        q, r, rank = rank_revealing_qr(DenseMatrix.from_numpy(np.eye(3)))
-        assert rank == 3
-        assert np.allclose(np.abs(q.to_numpy()), np.eye(3))
-        assert np.allclose(np.abs(r.to_numpy()), np.eye(3))
-
-    def test_rank_one_outer_product(self):
-        rng = np.random.default_rng(5)
-        a = rng.standard_normal(6)
-        b = rng.standard_normal(4)
-        m = DenseMatrix.from_numpy(np.outer(a, b))
-        q, r, rank = rank_revealing_qr(m)
-        assert rank == 1
-        # SVD oracle agrees
-        sv = np.linalg.svd(m.to_numpy(), compute_uv=False)
-        assert np.sum(sv > 1e-12 * sv[0]) == 1
-
-    def test_zero_matrix(self):
-        q, r, rank = rank_revealing_qr(DenseMatrix.from_numpy(np.zeros((3, 3))))
-        assert rank == 1
-        assert np.allclose(r.to_numpy(), 0.0)
-
-    def test_factorization_reconstructs(self):
-        rng = np.random.default_rng(6)
-        m = random_matrix(rng, 8, 5)
-        q, r, _ = rank_revealing_qr(m)
-        norm = np.linalg.norm(m.to_numpy())
-        assert np.allclose(
-            q.to_numpy() @ r.to_numpy(), m.to_numpy(), atol=1e-10 * norm
-        )
-        assert np.allclose(np.tril(r.to_numpy(), -1), 0.0)
-
-    def test_qr_then_svd_matches_direct_svd(self):
-        rng = np.random.default_rng(7)
-        m = random_matrix(rng, 10, 6)
-        q, r, _ = rank_revealing_qr(m)
-        direct = truncated_svd(m, 0.0).singular_values
-        via_r = truncated_svd(r, 0.0).singular_values
-        assert np.allclose(via_r, direct, rtol=1e-9)
 
 
 class TestSpectralNormEstimate:

@@ -415,6 +415,169 @@ class TestCompressRun:
         assert [s.time_range for s in levels[0]] == [(0, 3), (4, 7)]
 
 
+def abs_error(arr, seg):
+    return float(np.linalg.norm(arr - reconstruct_segment(seg).to_numpy()))
+
+
+# float slack of a measured error: the reconstruction's own rounding
+MEASURE_SLACK = 1e-12
+
+
+class TestLedger:
+    """``error_bound`` certifies the error against the part's own data."""
+
+    def test_segments(self):
+        batch = synth_particles(64, 12, "settle", seed=31)
+        arr = batch.data.to_numpy()
+        for cfg in (
+            CompressionConfig(tolerance=1e-2),
+            relfrob_config(1e-4),
+            relfrob_config(0.0),
+        ):
+            # padded to 16 steps, as the short last segment of a merged run
+            seg = compress_segment(batch, cfg, pad_time_to=16)
+            norm = np.linalg.norm(arr)
+            assert abs_error(arr, seg) <= seg.error_bound + MEASURE_SLACK * norm
+            assert seg.error_bound <= seg.tolerance_spent * norm * (1 + 1e-6)
+        constant = compress_segment(
+            batch_from_array(np.full((4, 8, 3), 2.5)), CompressionConfig()
+        )
+        assert constant.error_bound == 0.0
+
+    @pytest.mark.parametrize("merge_kind", ["stack", "concat"])
+    def test_merges(self, merge_kind):
+        # the stacks of acceptance criterion 5
+        rng = np.random.default_rng(97)
+        x = rng.uniform(size=(8, 8, 8))
+        norm = np.linalg.norm(x)
+        for n_seg in (2, 4, 8):
+            for tau in (1e-2, 1e-4):
+                for tau_round in (1e-2, 1e-4):
+                    cfg = relfrob_config(tau, tensorize=(merge_kind == "stack"))
+                    parts = split_time(x, n_seg, cfg)
+                    if merge_kind == "stack":
+                        merged = merge_stack(parts, tau_round)
+                    else:
+                        merged = merge_concat(parts, 1, tau_round)
+                    err = abs_error(x, merged)
+                    assert err <= merged.error_bound + MEASURE_SLACK * norm
+                    # never looser than the a-priori composition
+                    assert merged.error_bound <= (
+                        merged.tolerance_spent * norm * (1 + 1e-6)
+                    )
+
+    def test_unknown_part_bound_propagates(self):
+        rng = np.random.default_rng(98)
+        parts = split_time(rng.uniform(size=(8, 4, 3)), 2, relfrob_config(1e-2))
+        parts[0] = dataclasses.replace(parts[0], error_bound=None)
+        assert merge_stack(parts, 1e-3).error_bound is None
+
+    @pytest.mark.parametrize(
+        "bound", [-1.0, float("nan"), float("inf"), "0.1", True]
+    )
+    def test_invalid_bound_rejected(self, bound):
+        rng = np.random.default_rng(99)
+        seg = split_time(rng.uniform(size=(4, 4, 3)), 1, relfrob_config(1e-2))[0]
+        with pytest.raises(StructureError):
+            dataclasses.replace(seg, error_bound=bound)
+
+
+def settle_run(n_seg, seed=3):
+    """A 40-particle settling run in 16-step segments, the last holding 11."""
+    return synth_particles(40, 16 * n_seg - 5, "settle", seed=seed)
+
+
+class TestSpendLeftover:
+    @pytest.mark.parametrize("kind", ["nrmse", "relfrob"])
+    @pytest.mark.parametrize("n_seg", [3, 5, 40])
+    @pytest.mark.parametrize("arity", [2, 3])
+    def test_bound_covers_measured_error(self, kind, n_seg, arity):
+        batch = settle_run(n_seg)
+        arr = batch.data.to_numpy()
+        config = CompressionConfig(
+            tolerance=1e-2,
+            tolerance_kind=kind,
+            segment_length=16,
+            merge_arity=arity,
+        )
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        stats = stats_of(arr)
+        target = config.tolerance
+        if kind == "nrmse":
+            target = nrmse_to_relfrob(config.tolerance, stats)
+        slack = MEASURE_SLACK * stats.frobenius_norm
+        for level in levels:
+            for part in level:
+                if part.total_steps:
+                    steps = slice(part.time_range[0], part.time_range[1] + 1)
+                    err = abs_error(arr[steps], part)
+                    assert err <= part.error_bound + slack
+        final = levels[-1][0]
+        assert final.error_bound <= target * stats.frobenius_norm
+        assert final.tolerance_spent == pytest.approx(
+            final.error_bound / final.stats.frobenius_norm, rel=1e-12
+        )
+        assert final.tolerance_spent <= target
+
+    def test_spends_more_than_the_schedule(self):
+        batch = settle_run(8)
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        worst = max(s.tolerance_spent for s in levels[0])
+        target = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
+        schedule = plan_tau_schedule(target, worst, len(levels) - 1)
+        planned = merge_tree(levels[0], 2, schedule)
+        spent = levels[-1][0]
+        assert spent.tt.core_entry_count < planned[-1][0].tt.core_entry_count
+        budget = target * spent.stats.frobenius_norm
+        assert planned[-1][0].error_bound < spent.error_bound <= budget
+        # the levels below the last are the planned ones
+        for a, b in zip(levels[-2], planned[-2]):
+            assert all(
+                np.array_equal(x, y) for x, y in zip(a.tt.cores, b.tt.cores)
+            )
+
+    def test_slack_past_the_budget_falls_back(self, monkeypatch):
+        # a ledger inflated past the budget at the last level keeps the
+        # planned rounding and its a-priori tolerance
+        from ttcompress import streaming
+
+        batch = settle_run(4)
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        expected = compress_run(batch.time_slice, batch.n_t, config)
+        honest = streaming._tt_round
+        budget = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
+        calls = []
+
+        def inflated(t, tau, abs_budget=0.0):
+            calls.append(abs_budget)
+            train, lost = honest(t, tau, abs_budget)
+            if abs_budget > 0:  # the spending round of the last level
+                lost += budget * np.linalg.norm(batch.data.values)
+            return train, lost
+
+        monkeypatch.setattr(streaming, "_tt_round", inflated)
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        # two planned merges, the spending round, the planned round
+        assert len(calls) == 4 and calls[2] > 0 and calls[3] == 0
+        final = levels[-1][0]
+        assert final.tt.core_entry_count > expected[-1][0].tt.core_entry_count
+        assert final.tolerance_spent <= budget * (1 + 1e-12)
+
+
+    @pytest.mark.parametrize("tolerance", [0.1, 0.0])
+    def test_all_zero_run(self, tolerance):
+        # zero data leaves no norm to relate the certified bound to
+        batch = batch_from_array(np.zeros((40, 8, 3)))
+        config = relfrob_config(tolerance, segment_length=16)
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        final = levels[-1][0]
+        assert len(levels) == 3 and final.error_bound == 0.0
+        # the a-priori composition, as merge_tree checks it
+        assert final.tolerance_spent <= tolerance * (1 + 1e-12)
+        assert not reconstruct_segment(final).to_numpy().any()
+
+
 class TestScheduling:
     def test_equal_factor_schedule(self):
         total, per_seg = 0.1, 0.05
@@ -675,6 +838,18 @@ class TestBatchedReadPath:
 
 
 class TestStoreRoundtrip:
+    def test_error_bound_roundtrip(self, tmp_path):
+        batch = synth_particles(12, 8, "settle", seed=28)
+        cfg = CompressionConfig(tolerance=0.05, tolerance_kind="nrmse")
+        seg = compress_segment(batch, cfg)
+        assert seg.error_bound > 0
+        assert load_segment(save_segment(tmp_path, seg)).error_bound == (
+            seg.error_bound
+        )
+        unknown = dataclasses.replace(seg, error_bound=None)
+        path = save_segment(tmp_path / "unknown", unknown)
+        assert load_segment(path).error_bound is None
+
     def test_save_load_identity(self, tmp_path):
         batch = synth_particles(12, 8, "settle", seed=28)
         cfg = CompressionConfig(tolerance=0.05, tolerance_kind="nrmse")

@@ -23,6 +23,7 @@ from ttcompress import (
     tt_svd,
     zero_tt,
 )
+from ttcompress.tt import _tt_round, _tt_svd
 
 
 def random_tensor(rng, dims):
@@ -147,6 +148,53 @@ class TestTTRound:
         once = tt_round(inflated, 1e-4)
         twice = tt_round(once, 1e-4)
         assert twice.ranks == once.ranks
+
+
+class TestCertifiedLoss:
+    """The private helpers return the public functions' trains and the
+    root-sum-square of what they discarded, which is the error itself up
+    to float slack (the discarded pieces are mutually orthogonal)."""
+
+    def test_tt_svd_loss_is_the_error(self):
+        rng = np.random.default_rng(9)
+        for tau in (1e-1, 1e-3, 1e-6):
+            for _ in range(5):
+                d = rng.integers(3, 6)
+                dims = tuple(int(n) for n in rng.integers(2, 6, d))
+                x = random_tensor(rng, dims)
+                t, lost = _tt_svd(x, tau)
+                public = tt_svd(x, tau)
+                assert all(
+                    np.array_equal(a, b) for a, b in zip(t.cores, public.cores)
+                )
+                norm = frobenius_norm(x)
+                err = float(np.linalg.norm(x.values - tt_full(t).values))
+                assert err <= lost + 1e-12 * norm
+                assert lost <= err + 1e-6 * norm
+                assert lost <= tau * norm * (1 + 1e-6)
+
+    def test_tt_round_loss_is_the_error(self):
+        rng = np.random.default_rng(10)
+        for tau in (1e-1, 1e-2, 1e-5):
+            t = random_tt(rng, (4, 4, 4, 4), 6)
+            inflated = tt_stack_new([t, random_tt(rng, (4, 4, 4, 4), 3)])
+            rounded, lost = _tt_round(inflated, tau)
+            public = tt_round(inflated, tau)
+            assert all(
+                np.array_equal(a, b) for a, b in zip(rounded.cores, public.cores)
+            )
+            full = tt_full(inflated).values
+            norm = float(np.linalg.norm(full))
+            err = float(np.linalg.norm(full - tt_full(rounded).values))
+            assert err <= lost + 1e-12 * norm
+            assert lost <= err + 1e-6 * norm
+
+    def test_exact_cases_lose_nothing(self):
+        x = DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])
+        assert _tt_svd(x, 0.5)[1] == 0.0
+        assert _tt_svd(DenseTensor((2, 3), np.zeros(6)), 0.1)[1] == 0.0
+        zero = TTTensor(tuple(np.zeros((1, 3, 1)) for _ in range(3)))
+        assert _tt_round(zero, 0.1)[1] == 0.0
 
 
 class TestTTGet:
