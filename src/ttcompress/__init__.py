@@ -75,7 +75,6 @@ from .streaming import (
     reconstruct_segment,
     reconstruct_segments,
     save_segment,
-    segment_entry,
     stats_of,
 )
 from .synthdata import (

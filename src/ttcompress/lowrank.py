@@ -5,17 +5,19 @@ and a matrix-free spectral-norm estimator.  These are the primitives the
 tensor-train sweeps are built from.
 
 Importing this module runs every OpenBLAS loaded in the process on one
-thread (see :func:`_pin_blas_threads`).
+thread (see :func:`_pin_blas_threads`).  scipy, whose LAPACK drivers the
+SVD uses, is imported only by the first SVD, which pins the OpenBLAS it
+brings in the same way; reading archives never loads it.
 """
 
 import ctypes
+import functools
 import math
 import os
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .dense import DenseMatrix
 from .errors import ConfigError, DataError
@@ -84,15 +86,27 @@ def _as_2d(m) -> np.ndarray:
     return arr
 
 
+@functools.cache
+def _scipy_svd():
+    # scipy takes about 0.25 s and 22 MB to import, and only compression
+    # needs it; the OpenBLAS it brings is new to the process, so it is
+    # pinned like the ones loaded before
+    import scipy.linalg
+
+    _pin_blas_threads()
+    return scipy.linalg.svd
+
+
 def _svd(arr: np.ndarray, accurate: bool = False):
     # gesdd is fast but its small singular values carry O(eps * sigma_1)
     # noise; gesvd resolves them properly, which matters when the
     # truncation budget sits near the noise floor
     first, second = ("gesvd", "gesdd") if accurate else ("gesdd", "gesvd")
+    svd = _scipy_svd()
     try:
-        return scipy.linalg.svd(arr, full_matrices=False, lapack_driver=first)
+        return svd(arr, full_matrices=False, lapack_driver=first)
     except np.linalg.LinAlgError:
-        return scipy.linalg.svd(arr, full_matrices=False, lapack_driver=second)
+        return svd(arr, full_matrices=False, lapack_driver=second)
 
 
 def svd_truncation_rank(singular_values: np.ndarray, delta: float) -> int:

@@ -915,10 +915,12 @@ def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
     The segments' own time ranges must follow each other without a gap or
     an overlap, and their plans must agree on every axis but time;
     otherwise a :class:`MergeError` is raised.  Per segment, the plan
-    cores are contracted once, then each stacked leaf is undone through
-    the plan, cropped to its real timesteps and written in original
-    particle order into one preallocated output.  ``max_entries`` caps
-    each train's entry count as in :func:`tt_full`.
+    cores are contracted once into a matrix with one row per tensorized
+    entry, and its rows are gathered once through :func:`_plan_rows`
+    into the segment's original order.  Each stacked leaf is then one
+    matrix-vector product, cropped to its real timesteps and written
+    into one preallocated output.  ``max_entries`` caps each train's
+    entry count as in :func:`tt_full`.
     """
     segs = list(segs)
     if not segs:
@@ -942,18 +944,41 @@ def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
         leaf_mat = _contract_cores(seg.tt.cores[n_plan:], rank).reshape(
             (rank, -1), order="F"
         )
-        inverse = seg.inverse_permutations
+        rows = _plan_rows(seg)
+        # column by column into a column-major matrix: no second full
+        # copy, and the products below round exactly as on ``plan_mat``
+        gathered = np.empty((rows.size, rank), order="F")
+        for j in range(rank):
+            gathered[:, j] = plan_mat[rows, j]
+        del plan_mat
         t0 = seg.time_range[0] - first
         for leaf, extent in enumerate(seg.part_time_extents):
             if extent == 0:
                 continue
-            block = original_view(plan_mat @ leaf_mat[:, leaf], seg.plan)[:extent]
-            if inverse is not None:
-                rows = inverse[:extent] if inverse.ndim == 2 else inverse[None]
-                block = block[np.arange(extent)[:, None], rows]
-            out[t0 : t0 + extent] = block
+            block = (gathered @ leaf_mat[:, leaf]).reshape(
+                (-1,) + extents, order="F"
+            )
+            out[t0 : t0 + extent] = block[:extent]
             t0 += extent
     return DenseTensor(dims, out.reshape(-1, order="F"))
+
+
+def _plan_rows(seg: CompressedSegment) -> np.ndarray:
+    """Row of the contracted plan matrix behind each entry of a leaf, in
+    original order over the steps of the segment's longest leaf, flat in
+    column-major order.  One map undoes padding, interlacing and the
+    particle permutation."""
+    steps = max(seg.part_time_extents)
+    n_rows = math.prod(seg.plan.tensorized_dims())
+    rows = original_view(np.arange(n_rows), seg.plan)[:steps]
+    inverse = seg.inverse_permutations
+    if inverse is not None:
+        # each original particle sits at its sorted position
+        if inverse.ndim == 2:
+            rows = rows[np.arange(steps)[:, None], inverse[:steps]]
+        else:
+            rows = rows[:, inverse]
+    return rows.reshape(-1, order="F")
 
 
 def reconstruct_segment(
@@ -985,24 +1010,6 @@ def _train_indices(seg: CompressedSegment, coords) -> np.ndarray:
     return np.column_stack(
         [seg.plan.forward_indices(coords)] + [d + 1 for d in leaf_digits]
     )
-
-
-def segment_entry(seg: CompressedSegment, step: int, indices) -> float:
-    """Entry lookup without materializing anything.
-
-    ``step`` is the global timestep index (within ``time_range``);
-    ``indices`` holds the remaining 1-based original coordinates
-    (particle, component, ...).  Served from the cores, so memory stays
-    at the size of the cores.
-    """
-    first, last = seg.time_range
-    if not first <= step <= last:
-        raise IndexRangeError(
-            f"step {step} outside this segment's range {seg.time_range}"
-        )
-    t = step - first + 1
-    box = [(t, t)] + [(int(i), int(i)) for i in indices]
-    return float(reconstruct_region(seg, box).values[0])
 
 
 def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:

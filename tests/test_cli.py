@@ -463,6 +463,55 @@ class TestReconstruct:
         assert "region" in capsys.readouterr().err
 
 
+def run_fresh(code, *args):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    package."""
+    src = os.path.dirname(os.path.dirname(ttcompress.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+class TestReadsStayScipyFree:
+    """scipy serves only the SVD, so reading an archive never imports it."""
+
+    COMMAND = (
+        "import sys; from ttcompress.cli import main; code = main(sys.argv[1:]); "
+        "assert 'scipy' not in sys.modules, 'scipy was imported'; sys.exit(code)"
+    )
+
+    @pytest.mark.parametrize("command", ["file", "dir", "region", "info"])
+    def test_command(self, run_dir, tmp_path, command):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out, "--segment-length", "16"]) == 0
+        archive = os.path.join(out, "seg_0_39.ttc")
+        dt64 = str(tmp_path / "out.dt64")
+        argv = {
+            "file": ["reconstruct", archive, "-o", dt64],
+            "dir": ["reconstruct", os.path.join(out, "segments"), "-o", dt64],
+            "region": ["reconstruct", archive, "-o", dt64, "--region", "2:9,3:40,1:3"],
+            "info": ["info", archive, "--json"],
+        }[command]
+        run_fresh(self.COMMAND, *argv)
+
+    def test_load_segment_and_region(self, run_dir, tmp_path):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        run_fresh(
+            "import sys; from ttcompress import load_segment, reconstruct_region; "
+            "seg = load_segment(sys.argv[1]); "
+            "reconstruct_region(seg, [(1, 40), (5, 9), (2, 3)]); "
+            "assert 'scipy' not in sys.modules, 'scipy was imported'",
+            os.path.join(out, "seg_0_39.ttc"),
+        )
+
+
 class TestInfo:
     def test_text_and_json(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -1,7 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+import ttcompress
 from ttcompress import (
     DataError,
     DenseMatrix,
@@ -176,6 +182,54 @@ class TestGramTruncation:
         assert svd_calls == [m.shape]
         v = res.V.to_numpy()
         assert np.allclose(v.T @ v, np.eye(res.rank), atol=1e-12)
+
+
+# Runs the first SVD of a fresh process, which loads scipy, then prints
+# the thread count that every loaded OpenBLAS reports of itself.
+FIRST_SVD_THREADS = """
+import ctypes, json, os, sys
+import numpy as np
+from ttcompress import DenseTensor, tt_svd
+assert "scipy" not in sys.modules
+tt_svd(DenseTensor.from_numpy(np.arange(48.0).reshape(4, 3, 4) ** 2), 0.0)
+assert "scipy" in sys.modules
+with open("/proc/self/maps") as fh:
+    paths = {f[5] for f in map(str.split, fh)
+             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+found = {}
+for path in sorted(paths):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_",
+                   "scipy_openblas_get_num_threads",
+                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get_threads = getattr(lib, symbol, None)
+        if get_threads is not None:
+            get_threads.restype = ctypes.c_int
+            found[os.path.basename(path)] = get_threads()
+            break
+print(json.dumps(found))
+"""
+
+
+def test_first_svd_pins_the_blas_it_loads():
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to find the loaded BLAS in")
+    src = os.path.dirname(os.path.dirname(ttcompress.__file__))
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", FIRST_SVD_THREADS],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    found = json.loads(done.stdout)
+    if not found:
+        pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
+    assert found == {name: 1 for name in found}
 
 
 class TestSpectralNormEstimate:

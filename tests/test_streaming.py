@@ -28,16 +28,17 @@ from ttcompress import (
     nrmse,
     nrmse_to_relfrob,
     plan_tau_schedule,
+    read_dt64,
     reconstruct_region,
     reconstruct_segment,
     rel_frob,
     save_segment,
-    segment_entry,
     stats_of,
     synth_particles,
     tt_svd,
     write_run,
 )
+from ttcompress.cli import main
 from ttcompress.streaming import CompressedSegment, DataStats, merge_tree_levels
 
 
@@ -590,8 +591,15 @@ class TestScheduling:
             plan_tau_schedule(0.01, 0.02, 2)
 
 
+def entry(seg, t, coords):
+    """One entry through a one-entry region; ``t`` counts within the
+    segment from 1."""
+    box = [(t, t)] + [(int(i), int(i)) for i in coords]
+    return float(reconstruct_region(seg, box).values[0])
+
+
 class TestElementAccess:
-    def test_segment_entry_matches_dense(self):
+    def test_one_entry_region_matches_dense(self):
         batch = synth_particles(20, 8, "ballistic", seed=24)
         cfg = CompressionConfig(tolerance=0.0, tolerance_kind="relfrob")
         seg = compress_segment(batch, cfg, first_step=100)
@@ -601,7 +609,7 @@ class TestElementAccess:
             t = int(rng.integers(0, 8))
             p = int(rng.integers(1, 21))
             c = int(rng.integers(1, 4))
-            assert segment_entry(seg, 100 + t, (p, c)) == pytest.approx(
+            assert entry(seg, t + 1, (p, c)) == pytest.approx(
                 dense[t, p - 1, c - 1], rel=1e-10, abs=1e-12
             )
 
@@ -744,6 +752,41 @@ def read_case(request):
     return READ_CASES[request.param]()
 
 
+def run_segments(n_p, reorder, lengths=(4, 4, 4, 2)):
+    """Consecutive segments of one run, the last one short."""
+    rng = np.random.default_rng(46)
+    arr = np.cumsum(rng.uniform(size=(sum(lengths), n_p, 3)), axis=0)
+    cfg = relfrob_config(1e-3, reorder=reorder)
+    perm = rng.permutation(n_p) if reorder == "segment" else None
+    starts = np.cumsum((0,) + lengths[:-1])
+    return [
+        compress_segment(
+            batch_from_array(arr[start : start + n]),
+            cfg,
+            first_step=int(start),
+            permutation_override=perm,
+            pad_time_to=4,
+        )
+        for start, n in zip(starts, lengths)
+    ]
+
+
+# the segments that one ``ttc reconstruct`` call turns into one .dt64
+RUN_CASES = {
+    # two merged parts of a run with 7 particles, padded to 8
+    "merged-padded-particles": lambda: merge_tree(
+        run_segments(7, "segment"), 2, [1e-3] * 3
+    )[1],
+    # per-timestep permutations, which stop the run from merging
+    "reorder-timestep": lambda: run_segments(5, "timestep"),
+    "interlaced": lambda: [interlaced_segment()],
+    # one archive whose last leaf holds 2 of 4 steps
+    "short-last-leaf": lambda: merge_tree(
+        run_segments(7, "segment"), 2, [1e-3] * 3
+    )[-1],
+}
+
+
 class TestBatchedReadPath:
     """Regions, entries and full reconstruction against the per-entry
     reference loop."""
@@ -773,21 +816,31 @@ class TestBatchedReadPath:
 
     def test_entries(self, read_case):
         dims = seg_dims(read_case)
-        first = read_case.time_range[0]
         rng = np.random.default_rng(44)
         for _ in range(20):
             coords = [int(rng.integers(1, n + 1)) for n in dims]
-            got = segment_entry(read_case, first + coords[0] - 1, coords[1:])
+            got = entry(read_case, coords[0], coords[1:])
             want = reference_entry(read_case, coords[0], coords[1:])
             assert abs(got - want) <= 1e-12 * max(abs(want), 1.0)
 
     def test_out_of_range_entry(self, read_case):
         dims = seg_dims(read_case)
-        first = read_case.time_range[0]
         with pytest.raises(IndexRangeError):
-            segment_entry(read_case, first, [n + 1 for n in dims[1:]])
+            entry(read_case, 1, [n + 1 for n in dims[1:]])
         with pytest.raises(IndexRangeError):
-            segment_entry(read_case, first, [0] * (len(dims) - 1))
+            entry(read_case, 1, [0] * (len(dims) - 1))
+
+    @pytest.mark.parametrize("case", sorted(RUN_CASES))
+    def test_reconstruct_command(self, case, tmp_path):
+        segs = RUN_CASES[case]()
+        paths = [save_segment(tmp_path / "run", seg) for seg in segs]
+        archive = paths[0] if len(segs) == 1 else str(tmp_path / "run")
+        out = str(tmp_path / "out.dt64")
+        assert main(["reconstruct", archive, "-o", out]) == 0
+        want = np.concatenate(
+            [reference_region(seg, [(1, n) for n in seg_dims(seg)]) for seg in segs]
+        )
+        assert_matches(read_dt64(out).to_numpy(), want)
 
     @settings(deadline=None, max_examples=40)
     @given(st.data())
@@ -824,14 +877,14 @@ class TestBatchedReadPath:
         assert seg.permutations.shape == (6, 9)
         for t in range(6):
             for p in range(9):
-                got = segment_entry(seg, 10 + t, (p + 1, 2))
+                got = entry(seg, t + 1, (p + 1, 2))
                 assert got == pytest.approx(arr[t, p, 1], abs=1e-12)
 
     def test_malformed_permutation_is_rejected(self):
         seg = single_segment((8, 6, 3), reorder="segment")
         broken = dataclasses.replace(seg, permutations=np.zeros(6, dtype=np.int64))
         with pytest.raises(StructureError):
-            segment_entry(broken, 5, (1, 1))
+            entry(broken, 1, (1, 1))
         with pytest.raises(StructureError):
             reconstruct_segment(broken)
 
