@@ -9,15 +9,7 @@ explicit error budget.
 
 __version__ = "0.1.0"
 
-from .dense import (
-    DenseMatrix,
-    DenseTensor,
-    frobenius_norm,
-    long_index,
-    multi_index,
-    reshape,
-    unfold,
-)
+from .dense import DenseMatrix, DenseTensor, long_index
 from .errors import (
     CapacityError,
     ConfigError,
@@ -33,23 +25,11 @@ from .errors import (
     TTCompressError,
 )
 from .formats import read_dt64, read_ttc1, write_dt64, write_ttc1
-from .lowrank import (
-    SpectralEstimate,
-    TruncatedSVD,
-    spectral_norm_estimate,
-    truncated_svd,
-)
-from .metrics import (
-    AutocorrelationProfile,
-    autocorrelation,
-    autocorrelation_profile,
-    nrmse,
-    rel_frob,
-)
+from .lowrank import SpectralEstimate, spectral_norm_estimate
+from .metrics import nrmse, rel_frob
 from .morton import (
     DomainTransform,
     MortonKey,
-    choose_bits,
     fit_domain,
     morton_id,
     morton_keys,

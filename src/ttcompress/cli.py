@@ -53,8 +53,7 @@ def _config_from_args(args) -> CompressionConfig:
         merge_arity=args.merge_arity,
         tensorize=args.tensorize,
         max_factor=args.max_factor,
-        time_level=args.level,
-        particle_level=args.level,
+        level=args.level,
         reorder=args.reorder,
         morton_bits=args.morton_bits,
     )
@@ -141,7 +140,7 @@ def _compress_run(args, config, outdir):
 def _compress_dt64(args, config, outdir):
     tensor = read_dt64(args.input)
     t0 = time.perf_counter()
-    seg = compress_tensor(tensor, config, level=args.level)
+    seg = compress_tensor(tensor, config)
     timings = {"compress": time.perf_counter() - t0, "merge": 0.0}
     paths = [save_segment(outdir, seg, config.config_hash())]
     metrics = _measure([seg], [tensor]) if args.verify else {}
@@ -513,10 +512,7 @@ def main(argv=None) -> int:
     _apply_bench_defaults(args)
     try:
         return args.func(args)
-    except TTCompressError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except (FileNotFoundError, NotADirectoryError, PermissionError) as exc:
+    except (TTCompressError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
     except Exception as exc:  # pragma: no cover - internal failure path

@@ -2,8 +2,9 @@
 
 Tensors are stored as a flat float64 sequence in column-major (Fortran)
 order together with a dimension list.  Reshaping and unfolding are
-metadata-only operations on that flat sequence, so the linearization
-semantics are independent of any array library's native memory layout.
+metadata-only operations on that flat sequence (a new tensor over the
+same values), so the linearization semantics are independent of any
+array library's native memory layout.
 
 All public indices and axis numbers are 1-based, matching the usual
 mathematical convention for multi-index formulas.  Internally everything
@@ -156,59 +157,6 @@ def index_rows(indices, dims) -> np.ndarray:
             f"index {idx[row, k]} out of range 1..{dims[k]} at position {k + 1}"
         )
     return idx
-
-
-def multi_index(linear: int, dims) -> tuple:
-    """Inverse of :func:`long_index`: 1-based linear index -> 1-based multi-index."""
-    dims = tuple(int(n) for n in dims)
-    total = math.prod(dims)
-    if not 1 <= linear <= total:
-        raise IndexRangeError(f"linear index {linear} out of range 1..{total}")
-    rem = int(linear) - 1
-    out = []
-    for n in dims:
-        out.append(rem % n + 1)
-        rem //= n
-    return tuple(out)
-
-
-def reshape(t: DenseTensor, new_dims) -> DenseTensor:
-    """Reinterpret the flat value sequence under new extents.
-
-    Column-major semantics: the values are untouched, only the dimension
-    metadata changes.  The products of old and new extents must agree.
-    """
-    new_dims = tuple(int(n) for n in new_dims)
-    if math.prod(new_dims) != t.size:
-        raise ShapeError(
-            f"cannot reshape {t.dims} (size {t.size}) to {new_dims} "
-            f"(size {math.prod(new_dims)})"
-        )
-    return DenseTensor(new_dims, t.values)
-
-
-def unfold(t: DenseTensor, k: int) -> DenseMatrix:
-    """Matricization grouping the first ``k`` indices into rows.
-
-    The result has shape ``(n_1...n_k) x (n_{k+1}...n_d)``; entry
-    (row long index, column long index) equals the tensor entry at the
-    corresponding multi-index.  Because the linearization is column-major
-    this shares the flat values unchanged.
-    """
-    d = t.ndim
-    if not 1 <= k <= d - 1:
-        raise IndexRangeError(f"split position {k} out of range 1..{d - 1}")
-    rows = math.prod(t.dims[:k])
-    cols = math.prod(t.dims[k:])
-    return DenseMatrix(rows, cols, t.values)
-
-
-def frobenius_norm(t) -> float:
-    """Square root of the sum of squared entries.
-
-    Accepts :class:`DenseTensor` or :class:`DenseMatrix`.
-    """
-    return float(np.linalg.norm(t.values))
 
 
 def check_finite(t) -> None:

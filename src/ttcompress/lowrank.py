@@ -14,12 +14,10 @@ import ctypes
 import functools
 import math
 import os
-from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .dense import DenseMatrix
 from .errors import ConfigError, DataError
 
 # A wide matrix whose truncation budget is at least this multiple of its
@@ -77,15 +75,6 @@ def _pin_blas_threads() -> None:
 _pin_blas_threads()
 
 
-def _as_2d(m) -> np.ndarray:
-    if isinstance(m, DenseMatrix):
-        return m.to_numpy()
-    arr = np.asarray(m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"expected a matrix, got ndim={arr.ndim}")
-    return arr
-
-
 @functools.cache
 def _scipy_svd():
     # scipy takes about 0.25 s and 22 MB to import, and only compression
@@ -118,37 +107,15 @@ def svd_truncation_rank(singular_values: np.ndarray, delta: float) -> int:
     sq = np.asarray(singular_values, dtype=np.float64) ** 2
     # tail[r] = sum of squares of the values discarded when keeping r
     tail = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-    budget = float(delta) ** 2
+    delta = float(delta)
+    budget = delta * delta  # inf for a huge delta, where ** would raise
     # tail is nonincreasing and tail[-1] == 0, so a qualifying rank exists
     r = int(np.nonzero(tail <= budget)[0][0])
     return max(r, 1)
 
 
-@dataclass(frozen=True)
-class TruncatedSVD:
-    """Rank-``r`` factorization ``M ~ U @ diag(s) @ V.T``.
-
-    ``discarded_energy`` is the root-sum-square of the dropped singular
-    values, i.e. the Frobenius norm of the approximation error.
-    """
-
-    U: DenseMatrix
-    singular_values: np.ndarray
-    V: DenseMatrix
-    discarded_energy: float
-
-    @property
-    def rank(self) -> int:
-        return int(self.singular_values.size)
-
-    def reconstruct(self) -> np.ndarray:
-        u = self.U.to_numpy()
-        v = self.V.to_numpy()
-        return (u * self.singular_values) @ v.T
-
-
 def _checked_norm(arr: np.ndarray, delta: float) -> float:
-    if delta < 0:
+    if not delta >= 0:  # NaN too
         raise ConfigError(f"truncation budget must be >= 0, got {delta}")
     if not np.isfinite(arr).all():
         raise DataError("matrix contains non-finite entries")
@@ -206,29 +173,11 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
     rows, cols = arr.shape
     if rows <= cols and 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
         u, w, lost = _gram_truncation(arr, delta, norm)
-        if lost <= delta**2:
+        if lost <= delta * delta:
             slack = rows * _EPS * norm**2
             return u, w, math.sqrt(max(lost, 0.0) + slack)
     u, s, vt, discarded = _exact_truncation(arr, delta, norm)
     return u, s[:, None] * vt, discarded
-
-
-def truncated_svd(m, delta: float) -> TruncatedSVD:
-    """SVD truncated to the smallest rank meeting an absolute Frobenius budget.
-
-    Discards the largest tail of singular values whose root-sum-square is
-    still <= ``delta`` (the Frobenius-optimal truncation rule); when the tail
-    energy ties the budget exactly the smaller rank wins.  The rank never
-    drops below 1.
-    """
-    arr = _as_2d(m)
-    u, s, vt, discarded = _exact_truncation(arr, delta, _checked_norm(arr, delta))
-    return TruncatedSVD(
-        U=DenseMatrix.from_numpy(u),
-        singular_values=s,
-        V=DenseMatrix.from_numpy(vt.T),
-        discarded_energy=discarded,
-    )
 
 
 def _qr_arrays(arr: np.ndarray):

@@ -15,7 +15,7 @@ from .dense import check_finite
 from .errors import DataError, IndexRangeError, ShapeError
 
 MAX_BITS = 21  # 3 * 21 = 63 key bits fit an unsigned 64-bit integer
-DEFAULT_BITS = 16  # used when particle extents are unknown
+DEFAULT_BITS = 16  # used when no bit depth is configured
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,6 @@ def morton_id(point, b: int) -> MortonKey:
     """Morton key of a single point in [0, 1)^3."""
     pts = np.asarray(point, dtype=np.float64).reshape(1, 3)
     return MortonKey(bits=int(morton_keys(pts, b)[0]), b=int(b))
-
-
-def choose_bits(min_extent: float) -> int:
-    """Smallest bit depth whose cell size is below the given extent.
-
-    Using the smallest particle extent (in normalized units) guarantees
-    distinct particles get distinct keys.  Nonpositive input falls back to
-    the default depth; the result is clamped to [1, 21].
-    """
-    if not np.isfinite(min_extent) or min_extent <= 0.0:
-        return DEFAULT_BITS
-    for b in range(1, MAX_BITS + 1):
-        if 2.0 ** (-b) < min_extent:
-            return b
-    return MAX_BITS
 
 
 def morton_sort(points, b: int) -> np.ndarray:

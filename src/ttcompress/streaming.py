@@ -125,10 +125,14 @@ def nrmse_to_relfrob(tau_nrmse: float, stats: DataStats):
 class CompressionConfig:
     """Everything the segment pipeline needs to know.
 
-    ``tolerance == 0`` with kind ``relfrob`` selects lossless mode (keep
-    every numerically nonzero singular value).  ``reorder`` picks the
-    Morton policy: one permutation per segment (default), one per timestep
-    (requires 3-component position-like data), or none.
+    ``tolerance`` is a finite target; ``0`` with kind ``relfrob`` selects
+    lossless mode (keep every numerically nonzero singular value).
+    ``level`` is the tensorization level of every split axis (time and
+    particles of a run, every axis of a plain tensor), capped at an axis's
+    factor count; ``None`` keeps every factor as its own dimension.
+    ``reorder`` picks the Morton policy: one permutation per segment
+    (default), one per timestep (requires 3-component position-like data),
+    or none.
     """
 
     tolerance: float = 0.1
@@ -137,15 +141,15 @@ class CompressionConfig:
     merge_arity: int = 2
     tensorize: bool = True
     max_factor: int = 5
-    time_level: Optional[int] = None
-    particle_level: Optional[int] = None
+    level: Optional[int] = None
     reorder: str = "segment"
     morton_bits: Optional[int] = None
-    allow_padding: bool = True
 
     def __post_init__(self):
-        if self.tolerance < 0:
-            raise ConfigError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not 0 <= self.tolerance < math.inf:
+            raise ConfigError(
+                f"tolerance must be a finite number >= 0, got {self.tolerance}"
+            )
         if self.tolerance_kind not in TOLERANCE_KINDS:
             raise ConfigError(
                 f"tolerance kind must be one of {TOLERANCE_KINDS}, "
@@ -288,16 +292,20 @@ def _morton_permutation(positions, bits: Optional[int]) -> np.ndarray:
 
 
 def build_plan(
-    dims, config: CompressionConfig, levels, pad_time_to: Optional[int] = None
+    dims,
+    config: CompressionConfig,
+    n_split: int,
+    pad_time_to: Optional[int] = None,
 ) -> TensorizePlan:
     """Tensorization plan for a tensor of extents ``dims``; axis 1 is time.
 
-    The leading ``len(levels)`` axes are factored into small primes
-    (padding by replication when an extent will not factor) and keep
-    ``levels[ax]`` tree levels as dimensions (None: all of them; a larger
-    level is capped).  Later axes, and every axis when tensorization is
-    off, stay whole.  ``pad_time_to`` grows a short segment to a common
-    length so the segments of one run share a shape and can be merged.
+    The leading ``n_split`` axes are factored into small primes (padding
+    by replication when an extent will not factor) and keep
+    ``config.level`` tree levels as dimensions (None: all of them; a
+    larger level is capped).  Later axes, and every axis when
+    tensorization is off, stay whole.  ``pad_time_to`` grows a short
+    segment to a common length so the segments of one run share a shape
+    and can be merged.
     """
     t_target = dims[0]
     if pad_time_to is not None:
@@ -305,23 +313,16 @@ def build_plan(
             raise PlanError(
                 f"cannot pad {dims[0]} timesteps down to {pad_time_to}"
             )
-        if pad_time_to > dims[0] and not config.allow_padding:
-            raise PlanError("time padding needed but padding is disabled")
         t_target = pad_time_to
     axis_factors, axis_levels, pads = [], [], []
     for ax, extent in enumerate(dims):
         target = t_target if ax == 0 else extent
-        if config.tensorize and ax < len(levels):
+        if config.tensorize and ax < n_split:
             factors = factor_dims(target, config.max_factor)
             if factors is None:
-                if not config.allow_padding:
-                    raise PlanError(
-                        f"axis {ax + 1} extent {target} has a prime factor "
-                        f"above {config.max_factor} and padding is disabled"
-                    )
                 target = next_factorable(target, config.max_factor)
                 factors = factor_dims(target, config.max_factor)
-            level = levels[ax]
+            level = config.level
             level = len(factors) if level is None else min(level, len(factors))
         else:
             factors, level = (target,), 1
@@ -448,24 +449,23 @@ def compress_segment(
                 permuted[t] = arr[t, perms[t]]
         data = DenseTensor(arr.shape, permuted.reshape(-1, order="F"))
 
-    plan = build_plan(
-        data.dims, config, (config.time_level, config.particle_level), pad_time_to
-    )
+    # time and particles are split, components stay whole
+    plan = build_plan(data.dims, config, 2, pad_time_to)
     return _compress(
         data, plan, config, stats, stats_reference, perms, first_step
     )
 
 
 def compress_tensor(
-    data: DenseTensor, config: CompressionConfig, level: Optional[int] = None
+    data: DenseTensor, config: CompressionConfig
 ) -> CompressedSegment:
     """Compress a generic dense tensor (no particle semantics).
 
-    Every axis is factored when tensorization is on; ``level`` overrides
-    the per-axis split depth.  The first axis plays the role of time in
-    the segment bookkeeping.
+    Every axis is factored when tensorization is on, each at
+    ``config.level``.  The first axis plays the role of time in the
+    segment bookkeeping.
     """
-    plan = build_plan(data.dims, config, (level,) * data.ndim)
+    plan = build_plan(data.dims, config, data.ndim)
     return _compress(data, plan, config, stats_of(data.values))
 
 

@@ -103,14 +103,6 @@ class SnapshotBatch:
     def n_t(self) -> int:
         return self.data.dims[0]
 
-    @property
-    def n_p(self) -> int:
-        return self.data.dims[1]
-
-    @property
-    def n_c(self) -> int:
-        return self.data.dims[2]
-
     def time_slice(self, start: int, stop: int) -> "SnapshotBatch":
         """Sub-batch over timesteps [start, stop) (0-based)."""
         arr = self.data.to_numpy()[start:stop]
@@ -216,7 +208,7 @@ def _step_name(k: int) -> str:
     return f"step_{k}.bin"
 
 
-def write_run(path, batch: SnapshotBatch, components=None) -> None:
+def write_run(path, batch: SnapshotBatch) -> None:
     """Write a run directory: ``meta.json`` plus one binary file per step.
 
     Step files hold the (n_p, n_c) float64 little-endian values in
@@ -224,18 +216,15 @@ def write_run(path, batch: SnapshotBatch, components=None) -> None:
     """
     os.makedirs(path, exist_ok=True)
     n_t, n_p, n_c = batch.data.dims
-    if components is None:
-        components = (
-            ["x", "y", "z"][:n_c]
-            if n_c <= 3
-            else [f"c{j}" for j in range(n_c)]
-        )
+    components = (
+        ["x", "y", "z"][:n_c] if n_c <= 3 else [f"c{j}" for j in range(n_c)]
+    )
     meta = {
         "n_t": n_t,
         "n_p": n_p,
         "n_c": n_c,
         "dt": batch.timestep_size,
-        "components": list(components),
+        "components": components,
     }
     with open(os.path.join(path, META_NAME), "w") as fh:
         json.dump(meta, fh, sort_keys=True, indent=2)
@@ -246,14 +235,13 @@ def write_run(path, batch: SnapshotBatch, components=None) -> None:
             fh.write(step.tobytes())
 
 
-def open_run(path, layout: Optional[dict] = None):
+def open_run(path):
     """Open a run directory for reading by step range.
 
     Returns ``(n_t, read)``: ``read(start, stop)`` assembles steps
     [start, stop) (0-based) into a snapshot batch, checking every step
-    file it reads.  ``layout`` may override which components are positions
-    via ``{"position_components": [i, j, k]}`` (1-based); by default the
-    first three components are used when at least three exist.
+    file it reads.  The first three components are the positions when at
+    least three exist; otherwise the batch carries none.
     """
     meta_path = os.path.join(path, META_NAME)
     if not os.path.isfile(meta_path):
@@ -271,17 +259,7 @@ def open_run(path, layout: Optional[dict] = None):
     if n_t < 1 or n_p < 1 or n_c < 1:
         raise IngestionError("header extents must be >= 1")
 
-    pos_cols = None
-    if layout and "position_components" in layout:
-        pos_cols = [int(c) - 1 for c in layout["position_components"]]
-        if len(pos_cols) != 3 or any(not 0 <= c < n_c for c in pos_cols):
-            raise IngestionError(
-                f"position_components must name 3 valid components, "
-                f"got {layout['position_components']}"
-            )
-    elif n_c >= 3:
-        pos_cols = [0, 1, 2]
-
+    pos_cols = (0, 1, 2) if n_c >= 3 else None
     expected = n_p * n_c
 
     def read(start: int, stop: int) -> SnapshotBatch:
@@ -306,14 +284,14 @@ def open_run(path, layout: Optional[dict] = None):
             data=DenseTensor(data.shape, data.reshape(-1, order="F")),
             positions_first=None if pos_cols is None else data[0][:, pos_cols],
             timestep_size=dt,
-            position_columns=None if pos_cols is None else tuple(pos_cols),
+            position_columns=pos_cols,
         )
 
     return n_t, read
 
 
-def load_snapshots(path, layout: Optional[dict] = None) -> SnapshotBatch:
+def load_snapshots(path) -> SnapshotBatch:
     """Assemble a whole run directory into one snapshot batch (see
     :func:`open_run`)."""
-    n_t, read = open_run(path, layout)
+    n_t, read = open_run(path)
     return read(0, n_t)

@@ -176,13 +176,10 @@ class TensorizePlan:
             return pre
         return tuple(pre[p] for p in self.interlace)
 
-    def forward_index(self, indices) -> tuple:
-        """Map a 1-based multi-index of the (unpadded) original tensor to
-        the 1-based multi-index of the tensorized tensor."""
-        return tuple(int(i) for i in self.forward_indices([indices])[0])
-
     def forward_indices(self, indices) -> np.ndarray:
-        """:meth:`forward_index` of every row of an ``(N, axes)`` array."""
+        """Map each row of an ``(N, axes)`` array of 1-based multi-indices
+        of the (unpadded) original tensor to the 1-based multi-index of the
+        tensorized tensor."""
         idx = index_rows(indices, self.original_dims)
         digits = []
         for ax0 in range(len(self.original_dims)):

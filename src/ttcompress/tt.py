@@ -109,7 +109,7 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float):
     discarded (their pieces are mutually orthogonal).  This holds in
     exact arithmetic; float rounding is covered by the estimate that
     :func:`_truncated_svd_arrays` adds on its Gram path."""
-    if tau_rel_frob < 0:
+    if not tau_rel_frob >= 0:  # NaN too
         raise ConfigError(f"tolerance must be >= 0, got {tau_rel_frob}")
     if not np.isfinite(t.values).all():
         raise DataError("tensor contains non-finite entries")
@@ -276,7 +276,7 @@ def _tt_round(t: TTTensor, tau_rel_frob: float, abs_budget: float = 0.0):
 
     The sweep spends ``max(tau * ||X||_F, abs_budget)``, with the norm
     taken from its own orthogonalization."""
-    if tau_rel_frob < 0:
+    if not tau_rel_frob >= 0:  # NaN too
         raise ConfigError(f"tolerance must be >= 0, got {tau_rel_frob}")
     d = t.ndim
     dims = t.dims

@@ -308,6 +308,61 @@ class TestCompress:
         assert metrics["nrmse"] == pytest.approx(nrmse(t, recon), rel=1e-9)
 
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf"])
+    def test_non_finite_tolerance_exits_two(
+        self, run_dir, tmp_path, capsys, tolerance
+    ):
+        out = str(tmp_path / "out")
+        code = main(["compress", run_dir, "-o", out, "--tolerance", tolerance])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "finite" in err
+
+    def test_huge_tolerance_keeps_rank_one(self, tmp_path, capsys):
+        # squaring the budget gives inf instead of an OverflowError
+        run = settling_run(tmp_path / "run", 3, 64, 64)
+        out = str(tmp_path / "out")
+        assert main(["compress", run, "-o", out, "--tolerance", "1e300"]) == 0
+        assert "error" not in capsys.readouterr().err
+        assert set(read_manifest(out)["metrics"]["ranks_final"]) == {1}
+
+    def test_output_path_is_a_file_exits_two(self, run_dir, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["compress", run_dir, "-o", str(taken)]) == 2
+        assert "internal error" not in capsys.readouterr().err
+
+    def test_level_applies_to_time_and_particles(self, tmp_path):
+        run = settling_run(tmp_path / "run", 5, 64, 64)
+        out = tmp_path / "out"
+        code = main(
+            ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
+            + ["--level", "2", "--verify"]
+        )
+        assert code == 0
+        archives = sorted(out.glob("*.ttc")) + sorted(out.glob("segments/*.ttc"))
+        assert len(archives) == 3
+        for path in archives:
+            assert load_segment(path).plan.axis_levels == (2, 2, 1)
+        assert read_manifest(out)["metrics"]["nrmse"] <= 1e-2
+
+    def test_level_applies_to_every_dt64_axis(self, tmp_path):
+        # 5 and 2 have a single factor, so their level is capped at 1
+        rng = np.random.default_rng(4)
+        t = DenseTensor.from_numpy(rng.uniform(size=(8, 12, 5, 2)))
+        src = str(tmp_path / "in.dt64")
+        write_dt64(src, t)
+        out = tmp_path / "out"
+        code = main(
+            ["compress", src, "-o", str(out), "--tolerance", "1e-6"]
+            + ["--tolerance-kind", "relfrob", "--level", "2", "--verify"]
+        )
+        assert code == 0
+        seg = load_segment(out / "seg_0_7.ttc")
+        assert seg.plan.axis_levels == (2, 2, 1, 1)
+        assert read_manifest(out)["metrics"]["rel_frob"] <= 1e-6
+
+
 class TestReconstruct:
     def test_region_query(self, run_dir, tmp_path):
         out = str(tmp_path / "out")
@@ -577,6 +632,11 @@ class TestInfo:
             fh.write(data[: len(data) // 3])
         assert main(["info", broken]) == 2
         assert "byte offset" in capsys.readouterr().err
+
+
+    def test_directory_archive_exits_two(self, tmp_path, capsys):
+        assert main(["info", str(tmp_path)]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
 
 class TestBench:

@@ -9,11 +9,8 @@ from ttcompress import (
     DenseTensor,
     IndexRangeError,
     ShapeError,
-    frobenius_norm,
     long_index,
-    multi_index,
-    reshape,
-    unfold,
+    stats_of,
 )
 
 
@@ -46,95 +43,64 @@ class TestLongIndex:
         total = math.prod(dims)
         seen = set()
         for linear in range(1, total + 1):
-            idx = multi_index(linear, dims)
+            idx = tuple(
+                int(i) + 1 for i in np.unravel_index(linear - 1, dims, order="F")
+            )
             assert long_index(idx, dims) == linear
             seen.add(idx)
         assert len(seen) == total
 
 
 class TestReshape:
+    """Reshaping is a new tensor over the same column-major values."""
+
     def test_metadata_only(self):
         t = DenseTensor((4,), [1.0, 2.0, 3.0, 4.0])
-        r = reshape(t, (2, 2))
+        r = DenseTensor((2, 2), t.values)
         assert r.dims == (2, 2)
         assert np.array_equal(r.values, t.values)
 
     def test_element_mapping(self):
         t = DenseTensor.from_numpy(np.arange(6.0).reshape(2, 3, order="F"))
-        flat = reshape(t, (6,))
+        flat = DenseTensor((6,), t.values)
         # element (2, 3) sits at linear index 6
         assert flat.get((6,)) == t.get((2, 3))
 
     def test_size_mismatch(self):
         t = DenseTensor((2, 2), [1.0, 2.0, 3.0, 4.0])
         with pytest.raises(ShapeError):
-            reshape(t, (3, 2))
+            DenseTensor((3, 2), t.values)
 
     def test_never_reorders_values(self):
         rng = np.random.default_rng(0)
         t = DenseTensor.from_numpy(rng.uniform(size=(3, 4, 5)))
-        r = reshape(t, (5, 12))
+        r = DenseTensor((5, 12), t.values)
         assert np.array_equal(r.values, t.values)
-
-
-class TestUnfold:
-    def test_shape_bookkeeping(self):
-        t = DenseTensor.from_numpy(np.zeros((2, 2, 2)))
-        m = unfold(t, 1)
-        assert (m.rows, m.cols) == (2, 4)
-
-    def test_entry_against_long_indices(self):
-        rng = np.random.default_rng(1)
-        t = DenseTensor.from_numpy(rng.uniform(size=(2, 3, 4)))
-        m = unfold(t, 2)
-        assert (m.rows, m.cols) == (6, 4)
-        # row long index 5 <-> (1, 3); column 3 <-> i3 = 3
-        assert m.get(5, 3) == t.get((1, 3, 3))
-        # every entry agrees with the long-index inversion
-        for row in range(1, 7):
-            for col in range(1, 5):
-                i1, i2 = multi_index(row, (2, 3))
-                (i3,) = multi_index(col, (4,))
-                assert m.get(row, col) == t.get((i1, i2, i3))
-
-    def test_roundtrip(self):
-        rng = np.random.default_rng(2)
-        t = DenseTensor.from_numpy(rng.uniform(size=(2, 3, 4)))
-        m = unfold(t, 1)
-        back = DenseTensor(t.dims, m.values)
-        assert np.array_equal(back.values, t.values)
-
-    def test_values_shared(self):
-        t = DenseTensor.from_numpy(np.arange(8.0).reshape(2, 2, 2, order="F"))
-        m = unfold(t, 2)
-        assert np.array_equal(m.values, t.values)
-
-    def test_split_out_of_range(self):
-        t = DenseTensor.from_numpy(np.zeros((2, 2)))
-        with pytest.raises(IndexRangeError):
-            unfold(t, 2)
-        with pytest.raises(IndexRangeError):
-            unfold(t, 0)
+        assert np.shares_memory(r.values, t.values)
 
 
 class TestFrobeniusNorm:
+    """The norm the tolerance conversions use (``stats_of``)."""
+
     def test_zero_tensor(self):
-        assert frobenius_norm(DenseTensor((3,), np.zeros(3))) == 0.0
+        assert stats_of(np.zeros(3)).frobenius_norm == 0.0
 
     def test_pythagorean(self):
-        assert frobenius_norm(DenseTensor((2,), [3.0, 4.0])) == 5.0
+        assert stats_of([3.0, 4.0]).frobenius_norm == 5.0
 
     def test_against_brute_force(self):
         rng = np.random.default_rng(3)
         vals = rng.uniform(size=8)
         t = DenseTensor((2, 2, 2), vals)
         brute = math.sqrt(sum(v * v for v in vals))
-        assert frobenius_norm(t) == pytest.approx(brute, rel=1e-12)
+        assert stats_of(t.to_numpy()).frobenius_norm == pytest.approx(
+            brute, rel=1e-12
+        )
 
     def test_squared_identity(self):
         rng = np.random.default_rng(4)
         t = DenseTensor.from_numpy(rng.standard_normal((10, 10, 10)))
-        assert frobenius_norm(t) ** 2 == pytest.approx(
+        assert stats_of(t.to_numpy()).frobenius_norm ** 2 == pytest.approx(
             float(np.sum(t.values**2)), rel=1e-12
         )
 

@@ -8,18 +8,8 @@ import pytest
 import scipy.linalg
 
 import ttcompress
-from ttcompress import (
-    DataError,
-    DenseMatrix,
-    lowrank,
-    spectral_norm_estimate,
-    truncated_svd,
-)
+from ttcompress import ConfigError, DataError, lowrank, spectral_norm_estimate
 from ttcompress.lowrank import _truncated_svd_arrays, svd_truncation_rank
-
-
-def random_matrix(rng, m, n):
-    return DenseMatrix.from_numpy(rng.standard_normal((m, n)))
 
 
 def matrix_with_spectrum(rng, sigma, cols):
@@ -45,68 +35,79 @@ def svd_calls(monkeypatch):
 
 
 class TestTruncatedSVD:
+    """The truncation the sweeps run: ``M ~ U @ W`` with ``W = U^T M``."""
+
     def test_tail_energy_rule_on_diagonal(self):
-        m = DenseMatrix.from_numpy(np.diag([3.0, 2.0, 1e-9]))
-        res = truncated_svd(m, 1e-6)
-        assert res.rank == 2
-        assert res.discarded_energy == pytest.approx(1e-9, rel=1e-6)
+        u, _, discarded = _truncated_svd_arrays(np.diag([3.0, 2.0, 1e-9]), 1e-6)
+        assert u.shape[1] == 2
+        assert discarded == pytest.approx(1e-9, rel=1e-6)
 
     def test_identity_exact(self):
-        res = truncated_svd(DenseMatrix.from_numpy(np.eye(2)), 0.0)
-        assert res.rank == 2
-        assert np.allclose(res.singular_values, [1.0, 1.0])
+        u, w, _ = _truncated_svd_arrays(np.eye(2), 0.0)
+        assert u.shape[1] == 2
+        # the rows of W are s_i v_i^T, so their norms are the singular values
+        assert np.allclose(np.linalg.norm(w, axis=1), [1.0, 1.0])
 
     def test_zero_matrix_degenerate_floor(self):
-        res = truncated_svd(DenseMatrix.from_numpy(np.zeros((3, 2))), 0.5)
-        assert res.rank == 1
-        assert np.allclose(res.singular_values, [0.0])
-        assert np.allclose(np.abs(res.U.to_numpy()[:, 0]), [1.0, 0.0, 0.0])
-        assert np.allclose(np.abs(res.V.to_numpy()[:, 0]), [1.0, 0.0])
+        u, w, discarded = _truncated_svd_arrays(np.zeros((3, 2)), 0.5)
+        assert u.shape[1] == 1
+        assert np.allclose(np.abs(u[:, 0]), [1.0, 0.0, 0.0])
+        assert np.array_equal(w, np.zeros((1, 2)))
+        assert discarded == 0.0
 
     def test_error_equals_discarded_energy(self):
         rng = np.random.default_rng(0)
-        m = random_matrix(rng, 12, 9)
-        norm = np.linalg.norm(m.to_numpy())
-        res = truncated_svd(m, 0.3 * norm)
-        err = np.linalg.norm(m.to_numpy() - res.reconstruct())
-        assert err == pytest.approx(res.discarded_energy, abs=1e-10 * norm)
+        m = rng.standard_normal((12, 9))
+        norm = np.linalg.norm(m)
+        u, w, discarded = _truncated_svd_arrays(m, 0.3 * norm)
+        err = np.linalg.norm(m - u @ w)
+        assert err == pytest.approx(discarded, abs=1e-10 * norm)
 
     def test_zero_budget_reconstructs(self):
         rng = np.random.default_rng(1)
-        m = random_matrix(rng, 8, 6)
-        res = truncated_svd(m, 0.0)
-        norm = np.linalg.norm(m.to_numpy())
-        assert np.linalg.norm(m.to_numpy() - res.reconstruct()) <= 1e-10 * norm
+        m = rng.standard_normal((8, 6))
+        u, w, _ = _truncated_svd_arrays(m, 0.0)
+        assert np.linalg.norm(m - u @ w) <= 1e-10 * np.linalg.norm(m)
 
     def test_error_within_budget(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
-            m = random_matrix(rng, 7, 11)
-            norm = np.linalg.norm(m.to_numpy())
+            m = rng.standard_normal((7, 11))
+            norm = np.linalg.norm(m)
             delta = rng.uniform(0, 1) * norm
-            res = truncated_svd(m, delta)
-            err = np.linalg.norm(m.to_numpy() - res.reconstruct())
-            assert err <= delta + 1e-10 * norm
+            u, w, _ = _truncated_svd_arrays(m, delta)
+            assert np.linalg.norm(m - u @ w) <= delta + 1e-10 * norm
 
     def test_orthonormal_columns(self):
         rng = np.random.default_rng(3)
-        res = truncated_svd(random_matrix(rng, 10, 4), 0.0)
-        u = res.U.to_numpy()
-        v = res.V.to_numpy()
+        u, w, _ = _truncated_svd_arrays(rng.standard_normal((10, 4)), 0.0)
         assert np.allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-10)
-        assert np.allclose(v.T @ v, np.eye(v.shape[1]), atol=1e-10)
+        # the rows of W = diag(s) V^T are mutually orthogonal
+        gram = w @ w.T
+        assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
 
     def test_nonincreasing_singular_values(self):
         rng = np.random.default_rng(4)
-        res = truncated_svd(random_matrix(rng, 9, 9), 0.0)
-        sv = res.singular_values
+        _, w, _ = _truncated_svd_arrays(rng.standard_normal((9, 9)), 0.0)
+        sv = np.linalg.norm(w, axis=1)
         assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0)
 
     def test_non_finite_rejected(self):
         bad = np.ones((2, 2))
         bad[0, 0] = np.nan
         with pytest.raises(DataError):
-            truncated_svd(DenseMatrix.from_numpy(bad), 0.0)
+            _truncated_svd_arrays(bad, 0.0)
+
+    @pytest.mark.parametrize("delta", [-1.0, np.nan])
+    def test_bad_budget_rejected(self, delta):
+        with pytest.raises(ConfigError):
+            _truncated_svd_arrays(np.eye(3), delta)
+
+    def test_huge_budget_keeps_rank_one(self):
+        # the squared budget is inf, not an OverflowError
+        m = np.random.default_rng(5).standard_normal((4, 6))
+        u, _, _ = _truncated_svd_arrays(m, 1e300)
+        assert u.shape[1] == 1
 
 
 class TestGramTruncation:
@@ -174,14 +175,6 @@ class TestGramTruncation:
         u, w, _ = _truncated_svd_arrays(m, delta)
         assert svd_calls == [m.shape]
         assert np.linalg.norm(m - u @ w) <= delta
-
-    def test_public_truncated_svd_is_exact(self, svd_calls):
-        rng = np.random.default_rng(13)
-        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500)
-        res = truncated_svd(m, 1e-2 * np.linalg.norm(m))
-        assert svd_calls == [m.shape]
-        v = res.V.to_numpy()
-        assert np.allclose(v.T @ v, np.eye(res.rank), atol=1e-12)
 
 
 # Runs the first SVD of a fresh process, which loads scipy, then prints

@@ -3,16 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ttcompress import (
-    ConfigError,
-    DegenerateDataError,
-    DenseTensor,
-    autocorrelation,
-    autocorrelation_profile,
-    frobenius_norm,
-    nrmse,
-    rel_frob,
-)
+from ttcompress import DegenerateDataError, DenseTensor, nrmse, rel_frob
 
 
 def tensor(values):
@@ -39,7 +30,9 @@ class TestNRMSE:
             spread = float(x.values.max() - x.values.min())
             n = x.size
             identity = (
-                frobenius_norm(x) / (spread * math.sqrt(n)) * rel_frob(x, y)
+                np.linalg.norm(x.values)
+                / (spread * math.sqrt(n))
+                * rel_frob(x, y)
             )
             assert nrmse(x, y) == pytest.approx(identity, rel=1e-12)
 
@@ -72,80 +65,3 @@ class TestRelFrob:
         z = tensor(x.to_numpy() + 1e-3)
         assert rel_frob(x, z) > 0.0
 
-
-class TestAutocorrelation:
-    def test_lag_zero_is_one(self):
-        rng = np.random.default_rng(3)
-        assert autocorrelation(rng.standard_normal(50), 0) == 1.0
-
-    def test_alternating_series(self):
-        assert autocorrelation([1.0, -1.0, 1.0, -1.0], 1) == pytest.approx(-1.0)
-
-    def test_lag_at_length_is_zero(self):
-        y = [1.0, 2.0, 3.0, 4.0]
-        assert autocorrelation(y, 4) == 0.0
-        assert autocorrelation(y, 7) == 0.0
-
-    def test_constant_series_degenerate(self):
-        with pytest.raises(DegenerateDataError):
-            autocorrelation([2.0, 2.0, 2.0], 1)
-
-    def test_matches_direct_formula(self):
-        rng = np.random.default_rng(4)
-        y = rng.standard_normal(30)
-        mean = y.mean()
-        for k in (1, 3, 10):
-            num = np.mean((y[: 30 - k] - mean) * (y[k:] - mean))
-            den = np.mean((y - mean) ** 2)
-            assert autocorrelation(y, k) == pytest.approx(num / den, rel=1e-12)
-
-
-class TestAutocorrelationProfile:
-    def test_identical_fibers_equal_single(self):
-        t = np.linspace(0, 1, 64)
-        fiber = np.sin(2 * np.pi * t)
-        data = tensor(np.tile(fiber[:, None], (1, 10)))
-        profile = autocorrelation_profile(data, 1, [2], max_lag=5)
-        for k in range(6):
-            assert profile.means[k] == pytest.approx(
-                autocorrelation(fiber, k), rel=1e-10
-            )
-        assert profile.fibers_used == 10
-        assert profile.fibers_skipped == 0
-
-    def test_noise_profile_is_small(self):
-        rng = np.random.default_rng(5)
-        data = tensor(rng.standard_normal((512, 128)))
-        profile = autocorrelation_profile(data, 1, [2], max_lag=20)
-        assert np.all(np.abs(profile.means[1:]) < 0.1)
-
-    def test_smooth_decays_slower_than_noise(self):
-        rng = np.random.default_rng(6)
-        n = 256
-        t = np.linspace(0, 1, n)
-        smooth = np.column_stack(
-            [np.sin(2 * np.pi * (t + rng.uniform())) for _ in range(50)]
-        )
-        noise = rng.standard_normal((n, 50))
-        p_smooth = autocorrelation_profile(tensor(smooth), 1, [2], max_lag=10)
-        p_noise = autocorrelation_profile(tensor(noise), 1, [2], max_lag=10)
-        for k in range(1, 11):
-            assert p_smooth.means[k] > p_noise.means[k]
-
-    def test_degenerate_fibers_skipped_and_counted(self):
-        rng = np.random.default_rng(7)
-        data = rng.standard_normal((32, 4))
-        data[:, 2] = 1.5
-        profile = autocorrelation_profile(tensor(data), 1, [2], max_lag=3)
-        assert profile.fibers_used == 3
-        assert profile.fibers_skipped == 1
-
-    def test_all_degenerate_raises(self):
-        with pytest.raises(DegenerateDataError):
-            autocorrelation_profile(tensor(np.ones((8, 3))), 1, [2])
-
-    def test_axes_must_cover(self):
-        rng = np.random.default_rng(8)
-        data = tensor(rng.standard_normal((8, 3, 2)))
-        with pytest.raises(ConfigError):
-            autocorrelation_profile(data, 1, [2])

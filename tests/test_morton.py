@@ -3,7 +3,6 @@ import pytest
 
 from ttcompress import (
     IndexRangeError,
-    choose_bits,
     fit_domain,
     morton_id,
     morton_keys,
@@ -63,18 +62,6 @@ class TestMortonId:
             key = morton_id((k / 2**b, others, others), b).bits
             assert key > prev
             prev = key
-
-
-class TestChooseBits:
-    def test_inequality_cases(self):
-        assert choose_bits(0.1) == 4
-        assert choose_bits(0.5) == 2
-        assert choose_bits(1.0) == 1
-
-    def test_fallback_and_clamp(self):
-        assert choose_bits(0.0) == 16
-        assert choose_bits(-1.0) == 16
-        assert choose_bits(1e-12) == 21
 
 
 class TestMortonSort:

@@ -171,17 +171,6 @@ class TestCompressSegment:
                 CompressionConfig(tolerance=0.1),
             )
 
-    def test_padding_disabled_plan_error(self):
-        from ttcompress import PlanError
-
-        rng = np.random.default_rng(6)
-        arr = rng.uniform(size=(4, 13, 3))
-        with pytest.raises(PlanError):
-            compress_segment(
-                batch_from_array(arr),
-                relfrob_config(0.1, allow_padding=False),
-            )
-
 
 class TestMergeStack:
     def test_duplicate_data_collapses(self):
@@ -935,7 +924,7 @@ class TestGenericTensor:
     def test_compress_tensor_roundtrip(self):
         rng = np.random.default_rng(30)
         data = DenseTensor.from_numpy(rng.uniform(size=(16, 16)))
-        seg = compress_tensor(data, relfrob_config(1e-6), level=4)
+        seg = compress_tensor(data, relfrob_config(1e-6, level=4))
         assert rel_frob(data, reconstruct_segment(seg)) <= 1e-6
 
     def test_combine_stats_direct(self):

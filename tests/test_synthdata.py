@@ -154,13 +154,3 @@ class TestRunDirectory:
         for start, stop in ((0, 8), (3, 3), (-1, 2)):
             with pytest.raises(IngestionError):
                 read(start, stop)
-
-    def test_position_component_override(self, tmp_path):
-        batch = synth_particles(6, 3, "noise", seed=10)
-        write_run(tmp_path / "run", batch)
-        loaded = load_snapshots(
-            tmp_path / "run", layout={"position_components": [1, 2, 3]}
-        )
-        assert np.array_equal(
-            loaded.positions_first, batch.data.to_numpy()[0]
-        )

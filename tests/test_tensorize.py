@@ -14,10 +14,8 @@ from ttcompress import (
     matrix_interlace_plan,
     next_factorable,
     pad_replicate,
-    reshape,
     tensorize_matrix_interlaced,
     tensorize_vector,
-    unfold,
 )
 
 
@@ -76,10 +74,11 @@ class TestTensorizeVector:
         v = DenseTensor((256,), rng.uniform(size=256))
         for level in (2, 4, 6):
             t = tensorize_vector(v, level)
-            m = unfold(t, 1)
-            expected = reshape(v, (2 ** (8 - level + 1), 2 ** (level - 1)))
-            assert (m.rows, m.cols) == (expected.dims[0], expected.dims[1])
-            assert np.array_equal(m.values, expected.values)
+            m = t.values.reshape((t.dims[0], -1), order="F")
+            expected = v.values.reshape(
+                (2 ** (8 - level + 1), 2 ** (level - 1)), order="F"
+            )
+            assert np.array_equal(m, expected)
 
 
 class TestInterlacedMatrix:
@@ -204,9 +203,9 @@ class TestPlans:
             pads=(AxisPad(axis=1, original=6, padded=8),),
         )
         out = apply_plan(data, plan)
-        for i in range(1, 7):
-            for j in range(1, 5):
-                assert out.get(plan.forward_index((i, j))) == data.get((i, j))
+        coords = [(i, j) for i in range(1, 7) for j in range(1, 5)]
+        for (i, j), row in zip(coords, plan.forward_indices(coords)):
+            assert out.get(row) == data.get((i, j))
 
     def test_inconsistent_plan_rejected(self):
         with pytest.raises(PlanError):

@@ -5,6 +5,7 @@ import pytest
 
 from ttcompress import (
     CapacityError,
+    ConfigError,
     DenseTensor,
     IndexRangeError,
     ShapeError,
@@ -12,7 +13,6 @@ from ttcompress import (
     TTTensor,
     compression_ratio,
     constant_tt,
-    frobenius_norm,
     rel_frob,
     tt_concat_existing,
     tt_full,
@@ -97,6 +97,14 @@ class TestTTSVD:
         assert t.ranks == (1, 1, 1)
         assert all(np.all(c == 0) for c in t.cores)
 
+    @pytest.mark.parametrize("tau", [-0.1, math.nan])
+    def test_bad_tolerance_rejected(self, tau):
+        x = random_tensor(np.random.default_rng(0), (3, 4, 2))
+        with pytest.raises(ConfigError):
+            tt_svd(x, tau)
+        with pytest.raises(ConfigError):
+            tt_round(tt_svd(x, 0.0), tau)
+
 
 class TestTTRound:
     def test_already_optimal_ranks_unchanged(self):
@@ -167,7 +175,7 @@ class TestCertifiedLoss:
                 assert all(
                     np.array_equal(a, b) for a, b in zip(t.cores, public.cores)
                 )
-                norm = frobenius_norm(x)
+                norm = np.linalg.norm(x.values)
                 err = float(np.linalg.norm(x.values - tt_full(t).values))
                 assert err <= lost + 1e-12 * norm
                 assert lost <= err + 1e-6 * norm
@@ -263,7 +271,7 @@ class TestTTNorm:
         rng = np.random.default_rng(11)
         x = random_tensor(rng, (4, 3, 5))
         t = tt_svd(x, 0.0)
-        assert tt_norm(t) == pytest.approx(frobenius_norm(x), rel=1e-10)
+        assert tt_norm(t) == pytest.approx(np.linalg.norm(x.values), rel=1e-10)
 
     def test_rank_one_separates(self):
         a = np.array([3.0, 4.0])
@@ -275,7 +283,7 @@ class TestTTNorm:
         rng = np.random.default_rng(12)
         t = random_tt(rng, (3, 4, 3, 2), 5)
         assert tt_norm(t) == pytest.approx(
-            frobenius_norm(tt_full(t)), rel=1e-10
+            np.linalg.norm(tt_full(t).values), rel=1e-10
         )
 
 
