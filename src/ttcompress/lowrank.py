@@ -4,10 +4,16 @@ Truncated SVD with an absolute Frobenius truncation budget, an economy QR
 and a matrix-free spectral-norm estimator.  These are the primitives the
 tensor-train sweeps are built from.
 
+Truncations with a budget of at least ``GRAM_MIN_RELATIVE_BUDGET`` times
+the matrix norm go through the Gram matrix of the smaller side and numpy's
+``eigh``, wide and tall alike; the LAPACK SVD serves only smaller budgets,
+the zero matrix and the Gram path's checked fallback.
+
 Importing this module runs every OpenBLAS loaded in the process on one
 thread (see :func:`_pin_blas_threads`).  scipy, whose LAPACK drivers the
 SVD uses, is imported only by the first SVD, which pins the OpenBLAS it
-brings in the same way; reading archives never loads it.
+brings in the same way; reading archives never loads it, and neither does
+a compression whose budgets all take the Gram route.
 """
 
 import ctypes
@@ -20,10 +26,11 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 
-# A wide matrix whose truncation budget is at least this multiple of its
-# Frobenius norm is truncated through its Gram matrix.  Squaring costs
-# eigenvalue accuracy of about rows * eps * ||M||^2 (_EPS below), under
-# the squared budget of at least 1e-12 * ||M||^2 for fewer than 4500 rows.
+# A matrix whose truncation budget is at least this multiple of its
+# Frobenius norm is truncated through the Gram matrix of its smaller side.
+# Squaring costs eigenvalue accuracy of about min(rows, cols) * eps *
+# ||M||^2 (_EPS below), under the squared budget of at least
+# 1e-12 * ||M||^2 while that side is shorter than 4500.
 GRAM_MIN_RELATIVE_BUDGET = 1e-6
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -131,21 +138,31 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
 
 
 def _gram_truncation(arr: np.ndarray, delta: float, norm: float):
-    """Truncation of a wide matrix through ``G = M M^T`` and ``eigh``.
+    """Truncation through the Gram matrix of the smaller side and ``eigh``.
 
-    Returns ``(U, W, lost)`` with ``U`` the leading eigenvectors and
-    ``W = U^T M``; for orthonormal ``U`` the error ``||M - U W||_F^2``
-    equals ``lost = ||M||_F^2 - ||W||_F^2``, whatever the accuracy of the
-    eigenvalues that chose the rank.
+    Returns ``(U, W, lost)`` with ``M ~ U W``.  A wide matrix takes ``U``
+    from the leading eigenvectors of ``M M^T`` and ``W = U^T M``.  A tall
+    one takes ``V_r`` from those of ``M^T M`` and a thin QR
+    ``M V_r = Q R``, with ``U = Q`` and ``W = R V_r^T``.  For orthonormal
+    eigenvectors the error ``||M - U W||_F^2`` equals
+    ``lost = ||M||_F^2 - ||kept||_F^2`` (``kept`` being ``W`` or ``R``),
+    whatever the accuracy of the eigenvalues that chose the rank.
     """
-    evals, evecs = np.linalg.eigh(arr @ arr.T)
+    wide = arr.shape[0] <= arr.shape[1]
+    evals, evecs = np.linalg.eigh(arr @ arr.T if wide else arr.T @ arr)
     # eigh sorts ascending; rounding can leave tiny negative eigenvalues
     sigma = np.sqrt(np.maximum(evals[::-1], 0.0))
     r = svd_truncation_rank(sigma, delta)
-    u = evecs[:, ::-1][:, :r]
-    # M^T U is C-ordered, so W comes out F-ordered for the sweeps' reshapes
-    w = (arr.T @ u).T
-    lost = norm**2 - float(np.linalg.norm(w)) ** 2
+    lead = evecs[:, ::-1][:, :r]
+    if wide:
+        # M^T U is C-ordered, so W comes out F-ordered for the sweeps'
+        # reshapes
+        u = lead
+        kept = w = (arr.T @ u).T
+    else:
+        u, kept = np.linalg.qr(arr @ lead)
+        w = (lead @ kept.T).T
+    lost = norm**2 - float(np.linalg.norm(kept)) ** 2
     return u, w, lost
 
 
@@ -157,24 +174,25 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
     carry the sweeps fold into the next core, and the rank is the smallest
     whose discarded energy is within ``delta``.
 
-    A wide matrix with a budget of at least ``GRAM_MIN_RELATIVE_BUDGET``
-    times its norm goes through its Gram matrix, which is far cheaper than
-    an SVD when the rows are few; the error is checked afterwards and the
-    SVD runs instead when it exceeds ``delta``.  Tall matrices, smaller
-    budgets and the zero matrix go straight to the SVD.
+    A matrix with a budget of at least ``GRAM_MIN_RELATIVE_BUDGET`` times
+    its norm goes through the Gram matrix of its smaller side, which is
+    far cheaper than an SVD when that side is short and keeps scipy
+    unloaded; the error is checked afterwards and the SVD runs instead
+    when it exceeds ``delta``.  Smaller budgets and the zero matrix go
+    straight to the SVD.
 
     ``discarded_energy`` is ``||M - U W||_F``.  On the Gram path it is a
-    difference of squares, and it also holds ``rows * eps * ||M||_F^2``,
-    an estimate (not a proven bound) of that difference's float error:
-    ``U`` from ``eigh`` is orthonormal only to about ``rows * eps``.  So
-    it can exceed ``delta`` by that much.
+    difference of squares, and it also holds
+    ``min(rows, cols) * eps * ||M||_F^2``, an estimate (not a proven
+    bound) of that difference's float error: eigenvectors from ``eigh``
+    are orthonormal only to about ``min(rows, cols) * eps``.  So it can
+    exceed ``delta`` by that much.
     """
     norm = _checked_norm(arr, delta)
-    rows, cols = arr.shape
-    if rows <= cols and 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
+    if 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
         u, w, lost = _gram_truncation(arr, delta, norm)
         if lost <= delta * delta:
-            slack = rows * _EPS * norm**2
+            slack = min(arr.shape) * _EPS * norm**2
             return u, w, math.sqrt(max(lost, 0.0) + slack)
     u, s, vt, discarded = _exact_truncation(arr, delta, norm)
     return u, s[:, None] * vt, discarded

@@ -52,6 +52,8 @@ from .tt import (
     _check_full_cap,
     _concat_trains,
     _contract_cores,
+    _orthogonal_stack,
+    _round_orthogonal,
     _tt_round,
     _tt_svd,
     constant_tt,
@@ -568,23 +570,25 @@ def merge_stack(parts, tau_round: float) -> CompressedSegment:
     """Merge segments by stacking along a new trailing dimension.
 
     The stacked train is exact; rounding at ``tau_round`` (skipped when 0)
-    then shrinks the inflated ranks.  The a-priori budget update is
-    ``t + tau_round + t * tau_round`` with ``t`` the worst part tolerance;
-    the error bound is the parts' bounds in root-sum-square plus what the
-    rounding discarded.
+    then shrinks the inflated ranks, with each part orthogonalized on its
+    own (:func:`~ttcompress.tt._orthogonal_stack`).  The a-priori budget
+    update is ``t + tau_round + t * tau_round`` with ``t`` the worst part
+    tolerance; the error bound is the parts' bounds in root-sum-square
+    plus what the rounding discarded.
     """
     parts = list(parts)
     if not parts:
         raise MergeError("nothing to merge")
-    if tau_round < 0:
+    if not tau_round >= 0:  # NaN too
         raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
     if len(parts) == 1:
         return parts[0]
     _check_stack_compatible(parts)
-    stacked = tt_stack_new([p.tt for p in parts])
-    merged, lost = stacked, 0.0
+    trains = [p.tt for p in parts]
     if tau_round > 0:
-        merged, lost = _tt_round(stacked, tau_round)
+        merged, lost = _round_orthogonal(_orthogonal_stack(trains), tau_round)
+    else:
+        merged, lost = tt_stack_new(trains), 0.0
     spent = compose_tolerances(
         max(p.tolerance_spent for p in parts), [tau_round]
     )
@@ -625,12 +629,13 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
 
     Cores are combined with zero padding so reconstruction equals the
     dense concatenation exactly, then rounded at ``tau_round`` (skipped
-    when 0).  Budget update and error bound as in :func:`merge_stack`.
+    when 0) after a joint QR sweep, since the last core couples the
+    parts.  Budget update and error bound as in :func:`merge_stack`.
     """
     parts = list(parts)
     if not parts:
         raise MergeError("nothing to merge")
-    if tau_round < 0:
+    if not tau_round >= 0:  # NaN too
         raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
     if len(parts) == 1:
         return parts[0]
@@ -753,13 +758,18 @@ def merge_tree(segments, arity: int, tau_schedule, budget=None):
             )
     levels = [segments]
     for tau in tau_schedule[:n_levels]:
-        nxt = []
-        for start in range(0, len(levels[-1]), arity):
-            group = levels[-1][start : start + arity]
-            group += [_empty_part(group[-1])] * (arity - len(group))
-            nxt.append(merge_stack(group, tau))
-        levels.append(nxt)
+        levels.append(
+            [merge_stack(group, tau) for group in _groups(levels[-1], arity)]
+        )
     return levels
+
+
+def _groups(level, arity: int):
+    """Consecutive groups of ``arity`` parts of a merge level, the last
+    filled up with :func:`_empty_part`."""
+    for start in range(0, len(level), arity):
+        group = level[start : start + arity]
+        yield group + [_empty_part(group[-1])] * (arity - len(group))
 
 
 def _empty_part(like: CompressedSegment) -> CompressedSegment:
@@ -783,27 +793,30 @@ def _empty_part(like: CompressedSegment) -> CompressedSegment:
 
 
 def _spend_leftover(
-    stacked: CompressedSegment, planned: float, budget: float
+    stacked: CompressedSegment, parts, planned: float, budget: float
 ) -> CompressedSegment:
-    """Round the last merge level's exact stack at what its ledger leaves
-    of the absolute ``budget``, never at less than ``planned``.
+    """Round the last merge level's exact stack of ``parts`` at what its
+    ledger leaves of the absolute ``budget``, never at less than
+    ``planned``.
 
     The certified bound is then within the budget and becomes the part's
     ``tolerance_spent``.  Only the Gram path's float slack can carry the
     bound past the budget; the stack is then rounded at ``planned`` and
-    keeps the a-priori composition.  A zero budget and schedule (lossless)
-    leave the stack as it is.
+    keeps the a-priori composition.  Both roundings start from one
+    orthogonalization of the parts.  A zero budget and schedule
+    (lossless) leave the exact stack.
     """
     spare = budget - stacked.error_bound
     if planned == 0 and spare <= 0:
         return stacked
-    tt, lost = _tt_round(stacked.tt, planned, spare)
+    ortho = _orthogonal_stack([p.tt for p in parts])
+    tt, lost = _round_orthogonal(ortho, planned, spare)
     norm = stacked.stats.frobenius_norm
     if lost <= spare and norm > 0:
         spent = (stacked.error_bound + lost) / norm
     else:
         if lost > spare:
-            tt, lost = _tt_round(stacked.tt, planned)
+            tt, lost = _round_orthogonal(ortho, planned)
         spent = compose_tolerances(stacked.tolerance_spent, [planned])
     return dataclasses.replace(
         stacked,
@@ -898,8 +911,9 @@ def compress_run(
         )
         if budget is not None:
             absolute = budget * stats.frobenius_norm
+            (group,) = _groups(levels[-2], config.merge_arity)
             levels[-1] = [
-                _spend_leftover(levels[-1][0], schedule[-1], absolute)
+                _spend_leftover(levels[-1][0], group, schedule[-1], absolute)
             ]
     if timings is not None:
         timings.update(

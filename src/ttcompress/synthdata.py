@@ -267,8 +267,8 @@ def open_run(path):
             raise IngestionError(
                 f"step range [{start}, {stop}) outside the run's 0..{n_t - 1}"
             )
-        # column-major, so the flat values below are a view
-        data = np.empty((stop - start, n_p, n_c), order="F")
+        # one step file per row, each (n_p, n_c) column-major
+        rows = np.empty((stop - start, expected))
         for k in range(start, stop):
             step_path = os.path.join(path, _step_name(k))
             if not os.path.isfile(step_path):
@@ -279,7 +279,12 @@ def open_run(path):
                     f"timestep {k}: expected {expected} values "
                     f"({n_p} particles x {n_c} components), found {raw.size}"
                 )
-            data[k - start] = raw.reshape((n_p, n_c), order="F")
+            rows[k - start] = raw
+        # one copy into the column-major batch, whose flat values below
+        # are then a view
+        data = np.asfortranarray(
+            rows.reshape((stop - start, n_c, n_p)).transpose(0, 2, 1)
+        )
         return SnapshotBatch(
             data=DenseTensor(data.shape, data.reshape(-1, order="F")),
             positions_first=None if pos_cols is None else data[0][:, pos_cols],

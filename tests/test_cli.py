@@ -567,6 +567,22 @@ class TestReadsStayScipyFree:
         )
 
 
+class TestCompressStaysScipyFree:
+    """At nRMSE 1e-2 every truncation budget takes the Gram route, wide
+    or tall, so compressing and merging a run never imports scipy."""
+
+    def test_merged_settling_run(self, tmp_path):
+        run = settling_run(tmp_path / "run", 3, 64, 100)
+        out = str(tmp_path / "out")
+        run_fresh(
+            TestReadsStayScipyFree.COMMAND,
+            "compress", run, "-o", out, "--tolerance", "1e-2",
+            "--segment-length", "16",
+        )
+        merged = load_segment(os.path.join(out, "seg_0_99.ttc"))
+        assert merged.stack_dims == (2, 2, 2)
+
+
 class TestInfo:
     def test_text_and_json(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")

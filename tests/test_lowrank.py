@@ -118,16 +118,15 @@ class TestGramTruncation:
         "cliff": np.concatenate([np.linspace(3.0, 1.0, 8), 1e-4 * 0.5 ** np.arange(16)]),
     }
 
-    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
-    @pytest.mark.parametrize("keep", [1, 3, 6])
-    def test_wide_matrix_within_budget(self, svd_calls, spectrum, keep):
-        sigma = self.SPECTRA[spectrum]
-        rng = np.random.default_rng([keep, len(sigma)])
-        m = matrix_with_spectrum(rng, sigma, 3000)
-        # budget halfway (geometrically) between the tail energies of
-        # ranks keep and keep + 1, so no near-tie decides the rank
+    @staticmethod
+    def budget_between(sigma, keep):
+        # halfway (geometrically) between the tail energies of ranks keep
+        # and keep + 1, so no near-tie decides the rank
         tail = np.sqrt(np.cumsum(sigma[::-1] ** 2)[::-1])
-        delta = float(np.sqrt(tail[keep] * tail[keep - 1]))
+        return float(np.sqrt(tail[keep] * tail[keep - 1]))
+
+    @staticmethod
+    def check_within_budget(svd_calls, m, delta, keep):
         norm = float(np.linalg.norm(m))
         assert delta >= lowrank.GRAM_MIN_RELATIVE_BUDGET * norm
         u, w, discarded = _truncated_svd_arrays(m, delta)
@@ -140,20 +139,52 @@ class TestGramTruncation:
         gesdd = scipy.linalg.svd(m, compute_uv=False, lapack_driver="gesdd")
         assert u.shape[1] == svd_truncation_rank(gesdd, delta) == keep
 
-    def test_small_budget_uses_svd(self, svd_calls):
-        rng = np.random.default_rng(10)
-        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500)
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    @pytest.mark.parametrize("keep", [1, 3, 6])
+    def test_wide_matrix_within_budget(self, svd_calls, spectrum, keep):
+        sigma = self.SPECTRA[spectrum]
+        rng = np.random.default_rng([keep, len(sigma)])
+        m = matrix_with_spectrum(rng, sigma, 3000)
+        self.check_within_budget(
+            svd_calls, m, self.budget_between(sigma, keep), keep
+        )
+
+    @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
+    @pytest.mark.parametrize("keep", [1, 3, 6])
+    def test_tall_matrix_within_budget(self, svd_calls, spectrum, keep):
+        sigma = self.SPECTRA[spectrum]
+        rng = np.random.default_rng([keep, len(sigma), 1])
+        m = matrix_with_spectrum(rng, sigma, 3000).T
+        self.check_within_budget(
+            svd_calls, m, self.budget_between(sigma, keep), keep
+        )
+
+    @staticmethod
+    def spectrum_500(seed, tall):
+        m = matrix_with_spectrum(
+            np.random.default_rng(seed), 0.5 ** np.arange(16), 500
+        )
+        return m.T if tall else m
+
+    def check_small_budget_uses_svd(self, svd_calls, tall):
+        m = self.spectrum_500(10, tall)
         delta = 0.5 * lowrank.GRAM_MIN_RELATIVE_BUDGET * np.linalg.norm(m)
         u, w, _ = _truncated_svd_arrays(m, delta)
         assert svd_calls == [m.shape]
         assert np.linalg.norm(m - u @ w) <= delta
 
-    def test_tall_matrix_uses_svd(self, svd_calls):
-        rng = np.random.default_rng(11)
-        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500).T
+    def test_small_budget_uses_svd(self, svd_calls):
+        self.check_small_budget_uses_svd(svd_calls, tall=False)
+
+    def test_tall_small_budget_uses_svd(self, svd_calls):
+        self.check_small_budget_uses_svd(svd_calls, tall=True)
+
+    def test_tall_matrix_uses_gram(self, svd_calls):
+        m = self.spectrum_500(11, tall=True)
         delta = 1e-2 * np.linalg.norm(m)
         u, w, _ = _truncated_svd_arrays(m, delta)
-        assert svd_calls == [m.shape]
+        assert svd_calls == []
+        assert u.shape == (500, w.shape[0]) and w.shape[1] == 16
         assert np.linalg.norm(m - u @ w) <= delta
 
     def test_zero_matrix_uses_svd(self, svd_calls):
@@ -162,9 +193,8 @@ class TestGramTruncation:
         assert u.shape == (3, 1) and w.shape == (1, 50)
         assert np.all(w == 0.0) and discarded == 0.0
 
-    def test_result_over_budget_falls_back(self, svd_calls, monkeypatch):
-        rng = np.random.default_rng(12)
-        m = matrix_with_spectrum(rng, 0.5 ** np.arange(16), 500)
+    def check_over_budget_falls_back(self, svd_calls, monkeypatch, tall):
+        m = self.spectrum_500(12, tall)
         eigh = np.linalg.eigh
         # right eigenvalues, wrong eigenvectors: the rank is chosen as
         # usual but the kept directions miss the budget
@@ -176,9 +206,17 @@ class TestGramTruncation:
         assert svd_calls == [m.shape]
         assert np.linalg.norm(m - u @ w) <= delta
 
+    def test_result_over_budget_falls_back(self, svd_calls, monkeypatch):
+        self.check_over_budget_falls_back(svd_calls, monkeypatch, False)
+
+    def test_tall_result_over_budget_falls_back(self, svd_calls, monkeypatch):
+        self.check_over_budget_falls_back(svd_calls, monkeypatch, True)
+
 
 # Runs the first SVD of a fresh process, which loads scipy, then prints
-# the thread count that every loaded OpenBLAS reports of itself.
+# the thread count that every loaded OpenBLAS reports of itself.  The
+# lossless tau 0 leaves every budget below the Gram route's, so the
+# sweep runs the LAPACK SVD.
 FIRST_SVD_THREADS = """
 import ctypes, json, os, sys
 import numpy as np

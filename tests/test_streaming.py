@@ -35,11 +35,15 @@ from ttcompress import (
     save_segment,
     stats_of,
     synth_particles,
+    tt_full,
+    tt_stack_new,
     tt_svd,
     write_run,
 )
+from ttcompress import streaming
 from ttcompress.cli import main
 from ttcompress.streaming import CompressedSegment, DataStats, merge_tree_levels
+from ttcompress.tt import _tt_round
 
 
 def batch_from_array(arr):
@@ -252,6 +256,13 @@ class TestMergeStack:
         with pytest.raises(StructureError):
             merge_stack([a, b], 0.0)
 
+    @pytest.mark.parametrize("tau_round", [-1.0, float("nan")])
+    def test_bad_rounding_tolerance_rejected(self, tau_round):
+        rng = np.random.default_rng(11)
+        parts = split_time(rng.uniform(size=(8, 4, 3)), 2, relfrob_config(0.1))
+        with pytest.raises(ConfigError):
+            merge_stack(parts, tau_round)
+
     def test_ragged_tail_merge(self):
         rng = np.random.default_rng(14)
         arr = rng.uniform(size=(12, 8, 3))
@@ -308,6 +319,14 @@ class TestMergeConcat:
                         reconstruct_segment(merged),
                     )
                     assert err <= tau + tau_round + tau * tau_round
+
+    @pytest.mark.parametrize("tau_round", [-1.0, float("nan")])
+    def test_bad_rounding_tolerance_rejected(self, tau_round):
+        rng = np.random.default_rng(16)
+        arr = rng.uniform(size=(8, 4, 2))
+        parts = split_time(arr, 2, relfrob_config(0.1, tensorize=False))
+        with pytest.raises(ConfigError):
+            merge_concat(parts, 1, tau_round)
 
     def test_tensorized_axis_rejected(self):
         rng = np.random.default_rng(18)
@@ -530,12 +549,10 @@ class TestSpendLeftover:
     def test_slack_past_the_budget_falls_back(self, monkeypatch):
         # a ledger inflated past the budget at the last level keeps the
         # planned rounding and its a-priori tolerance
-        from ttcompress import streaming
-
         batch = settle_run(4)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
         expected = compress_run(batch.time_slice, batch.n_t, config)
-        honest = streaming._tt_round
+        honest = streaming._round_orthogonal
         budget = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
         calls = []
 
@@ -546,7 +563,7 @@ class TestSpendLeftover:
                 lost += budget * np.linalg.norm(batch.data.values)
             return train, lost
 
-        monkeypatch.setattr(streaming, "_tt_round", inflated)
+        monkeypatch.setattr(streaming, "_round_orthogonal", inflated)
         levels = compress_run(batch.time_slice, batch.n_t, config)
         # two planned merges, the spending round, the planned round
         assert len(calls) == 4 and calls[2] > 0 and calls[3] == 0
@@ -566,6 +583,60 @@ class TestSpendLeftover:
         # the a-priori composition, as merge_tree checks it
         assert final.tolerance_spent <= tolerance * (1 + 1e-12)
         assert not reconstruct_segment(final).to_numpy().any()
+
+
+class TestStackRounding:
+    """Rounding a stack of separately orthogonalized parts matches the
+    joint sweep of the stacked train."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        # segments of a settling run padded to 16 steps, a short one with
+        # an empty part filling its group, and the merged parts above them
+        batch = settle_run(3)
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        segs = levels[0]
+        return {
+            "two": segs[:2],
+            "three": segs,
+            "padded": [segs[2], streaming._empty_part(segs[2])],
+            "two-level": levels[1],
+        }
+
+    @pytest.mark.parametrize("case", ["two", "three", "padded", "two-level"])
+    @pytest.mark.parametrize("tau", [1e-2, 1e-4])
+    def test_matches_joint_sweep(self, cases, case, tau):
+        trains = [p.tt for p in cases[case]]
+        stacked = tt_stack_new(trains)
+        x = tt_full(stacked).values
+        norm = np.linalg.norm(x)
+        joint, _ = _tt_round(stacked, tau)
+        per_part, lost = streaming._round_orthogonal(
+            streaming._orthogonal_stack(trains), tau
+        )
+        assert per_part.ranks == joint.ranks
+        y = tt_full(per_part).values
+        assert np.linalg.norm(y - tt_full(joint).values) <= 1e-12 * norm
+        assert np.linalg.norm(x - y) <= lost
+
+    @pytest.mark.parametrize("case", ["two", "three", "padded", "two-level"])
+    def test_zero_tolerance_keeps_cores(self, cases, case):
+        parts = cases[case]
+        merged = merge_stack(parts, 0.0)
+        exact = tt_stack_new([p.tt for p in parts])
+        assert all(
+            np.array_equal(a, b) for a, b in zip(merged.tt.cores, exact.cores)
+        )
+        # each part's cores after its first sit unchanged in their
+        # diagonal blocks
+        for k in range(1, parts[0].tt.ndim):
+            r0 = r1 = 0
+            for p in parts:
+                a, _, b = p.tt.cores[k].shape
+                block = merged.tt.cores[k][r0 : r0 + a, :, r1 : r1 + b]
+                assert np.array_equal(block, p.tt.cores[k])
+                r0, r1 = r0 + a, r1 + b
 
 
 class TestScheduling:

@@ -7,7 +7,9 @@ import pytest
 
 from ttcompress import (
     CompressionConfig,
+    DenseTensor,
     IngestionError,
+    SnapshotBatch,
     compress_segment,
     load_snapshots,
     open_run,
@@ -154,3 +156,26 @@ class TestRunDirectory:
         for start, stop in ((0, 8), (3, 3), (-1, 2)):
             with pytest.raises(IngestionError):
                 read(start, stop)
+
+    @pytest.mark.parametrize("n_c", [1, 3, 4])
+    def test_ranges_equal_the_step_files(self, tmp_path, n_c):
+        rng = np.random.default_rng(n_c)
+        n_t, n_p = 11, 5
+        arr = rng.standard_normal((n_t, n_p, n_c))
+        write_run(
+            tmp_path / "run",
+            SnapshotBatch(
+                data=DenseTensor.from_numpy(arr),
+                positions_first=None,
+                timestep_size=1.0,
+            ),
+        )
+        _, read = open_run(tmp_path / "run")
+        for start, stop in ((0, 11), (1, 4), (3, 10), (7, 8)):
+            data = read(start, stop).data.to_numpy()
+            assert data.flags.f_contiguous
+            for k in range(start, stop):
+                step = tmp_path / "run" / f"step_{k}.bin"
+                raw = np.fromfile(step, dtype="<f8")
+                want = raw.reshape((n_p, n_c), order="F")
+                assert np.array_equal(data[k - start], want)
