@@ -4,13 +4,14 @@ Incoming snapshot batches are compressed independently (reorder particles,
 pad, tensorize, TT-SVD), then merged under an explicit error budget.  Two
 accounts are kept.  A priori, if every part meets relative tolerance ``t``
 and the merge is rounded at ``t_r``, the combination meets
-``t + t_r + t * t_r``; this governs :func:`merge_stack`,
-:func:`merge_concat` and :func:`merge_tree`.  The ledger certifies each
-part's actual error from what its truncations discarded
-(``CompressedSegment.error_bound``); :func:`compress_run` uses it to spend
-the budget the a-priori schedule leaves unused at its last merge level.
-Stacking along a new trailing dimension preserves tensorized time
-hierarchies; plain concatenation serves untensorized streaming axes.
+``t + t_r + t * t_r``; this governs :func:`merge_stack` and
+:func:`merge_concat`.  The ledger certifies each part's actual error from
+what its truncations discarded (``CompressedSegment.error_bound``).
+:func:`merge_tree` owns a run's budget: it rounds every level below the
+last at the equal a-priori split and the last level at what the ledger
+leaves of the budget.  Stacking along a new trailing dimension preserves
+tensorized time hierarchies; plain concatenation serves untensorized
+streaming axes.
 """
 
 import base64
@@ -23,6 +24,7 @@ import numbers
 import operator
 import os
 import re
+import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -111,8 +113,10 @@ def nrmse_to_relfrob(tau_nrmse: float, stats: DataStats):
     constant or all-zero data: no truncation tolerance applies, the caller
     should store the (rank-1) tensor exactly.
     """
-    if tau_nrmse <= 0:
-        raise ConfigError(f"nRMSE target must be > 0, got {tau_nrmse}")
+    if not 0 < tau_nrmse < math.inf:  # NaN too
+        raise ConfigError(
+            f"nRMSE target must be a finite number > 0, got {tau_nrmse}"
+        )
     if stats.x_max == stats.x_min or stats.frobenius_norm == 0.0:
         return None
     return (
@@ -190,11 +194,13 @@ class CompressedSegment:
     leaf covers ``part_time_extents[j]`` real timesteps (padding copies
     excluded).  ``tolerance_spent`` is the relative-Frobenius budget
     consumed against this segment's own unpadded data: the a-priori
-    composition of its merges, or, for the last merge of
-    :func:`compress_run`, the certified bound over the data's norm.
-    ``error_bound`` is the certified absolute Frobenius error against the
-    same data, from the ledger of discarded energies (``None`` when
-    unknown, as in archives written without it).
+    composition of its merges, or, for the last level of a
+    :func:`merge_tree` under a budget, the certified bound over the data's
+    norm.  ``error_bound`` is the certified absolute Frobenius error
+    against the same data, from the ledger of discarded energies (``None``
+    when unknown, as in archives written without it).  Both, and the
+    statistics, must be finite, and ``stats.entry_count`` must be the
+    integer count of the segment's steps times its other extents.
     """
 
     tt: TTTensor
@@ -244,17 +250,27 @@ class CompressedSegment:
         if self.permutations is not None:
             perms = np.asarray(self.permutations)
             object.__setattr__(self, "permutations", perms)
-        bound = self.error_bound
-        if bound is not None:
-            if (
-                isinstance(bound, bool)
-                or not isinstance(bound, numbers.Real)
-                or not 0.0 <= bound < math.inf
-            ):
-                raise StructureError(
-                    f"error bound {bound!r} is not a finite number >= 0"
-                )
-            object.__setattr__(self, "error_bound", float(bound))
+        stats = self.stats
+        x_min = _finite(stats.x_min, "minimum")
+        if not x_min <= _finite(stats.x_max, "maximum"):
+            raise StructureError(f"minimum {x_min} is above the maximum")
+        _finite(stats.frobenius_norm, "norm", True)
+        count = stats.entry_count
+        expected = self.total_steps * math.prod(self.plan.original_dims[1:])
+        if (
+            isinstance(count, bool)
+            or not isinstance(count, numbers.Integral)
+            or count != expected
+        ):
+            raise StructureError(
+                f"entry count {count!r} is not {self.total_steps} steps of "
+                f"{self.plan.original_dims[1:]}"
+            )
+        spent = _finite(self.tolerance_spent, "tolerance spent", True)
+        object.__setattr__(self, "tolerance_spent", spent)
+        if self.error_bound is not None:
+            bound = _finite(self.error_bound, "error bound", True)
+            object.__setattr__(self, "error_bound", bound)
 
     @property
     def total_steps(self) -> int:
@@ -286,6 +302,22 @@ class CompressedSegment:
                 f"permute {n_p} particles"
             )
         return inverse
+
+
+def _finite(value, what: str, nonnegative: bool = False) -> float:
+    """``value`` as a float; a :class:`StructureError` unless it is a
+    finite real number, and ``>= 0`` when ``nonnegative`` (NaN fails)."""
+    top = sys.float_info.max
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not (0.0 if nonnegative else -top) <= value <= top
+    ):
+        raise StructureError(
+            f"{what} {value!r} is not a finite number"
+            + (" >= 0" if nonnegative else "")
+        )
+    return float(value)
 
 
 def _morton_permutation(positions, bits: Optional[int]) -> np.ndarray:
@@ -486,10 +518,14 @@ def plan_tau_schedule(
 
     Solves ``(1 + per_segment) * (1 + x)^n == 1 + total_budget`` for x.
     """
-    if per_segment > total_budget:
+    if not 0 <= total_budget < math.inf:  # NaN too
         raise ConfigError(
-            f"per-segment tolerance {per_segment} exceeds the total budget "
-            f"{total_budget}"
+            f"total budget must be a finite number >= 0, got {total_budget}"
+        )
+    if not 0 <= per_segment <= total_budget:
+        raise ConfigError(
+            f"per-segment tolerance {per_segment} is not within the total "
+            f"budget {total_budget}"
         )
     if n_levels == 0:
         return []
@@ -498,46 +534,14 @@ def plan_tau_schedule(
     return [max(x, 0.0)] * n_levels
 
 
-def _same_permutations(a, b) -> bool:
-    if a is None and b is None:
-        return True
-    if a is None or b is None:
-        return False
-    return np.array_equal(a, b)
-
-
 def _normalize_time_axis(plan: TensorizePlan) -> TensorizePlan:
     """Treat the padded time extent as original (per-leaf crops take over
     once segments are merged)."""
-    padded = plan.padded_dims()
-    return TensorizePlan(
-        original_dims=(padded[0],) + plan.original_dims[1:],
-        axis_factors=plan.axis_factors,
-        axis_levels=plan.axis_levels,
-        interlace=plan.interlace,
+    return dataclasses.replace(
+        plan,
+        original_dims=plan.padded_dims()[:1] + plan.original_dims[1:],
         pads=tuple(p for p in plan.pads if p.axis != 1),
     )
-
-
-def _check_stack_compatible(parts) -> None:
-    base = parts[0]
-    for p in parts[1:]:
-        if p.tt.dims != base.tt.dims:
-            raise MergeError(
-                f"train dims differ: {p.tt.dims} != {base.tt.dims}"
-            )
-        if p.stack_dims != base.stack_dims:
-            raise MergeError("parts carry different stack histories")
-        if p.reorder != base.reorder:
-            raise MergeError("parts used different reorder policies")
-        if _normalize_time_axis(p.plan) != _normalize_time_axis(base.plan):
-            raise MergeError("parts were tensorized under different plans")
-        if not _same_permutations(p.permutations, base.permutations):
-            raise StructureError(
-                "parts use different particle permutations; reuse one "
-                "ordering per merged group"
-            )
-    _check_contiguous(parts)
 
 
 def _check_contiguous(parts) -> None:
@@ -559,11 +563,53 @@ def combine_error_bounds(parts) -> Optional[float]:
     return math.hypot(*bounds)
 
 
-def _merged_bound(parts, lost: float) -> Optional[float]:
-    """Certified error of merged parts whose rounding discarded ``lost``;
-    the rounding error is not orthogonal to the parts' and adds in full."""
+def _merge_parts(parts, tau_round: float) -> list:
+    """The parts of a merge as a list, after the checks both merges share:
+    at least one part, a rounding tolerance >= 0, and one reorder policy
+    and one particle permutation across the parts."""
+    parts = list(parts)
+    if not parts:
+        raise MergeError("nothing to merge")
+    if not tau_round >= 0:  # NaN too
+        raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
+    base = parts[0]
+    for p in parts[1:]:
+        if p.reorder != base.reorder:
+            raise MergeError("parts used different reorder policies")
+        a, b = p.permutations, base.permutations
+        if (a is None) != (b is None) or (
+            a is not None and not np.array_equal(a, b)
+        ):
+            raise StructureError(
+                "parts use different particle permutations; reuse one "
+                "ordering per merged group"
+            )
+    return parts
+
+
+def _merged(parts, tt: TTTensor, tau_round: float, lost: float, **layout):
+    """The part that merges ``parts`` into ``tt``, whose rounding at
+    ``tau_round`` discarded ``lost``; ``layout`` gives its plan, leaf
+    extents and stack dims.
+
+    Its a-priori budget is ``t + tau_round + t * tau_round`` with ``t``
+    the worst part tolerance.  Its error bound is the parts' bounds in
+    root-sum-square, since they cover disjoint entries, plus ``lost`` in
+    full, since the rounding error is not orthogonal to theirs.
+    """
     bound = combine_error_bounds(parts)
-    return None if bound is None else bound + lost
+    return CompressedSegment(
+        tt=tt,
+        reorder=parts[0].reorder,
+        permutations=parts[0].permutations,
+        time_range=(parts[0].time_range[0], parts[-1].time_range[1]),
+        stats=combine_stats([p.stats for p in parts]),
+        tolerance_spent=compose_tolerances(
+            max(p.tolerance_spent for p in parts), [tau_round]
+        ),
+        error_bound=None if bound is None else bound + lost,
+        **layout,
+    )
 
 
 def merge_stack(parts, tau_round: float) -> CompressedSegment:
@@ -571,41 +617,33 @@ def merge_stack(parts, tau_round: float) -> CompressedSegment:
 
     The stacked train is exact; rounding at ``tau_round`` (skipped when 0)
     then shrinks the inflated ranks, with each part orthogonalized on its
-    own (:func:`~ttcompress.tt._orthogonal_stack`).  The a-priori budget
-    update is ``t + tau_round + t * tau_round`` with ``t`` the worst part
-    tolerance; the error bound is the parts' bounds in root-sum-square
-    plus what the rounding discarded.
+    own (:func:`~ttcompress.tt._orthogonal_stack`).  Budget and error
+    bound as in :func:`_merged`.
     """
-    parts = list(parts)
-    if not parts:
-        raise MergeError("nothing to merge")
-    if not tau_round >= 0:  # NaN too
-        raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
+    parts = _merge_parts(parts, tau_round)
     if len(parts) == 1:
         return parts[0]
-    _check_stack_compatible(parts)
+    base = parts[0]
+    for p in parts[1:]:
+        if p.tt.dims != base.tt.dims:
+            raise MergeError(
+                f"train dims differ: {p.tt.dims} != {base.tt.dims}"
+            )
+        if p.stack_dims != base.stack_dims:
+            raise MergeError("parts carry different stack histories")
+        if _normalize_time_axis(p.plan) != _normalize_time_axis(base.plan):
+            raise MergeError("parts were tensorized under different plans")
+    _check_contiguous(parts)
     trains = [p.tt for p in parts]
     if tau_round > 0:
         merged, lost = _round_orthogonal(_orthogonal_stack(trains), tau_round)
     else:
         merged, lost = tt_stack_new(trains), 0.0
-    spent = compose_tolerances(
-        max(p.tolerance_spent for p in parts), [tau_round]
-    )
-    extents = ()
-    for p in parts:
-        extents += p.part_time_extents
-    return CompressedSegment(
-        tt=merged,
-        plan=_normalize_time_axis(parts[0].plan),
-        reorder=parts[0].reorder,
-        permutations=parts[0].permutations,
-        time_range=(parts[0].time_range[0], parts[-1].time_range[1]),
-        part_time_extents=extents,
-        stack_dims=parts[0].stack_dims + (len(parts),),
-        stats=combine_stats([p.stats for p in parts]),
-        tolerance_spent=spent,
-        error_bound=_merged_bound(parts, lost),
+    return _merged(
+        parts, merged, tau_round, lost,
+        plan=_normalize_time_axis(base.plan),
+        part_time_extents=sum((p.part_time_extents for p in parts), ()),
+        stack_dims=base.stack_dims + (len(parts),),
     )
 
 
@@ -630,13 +668,9 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
     Cores are combined with zero padding so reconstruction equals the
     dense concatenation exactly, then rounded at ``tau_round`` (skipped
     when 0) after a joint QR sweep, since the last core couples the
-    parts.  Budget update and error bound as in :func:`merge_stack`.
+    parts.  Budget and error bound as in :func:`_merged`.
     """
-    parts = list(parts)
-    if not parts:
-        raise MergeError("nothing to merge")
-    if not tau_round >= 0:  # NaN too
-        raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
+    parts = _merge_parts(parts, tau_round)
     if len(parts) == 1:
         return parts[0]
     base = parts[0]
@@ -650,23 +684,15 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
                 "concatenated"
             )
         for ax in range(1, n_axes + 1):
-            if ax == dim:
-                continue
-            if p.plan.axis_split_dims(ax) != base.plan.axis_split_dims(ax):
-                raise MergeError(f"parts differ on axis {ax}")
-            if p.plan.original_dims[ax - 1] != base.plan.original_dims[ax - 1]:
+            if ax != dim and (
+                p.plan.axis_split_dims(ax) != base.plan.axis_split_dims(ax)
+                or p.plan.original_dims[ax - 1] != base.plan.original_dims[ax - 1]
+            ):
                 raise MergeError(f"parts differ on axis {ax}")
         if p.plan.pads != base.plan.pads:
             raise MergeError("parts carry different padding records")
         if any(pad.axis == dim for pad in p.plan.pads):
             raise MergeError(f"axis {dim} is padded; cannot concatenate")
-        if p.reorder != base.reorder:
-            raise MergeError("parts used different reorder policies")
-        if not _same_permutations(p.permutations, base.permutations):
-            raise StructureError(
-                "parts use different particle permutations; reuse one "
-                "ordering per merged group"
-            )
     pos = _concat_axis_position(base.plan, dim)
     for p in parts[1:]:
         if _concat_axis_position(p.plan, dim) != pos:
@@ -685,37 +711,17 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
     if tau_round > 0:
         merged_tt, lost = _tt_round(merged_tt, tau_round)
 
-    total_extent = sum(p.plan.original_dims[dim - 1] for p in parts)
-    new_dims = list(base.plan.original_dims)
-    new_dims[dim - 1] = total_extent
-    new_factors = list(base.plan.axis_factors)
-    new_factors[dim - 1] = (total_extent,)
-    plan = TensorizePlan(
-        original_dims=tuple(new_dims),
-        axis_factors=tuple(new_factors),
-        axis_levels=base.plan.axis_levels,
-        interlace=None,
-        pads=base.plan.pads,
+    total = sum(p.plan.original_dims[dim - 1] for p in parts)
+    dims, factors = base.plan.original_dims, base.plan.axis_factors
+    plan = dataclasses.replace(
+        base.plan,
+        original_dims=dims[: dim - 1] + (total,) + dims[dim:],
+        axis_factors=factors[: dim - 1] + ((total,),) + factors[dim:],
     )
-    if dim == 1:
-        time_range = (parts[0].time_range[0], parts[-1].time_range[1])
-        extents = (total_extent,)
-    else:
-        time_range = base.time_range
-        extents = base.part_time_extents
-    return CompressedSegment(
-        tt=merged_tt,
-        plan=plan,
-        reorder=base.reorder,
-        permutations=base.permutations,
-        time_range=time_range,
-        part_time_extents=extents,
-        stack_dims=(),
-        stats=combine_stats([p.stats for p in parts]),
-        tolerance_spent=compose_tolerances(
-            max(p.tolerance_spent for p in parts), [tau_round]
-        ),
-        error_bound=_merged_bound(parts, lost),
+    extents = (total,) if dim == 1 else base.part_time_extents
+    return _merged(
+        parts, merged_tt, tau_round, lost,
+        plan=plan, part_time_extents=extents, stack_dims=(),
     )
 
 
@@ -731,36 +737,40 @@ def merge_tree_levels(n_segments: int, arity: int) -> int:
     return levels
 
 
-def merge_tree(segments, arity: int, tau_schedule, budget=None):
-    """Hierarchical stack-merge: level 0 holds the input segments, each
-    next level merges consecutive groups of ``arity``.
+def merge_tree(segments, arity: int, budget=None):
+    """Hierarchical stack-merge of ``segments`` under one relative error
+    ``budget``: level 0 holds the segments, each next level merges
+    consecutive groups of ``arity``.
 
-    Returns every level (outermost first) so per-level compression curves
-    can be reported.  When ``budget`` is given the composed tolerance is
-    validated before any merging starts.
+    Every level below the last rounds at the equal per-level tolerance of
+    :func:`plan_tau_schedule` over the segments' worst
+    ``tolerance_spent``, which keeps the a-priori composition within the
+    budget (a segment above it raises :class:`ConfigError` before any
+    merging).  Those bounds are worst cases, so the last level is stacked
+    exactly and rounded at whatever the ledger of certified errors leaves
+    of the budget (:func:`_spend_leftover`).  ``budget=None`` keeps every
+    stack exact.  Returns every level, level 0 first, so per-level
+    compression curves can be reported.
     """
     segments = list(segments)
     if not segments:
         raise ConfigError("no segments to merge")
     n_levels = merge_tree_levels(len(segments), arity)
-    tau_schedule = list(tau_schedule)
-    if len(tau_schedule) < n_levels:
-        raise ConfigError(
-            f"need {n_levels} rounding tolerances, got {len(tau_schedule)}"
-        )
+    schedule = [0.0] * n_levels
     if budget is not None:
         worst = max(s.tolerance_spent for s in segments)
-        total = compose_tolerances(worst, tau_schedule[:n_levels])
-        if total > budget * (1.0 + 1e-12):
-            raise ConfigError(
-                f"tolerance schedule composes to {total:.3e}, above the "
-                f"budget {budget:.3e}"
-            )
+        schedule = plan_tau_schedule(budget, worst, n_levels)
     levels = [segments]
-    for tau in tau_schedule[:n_levels]:
+    for tau in schedule[:-1]:
         levels.append(
             [merge_stack(group, tau) for group in _groups(levels[-1], arity)]
         )
+    if n_levels:
+        (group,) = _groups(levels[-1], arity)
+        merged = merge_stack(group, 0.0)
+        if budget is not None:
+            merged = _spend_leftover(merged, group, schedule[-1], budget)
+        levels.append([merged])
     return levels
 
 
@@ -796,22 +806,24 @@ def _spend_leftover(
     stacked: CompressedSegment, parts, planned: float, budget: float
 ) -> CompressedSegment:
     """Round the last merge level's exact stack of ``parts`` at what its
-    ledger leaves of the absolute ``budget``, never at less than
-    ``planned``.
+    ledger leaves of ``budget`` times the stack's data norm, never at
+    less than ``planned``.
 
     The certified bound is then within the budget and becomes the part's
     ``tolerance_spent``.  Only the Gram path's float slack can carry the
     bound past the budget; the stack is then rounded at ``planned`` and
-    keeps the a-priori composition.  Both roundings start from one
-    orthogonalization of the parts.  A zero budget and schedule
-    (lossless) leave the exact stack.
+    keeps the a-priori composition, as it is without a ledger.  Both
+    roundings start from one orthogonalization of the parts.  A zero
+    budget and schedule (lossless) leave the exact stack.
     """
-    spare = budget - stacked.error_bound
+    if stacked.error_bound is None:
+        return merge_stack(parts, planned)
+    norm = stacked.stats.frobenius_norm
+    spare = budget * norm - stacked.error_bound
     if planned == 0 and spare <= 0:
         return stacked
     ortho = _orthogonal_stack([p.tt for p in parts])
     tt, lost = _round_orthogonal(ortho, planned, spare)
-    norm = stacked.stats.frobenius_norm
     if lost <= spare and norm > 0:
         spent = (stacked.error_bound + lost) / norm
     else:
@@ -842,11 +854,8 @@ def compress_run(
     anything is compressed; when merging with per-segment reordering, one
     Morton permutation from step 0's positions; each segment compressed
     against the run's statistics, at half the error budget when merged;
-    and :func:`merge_tree`.  Every level below the last rounds at the
-    equal per-level tolerances of :func:`plan_tau_schedule`, which the a
-    priori composition needs to stay within the budget.  Those bounds are
-    worst cases, so the last level rounds instead at whatever the ledger
-    of certified errors leaves of the budget; the merged part's
+    and one :func:`merge_tree` pass at the run's relative budget (the
+    nRMSE target converted with the run's statistics).  The merged part's
     ``tolerance_spent`` is then its certified relative bound, never above
     the target.
 
@@ -897,24 +906,10 @@ def compress_run(
 
     levels = [segments]
     if merging:
-        n_levels = merge_tree_levels(len(segments), config.merge_arity)
         budget = config.tolerance
         if config.tolerance_kind == "nrmse":
             budget = nrmse_to_relfrob(config.tolerance, stats)
-        schedule = [0.0] * n_levels
-        if budget is not None:
-            worst = max(s.tolerance_spent for s in segments)
-            schedule = plan_tau_schedule(budget, worst, n_levels)
-        # the last level is stacked exactly here and rounded below
-        levels = merge_tree(
-            segments, config.merge_arity, schedule[:-1] + [0.0], budget
-        )
-        if budget is not None:
-            absolute = budget * stats.frobenius_norm
-            (group,) = _groups(levels[-2], config.merge_arity)
-            levels[-1] = [
-                _spend_leftover(levels[-1][0], group, schedule[-1], absolute)
-            ]
+        levels = merge_tree(segments, config.merge_arity, budget)
     if timings is not None:
         timings.update(
             stats=t1 - t0, compress=t2 - t1, merge=time.perf_counter() - t2
@@ -1144,7 +1139,7 @@ def segment_from_parts(tt: TTTensor, meta: dict) -> CompressedSegment:
             part_time_extents=tuple(meta["part_time_extents"]),
             stack_dims=tuple(meta["stack_dims"]),
             stats=stats,
-            tolerance_spent=float(meta["tolerance_spent"]),
+            tolerance_spent=meta["tolerance_spent"],
             error_bound=meta.get("error_bound"),
         )
     except (KeyError, TypeError, ValueError) as exc:

@@ -637,6 +637,38 @@ class TestInfo:
         assert main(["reconstruct", archive, "-o", str(tmp_path / "x.dt64")]) == 2
         assert "internal error" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("entry_count", "abc"),
+            ("entry_count", 0),
+            ("entry_count", 7680.0),
+            ("x_min", 1e300),
+            ("x_max", float("inf")),
+            ("frobenius_norm", -1.0),
+            ("frobenius_norm", float("nan")),
+            ("tolerance_spent", -1.0),
+            ("tolerance_spent", float("nan")),
+            ("tolerance_spent", "0.1"),
+        ],
+    )
+    def test_malformed_stats_exit_two(
+        self, run_dir, tmp_path, capsys, key, value
+    ):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        tt, meta = read_ttc1(os.path.join(out, "seg_0_39.ttc"))
+        assert meta["stats"]["entry_count"] == 40 * 64 * 3
+        if key == "tolerance_spent":
+            meta[key] = value
+        else:
+            meta["stats"][key] = value
+        archive = str(tmp_path / "bad.ttc")
+        write_ttc1(archive, tt, meta)
+        assert main(["info", archive]) == 2
+        assert main(["reconstruct", archive, "-o", str(tmp_path / "x.dt64")]) == 2
+        assert "internal error" not in capsys.readouterr().err
+
     def test_truncated_archive_reports_offset(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")
         assert main(["compress", run_dir, "-o", out]) == 0

@@ -88,6 +88,11 @@ class TestToleranceConversion:
         stats = stats_of(np.zeros(10))
         assert nrmse_to_relfrob(0.1, stats) is None
 
+    @pytest.mark.parametrize("target", [0.0, -0.1, float("nan"), float("inf")])
+    def test_bad_target_rejected(self, target):
+        with pytest.raises(ConfigError):
+            nrmse_to_relfrob(target, stats_of(np.array([1.0, -1.0])))
+
     def test_compressing_with_derived_tolerance_meets_target(self):
         rng = np.random.default_rng(0)
         arr = rng.standard_normal((8, 16, 3))
@@ -347,7 +352,7 @@ class TestMergeTree:
         rng = np.random.default_rng(19)
         arr = rng.uniform(size=(n_seg, 4, 3))
         parts = split_time(arr, n_seg, relfrob_config(1e-3))
-        levels = merge_tree(parts, arity, [1e-4] * (len(counts) - 1))
+        levels = merge_tree(parts, arity, 2e-3)
         assert [len(lv) for lv in levels] == counts
         for level in levels:
             # short trailing groups are filled, so every part stacks alike
@@ -358,8 +363,8 @@ class TestMergeTree:
         rng = np.random.default_rng(20)
         arr = rng.uniform(size=(4, 4, 3))
         seg = compress_segment(batch_from_array(arr), relfrob_config(1e-3))
-        levels = merge_tree([seg], 2, [])
-        assert levels == [[seg]]
+        assert merge_tree([seg], 2) == [[seg]]
+        assert merge_tree([seg], 2, 1e-2) == [[seg]]
 
     @pytest.mark.parametrize(
         "n_seg, arity", [(4, 2), (3, 2), (5, 3)], ids=["4-of-2", "3-of-2", "5-of-3"]
@@ -369,10 +374,7 @@ class TestMergeTree:
         arr = rng.uniform(size=(2 * n_seg, 4, 3))
         tau = 1e-2
         parts = split_time(arr, n_seg, relfrob_config(tau))
-        schedule = plan_tau_schedule(
-            3 * tau, tau, merge_tree_levels(n_seg, arity)
-        )
-        levels = merge_tree(parts, arity, schedule, budget=3 * tau)
+        levels = merge_tree(parts, arity, 3 * tau)
         final = levels[-1][0]
         assert final.total_steps == 2 * n_seg
         err = rel_frob(
@@ -380,20 +382,65 @@ class TestMergeTree:
         )
         assert err <= 3 * tau
         assert final.tolerance_spent <= 3 * tau * (1 + 1e-12)
+        assert final.error_bound <= 3 * tau * np.linalg.norm(arr)
 
-    def test_budget_exhaustion_fails_before_work(self):
+    def test_unknown_bound_keeps_the_planned_rounding(self):
+        # without a ledger the last level has nothing to spend from
+        rng = np.random.default_rng(21)
+        arr = rng.uniform(size=(8, 4, 3))
+        parts = split_time(arr, 4, relfrob_config(1e-2))
+        parts[1] = dataclasses.replace(parts[1], error_bound=None)
+        final = merge_tree(parts, 2, 3e-2)[-1][0]
+        assert final.error_bound is None
+        assert final.tolerance_spent == pytest.approx(3e-2, rel=1e-12)
+        err = rel_frob(DenseTensor.from_numpy(arr), reconstruct_segment(final))
+        assert err <= 3e-2
+
+    def test_budget_exhaustion_fails_before_work(self, monkeypatch):
         rng = np.random.default_rng(22)
         arr = rng.uniform(size=(8, 4, 3))
         parts = split_time(arr, 4, relfrob_config(1e-2))
-        with pytest.raises(ConfigError):
-            merge_tree(parts, 2, [1e-1, 1e-1], budget=5e-2)
 
-    def test_schedule_too_short(self):
-        rng = np.random.default_rng(23)
-        arr = rng.uniform(size=(8, 4, 3))
-        parts = split_time(arr, 4, relfrob_config(1e-2))
+        def no_merge(*args):
+            raise AssertionError("merged before the budget was checked")
+
+        monkeypatch.setattr(streaming, "merge_stack", no_merge)
         with pytest.raises(ConfigError):
-            merge_tree(parts, 2, [1e-3])
+            merge_tree(parts, 2, 5e-3)
+
+    @pytest.mark.parametrize("budget", [-1.0, float("nan"), float("inf")])
+    def test_bad_budget_rejected(self, budget):
+        rng = np.random.default_rng(23)
+        parts = split_time(rng.uniform(size=(8, 4, 3)), 4, relfrob_config(0.0))
+        with pytest.raises(ConfigError):
+            merge_tree(parts, 2, budget)
+        with pytest.raises(ConfigError):
+            merge_tree(parts[:1], 2, budget)
+
+    @pytest.mark.parametrize("n_seg, arity", [(4, 2), (3, 2), (5, 3)])
+    def test_no_budget_keeps_exact_stacks(self, n_seg, arity):
+        rng = np.random.default_rng(24)
+        arr = rng.uniform(size=(2 * n_seg, 4, 3))
+        parts = split_time(arr, n_seg, relfrob_config(1e-2))
+        levels = merge_tree(parts, arity)
+        for below, level in zip(levels, levels[1:]):
+            groups = list(streaming._groups(below, arity))
+            assert len(groups) == len(level)
+            for group, part in zip(groups, level):
+                exact = tt_stack_new([p.tt for p in group])
+                assert all(
+                    np.array_equal(a, b)
+                    for a, b in zip(part.tt.cores, exact.cores)
+                )
+                assert part.tolerance_spent == max(
+                    p.tolerance_spent for p in group
+                )
+        assert np.allclose(
+            reconstruct_segment(levels[-1][0]).to_numpy(),
+            np.concatenate([reconstruct_segment(p).to_numpy() for p in parts]),
+            rtol=0,
+            atol=1e-12 * np.linalg.norm(arr),
+        )
 
 
 class TestCompressRun:
@@ -491,6 +538,32 @@ class TestLedger:
             dataclasses.replace(seg, error_bound=bound)
 
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tolerance_spent", -1.0),
+            ("tolerance_spent", float("nan")),
+            ("tolerance_spent", "0.1"),
+            ("x_min", float("-inf")),
+            ("x_min", 2.0),
+            ("frobenius_norm", -1.0),
+            ("entry_count", 47),
+            ("entry_count", 48.0),
+            ("entry_count", True),
+        ],
+    )
+    def test_invalid_record_rejected(self, field, value):
+        rng = np.random.default_rng(99)
+        seg = split_time(rng.uniform(size=(4, 4, 3)), 1, relfrob_config(1e-2))[0]
+        assert seg.stats.entry_count == 48 and seg.stats.x_max < 1
+        if field == "tolerance_spent":
+            change = {field: value}
+        else:
+            change = {"stats": dataclasses.replace(seg.stats, **{field: value})}
+        with pytest.raises(StructureError):
+            dataclasses.replace(seg, **change)
+
+
 def settle_run(n_seg, seed=3):
     """A 40-particle settling run in 16-step segments, the last holding 11."""
     return synth_particles(40, 16 * n_seg - 5, "settle", seed=seed)
@@ -528,23 +601,62 @@ class TestSpendLeftover:
         )
         assert final.tolerance_spent <= target
 
+    @pytest.mark.parametrize("kind", ["nrmse", "relfrob"])
+    @pytest.mark.parametrize("n_seg, arity", [(5, 2), (8, 2), (5, 3)])
+    def test_compress_run_is_one_merge_tree_pass(self, kind, n_seg, arity):
+        batch = settle_run(n_seg)
+        config = CompressionConfig(
+            tolerance=1e-2,
+            tolerance_kind=kind,
+            segment_length=16,
+            merge_arity=arity,
+        )
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        budget = config.tolerance
+        if kind == "nrmse":
+            # the run's statistics, gathered segment by segment as the
+            # pre-pass gathers them
+            stats = combine_stats(
+                stats_of(batch.time_slice(s, s + 16).data.values)
+                for s in range(0, batch.n_t, 16)
+            )
+            budget = nrmse_to_relfrob(config.tolerance, stats)
+        again = merge_tree(levels[0], arity, budget)
+        assert [len(lv) for lv in again] == [len(lv) for lv in levels]
+        for a_level, b_level in zip(levels, again):
+            for a, b in zip(a_level, b_level):
+                assert a.tt.ranks == b.tt.ranks
+                assert all(
+                    np.array_equal(x, y) for x, y in zip(a.tt.cores, b.tt.cores)
+                )
+                assert a.error_bound == b.error_bound
+                assert a.tolerance_spent == b.tolerance_spent
+
     def test_spends_more_than_the_schedule(self):
         batch = settle_run(8)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
-        levels = compress_run(batch.time_slice, batch.n_t, config)
-        worst = max(s.tolerance_spent for s in levels[0])
+        segments = compress_run(batch.time_slice, batch.n_t, config)[0]
         target = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
+        levels = merge_tree(segments, 2, target)
+        worst = max(s.tolerance_spent for s in segments)
         schedule = plan_tau_schedule(target, worst, len(levels) - 1)
-        planned = merge_tree(levels[0], 2, schedule)
+        # the last level rounded at its planned share instead
+        planned = merge_stack(levels[-2], schedule[-1])
         spent = levels[-1][0]
-        assert spent.tt.core_entry_count < planned[-1][0].tt.core_entry_count
+        assert spent.tt.core_entry_count < planned.tt.core_entry_count
         budget = target * spent.stats.frobenius_norm
-        assert planned[-1][0].error_bound < spent.error_bound <= budget
-        # the levels below the last are the planned ones
-        for a, b in zip(levels[-2], planned[-2]):
-            assert all(
-                np.array_equal(x, y) for x, y in zip(a.tt.cores, b.tt.cores)
-            )
+        assert planned.error_bound < spent.error_bound <= budget
+        assert spent.tolerance_spent == pytest.approx(
+            spent.error_bound / spent.stats.frobenius_norm, rel=1e-12
+        )
+        # the levels below the last round at the planned share
+        for tau, below, level in zip(schedule, levels, levels[1:-1]):
+            for group, part in zip(streaming._groups(below, 2), level):
+                again = merge_stack(group, tau)
+                assert all(
+                    np.array_equal(x, y)
+                    for x, y in zip(part.tt.cores, again.tt.cores)
+                )
 
     def test_slack_past_the_budget_falls_back(self, monkeypatch):
         # a ledger inflated past the budget at the last level keeps the
@@ -552,6 +664,7 @@ class TestSpendLeftover:
         batch = settle_run(4)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
         expected = compress_run(batch.time_slice, batch.n_t, config)
+        segments = expected[0]
         honest = streaming._round_orthogonal
         budget = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
         calls = []
@@ -564,7 +677,7 @@ class TestSpendLeftover:
             return train, lost
 
         monkeypatch.setattr(streaming, "_round_orthogonal", inflated)
-        levels = compress_run(batch.time_slice, batch.n_t, config)
+        levels = merge_tree(segments, 2, budget)
         # two planned merges, the spending round, the planned round
         assert len(calls) == 4 and calls[2] > 0 and calls[3] == 0
         final = levels[-1][0]
@@ -649,6 +762,15 @@ class TestScheduling:
     def test_over_budget_rejected(self):
         with pytest.raises(ConfigError):
             plan_tau_schedule(0.01, 0.02, 2)
+
+    @pytest.mark.parametrize(
+        "total, per_segment",
+        [(float("nan"), 0.01), (float("inf"), 0.01), (-0.1, 0.0),
+         (0.1, float("nan")), (0.1, -0.01)],
+    )
+    def test_bad_budget_rejected(self, total, per_segment):
+        with pytest.raises(ConfigError):
+            plan_tau_schedule(total, per_segment, 2)
 
 
 def entry(seg, t, coords):
@@ -765,7 +887,7 @@ def merged_ragged_segment(reorder="segment", n_seg=4, arity=2):
         )
         for start in range(0, n_t, 4)
     ]
-    return merge_tree(parts, arity, [1e-3] * 3)[-1][0]
+    return merge_tree(parts, arity, 4e-3)[-1][0]
 
 
 def interlaced_segment():
@@ -835,14 +957,14 @@ def run_segments(n_p, reorder, lengths=(4, 4, 4, 2)):
 RUN_CASES = {
     # two merged parts of a run with 7 particles, padded to 8
     "merged-padded-particles": lambda: merge_tree(
-        run_segments(7, "segment"), 2, [1e-3] * 3
+        run_segments(7, "segment"), 2, 4e-3
     )[1],
     # per-timestep permutations, which stop the run from merging
     "reorder-timestep": lambda: run_segments(5, "timestep"),
     "interlaced": lambda: [interlaced_segment()],
     # one archive whose last leaf holds 2 of 4 steps
     "short-last-leaf": lambda: merge_tree(
-        run_segments(7, "segment"), 2, [1e-3] * 3
+        run_segments(7, "segment"), 2, 4e-3
     )[-1],
 }
 
