@@ -102,7 +102,7 @@ def _measure(parts, blocks) -> dict:
         diff = original - recon[start : start + len(original)]
         start += len(original)
         err2 += float(np.sum(diff**2))
-        stats.append(stats_of(original))
+        stats.append(stats_of(block.values))
     stats = combine_stats(stats)
     metrics = {
         "entry_count": stats.entry_count,

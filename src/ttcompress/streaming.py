@@ -2,16 +2,16 @@
 
 Incoming snapshot batches are compressed independently (reorder particles,
 pad, tensorize, TT-SVD), then merged under an explicit error budget.  Two
-accounts are kept.  A priori, if every part meets relative tolerance ``t``
-and the merge is rounded at ``t_r``, the combination meets
-``t + t_r + t * t_r``; this governs :func:`merge_stack` and
-:func:`merge_concat`.  The ledger certifies each part's actual error from
-what its truncations discarded (``CompressedSegment.error_bound``).
-:func:`merge_tree` owns a run's budget: it rounds every level below the
-last at the equal a-priori split and the last level at what the ledger
-leaves of the budget.  Stacking along a new trailing dimension preserves
-tensorized time hierarchies; plain concatenation serves untensorized
-streaming axes.
+accounts are kept.  A priori, parts within relative tolerances ``t_i``
+stack within their norm-weighted ``t`` (:func:`combine_tolerances`), and
+rounding at ``t_r`` gives ``t + t_r + t * t_r``; this governs
+:func:`merge_stack` and :func:`merge_concat`.  The ledger certifies each
+part's actual error from what its truncations discarded
+(``CompressedSegment.error_bound``).  :func:`merge_tree` owns a run's
+budget: it rounds every level below the last at the equal a-priori split
+and the last level at what the ledger leaves of the budget.  Stacking
+along a new trailing dimension preserves tensorized time hierarchies;
+plain concatenation serves untensorized streaming axes.
 """
 
 import base64
@@ -34,6 +34,7 @@ import numpy as np
 from .dense import DenseTensor, index_rows
 from .errors import (
     ConfigError,
+    DataError,
     IndexRangeError,
     MergeError,
     PlanError,
@@ -373,13 +374,19 @@ def build_plan(
     )
 
 
-def _target_relfrob(config: CompressionConfig, stats: DataStats, reference):
-    """Per-segment relative-Frobenius tolerance, or None for the exact path."""
-    if stats.x_max == stats.x_min or stats.frobenius_norm == 0.0:
-        return None
-    if config.tolerance_kind == "relfrob":
-        return config.tolerance
-    return nrmse_to_relfrob(config.tolerance, reference or stats)
+def _data_stats(data: DenseTensor, first_step: int = 0) -> DataStats:
+    """Statistics of ``data``, whose first axis counts steps from
+    ``first_step``; a :class:`DataError` names the first step that holds
+    a NaN or an infinity."""
+    stats = stats_of(data.values)
+    if not (math.isfinite(stats.x_min) and math.isfinite(stats.x_max)):
+        # column-major values: the time index runs fastest
+        steps = np.flatnonzero(~np.isfinite(data.values)) % data.dims[0]
+        raise DataError(
+            f"timestep {first_step + steps.min()}: the data holds non-finite "
+            "values (NaN or infinity)"
+        )
+    return stats
 
 
 def _compress(
@@ -387,7 +394,6 @@ def _compress(
     plan: TensorizePlan,
     config: CompressionConfig,
     stats: DataStats,
-    reference: Optional[DataStats] = None,
     perms: Optional[np.ndarray] = None,
     first_step: int = 0,
 ) -> CompressedSegment:
@@ -399,11 +405,13 @@ def _compress(
     real data region.  The error bound is the one TT-SVD certifies on the
     padded tensor, which bounds the real data region's error too.
     """
-    tau_rel = _target_relfrob(config, stats, reference)
-    if tau_rel is None:
+    if stats.x_max == stats.x_min or stats.frobenius_norm == 0.0:
         tt, tau_rel = constant_tt(plan.tensorized_dims(), stats.x_min), 0.0
         lost = 0.0
     else:
+        tau_rel = config.tolerance
+        if config.tolerance_kind == "nrmse":
+            tau_rel = nrmse_to_relfrob(tau_rel, stats)
         tensorized = apply_plan(data, plan)
         padded_norm = float(np.linalg.norm(tensorized.values))
         tt, lost = _tt_svd(
@@ -428,24 +436,22 @@ def compress_segment(
     batch: SnapshotBatch,
     config: CompressionConfig,
     first_step: int = 0,
-    stats_reference: Optional[DataStats] = None,
     permutation_override: Optional[np.ndarray] = None,
     pad_time_to: Optional[int] = None,
 ) -> CompressedSegment:
     """Compress one snapshot batch.
 
     Pipeline: reorder particles by the Morton policy, pad and tensorize
-    per the plan, then TT-SVD at the converted tolerance.  Statistics are
-    recorded from the raw (pre-padding) data.
+    per the plan, then TT-SVD at the tolerance converted with the batch's
+    own statistics, taken from the raw (pre-padding) data, which must be
+    finite.
 
-    ``stats_reference`` feeds the nRMSE conversion with the statistics of
-    the whole run when a multi-segment run targets one overall error;
     ``permutation_override`` pins one particle ordering across segments
     that will later be merged.
     """
+    stats = _data_stats(batch.data, first_step)
     arr = batch.data.to_numpy()
     n_t, n_p, n_c = arr.shape
-    stats = stats_of(arr)
 
     perms = None
     if permutation_override is not None:
@@ -485,9 +491,7 @@ def compress_segment(
 
     # time and particles are split, components stay whole
     plan = build_plan(data.dims, config, 2, pad_time_to)
-    return _compress(
-        data, plan, config, stats, stats_reference, perms, first_step
-    )
+    return _compress(data, plan, config, stats, perms, first_step)
 
 
 def compress_tensor(
@@ -500,7 +504,7 @@ def compress_tensor(
     segment bookkeeping.
     """
     plan = build_plan(data.dims, config, data.ndim)
-    return _compress(data, plan, config, stats_of(data.values))
+    return _compress(data, plan, config, _data_stats(data))
 
 
 def compose_tolerances(base: float, rounding_taus) -> float:
@@ -587,15 +591,26 @@ def _merge_parts(parts, tau_round: float) -> list:
     return parts
 
 
+def combine_tolerances(parts) -> float:
+    """A-priori relative tolerance of parts that cover disjoint entries:
+    their absolute errors ``t_i * ||X_i||`` add in squares, so it is
+    ``sqrt(sum (t_i * ||X_i||)^2) / ||X||``, or the worst ``t_i`` when
+    that is less (float rounding) or the data is all zero."""
+    worst = max(p.tolerance_spent for p in parts)
+    norm = math.hypot(*(p.stats.frobenius_norm for p in parts))
+    errors = (p.tolerance_spent * p.stats.frobenius_norm for p in parts)
+    return min(worst, math.hypot(*errors) / norm) if norm > 0 else worst
+
+
 def _merged(parts, tt: TTTensor, tau_round: float, lost: float, **layout):
     """The part that merges ``parts`` into ``tt``, whose rounding at
     ``tau_round`` discarded ``lost``; ``layout`` gives its plan, leaf
     extents and stack dims.
 
     Its a-priori budget is ``t + tau_round + t * tau_round`` with ``t``
-    the worst part tolerance.  Its error bound is the parts' bounds in
-    root-sum-square, since they cover disjoint entries, plus ``lost`` in
-    full, since the rounding error is not orthogonal to theirs.
+    the parts' :func:`combine_tolerances`.  Its error bound is their
+    bounds in root-sum-square, since they cover disjoint entries, plus
+    ``lost`` in full, since the rounding error is not orthogonal to them.
     """
     bound = combine_error_bounds(parts)
     return CompressedSegment(
@@ -605,7 +620,7 @@ def _merged(parts, tt: TTTensor, tau_round: float, lost: float, **layout):
         time_range=(parts[0].time_range[0], parts[-1].time_range[1]),
         stats=combine_stats([p.stats for p in parts]),
         tolerance_spent=compose_tolerances(
-            max(p.tolerance_spent for p in parts), [tau_round]
+            combine_tolerances(parts), [tau_round]
         ),
         error_bound=None if bound is None else bound + lost,
         **layout,
@@ -743,14 +758,14 @@ def merge_tree(segments, arity: int, budget=None):
     consecutive groups of ``arity``.
 
     Every level below the last rounds at the equal per-level tolerance of
-    :func:`plan_tau_schedule` over the segments' worst
-    ``tolerance_spent``, which keeps the a-priori composition within the
-    budget (a segment above it raises :class:`ConfigError` before any
-    merging).  Those bounds are worst cases, so the last level is stacked
-    exactly and rounded at whatever the ledger of certified errors leaves
-    of the budget (:func:`_spend_leftover`).  ``budget=None`` keeps every
-    stack exact.  Returns every level, level 0 first, so per-level
-    compression curves can be reported.
+    :func:`plan_tau_schedule` over the segments' :func:`combine_tolerances`,
+    which keeps the a-priori composition within the budget (segments
+    above it raise :class:`ConfigError` before any merging).  Those bounds
+    are worst cases, so the last level is stacked exactly and rounded at
+    whatever the ledger of certified errors leaves of the budget
+    (:func:`_spend_leftover`).  ``budget=None`` keeps every stack exact.
+    Returns every level, level 0 first, so per-level compression curves
+    can be reported.
     """
     segments = list(segments)
     if not segments:
@@ -758,8 +773,8 @@ def merge_tree(segments, arity: int, budget=None):
     n_levels = merge_tree_levels(len(segments), arity)
     schedule = [0.0] * n_levels
     if budget is not None:
-        worst = max(s.tolerance_spent for s in segments)
-        schedule = plan_tau_schedule(budget, worst, n_levels)
+        weighted = combine_tolerances(segments)
+        schedule = plan_tau_schedule(budget, weighted, n_levels)
     levels = [segments]
     for tau in schedule[:-1]:
         levels.append(
@@ -848,72 +863,49 @@ def compress_run(
     """Compress a run of ``n_t`` steps segment by segment and merge it.
 
     ``read(start, stop)`` returns the :class:`SnapshotBatch` of steps
-    [start, stop).  Raw data is read one segment at a time, so memory
-    holds one segment plus the compressed parts.  In order: a stats-only
-    pre-pass over the segments, which also checks every step before
-    anything is compressed; when merging with per-segment reordering, one
-    Morton permutation from step 0's positions; each segment compressed
-    against the run's statistics, at half the error budget when merged;
-    and one :func:`merge_tree` pass at the run's relative budget (the
-    nRMSE target converted with the run's statistics).  The merged part's
-    ``tolerance_spent`` is then its certified relative bound, never above
-    the target.
+    [start, stop).  Each step is read once, one segment at a time, so
+    memory holds one segment plus the compressed parts.  Each segment is
+    compressed against its own statistics, at half the target when
+    merged: at an nRMSE target ``r`` segment ``i`` errs by at most
+    ``r * range_i * sqrt(n_i)``, and ``sum range_i^2 * n_i <= range^2 * n``.
+    Merged segments share the first segment's Morton permutation, and one
+    :func:`merge_tree` pass merges them at the run's relative budget, which
+    the merged part's certified ``tolerance_spent`` never exceeds.
 
     Returns the merge-tree levels: level 0 holds the segments and the last
     level the merged part (only level 0 without merging).  ``timings``,
-    when given, receives the seconds of the pre-pass, the segment
-    compression and the merge.
+    when given, receives the seconds of compression and of the merge.
     """
     seg_len = config.segment_length
-    starts = range(0, n_t, seg_len)
-    merging = merge and len(starts) > 1
+    merging = merge and n_t > seg_len
     if merging and config.reorder == "timestep":
         raise ConfigError(
             "per-timestep reordering produces per-step permutations that "
             "cannot be merged; rerun with --no-merge or --reorder segment"
         )
-
-    def segment(start):
-        return read(start, min(start + seg_len, n_t))
-
-    t0 = time.perf_counter()
-    stats = combine_stats(stats_of(segment(s).data.values) for s in starts)
-    perms = None
-    if merging and config.reorder == "segment":
-        positions = read(0, 1).positions_first
-        if positions is None:
-            raise ConfigError(
-                "Morton reordering needs positions; use reorder='none'"
-            )
-        perms = _morton_permutation(positions, config.morton_bits)
-    t1 = time.perf_counter()
-
-    seg_config = config
+    seg_config, pad = config, None
     if merging:
         seg_config = dataclasses.replace(config, tolerance=config.tolerance / 2)
-    segments = [
-        compress_segment(
-            segment(start),
-            seg_config,
-            first_step=start,
-            stats_reference=stats,
-            permutation_override=perms,
-            pad_time_to=seg_len if merging else None,
-        )
-        for start in starts
-    ]
-    t2 = time.perf_counter()
+        pad = seg_len
+
+    t0 = time.perf_counter()
+    segments = []
+    for start in range(0, n_t, seg_len):
+        perms = segments[0].permutations if merging and segments else None
+        batch = read(start, min(start + seg_len, n_t))
+        segments.append(compress_segment(batch, seg_config, start, perms, pad))
+        del batch  # one raw segment in memory at a time
+    t1 = time.perf_counter()
 
     levels = [segments]
     if merging:
         budget = config.tolerance
         if config.tolerance_kind == "nrmse":
+            stats = combine_stats(s.stats for s in segments)
             budget = nrmse_to_relfrob(config.tolerance, stats)
         levels = merge_tree(segments, config.merge_arity, budget)
     if timings is not None:
-        timings.update(
-            stats=t1 - t0, compress=t2 - t1, merge=time.perf_counter() - t2
-        )
+        timings.update(compress=t1 - t0, merge=time.perf_counter() - t1)
     return levels
 
 

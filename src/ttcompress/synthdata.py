@@ -239,9 +239,10 @@ def open_run(path):
     """Open a run directory for reading by step range.
 
     Returns ``(n_t, read)``: ``read(start, stop)`` assembles steps
-    [start, stop) (0-based) into a snapshot batch, checking every step
-    file it reads.  The first three components are the positions when at
-    least three exist; otherwise the batch carries none.
+    [start, stop) (0-based) into a snapshot batch.  Every step file's size
+    is checked here, before anything is allocated, and again when read.
+    The first three components are the positions when at least three
+    exist; otherwise the batch carries none.
     """
     meta_path = os.path.join(path, META_NAME)
     if not os.path.isfile(meta_path):
@@ -262,6 +263,19 @@ def open_run(path):
     pos_cols = (0, 1, 2) if n_c >= 3 else None
     expected = n_p * n_c
 
+    def check_size(k: int, size: int) -> None:
+        if size != 8 * expected:
+            raise IngestionError(
+                f"timestep {k}: expected {expected} values "
+                f"({n_p} particles x {n_c} components), found {size} bytes"
+            )
+
+    for k in range(n_t):
+        step_path = os.path.join(path, _step_name(k))
+        if not os.path.isfile(step_path):
+            raise IngestionError(f"timestep {k}: missing {_step_name(k)}")
+        check_size(k, os.path.getsize(step_path))
+
     def read(start: int, stop: int) -> SnapshotBatch:
         if not 0 <= start < stop <= n_t:
             raise IngestionError(
@@ -270,15 +284,8 @@ def open_run(path):
         # one step file per row, each (n_p, n_c) column-major
         rows = np.empty((stop - start, expected))
         for k in range(start, stop):
-            step_path = os.path.join(path, _step_name(k))
-            if not os.path.isfile(step_path):
-                raise IngestionError(f"timestep {k}: missing {_step_name(k)}")
-            raw = np.fromfile(step_path, dtype="<f8")
-            if raw.size != expected:
-                raise IngestionError(
-                    f"timestep {k}: expected {expected} values "
-                    f"({n_p} particles x {n_c} components), found {raw.size}"
-                )
+            raw = np.fromfile(os.path.join(path, _step_name(k)), dtype="<f8")
+            check_size(k, raw.nbytes)
             rows[k - start] = raw
         # one copy into the column-major batch, whose flat values below
         # are then a view

@@ -40,7 +40,7 @@ from ttcompress import (
     tt_svd,
     write_run,
 )
-from ttcompress.streaming import SnapshotBatch, stats_of
+from ttcompress.streaming import SnapshotBatch
 from ttcompress.tensorize import invert_plan, matrix_interlace_plan
 from ttcompress.tt import TTTensor, compression_ratio
 
@@ -295,15 +295,12 @@ def test_criterion_08_tensorization_advantage():
     batch = synth_particles(1024, 512, "settle", seed=7)
     cfg = CompressionConfig(tolerance=1e-1, tolerance_kind="nrmse")
     cfg_flat = dataclasses.replace(cfg, tensorize=False)
-    stats = stats_of(batch.data.values)
     wins = 0
     total = 0
     for start in range(0, 512, 32):
         sub = batch.time_slice(start, start + 32)
-        tens = compress_segment(sub, cfg, first_step=start, stats_reference=stats)
-        flat = compress_segment(
-            sub, cfg_flat, first_step=start, stats_reference=stats
-        )
+        tens = compress_segment(sub, cfg, first_step=start)
+        flat = compress_segment(sub, cfg_flat, first_step=start)
         total += 1
         wins += tens.compression_ratio > flat.compression_ratio
     assert wins / total >= 0.9, f"tensorization won only {wins}/{total}"

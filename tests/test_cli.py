@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import ttcompress
+from ttcompress import streaming
 from ttcompress import (
     CompressionConfig,
     DenseTensor,
@@ -220,15 +221,65 @@ class TestCompress:
         for name in names:
             assert (out / name).read_bytes() == (mem / name).read_bytes()
 
-    def test_bad_last_step_writes_nothing(self, run_dir, tmp_path, capsys):
+    def test_bad_last_step_writes_nothing(
+        self, run_dir, tmp_path, capsys, monkeypatch
+    ):
         step = os.path.join(run_dir, "step_39.bin")
         with open(step, "rb") as fh:
             data = fh.read()
         with open(step, "wb") as fh:
             fh.write(data[:-8])
+
+        def no_compress(*args, **kwargs):
+            raise AssertionError("compressed before the run was checked")
+
+        monkeypatch.setattr(streaming, "compress_segment", no_compress)
         out = tmp_path / "out"
         assert main(["compress", run_dir, "-o", str(out)]) == 2
         assert "timestep 39" in capsys.readouterr().err
+        assert not list(out.rglob("*.ttc"))
+
+    def test_oversized_run_header_exits_two(self, run_dir, tmp_path, capsys):
+        # the step files cannot hold what the header claims: caught from
+        # their sizes, before anything is allocated
+        meta_path = os.path.join(run_dir, "meta.json")
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        meta["n_p"] = 10**12
+        with open(meta_path, "w") as fh:
+            json.dump(meta, fh)
+        assert main(["compress", run_dir, "-o", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "timestep 0" in err
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "flags",
+        [[], ["--no-merge"], ["--tolerance-kind", "relfrob"]],
+        ids=["merged", "no-merge", "relfrob"],
+    )
+    def test_non_finite_step_exits_two(self, tmp_path, capsys, value, flags):
+        batch = synth_particles(64, 96, "settle", seed=5)
+        arr = batch.data.to_numpy().copy()
+        # the first step is named, not the first value in storage order
+        arr[70, 9, 2] = arr[80, 0, 0] = value
+        run = str(tmp_path / "run")
+        write_run(run, SnapshotBatch(DenseTensor.from_numpy(arr), arr[0], 0.01))
+        out = tmp_path / "out"
+        args = ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
+        assert main(args + flags) == 2
+        err = capsys.readouterr().err
+        assert "timestep 70: the data holds non-finite values" in err
+        assert not list(out.rglob("*.ttc"))
+
+    def test_non_finite_dt64_exits_two(self, tmp_path, capsys):
+        values = np.random.default_rng(5).uniform(size=(8, 12, 5))
+        values[3, 4, 2] = np.nan
+        src = str(tmp_path / "in.dt64")
+        write_dt64(src, DenseTensor.from_numpy(values))
+        out = tmp_path / "out"
+        assert main(["compress", src, "-o", str(out)]) == 2
+        assert "non-finite values" in capsys.readouterr().err
         assert not list(out.rglob("*.ttc"))
 
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):

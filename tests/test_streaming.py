@@ -181,6 +181,16 @@ class TestCompressSegment:
             )
 
 
+def weighted_tolerance(parts):
+    """A-priori tolerance of disjoint parts: sqrt(sum (t_i ||X_i||)^2) / ||X||,
+    capped at the worst t_i."""
+    norms = np.array([p.stats.frobenius_norm for p in parts])
+    taus = np.array([p.tolerance_spent for p in parts])
+    if not norms.any():
+        return taus.max()
+    return min(taus.max(), np.linalg.norm(taus * norms) / np.linalg.norm(norms))
+
+
 class TestMergeStack:
     def test_duplicate_data_collapses(self):
         rng = np.random.default_rng(7)
@@ -229,6 +239,28 @@ class TestMergeStack:
                     assert merged.tolerance_spent == pytest.approx(
                         compose_tolerances(tau, [tau_round])
                     )
+
+    @pytest.mark.parametrize("tau_round", [0.0, 1e-3])
+    def test_own_range_parts_compose_by_norm(self, tau_round):
+        # segments of a settling run at nRMSE 1e-2 against their own
+        # ranges: their relative tolerances differ
+        batch = synth_particles(32, 64, "settle", seed=5)
+        config = CompressionConfig(
+            tolerance=1e-2, segment_length=16, reorder="none"
+        )
+        parts = compress_run(batch.time_slice, 64, config, merge=False)[0]
+        taus = [p.tolerance_spent for p in parts]
+        assert max(taus) > 1.1 * min(taus)
+        merged = merge_stack(parts, tau_round)
+        weighted = weighted_tolerance(parts)
+        assert merged.tolerance_spent == pytest.approx(
+            compose_tolerances(weighted, [tau_round]), rel=1e-12
+        )
+        assert merged.tolerance_spent < compose_tolerances(max(taus), [tau_round])
+        norm = merged.stats.frobenius_norm
+        assert abs_error(batch.data.to_numpy(), merged) <= (
+            merged.tolerance_spent * norm
+        )
 
     def test_stats_union_exact(self):
         rng = np.random.default_rng(10)
@@ -432,7 +464,9 @@ class TestMergeTree:
                     np.array_equal(a, b)
                     for a, b in zip(part.tt.cores, exact.cores)
                 )
-                assert part.tolerance_spent == max(
+                # the parts' norm-weighted tolerance, never above the worst
+                assert part.tolerance_spent == weighted_tolerance(group)
+                assert part.tolerance_spent <= max(
                     p.tolerance_spent for p in group
                 )
         assert np.allclose(
@@ -461,6 +495,41 @@ class TestCompressRun:
             tracemalloc.stop()
         assert len(levels[0]) == 16
         assert peak < raw / 4
+
+    @pytest.mark.parametrize("merge", [True, False])
+    def test_reads_each_step_once(self, merge):
+        batch = synth_particles(16, 40, "settle", seed=6)
+        reads = []
+
+        def read(start, stop):
+            reads.append((start, stop))
+            return batch.time_slice(start, stop)
+
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        compress_run(read, batch.n_t, config, merge)
+        assert reads == [(0, 16), (16, 32), (32, 40)]
+
+    def test_velocity_run_merges(self):
+        # velocities of a settling run: the segments where particles still
+        # bounce span a wide range against their norm, so their own-range
+        # tolerance exceeds half the run's budget, and only the segments'
+        # norm-weighted tolerance stays within it
+        positions = synth_particles(128, 257, "settle", seed=3).data.to_numpy()
+        velocities = np.diff(positions, axis=0) / 0.01
+        batch = batch_from_array(velocities)
+        config = CompressionConfig(
+            tolerance=1e-2, segment_length=32, reorder="none"
+        )
+        levels = compress_run(batch.time_slice, batch.n_t, config)
+        stats = stats_of(velocities)
+        budget = nrmse_to_relfrob(1e-2, stats)
+        assert max(s.tolerance_spent for s in levels[0]) > budget / 2
+        assert weighted_tolerance(levels[0]) <= budget / 2
+        final = levels[-1][0]
+        assert final.stack_dims == (2, 2, 2)
+        measured = nrmse(batch.data, reconstruct_segment(final))
+        scale = (stats.x_max - stats.x_min) * np.sqrt(stats.entry_count)
+        assert measured <= final.error_bound / scale <= 1e-2
 
     def test_timestep_reorder_cannot_merge(self):
         batch = synth_particles(8, 8, "ballistic", seed=9)
@@ -614,12 +683,8 @@ class TestSpendLeftover:
         levels = compress_run(batch.time_slice, batch.n_t, config)
         budget = config.tolerance
         if kind == "nrmse":
-            # the run's statistics, gathered segment by segment as the
-            # pre-pass gathers them
-            stats = combine_stats(
-                stats_of(batch.time_slice(s, s + 16).data.values)
-                for s in range(0, batch.n_t, 16)
-            )
+            # the run's statistics, combined from the segments'
+            stats = combine_stats(s.stats for s in levels[0])
             budget = nrmse_to_relfrob(config.tolerance, stats)
         again = merge_tree(levels[0], arity, budget)
         assert [len(lv) for lv in again] == [len(lv) for lv in levels]
