@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from . import __version__
+from .dense import DenseTensor
 from .errors import ConfigError, IndexRangeError, IngestionError, TTCompressError
 from .formats import read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
@@ -27,6 +28,7 @@ from .streaming import (
     combine_stats,
     compress_run,
     compress_tensor,
+    decode_leaves,
     list_segments,
     load_segment,
     reconstruct_region,
@@ -90,25 +92,22 @@ def _certified(parts) -> dict:
     return {"certified_rel_frob": rel_frob, "certified_nrmse": nrmse}
 
 
-def _measure(parts, blocks) -> dict:
-    """Error of the stored parts against the original data, given as
-    consecutive blocks of steps from the parts' first step on."""
-    recon = reconstruct_segments(parts).to_numpy()
+def _measure(parts, read) -> dict:
+    """Error of the stored parts against the original data, which
+    ``read(start, stop)`` returns as a :class:`DenseTensor` of steps
+    [start, stop).  Each leaf that :func:`decode_leaves` decodes is
+    compared with the original steps it covers, so memory holds one leaf
+    and its steps, never the whole run."""
     err2 = 0.0
     stats = []
-    start = 0
-    for block in blocks:
-        original = block.to_numpy()
-        diff = original - recon[start : start + len(original)]
-        start += len(original)
-        err2 += float(np.sum(diff**2))
-        stats.append(stats_of(block.values))
+    for step, block in decode_leaves(parts):
+        original = read(step, step + len(block))
+        stats.append(stats_of(original.values))
+        diff = original.to_numpy() - block
+        err2 += float(np.sum(np.square(diff, out=diff)))
+        del original, diff, block  # before the next leaf is decoded
     stats = combine_stats(stats)
-    metrics = {
-        "entry_count": stats.entry_count,
-        "x_min": stats.x_min,
-        "x_max": stats.x_max,
-    }
+    metrics = {k: getattr(stats, k) for k in ("entry_count", "x_min", "x_max")}
     if stats.x_max > stats.x_min:
         rmse = math.sqrt(err2 / stats.entry_count)
         metrics["nrmse"] = rmse / (stats.x_max - stats.x_min)
@@ -117,34 +116,22 @@ def _measure(parts, blocks) -> dict:
     return metrics
 
 
-def _compress_run(args, config, outdir):
+def _compress_run(args, config):
     n_t, read = open_run(args.input)
     timings = {}
-    levels = compress_run(read, n_t, config, args.merge, timings)
-    seg_dir = os.path.join(outdir, "segments")
-    paths = [save_segment(seg_dir, s, config.config_hash()) for s in levels[0]]
-    if len(levels) > 1:
-        paths.append(save_segment(outdir, levels[-1][0], config.config_hash()))
-    metrics = {}
-    if args.verify:
-        # the step files are re-read one segment at a time
-        seg_len = config.segment_length
-        blocks = (
-            read(s, min(s + seg_len, n_t)).data for s in range(0, n_t, seg_len)
-        )
-        metrics = _measure(levels[-1], blocks)
-    # the merged part, or the segments themselves when there is no merge
-    return levels[-1], paths, timings, metrics
+    parts = compress_run(read, n_t, config, args.merge, timings)
+    # --no-merge keeps the segments apart from a merged run's one archive
+    subdir = "" if args.merge else "segments"
+    return parts, subdir, timings, lambda a, b: read(a, b).data
 
 
-def _compress_dt64(args, config, outdir):
+def _compress_dt64(args, config):
     tensor = read_dt64(args.input)
     t0 = time.perf_counter()
-    seg = compress_tensor(tensor, config)
+    parts = [compress_tensor(tensor, config)]
     timings = {"compress": time.perf_counter() - t0, "merge": 0.0}
-    paths = [save_segment(outdir, seg, config.config_hash())]
-    metrics = _measure([seg], [tensor]) if args.verify else {}
-    return [seg], paths, timings, metrics
+    steps = tensor.to_numpy()
+    return parts, "", timings, lambda a, b: DenseTensor.from_numpy(steps[a:b])
 
 
 def cmd_compress(args) -> int:
@@ -160,7 +147,10 @@ def cmd_compress(args) -> int:
         raise IngestionError(
             f"input {args.input!r} is neither a run directory nor a file"
         )
-    final, paths, timings, metrics = compress(args, config, outdir)
+    final, subdir, timings, read = compress(args, config)
+    folder = os.path.join(outdir, subdir)
+    paths = [save_segment(folder, p, config.config_hash()) for p in final]
+    metrics = _measure(final, read) if args.verify else {}
     metrics.update(_certified(final))
     metrics["compression_ratio_cores_only"] = _overall_ratio(final)
     metrics["ranks_final"] = list(final[0].tt.ranks)
@@ -381,26 +371,29 @@ def bench_streaming(args):
         merge_arity=args.merge_arity,
         reorder="segment",
     )
-    levels = compress_run(batch.time_slice, n_t, config)
-    # the same segments untensorized, at the same budget and ordering
-    flat = compress_run(
-        batch.time_slice, n_t, dataclasses.replace(config, tensorize=False)
-    )[0]
-
     rows = []
-    for lvl, segs in enumerate(levels):
+
+    def add_row(segs):
         # the error budget composes over the whole run, not per segment
-        row = {
+        rows.append({
             "study": "streaming",
-            "level": lvl,
+            "level": len(rows),
             "steps_per_segment": segs[0].total_steps,
             "n_segments": len(segs),
             "overall_ratio": _overall_ratio(segs),
-            "overall_nrmse": _measure(segs, [batch.data]).get("nrmse"),
-        }
-        if lvl == 0:
-            row["overall_ratio_untensorized"] = _overall_ratio(flat)
-        rows.append(row)
+            "overall_nrmse": _measure(
+                segs, lambda start, stop: batch.time_slice(start, stop).data
+            ).get("nrmse"),
+        })
+
+    compress_run(batch.time_slice, n_t, config, on_level=add_row)
+    # the same segments untensorized, at the same budget and ordering
+    flat = []
+    compress_run(
+        batch.time_slice, n_t, dataclasses.replace(config, tensorize=False),
+        on_level=lambda segs: flat.append(_overall_ratio(segs)),
+    )
+    rows[0]["overall_ratio_untensorized"] = flat[0]
     columns = [
         "study",
         "level",

@@ -9,9 +9,10 @@ rounding at ``t_r`` gives ``t + t_r + t * t_r``; this governs
 part's actual error from what its truncations discarded
 (``CompressedSegment.error_bound``).  :func:`merge_tree` owns a run's
 budget: it rounds every level below the last at the equal a-priori split
-and the last level at what the ledger leaves of the budget.  Stacking
-along a new trailing dimension preserves tensorized time hierarchies;
-plain concatenation serves untensorized streaming axes.
+and the last level at what the ledger leaves of the budget, and returns
+only the merged part, which is all a merged run stores.  Stacks along a
+new trailing dimension keep tensorized time hierarchies; plain
+concatenation serves untensorized streaming axes.
 """
 
 import base64
@@ -740,22 +741,10 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
     )
 
 
-def merge_tree_levels(n_segments: int, arity: int) -> int:
-    """Number of merge levels needed to collapse ``n_segments`` to one."""
-    if arity < 2:
-        raise ConfigError("merge arity must be >= 2")
-    levels = 0
-    count = n_segments
-    while count > 1:
-        count = math.ceil(count / arity)
-        levels += 1
-    return levels
-
-
-def merge_tree(segments, arity: int, budget=None):
+def merge_tree(segments, arity: int, budget=None, on_level=None):
     """Hierarchical stack-merge of ``segments`` under one relative error
-    ``budget``: level 0 holds the segments, each next level merges
-    consecutive groups of ``arity``.
+    ``budget``; returns the merged part.  Level 0 holds the segments, and
+    each next level merges consecutive groups of ``arity``.
 
     Every level below the last rounds at the equal per-level tolerance of
     :func:`plan_tau_schedule` over the segments' :func:`combine_tolerances`,
@@ -764,29 +753,34 @@ def merge_tree(segments, arity: int, budget=None):
     are worst cases, so the last level is stacked exactly and rounded at
     whatever the ledger of certified errors leaves of the budget
     (:func:`_spend_leftover`).  ``budget=None`` keeps every stack exact.
-    Returns every level, level 0 first, so per-level compression curves
-    can be reported.
+    Each level is dropped once the next is built.  ``on_level``, when
+    given, observes each level's parts as they are made, level 0 first.
     """
-    segments = list(segments)
-    if not segments:
+    level = list(segments)
+    if not level:
         raise ConfigError("no segments to merge")
-    n_levels = merge_tree_levels(len(segments), arity)
+    if arity < 2:
+        raise ConfigError("merge arity must be >= 2")
+    n_levels = 0  # merges until one part is left
+    while arity**n_levels < len(level):
+        n_levels += 1
+    report = on_level or (lambda parts: None)
     schedule = [0.0] * n_levels
     if budget is not None:
-        weighted = combine_tolerances(segments)
-        schedule = plan_tau_schedule(budget, weighted, n_levels)
-    levels = [segments]
+        schedule = plan_tau_schedule(budget, combine_tolerances(level), n_levels)
+    report(level)
     for tau in schedule[:-1]:
-        levels.append(
-            [merge_stack(group, tau) for group in _groups(levels[-1], arity)]
-        )
+        level = [merge_stack(group, tau) for group in _groups(level, arity)]
+        report(level)
     if n_levels:
-        (group,) = _groups(levels[-1], arity)
+        (group,) = _groups(level, arity)
         merged = merge_stack(group, 0.0)
         if budget is not None:
             merged = _spend_leftover(merged, group, schedule[-1], budget)
-        levels.append([merged])
-    return levels
+        level = [merged]
+        del group  # the level below
+        report(level)
+    return level[0]
 
 
 def _groups(level, arity: int):
@@ -859,6 +853,7 @@ def compress_run(
     config: CompressionConfig,
     merge: bool = True,
     timings: Optional[dict] = None,
+    on_level=None,
 ):
     """Compress a run of ``n_t`` steps segment by segment and merge it.
 
@@ -872,8 +867,9 @@ def compress_run(
     :func:`merge_tree` pass merges them at the run's relative budget, which
     the merged part's certified ``tolerance_spent`` never exceeds.
 
-    Returns the merge-tree levels: level 0 holds the segments and the last
-    level the merged part (only level 0 without merging).  ``timings``,
+    Returns the parts the run stores: ``[merged]``, or the segments when
+    ``merge`` is off or the run fits in one segment.  ``on_level`` observes
+    the levels as in :func:`merge_tree`, or the segments alone; ``timings``,
     when given, receives the seconds of compression and of the merge.
     """
     seg_len = config.segment_length
@@ -889,40 +885,37 @@ def compress_run(
         pad = seg_len
 
     t0 = time.perf_counter()
-    segments = []
+    parts = []  # the segments
     for start in range(0, n_t, seg_len):
-        perms = segments[0].permutations if merging and segments else None
+        perms = parts[0].permutations if merging and parts else None
         batch = read(start, min(start + seg_len, n_t))
-        segments.append(compress_segment(batch, seg_config, start, perms, pad))
+        parts.append(compress_segment(batch, seg_config, start, perms, pad))
         del batch  # one raw segment in memory at a time
     t1 = time.perf_counter()
 
-    levels = [segments]
     if merging:
         budget = config.tolerance
         if config.tolerance_kind == "nrmse":
-            stats = combine_stats(s.stats for s in segments)
+            stats = combine_stats(s.stats for s in parts)
             budget = nrmse_to_relfrob(config.tolerance, stats)
-        levels = merge_tree(segments, config.merge_arity, budget)
+        # handed over, so that merge_tree frees them once level 1 is built
+        handed = (parts.pop(0) for _ in range(len(parts)))
+        parts = [merge_tree(handed, config.merge_arity, budget, on_level)]
+    elif on_level is not None:
+        on_level(parts)
     if timings is not None:
         timings.update(compress=t1 - t0, merge=time.perf_counter() - t1)
-    return levels
+    return parts
 
 
-def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
-    """Full dense reconstruction of consecutive segments of one run, in
-    original order, padding cropped.
-
-    The segments' own time ranges must follow each other without a gap or
-    an overlap, and their plans must agree on every axis but time;
-    otherwise a :class:`MergeError` is raised.  Per segment, the plan
-    cores are contracted once into a matrix with one row per tensorized
-    entry, and its rows are gathered once through :func:`_plan_rows`
-    into the segment's original order.  Each stacked leaf is then one
-    matrix-vector product, cropped to its real timesteps and written
-    into one preallocated output.  ``max_entries`` caps each train's
-    entry count as in :func:`tt_full`.
-    """
+def decode_leaves(segs, max_entries=None):
+    """Decode consecutive segments of one run leaf by leaf: an iterator of
+    ``(first_step, block)``, each block a leaf's real steps in original
+    order, each leaf one product with the segment's contracted plan
+    matrix.  Unless the segments' time ranges follow each other without a
+    gap or an overlap and their plans agree on every axis but time, a
+    :class:`MergeError` is raised before any decoding; ``max_entries``
+    caps each train's entry count as in :func:`tt_full`."""
     segs = list(segs)
     if not segs:
         raise MergeError("no segments to reconstruct")
@@ -935,32 +928,45 @@ def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
                 f"and {seg.plan.original_dims[1:]}"
             )
         _check_full_cap(seg.tt.dims, max_entries)
-    first = segs[0].time_range[0]
-    dims = (segs[-1].time_range[1] + 1 - first,) + extents
-    out = np.empty(dims, order="F")
+    return _decoded_leaves(segs, extents)
+
+
+def _decoded_leaves(segs, extents):
     for seg in segs:
         n_plan = len(seg.plan.tensorized_dims())
         plan_mat = _contract_cores(seg.tt.cores[:n_plan])
+        rows = _plan_rows(seg)
+        # rows put in original order in place, one column copied at a
+        # time; the products below round exactly as on the contraction
+        for column in plan_mat.T:
+            column[: rows.size] = column[rows]
+        plan_mat = plan_mat[: rows.size]
+        del rows
         rank = plan_mat.shape[1]
         leaf_mat = _contract_cores(seg.tt.cores[n_plan:], rank).reshape(
             (rank, -1), order="F"
         )
-        rows = _plan_rows(seg)
-        # column by column into a column-major matrix: no second full
-        # copy, and the products below round exactly as on ``plan_mat``
-        gathered = np.empty((rows.size, rank), order="F")
-        for j in range(rank):
-            gathered[:, j] = plan_mat[rows, j]
-        del plan_mat
-        t0 = seg.time_range[0] - first
+        step = seg.time_range[0]
         for leaf, extent in enumerate(seg.part_time_extents):
             if extent == 0:
                 continue
-            block = (gathered @ leaf_mat[:, leaf]).reshape(
+            # no reference kept, so a consumer holds one leaf at a time
+            yield step, (plan_mat @ leaf_mat[:, leaf]).reshape(
                 (-1,) + extents, order="F"
-            )
-            out[t0 : t0 + extent] = block[:extent]
-            t0 += extent
+            )[:extent]
+            step += extent
+
+
+def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
+    """Full dense reconstruction of consecutive segments of one run: the
+    blocks of :func:`decode_leaves`, written into one output."""
+    segs = list(segs)
+    leaves = decode_leaves(segs, max_entries)
+    first = segs[0].time_range[0]
+    dims = (segs[-1].time_range[1] + 1 - first,) + segs[0].plan.original_dims[1:]
+    out = np.empty(dims, order="F")
+    for step, block in leaves:
+        out[step - first : step - first + len(block)] = block
     return DenseTensor(dims, out.reshape(-1, order="F"))
 
 

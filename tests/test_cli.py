@@ -206,20 +206,74 @@ class TestCompress:
         batch = synth_particles(40, 40, "settle", seed=4)
         run = str(tmp_path / "run")
         write_run(run, batch)
-        out = tmp_path / "cli"
-        args = ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
-        assert main(args + ["--segment-length", "16"]) == 0
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
-        levels = compress_run(batch.time_slice, batch.n_t, config)
-        mem = tmp_path / "mem"
-        for seg in levels[0]:
-            save_segment(mem / "segments", seg, config.config_hash())
-        save_segment(mem, levels[-1][0], config.config_hash())
-        names = ["seg_0_39.ttc"] + [
-            f"segments/seg_{a}_{b}.ttc" for a, b in ((0, 15), (16, 31), (32, 39))
-        ]
-        for name in names:
-            assert (out / name).read_bytes() == (mem / name).read_bytes()
+        # the merged archive, and the segments --no-merge stores
+        for flags, names in (
+            ([], ["seg_0_39.ttc"]),
+            (["--no-merge"], [f"segments/seg_{a}_{b}.ttc"
+                              for a, b in ((0, 15), (16, 31), (32, 39))]),
+        ):
+            merge = not flags
+            out = tmp_path / f"cli_{merge}"
+            args = ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
+            assert main(args + ["--segment-length", "16"] + flags) == 0
+            mem = tmp_path / f"mem_{merge}"
+            parts = compress_run(batch.time_slice, batch.n_t, config, merge)
+            subdir = mem if merge else mem / "segments"
+            for part in parts:
+                save_segment(subdir, part, config.config_hash())
+            assert len(parts) == len(names)
+            for name in names:
+                assert (out / name).read_bytes() == (mem / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "n_t, flags, archives",
+        [
+            (40, [], ["seg_0_39.ttc"]),
+            (16, [], ["seg_0_15.ttc"]),
+            (40, ["--no-merge"], [f"segments/seg_{a}_{b}.ttc"
+                                  for a, b in ((0, 15), (16, 31), (32, 39))]),
+        ],
+        ids=["merged", "one-segment", "no-merge"],
+    )
+    def test_output_layout(self, tmp_path, n_t, flags, archives):
+        # a run stores its merged archive, or its segments under --no-merge,
+        # and the manifest lists exactly what was written
+        run = str(tmp_path / "run")
+        write_run(run, synth_particles(16, n_t, "settle", seed=2))
+        out = tmp_path / "out"
+        args = ["compress", run, "-o", str(out), "--segment-length", "16"]
+        assert main(args + flags) == 0
+        written = sorted(
+            p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()
+        )
+        assert written == sorted(archives + ["manifest.json"])
+        outputs = read_manifest(out)["outputs"]
+        assert [os.path.relpath(o["path"], out) for o in outputs] == archives
+        for record in outputs:
+            assert record["bytes"] == os.path.getsize(record["path"])
+
+    def test_verify_holds_one_leaf_at_a_time(self, tmp_path):
+        import tracemalloc
+
+        batch = synth_particles(256, 512, "settle", seed=3)
+        run = str(tmp_path / "run")
+        write_run(run, batch)
+        raw = batch.data.values.nbytes
+        del batch
+        peaks = []
+        for flags in ([], ["--verify"]):
+            out = str(tmp_path / f"out{len(flags)}")
+            tracemalloc.start()
+            try:
+                assert main(["compress", run, "-o", out, "--tolerance", "1e-2"]
+                            + flags) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the whole run is never decoded at once
+        assert peaks[1] < raw
+        assert peaks[1] < 2 * peaks[0]
 
     def test_bad_last_step_writes_nothing(
         self, run_dir, tmp_path, capsys, monkeypatch
@@ -310,17 +364,18 @@ class TestCompress:
             )
             if threads is not None:
                 env["OPENBLAS_NUM_THREADS"] = threads
-            out = str(tmp_path / f"out_{threads}")
-            subprocess.run(
-                [sys.executable, "-c",
-                 "import sys; from ttcompress.cli import main; sys.exit(main())",
-                 "compress", run, "-o", out, "--tolerance", "1e-2"],
-                env=env, check=True, capture_output=True, timeout=300,
-            )
-            archives.append({
-                name: (tmp_path / out / name).read_bytes()
-                for name in ("seg_0_255.ttc", "segments/seg_0_31.ttc")
-            })
+            archive = {}
+            for flags, name in (([], "seg_0_255.ttc"),
+                                (["--no-merge"], "segments/seg_0_31.ttc")):
+                out = str(tmp_path / f"out_{threads}_{len(flags)}")
+                subprocess.run(
+                    [sys.executable, "-c",
+                     "import sys; from ttcompress.cli import main; sys.exit(main())",
+                     "compress", run, "-o", out, "--tolerance", "1e-2", *flags],
+                    env=env, check=True, capture_output=True, timeout=300,
+                )
+                archive[name] = (tmp_path / out / name).read_bytes()
+            archives.append(archive)
         assert archives[0] == archives[1]
 
     def test_oversized_dt64_header_exits_two(self, tmp_path, capsys):
@@ -385,17 +440,20 @@ class TestCompress:
 
     def test_level_applies_to_time_and_particles(self, tmp_path):
         run = settling_run(tmp_path / "run", 5, 64, 64)
-        out = tmp_path / "out"
-        code = main(
-            ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
-            + ["--level", "2", "--verify"]
-        )
-        assert code == 0
-        archives = sorted(out.glob("*.ttc")) + sorted(out.glob("segments/*.ttc"))
+        archives = []
+        for flags in ([], ["--no-merge"]):
+            out = tmp_path / f"out{len(flags)}"
+            code = main(
+                ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
+                + ["--level", "2", "--verify"] + flags
+            )
+            assert code == 0
+            assert read_manifest(out)["metrics"]["nrmse"] <= 1e-2
+            archives += sorted(out.rglob("*.ttc"))
+        # the merged archive, then the two segments
         assert len(archives) == 3
         for path in archives:
             assert load_segment(path).plan.axis_levels == (2, 2, 1)
-        assert read_manifest(out)["metrics"]["nrmse"] <= 1e-2
 
     def test_level_applies_to_every_dt64_axis(self, tmp_path):
         # 5 and 2 have a single factor, so their level is capped at 1
@@ -595,7 +653,9 @@ class TestReadsStayScipyFree:
     @pytest.mark.parametrize("command", ["file", "dir", "region", "info"])
     def test_command(self, run_dir, tmp_path, command):
         out = str(tmp_path / "out")
-        assert main(["compress", run_dir, "-o", out, "--segment-length", "16"]) == 0
+        args = ["compress", run_dir, "-o", out, "--segment-length", "16"]
+        assert main(args) == 0
+        assert main(args + ["--no-merge"]) == 0
         archive = os.path.join(out, "seg_0_39.ttc")
         dt64 = str(tmp_path / "out.dt64")
         argv = {
@@ -808,7 +868,9 @@ class TestBench:
         assert [int(r["steps_per_segment"]) for r in rows] == [8, 16, 32]
         batch = synth_particles(64, 32, "settle", 3)
         config = CompressionConfig(tolerance=0.1, segment_length=8)
-        levels = compress_run(batch.time_slice, batch.n_t, config)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
+        assert len(levels) == len(rows)
         for row, level in zip(rows, levels):
             measured = nrmse(batch.data, reconstruct_segments(level))
             assert float(row["overall_nrmse"]) == pytest.approx(measured, rel=1e-12)

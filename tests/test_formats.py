@@ -1,18 +1,27 @@
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttcompress import (
+    CompressionConfig,
     DenseTensor,
     FormatError,
+    TTCompressError,
     TTTensor,
+    compress_run,
+    load_segment,
     read_dt64,
     read_ttc1,
+    save_segment,
+    synth_particles,
     tt_svd,
     write_dt64,
     write_ttc1,
 )
+from ttcompress.cli import main
 
 
 class TestDT64:
@@ -117,3 +126,47 @@ class TestTTC1:
         header = 4 + 4 + 4 + 3 * 8 + 2 * 8
         flat = np.frombuffer(raw[header : header + 32], dtype="<f8")
         assert np.array_equal(flat, [0.0, 1.0, 2.0, 3.0])
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """The bytes of a small merged TTC1 archive and of a small DT64 file,
+    with the reader of each, and a directory for their corrupted copies."""
+    work = tmp_path_factory.mktemp("corrupt")
+    batch = synth_particles(8, 40, "settle", seed=3)
+    config = CompressionConfig(tolerance=1e-2, segment_length=8)
+    (merged,) = compress_run(batch.time_slice, batch.n_t, config)
+    assert merged.stack_dims == (2, 2, 2)
+    archive = Path(save_segment(work, merged))
+    tensor = work / "t.dt64"
+    rng = np.random.default_rng(7)
+    write_dt64(tensor, DenseTensor.from_numpy(rng.uniform(size=(3, 4, 2))))
+    return work, {
+        "ttc": (archive.read_bytes(), load_segment),
+        "dt64": (tensor.read_bytes(), read_dt64),
+    }
+
+
+class TestCorruptedFiles:
+    """Every truncation and single-bit flip either still reads or fails as
+    a :class:`TTCompressError`, which ``ttc info`` reports with exit 2."""
+
+    @pytest.mark.parametrize("kind", ["ttc", "dt64"])
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_truncation_or_bit_flip(self, pristine, kind, data):
+        work, files = pristine
+        blob, load = files[kind]
+        if data.draw(st.booleans(), label="truncate"):
+            broken = blob[: data.draw(st.integers(0, len(blob) - 1))]
+        else:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1))
+            broken = bytearray(blob)
+            broken[bit // 8] ^= 1 << bit % 8
+        path = work / f"broken.{kind}"
+        path.write_bytes(bytes(broken))
+        try:
+            load(path)
+        except TTCompressError:
+            pass
+        assert main(["info", str(path)]) in (0, 2)

@@ -42,7 +42,7 @@ from ttcompress import (
 )
 from ttcompress import streaming
 from ttcompress.cli import main
-from ttcompress.streaming import CompressedSegment, DataStats, merge_tree_levels
+from ttcompress.streaming import CompressedSegment, DataStats
 from ttcompress.tt import _tt_round
 
 
@@ -248,7 +248,7 @@ class TestMergeStack:
         config = CompressionConfig(
             tolerance=1e-2, segment_length=16, reorder="none"
         )
-        parts = compress_run(batch.time_slice, 64, config, merge=False)[0]
+        parts = compress_run(batch.time_slice, 64, config, merge=False)
         taus = [p.tolerance_spent for p in parts]
         assert max(taus) > 1.1 * min(taus)
         merged = merge_stack(parts, tau_round)
@@ -384,8 +384,10 @@ class TestMergeTree:
         rng = np.random.default_rng(19)
         arr = rng.uniform(size=(n_seg, 4, 3))
         parts = split_time(arr, n_seg, relfrob_config(1e-3))
-        levels = merge_tree(parts, arity, 2e-3)
+        levels = []
+        final = merge_tree(parts, arity, 2e-3, levels.append)
         assert [len(lv) for lv in levels] == counts
+        assert levels[-1] == [final] and levels[0] == parts
         for level in levels:
             # short trailing groups are filled, so every part stacks alike
             assert len({p.stack_dims for p in level}) == 1
@@ -395,8 +397,10 @@ class TestMergeTree:
         rng = np.random.default_rng(20)
         arr = rng.uniform(size=(4, 4, 3))
         seg = compress_segment(batch_from_array(arr), relfrob_config(1e-3))
-        assert merge_tree([seg], 2) == [[seg]]
-        assert merge_tree([seg], 2, 1e-2) == [[seg]]
+        levels = []
+        assert merge_tree([seg], 2) is seg
+        assert merge_tree([seg], 2, 1e-2, levels.append) is seg
+        assert levels == [[seg]]
 
     @pytest.mark.parametrize(
         "n_seg, arity", [(4, 2), (3, 2), (5, 3)], ids=["4-of-2", "3-of-2", "5-of-3"]
@@ -406,8 +410,7 @@ class TestMergeTree:
         arr = rng.uniform(size=(2 * n_seg, 4, 3))
         tau = 1e-2
         parts = split_time(arr, n_seg, relfrob_config(tau))
-        levels = merge_tree(parts, arity, 3 * tau)
-        final = levels[-1][0]
+        final = merge_tree(parts, arity, 3 * tau)
         assert final.total_steps == 2 * n_seg
         err = rel_frob(
             DenseTensor.from_numpy(arr), reconstruct_segment(final)
@@ -422,7 +425,7 @@ class TestMergeTree:
         arr = rng.uniform(size=(8, 4, 3))
         parts = split_time(arr, 4, relfrob_config(1e-2))
         parts[1] = dataclasses.replace(parts[1], error_bound=None)
-        final = merge_tree(parts, 2, 3e-2)[-1][0]
+        final = merge_tree(parts, 2, 3e-2)
         assert final.error_bound is None
         assert final.tolerance_spent == pytest.approx(3e-2, rel=1e-12)
         err = rel_frob(DenseTensor.from_numpy(arr), reconstruct_segment(final))
@@ -454,7 +457,8 @@ class TestMergeTree:
         rng = np.random.default_rng(24)
         arr = rng.uniform(size=(2 * n_seg, 4, 3))
         parts = split_time(arr, n_seg, relfrob_config(1e-2))
-        levels = merge_tree(parts, arity)
+        levels = []
+        merge_tree(parts, arity, on_level=levels.append)
         for below, level in zip(levels, levels[1:]):
             groups = list(streaming._groups(below, arity))
             assert len(groups) == len(level)
@@ -489,12 +493,31 @@ class TestCompressRun:
         config = CompressionConfig(tolerance=0.1, segment_length=32)
         tracemalloc.start()
         try:
-            levels = compress_run(read, n_t, config)
+            (merged,) = compress_run(read, n_t, config)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(levels[0]) == 16
+        assert merged.stack_dims == (2, 2, 2, 2)
         assert peak < raw / 4
+
+    def test_returns_only_the_merged_part(self):
+        # the segments and the levels above them are dropped as the merge
+        # goes on, and none outlives it
+        import tracemalloc
+
+        batch = synth_particles(1024, 512, "settle", seed=3)
+        raw = batch.data.values.nbytes
+        config = CompressionConfig(tolerance=1e-2, segment_length=32)
+        tracemalloc.start()
+        try:
+            parts = compress_run(batch.time_slice, batch.n_t, config)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (merged,) = parts
+        assert merged.time_range == (0, 511)
+        assert held <= 0.05 * raw
+        assert peak < 0.4 * raw
 
     @pytest.mark.parametrize("merge", [True, False])
     def test_reads_each_step_once(self, merge):
@@ -520,7 +543,8 @@ class TestCompressRun:
         config = CompressionConfig(
             tolerance=1e-2, segment_length=32, reorder="none"
         )
-        levels = compress_run(batch.time_slice, batch.n_t, config)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
         stats = stats_of(velocities)
         budget = nrmse_to_relfrob(1e-2, stats)
         assert max(s.tolerance_spent for s in levels[0]) > budget / 2
@@ -536,8 +560,12 @@ class TestCompressRun:
         config = CompressionConfig(segment_length=4, reorder="timestep")
         with pytest.raises(ConfigError):
             compress_run(batch.time_slice, 8, config)
-        levels = compress_run(batch.time_slice, 8, config, merge=False)
-        assert [s.time_range for s in levels[0]] == [(0, 3), (4, 7)]
+        levels = []
+        parts = compress_run(
+            batch.time_slice, 8, config, merge=False, on_level=levels.append
+        )
+        assert [s.time_range for s in parts] == [(0, 3), (4, 7)]
+        assert levels == [parts]
 
 
 def abs_error(arr, seg):
@@ -651,7 +679,8 @@ class TestSpendLeftover:
             segment_length=16,
             merge_arity=arity,
         )
-        levels = compress_run(batch.time_slice, batch.n_t, config)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
         stats = stats_of(arr)
         target = config.tolerance
         if kind == "nrmse":
@@ -680,13 +709,15 @@ class TestSpendLeftover:
             segment_length=16,
             merge_arity=arity,
         )
-        levels = compress_run(batch.time_slice, batch.n_t, config)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
         budget = config.tolerance
         if kind == "nrmse":
             # the run's statistics, combined from the segments'
             stats = combine_stats(s.stats for s in levels[0])
             budget = nrmse_to_relfrob(config.tolerance, stats)
-        again = merge_tree(levels[0], arity, budget)
+        again = []
+        merge_tree(levels[0], arity, budget, again.append)
         assert [len(lv) for lv in again] == [len(lv) for lv in levels]
         for a_level, b_level in zip(levels, again):
             for a, b in zip(a_level, b_level):
@@ -700,9 +731,12 @@ class TestSpendLeftover:
     def test_spends_more_than_the_schedule(self):
         batch = settle_run(8)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
-        segments = compress_run(batch.time_slice, batch.n_t, config)[0]
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
+        segments = levels[0]
         target = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
-        levels = merge_tree(segments, 2, target)
+        levels = []
+        merge_tree(segments, 2, target, levels.append)
         worst = max(s.tolerance_spent for s in segments)
         schedule = plan_tau_schedule(target, worst, len(levels) - 1)
         # the last level rounded at its planned share instead
@@ -728,7 +762,8 @@ class TestSpendLeftover:
         # planned rounding and its a-priori tolerance
         batch = settle_run(4)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
-        expected = compress_run(batch.time_slice, batch.n_t, config)
+        expected = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=expected.append)
         segments = expected[0]
         honest = streaming._round_orthogonal
         budget = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
@@ -742,10 +777,9 @@ class TestSpendLeftover:
             return train, lost
 
         monkeypatch.setattr(streaming, "_round_orthogonal", inflated)
-        levels = merge_tree(segments, 2, budget)
+        final = merge_tree(segments, 2, budget)
         # two planned merges, the spending round, the planned round
         assert len(calls) == 4 and calls[2] > 0 and calls[3] == 0
-        final = levels[-1][0]
         assert final.tt.core_entry_count > expected[-1][0].tt.core_entry_count
         assert final.tolerance_spent <= budget * (1 + 1e-12)
 
@@ -755,8 +789,10 @@ class TestSpendLeftover:
         # zero data leaves no norm to relate the certified bound to
         batch = batch_from_array(np.zeros((40, 8, 3)))
         config = relfrob_config(tolerance, segment_length=16)
-        levels = compress_run(batch.time_slice, batch.n_t, config)
-        final = levels[-1][0]
+        levels = []
+        (final,) = compress_run(
+            batch.time_slice, batch.n_t, config, on_level=levels.append
+        )
         assert len(levels) == 3 and final.error_bound == 0.0
         # the a-priori composition, as merge_tree checks it
         assert final.tolerance_spent <= tolerance * (1 + 1e-12)
@@ -773,7 +809,8 @@ class TestStackRounding:
         # an empty part filling its group, and the merged parts above them
         batch = settle_run(3)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
-        levels = compress_run(batch.time_slice, batch.n_t, config)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
         segs = levels[0]
         return {
             "two": segs[:2],
@@ -952,7 +989,7 @@ def merged_ragged_segment(reorder="segment", n_seg=4, arity=2):
         )
         for start in range(0, n_t, 4)
     ]
-    return merge_tree(parts, arity, 4e-3)[-1][0]
+    return merge_tree(parts, arity, 4e-3)
 
 
 def interlaced_segment():
@@ -1018,19 +1055,22 @@ def run_segments(n_p, reorder, lengths=(4, 4, 4, 2)):
     ]
 
 
+def merged_levels(n_p):
+    """The merge levels of :func:`run_segments` under one ordering."""
+    levels = []
+    merge_tree(run_segments(n_p, "segment"), 2, 4e-3, levels.append)
+    return levels
+
+
 # the segments that one ``ttc reconstruct`` call turns into one .dt64
 RUN_CASES = {
     # two merged parts of a run with 7 particles, padded to 8
-    "merged-padded-particles": lambda: merge_tree(
-        run_segments(7, "segment"), 2, 4e-3
-    )[1],
+    "merged-padded-particles": lambda: merged_levels(7)[1],
     # per-timestep permutations, which stop the run from merging
     "reorder-timestep": lambda: run_segments(5, "timestep"),
     "interlaced": lambda: [interlaced_segment()],
     # one archive whose last leaf holds 2 of 4 steps
-    "short-last-leaf": lambda: merge_tree(
-        run_segments(7, "segment"), 2, 4e-3
-    )[-1],
+    "short-last-leaf": lambda: merged_levels(7)[-1],
 }
 
 
