@@ -8,11 +8,12 @@ rounding at ``t_r`` gives ``t + t_r + t * t_r``; this governs
 :func:`merge_stack` and :func:`merge_concat`.  The ledger certifies each
 part's actual error from what its truncations discarded
 (``CompressedSegment.error_bound``).  :func:`merge_tree` owns a run's
-budget: it rounds every level below the last at the equal a-priori split
-and the last level at what the ledger leaves of the budget, and returns
-only the merged part, which is all a merged run stores.  Stacks along a
-new trailing dimension keep tensorized time hierarchies; plain
-concatenation serves untensorized streaming axes.
+budget: one :func:`merge_stack` per group rounds each level at the equal
+a-priori split, the last level's also spending what the ledger leaves,
+and only the merged part, all a merged run stores, is returned.  Stacks
+along a new trailing dimension keep tensorized time hierarchies; plain
+concatenation serves untensorized streaming axes.  Every read maps
+coordinates to rows through one map, ``tensorize.axis_offsets``.
 """
 
 import base64
@@ -47,9 +48,9 @@ from .tensorize import (
     AxisPad,
     TensorizePlan,
     apply_plan,
+    axis_offsets,
     factor_dims,
     next_factorable,
-    original_view,
 )
 from .tt import (
     TTTensor,
@@ -171,6 +172,13 @@ class CompressionConfig:
             raise ConfigError("merge arity must be >= 2")
         if self.max_factor < 2:
             raise ConfigError("factor cap must be >= 2")
+        level = self.level
+        if level is not None and (
+            isinstance(level, bool)
+            or not isinstance(level, numbers.Integral)
+            or level < 1
+        ):
+            raise ConfigError(f"level must be an integer >= 1, got {level!r}")
         if self.reorder not in REORDER_POLICIES:
             raise ConfigError(
                 f"reorder policy must be one of {REORDER_POLICIES}, "
@@ -603,38 +611,42 @@ def combine_tolerances(parts) -> float:
     return min(worst, math.hypot(*errors) / norm) if norm > 0 else worst
 
 
-def _merged(parts, tt: TTTensor, tau_round: float, lost: float, **layout):
+def _merged(parts, tt: TTTensor, tau_round, lost, spent=None, **layout):
     """The part that merges ``parts`` into ``tt``, whose rounding at
     ``tau_round`` discarded ``lost``; ``layout`` gives its plan, leaf
     extents and stack dims.
 
-    Its a-priori budget is ``t + tau_round + t * tau_round`` with ``t``
-    the parts' :func:`combine_tolerances`.  Its error bound is their
-    bounds in root-sum-square, since they cover disjoint entries, plus
-    ``lost`` in full, since the rounding error is not orthogonal to them.
+    Its budget is ``spent`` if certified, else the a-priori ``t +
+    tau_round + t * tau_round``, ``t`` the parts' :func:`combine_tolerances`.
+    Its error bound is their bounds in root-sum-square, since they cover
+    disjoint entries, plus ``lost`` in full, since the rounding error is
+    not orthogonal to them.
     """
     bound = combine_error_bounds(parts)
+    if spent is None:
+        spent = compose_tolerances(combine_tolerances(parts), [tau_round])
     return CompressedSegment(
         tt=tt,
         reorder=parts[0].reorder,
         permutations=parts[0].permutations,
         time_range=(parts[0].time_range[0], parts[-1].time_range[1]),
         stats=combine_stats([p.stats for p in parts]),
-        tolerance_spent=compose_tolerances(
-            combine_tolerances(parts), [tau_round]
-        ),
+        tolerance_spent=spent,
         error_bound=None if bound is None else bound + lost,
         **layout,
     )
 
 
-def merge_stack(parts, tau_round: float) -> CompressedSegment:
+def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     """Merge segments by stacking along a new trailing dimension.
 
     The stacked train is exact; rounding at ``tau_round`` (skipped when 0)
     then shrinks the inflated ranks, with each part orthogonalized on its
     own (:func:`~ttcompress.tt._orthogonal_stack`).  Budget and error
-    bound as in :func:`_merged`.
+    bound as in :func:`_merged`.  A relative ``budget`` also spends what
+    the parts' certified errors leave of ``budget * ||X||``, and the
+    certified bound over ``||X||`` becomes the part's budget; float slack
+    past it, or an unknown part bound, keep ``tau_round`` alone.
     """
     parts = _merge_parts(parts, tau_round)
     if len(parts) == 1:
@@ -651,12 +663,23 @@ def merge_stack(parts, tau_round: float) -> CompressedSegment:
             raise MergeError("parts were tensorized under different plans")
     _check_contiguous(parts)
     trains = [p.tt for p in parts]
-    if tau_round > 0:
-        merged, lost = _round_orthogonal(_orthogonal_stack(trains), tau_round)
-    else:
+    ledger = combine_error_bounds(parts)
+    norm = combine_stats(p.stats for p in parts).frobenius_norm
+    # what the ledger leaves of the budget: nothing without both
+    spare, spent = -math.inf, None
+    if budget is not None and ledger is not None:
+        spare = budget * norm - ledger
+    if tau_round == 0 and spare <= 0:
         merged, lost = tt_stack_new(trains), 0.0
+    else:
+        ortho = _orthogonal_stack(trains)
+        merged, lost = _round_orthogonal(ortho, tau_round, spare)
+        if lost <= spare and norm > 0:
+            spent = (ledger + lost) / norm
+        elif lost > spare > 0:
+            merged, lost = _round_orthogonal(ortho, tau_round)
     return _merged(
-        parts, merged, tau_round, lost,
+        parts, merged, tau_round, lost, spent,
         plan=_normalize_time_axis(base.plan),
         part_time_extents=sum((p.part_time_extents for p in parts), ()),
         stack_dims=base.stack_dims + (len(parts),),
@@ -746,15 +769,15 @@ def merge_tree(segments, arity: int, budget=None, on_level=None):
     ``budget``; returns the merged part.  Level 0 holds the segments, and
     each next level merges consecutive groups of ``arity``.
 
-    Every level below the last rounds at the equal per-level tolerance of
+    Every level rounds at the equal per-level tolerance of
     :func:`plan_tau_schedule` over the segments' :func:`combine_tolerances`,
     which keeps the a-priori composition within the budget (segments
     above it raise :class:`ConfigError` before any merging).  Those bounds
-    are worst cases, so the last level is stacked exactly and rounded at
-    whatever the ledger of certified errors leaves of the budget
-    (:func:`_spend_leftover`).  ``budget=None`` keeps every stack exact.
-    Each level is dropped once the next is built.  ``on_level``, when
-    given, observes each level's parts as they are made, level 0 first.
+    are worst cases, so :func:`merge_stack` also spends, at the last level,
+    whatever the ledger of certified errors leaves of the budget.
+    ``budget=None`` keeps every stack exact.  Each level is dropped once
+    the next is built.  ``on_level``, when given, observes each level's
+    parts as they are made, level 0 first.
     """
     level = list(segments)
     if not level:
@@ -769,16 +792,9 @@ def merge_tree(segments, arity: int, budget=None, on_level=None):
     if budget is not None:
         schedule = plan_tau_schedule(budget, combine_tolerances(level), n_levels)
     report(level)
-    for tau in schedule[:-1]:
-        level = [merge_stack(group, tau) for group in _groups(level, arity)]
-        report(level)
-    if n_levels:
-        (group,) = _groups(level, arity)
-        merged = merge_stack(group, 0.0)
-        if budget is not None:
-            merged = _spend_leftover(merged, group, schedule[-1], budget)
-        level = [merged]
-        del group  # the level below
+    for k, tau in enumerate(schedule, 1):
+        spend = budget if k == n_levels else None
+        level = [merge_stack(g, tau, spend) for g in _groups(level, arity)]
         report(level)
     return level[0]
 
@@ -808,42 +824,6 @@ def _empty_part(like: CompressedSegment) -> CompressedSegment:
         stats=DataStats(like.stats.x_min, like.stats.x_max, 0.0, 0),
         tolerance_spent=0.0,
         error_bound=0.0,
-    )
-
-
-def _spend_leftover(
-    stacked: CompressedSegment, parts, planned: float, budget: float
-) -> CompressedSegment:
-    """Round the last merge level's exact stack of ``parts`` at what its
-    ledger leaves of ``budget`` times the stack's data norm, never at
-    less than ``planned``.
-
-    The certified bound is then within the budget and becomes the part's
-    ``tolerance_spent``.  Only the Gram path's float slack can carry the
-    bound past the budget; the stack is then rounded at ``planned`` and
-    keeps the a-priori composition, as it is without a ledger.  Both
-    roundings start from one orthogonalization of the parts.  A zero
-    budget and schedule (lossless) leave the exact stack.
-    """
-    if stacked.error_bound is None:
-        return merge_stack(parts, planned)
-    norm = stacked.stats.frobenius_norm
-    spare = budget * norm - stacked.error_bound
-    if planned == 0 and spare <= 0:
-        return stacked
-    ortho = _orthogonal_stack([p.tt for p in parts])
-    tt, lost = _round_orthogonal(ortho, planned, spare)
-    if lost <= spare and norm > 0:
-        spent = (stacked.error_bound + lost) / norm
-    else:
-        if lost > spare:
-            tt, lost = _round_orthogonal(ortho, planned)
-        spent = compose_tolerances(stacked.tolerance_spent, [planned])
-    return dataclasses.replace(
-        stacked,
-        tt=tt,
-        error_bound=stacked.error_bound + lost,
-        tolerance_spent=spent,
     )
 
 
@@ -935,7 +915,8 @@ def _decoded_leaves(segs, extents):
     for seg in segs:
         n_plan = len(seg.plan.tensorized_dims())
         plan_mat = _contract_cores(seg.tt.cores[:n_plan])
-        rows = _plan_rows(seg)
+        box = (max(seg.part_time_extents),) + extents  # the longest leaf
+        rows = _plan_rows(seg, np.ogrid[tuple(map(slice, box))]).ravel("F")
         # rows put in original order in place, one column copied at a
         # time; the products below round exactly as on the contraction
         for column in plan_mat.T:
@@ -970,22 +951,17 @@ def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
     return DenseTensor(dims, out.reshape(-1, order="F"))
 
 
-def _plan_rows(seg: CompressedSegment) -> np.ndarray:
-    """Row of the contracted plan matrix behind each entry of a leaf, in
-    original order over the steps of the segment's longest leaf, flat in
-    column-major order.  One map undoes padding, interlacing and the
-    particle permutation."""
-    steps = max(seg.part_time_extents)
-    n_rows = math.prod(seg.plan.tensorized_dims())
-    rows = original_view(np.arange(n_rows), seg.plan)[:steps]
+def _plan_rows(seg: CompressedSegment, coords) -> np.ndarray:
+    """Row of the contracted plan matrix behind original coordinates:
+    ``coords`` holds one broadcasting array of 0-based indices per axis,
+    time counted within a leaf.  Each particle goes to its sorted
+    position, and :func:`axis_offsets` undoes padding and interlacing."""
+    coords = list(coords)
     inverse = seg.inverse_permutations
     if inverse is not None:
-        # each original particle sits at its sorted position
-        if inverse.ndim == 2:
-            rows = rows[np.arange(steps)[:, None], inverse[:steps]]
-        else:
-            rows = rows[:, inverse]
-    return rows.reshape(-1, order="F")
+        steps = (coords[0],) if inverse.ndim == 2 else ()
+        coords[1] = inverse[steps + (coords[1],)]
+    return sum(axis[c] for axis, c in zip(axis_offsets(seg.plan), coords))
 
 
 def reconstruct_segment(
@@ -997,26 +973,20 @@ def reconstruct_segment(
 
 
 def _train_indices(seg: CompressedSegment, coords) -> np.ndarray:
-    """1-based train multi-indices of 1-based original coordinates.
-
-    One row per entry; the time coordinate counts within the segment
-    (1..total steps) and selects the stacked leaf and the step within it.
-    """
-    coords = index_rows(coords, (seg.total_steps,) + seg.plan.original_dims[1:])
+    """1-based train multi-indices of 1-based original coordinates, one
+    row per entry: the digits of its :func:`_plan_rows` row, then those of
+    its stacked leaf.  Time counts within the segment (1..total steps)
+    and selects the leaf and the step within it."""
+    dims = (seg.total_steps,) + seg.plan.original_dims[1:]
+    coords = index_rows(coords, dims) - 1
     bounds = np.cumsum((0,) + seg.part_time_extents)
-    leaf = np.searchsorted(bounds, coords[:, 0] - 1, side="right") - 1
+    leaf = np.searchsorted(bounds, coords[:, 0], side="right") - 1
     coords[:, 0] -= bounds[leaf]
-    inverse = seg.inverse_permutations
-    if inverse is not None:
-        # position of each original particle in the sorted order
-        rows = (coords[:, 0] - 1,) if inverse.ndim == 2 else ()
-        coords[:, 1] = inverse[rows + (coords[:, 1] - 1,)] + 1
-    leaf_digits = ()
+    rows = _plan_rows(seg, coords.T)
+    digits = np.unravel_index(rows, seg.plan.tensorized_dims(), order="F")
     if seg.stack_dims:
-        leaf_digits = np.unravel_index(leaf, seg.stack_dims, order="F")
-    return np.column_stack(
-        [seg.plan.forward_indices(coords)] + [d + 1 for d in leaf_digits]
-    )
+        digits += np.unravel_index(leaf, seg.stack_dims, order="F")
+    return np.column_stack(digits) + 1
 
 
 def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import DenseMatrix, DenseTensor, index_rows
+from .dense import DenseMatrix, DenseTensor
 from .errors import ConfigError, IndexRangeError, PlanError
 
 
@@ -176,21 +176,6 @@ class TensorizePlan:
             return pre
         return tuple(pre[p] for p in self.interlace)
 
-    def forward_indices(self, indices) -> np.ndarray:
-        """Map each row of an ``(N, axes)`` array of 1-based multi-indices
-        of the (unpadded) original tensor to the 1-based multi-index of the
-        tensorized tensor."""
-        idx = index_rows(indices, self.original_dims)
-        digits = []
-        for ax0 in range(len(self.original_dims)):
-            rem = idx[:, ax0] - 1
-            for extent in self.axis_split_dims(ax0 + 1):
-                rem, digit = np.divmod(rem, extent)
-                digits.append(digit + 1)
-        if self.interlace is not None:
-            digits = [digits[p] for p in self.interlace]
-        return np.stack(digits, axis=1)
-
 
 def pad_replicate(t: DenseTensor, axis: int, target_extent: int):
     """Grow one axis by replicating its final slice.
@@ -235,27 +220,36 @@ def apply_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     return DenseTensor.from_numpy(np.transpose(arr, plan.interlace))
 
 
-def original_view(values: np.ndarray, plan: TensorizePlan) -> np.ndarray:
-    """Flat values in tensorized (column-major) order as an array over the
-    original, unpadded box.
-
-    A view of ``values`` unless the plan interlaces, which costs one copy.
-    """
-    arr = values.reshape(plan.tensorized_dims(), order="F")
-    if plan.interlace is not None:
-        arr = np.transpose(arr, np.argsort(plan.interlace))
-    arr = arr.reshape(plan.padded_dims(), order="F")
-    return arr[tuple(slice(0, n) for n in plan.original_dims)]
+def axis_offsets(plan: TensorizePlan) -> list:
+    """Per original axis, what each of its 0-based unpadded indices adds
+    to the flat column-major index of the tensorized tensor, built in
+    ``sum(padded_dims)`` integers.  Every split dimension belongs to one
+    axis, wherever interlacing puts it, so an entry's flat index is the
+    sum of its axes' offsets."""
+    dims = plan.tensorized_dims()
+    strides = np.cumprod((1,) + dims[:-1])
+    # the train stride of each split dimension, in pre-interlace order
+    strides = iter(strides[np.argsort(plan.interlace or range(len(dims)))])
+    out = []
+    for ax, extent in enumerate(plan.original_dims, 1):
+        offsets = np.zeros(1, dtype=np.int64)
+        for split in plan.axis_split_dims(ax):
+            # column-major: each digit runs slower than those before it
+            digit = np.arange(split) * next(strides)
+            offsets = np.add.outer(digit, offsets).reshape(-1)
+        out.append(offsets[:extent])
+    return out
 
 
 def invert_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
-    """Exact inverse of :func:`apply_plan` onto the original (unpadded) box."""
+    """Exact inverse of :func:`apply_plan` onto the original (unpadded)
+    box: a gather through :func:`axis_offsets`."""
     if data.dims != plan.tensorized_dims():
         raise PlanError(
             f"data dims {data.dims} do not match the plan's tensorized "
             f"dims {plan.tensorized_dims()}"
         )
-    return DenseTensor.from_numpy(original_view(data.values, plan))
+    return DenseTensor.from_numpy(data.values[sum(np.ix_(*axis_offsets(plan)))])
 
 
 def tensorize_vector(v: DenseTensor, level: int) -> DenseTensor:

@@ -191,11 +191,17 @@ def tt_get(t: TTTensor, indices) -> float:
 
 def _check_full_cap(dims, max_entries=None) -> None:
     """Refuse to materialize more than ``max_entries`` entries (default
-    2**31, or the QTT_MEMORY_CAP_ENTRIES environment variable)."""
+    2**31, or the QTT_MEMORY_CAP_ENTRIES environment variable, which must
+    hold an integer >= 0)."""
     if max_entries is not None:
         cap = int(max_entries)
     elif FULL_CAP_ENV_VAR in os.environ:
-        cap = int(os.environ[FULL_CAP_ENV_VAR])
+        value = os.environ[FULL_CAP_ENV_VAR]
+        if not value.strip().isdecimal():
+            raise ConfigError(
+                f"{FULL_CAP_ENV_VAR} must be an integer >= 0, got {value!r}"
+            )
+        cap = int(value)
     else:
         cap = DEFAULT_FULL_CAP_ENTRIES
     total = math.prod(dims)

@@ -455,6 +455,22 @@ class TestCompress:
         for path in archives:
             assert load_segment(path).plan.axis_levels == (2, 2, 1)
 
+    @pytest.mark.parametrize("level", ["0", "-1"])
+    @pytest.mark.parametrize("flags", [["--no-tensorize"], []])
+    def test_bad_level_exits_before_reading(
+        self, run_dir, tmp_path, capsys, monkeypatch, level, flags
+    ):
+        def no_read(*args, **kwargs):
+            raise AssertionError("opened the run before the level was checked")
+
+        monkeypatch.setattr(ttcompress.cli, "open_run", no_read)
+        out = tmp_path / "out"
+        code = main(["compress", run_dir, "-o", str(out), "--level", level] + flags)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "level" in err
+        assert not out.exists() or not list(out.iterdir())
+
     def test_level_applies_to_every_dt64_axis(self, tmp_path):
         # 5 and 2 have a single factor, so their level is capped at 1
         rng = np.random.default_rng(4)
@@ -608,6 +624,19 @@ class TestReconstruct:
             )
             == 2
         )
+
+    @pytest.mark.parametrize("cap", ["abc", "", "-1"])
+    def test_malformed_memory_cap_exits_two(
+        self, run_dir, tmp_path, capsys, monkeypatch, cap
+    ):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", cap)
+        archive = os.path.join(out, "seg_0_39.ttc")
+        code = main(["reconstruct", archive, "-o", str(tmp_path / "x.dt64")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "QTT_MEMORY_CAP_ENTRIES" in err
 
     def test_malformed_region_exits_two(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -167,6 +167,13 @@ class TestCompressSegment:
             recon, batch.data.to_numpy(), atol=1e-11 * seg.stats.frobenius_norm
         )
 
+    @pytest.mark.parametrize("level", [0, -1, True, 1.5, "2"])
+    def test_bad_level_rejected(self, level):
+        with pytest.raises(ConfigError, match="level"):
+            CompressionConfig(level=level)
+        with pytest.raises(ConfigError, match="level"):
+            CompressionConfig(level=level, tensorize=False)
+
     def test_reorder_requires_positions(self):
         arr = np.zeros((4, 4, 2))
         arr[0, 0, 0] = 1.0
@@ -799,6 +806,73 @@ class TestSpendLeftover:
         assert not reconstruct_segment(final).to_numpy().any()
 
 
+def same_cores(a, b):
+    return a.ranks == b.ranks and all(
+        np.array_equal(x, y) for x, y in zip(a.cores, b.cores)
+    )
+
+
+class TestMergeStackBudget:
+    """``merge_stack(parts, tau, budget)`` on the last group of a merged
+    settling run: the one call that spends what the ledger leaves."""
+
+    @pytest.fixture(scope="class")
+    def last(self):
+        batch = settle_run(8)
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
+        stats = combine_stats(s.stats for s in levels[0])
+        budget = nrmse_to_relfrob(1e-2, stats)
+        schedule = plan_tau_schedule(
+            budget, streaming.combine_tolerances(levels[0]), len(levels) - 1
+        )
+        (group,) = streaming._groups(levels[-2], 2)
+        return group, schedule[-1], budget, levels[-1][0]
+
+    def test_equals_the_merge_tree_part(self, last):
+        group, tau, budget, final = last
+        part = merge_stack(group, tau, budget)
+        assert same_cores(part.tt, final.tt)
+        assert part.error_bound == final.error_bound
+        assert part.tolerance_spent == final.tolerance_spent
+        # the certified bound, below the a-priori composition
+        norm = part.stats.frobenius_norm
+        assert part.tolerance_spent == part.error_bound / norm
+        assert part.tolerance_spent < merge_stack(group, tau).tolerance_spent
+
+    def test_budget_below_the_ledger_rounds_at_tau(self, last):
+        group, tau, _, _ = last
+        ledger = streaming.combine_error_bounds(group)
+        norm = combine_stats(p.stats for p in group).frobenius_norm
+        part = merge_stack(group, tau, 0.5 * ledger / norm)
+        planned = merge_stack(group, tau)
+        assert same_cores(part.tt, planned.tt)
+        assert part.error_bound == planned.error_bound
+        assert part.tolerance_spent == compose_tolerances(
+            streaming.combine_tolerances(group), [tau]
+        )
+
+    def test_unknown_bound_rounds_at_tau(self, last):
+        group, tau, budget, _ = last
+        group = [dataclasses.replace(group[0], error_bound=None)] + group[1:]
+        part = merge_stack(group, tau, budget)
+        planned = merge_stack(group, tau)
+        assert part.error_bound is None
+        assert same_cores(part.tt, planned.tt)
+        assert part.tolerance_spent == planned.tolerance_spent
+
+    @pytest.mark.parametrize("share", [0.0, 0.5])
+    def test_no_spare_keeps_the_exact_stack(self, last, share):
+        group, _, _, _ = last
+        ledger = streaming.combine_error_bounds(group)
+        norm = combine_stats(p.stats for p in group).frobenius_norm
+        part = merge_stack(group, 0.0, share * ledger / norm)
+        assert same_cores(part.tt, tt_stack_new([p.tt for p in group]))
+        assert part.error_bound == ledger
+        assert part.tolerance_spent == streaming.combine_tolerances(group)
+
+
 class TestStackRounding:
     """Rounding a stack of separately orthogonalized parts matches the
     joint sweep of the stacked train."""
@@ -909,6 +983,24 @@ class TestElementAccess:
         assert np.allclose(
             region.to_numpy()[:, 0, :], dense[:, 2, :], atol=1e-10
         )
+
+    def test_one_entry_region_memory_follows_the_extents(self):
+        import tracemalloc
+
+        # one segment with a leaf of 64 x 4096 x 3 entries: the offsets
+        # cost O(sum of extents), a row table over the leaf 8 bytes each
+        batch = synth_particles(4096, 64, "settle", seed=29)
+        seg = compress_segment(batch, CompressionConfig(tolerance=1e-2))
+        leaf_entries = 64 * 4096 * 3
+        want = reconstruct_segment(seg).to_numpy()[40, 1234, 2]
+        tracemalloc.start()
+        try:
+            got = reconstruct_region(seg, [(41, 41), (1235, 1235), (3, 3)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.values[0] == pytest.approx(want, rel=1e-12, abs=1e-12)
+        assert peak < leaf_entries
 
     def test_region_on_merged_segment(self):
         rng = np.random.default_rng(27)

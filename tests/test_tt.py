@@ -261,6 +261,11 @@ class TestTTFull:
             tt_full(t)
         monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "1001")
         assert tt_full(t).dims == (10, 10, 10)
+        # a malformed cap is a configuration error that names the variable
+        for value in ("abc", "", "-1", "1.5"):
+            monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", value)
+            with pytest.raises(ConfigError, match="QTT_MEMORY_CAP_ENTRIES"):
+                tt_full(t)
 
 
 class TestTTNorm:
