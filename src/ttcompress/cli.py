@@ -28,12 +28,11 @@ from .streaming import (
     combine_stats,
     compress_run,
     compress_tensor,
+    decode_columns,
     decode_leaves,
     list_segments,
     load_segment,
     reconstruct_region,
-    reconstruct_segment,
-    reconstruct_segments,
     save_segment,
     segment_filename,
     stats_of,
@@ -215,17 +214,18 @@ def cmd_reconstruct(args) -> int:
             raise ConfigError(
                 "region selection works on a single archive file"
             )
-        out = reconstruct_segments(_load_run_segments(args.archive))
+        segs = _load_run_segments(args.archive)
     else:
-        seg = load_segment(args.archive)
-        if args.region:
-            ndim = len(seg.plan.original_dims)
-            region = _parse_region(args.region, ndim)
-            out = reconstruct_region(seg, region)
-        else:
-            out = reconstruct_segment(seg)
-    write_dt64(args.output, out)
-    print(f"wrote {args.output} dims={out.dims}")
+        segs = [load_segment(args.archive)]
+    if args.region:
+        ndim = len(segs[0].plan.original_dims)
+        out = reconstruct_region(segs[0], _parse_region(args.region, ndim))
+        dims, blocks = out.dims, [out.values]
+    else:
+        blocks = decode_columns(segs)  # checks the run before writing
+        dims = (sum(s.total_steps for s in segs),) + segs[0].plan.original_dims[1:]
+    write_dt64(args.output, dims, blocks)
+    print(f"wrote {args.output} dims={dims}")
     return EXIT_OK
 
 

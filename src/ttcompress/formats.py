@@ -2,7 +2,7 @@
 
 DT64 -- raw dense tensor: magic ``DT64``, u32 dimensionality d, then d u64
 extents, then ``prod(dims)`` float64 values in column-major order.  All
-integers and floats are little-endian.
+integers and floats are little-endian; :func:`write_dt64` takes blocks.
 
 TTC1 -- tensor-train archive: magic ``TTC1``, u32 version (=1), u32 d,
 (d+1) u64 ranks, d u64 dims, the d cores in order (each flattened
@@ -10,7 +10,9 @@ column-major as float64), then a u32 byte length followed by that many
 bytes of UTF-8 JSON metadata.
 """
 
+import contextlib
 import json
+import math
 import os
 import struct
 
@@ -66,12 +68,28 @@ def _write_f64(fh, values: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
-def write_dt64(path, t: DenseTensor) -> None:
-    with open(path, "wb") as fh:
-        fh.write(DT64_MAGIC)
-        fh.write(struct.pack("<I", t.ndim))
-        fh.write(struct.pack(f"<{t.ndim}Q", *t.dims))
-        _write_f64(fh, t.values)
+def write_dt64(path, dims, blocks) -> None:
+    """Write the header of a ``dims`` tensor, then each block's values,
+    column-major, as they come (``t.dims, [t.values]`` for a tensor ``t``).
+    Written beside ``path``, the file replaces it only once complete: a
+    failure, blocks that miss ``prod(dims)`` values among them, keeps it."""
+    dims = tuple(int(n) for n in dims)
+    part = f"{os.fspath(path)}.{os.getpid()}.part"
+    count = 0
+    try:
+        with open(part, "wb") as fh:
+            fh.write(DT64_MAGIC + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+            for block in blocks:
+                count += np.size(block)
+                _write_f64(fh, np.ravel(block, order="F"))
+                del block  # freed before the next one is made
+        if count != math.prod(dims):
+            raise FormatError(f"{count} values given for dims {dims}")
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
 
 
 def read_dt64(path) -> DenseTensor:

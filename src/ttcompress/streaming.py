@@ -9,11 +9,12 @@ rounding at ``t_r`` gives ``t + t_r + t * t_r``; this governs
 part's actual error from what its truncations discarded
 (``CompressedSegment.error_bound``).  :func:`merge_tree` owns a run's
 budget: one :func:`merge_stack` per group rounds each level at the equal
-a-priori split, the last level's also spending what the ledger leaves,
-and only the merged part, all a merged run stores, is returned.  Stacks
-along a new trailing dimension keep tensorized time hierarchies; plain
-concatenation serves untensorized streaming axes.  Every read maps
-coordinates to rows through one map, ``tensorize.axis_offsets``.
+a-priori split, the last spending what the ledger leaves, and returns
+the merged part alone.  Stacks along a new trailing dimension keep time
+hierarchies; concatenation serves untensorized axes.  Every read maps
+coordinates through ``tensorize.axis_offsets``; full reads share one
+preparation and decode in file order, a block of whole time columns at
+a time (:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
 """
 
 import base64
@@ -70,8 +71,8 @@ from .tt import (
 TOLERANCE_KINDS = ("nrmse", "relfrob")
 REORDER_POLICIES = ("none", "segment", "timestep")
 SEGMENT_FILE_RE = re.compile(r"^seg_(\d+)_(\d+)\.ttc$")
-# entries x largest rank per block of a region query, which keeps each
-# array of prefix vectors near 8 MB
+# entries x largest rank per block of a region query, and values per
+# block of a full reconstruction: each array stays near 8 MB
 _REGION_BLOCK_VALUES = 1 << 20
 
 
@@ -888,14 +889,10 @@ def compress_run(
     return parts
 
 
-def decode_leaves(segs, max_entries=None):
-    """Decode consecutive segments of one run leaf by leaf: an iterator of
-    ``(first_step, block)``, each block a leaf's real steps in original
-    order, each leaf one product with the segment's contracted plan
-    matrix.  Unless the segments' time ranges follow each other without a
-    gap or an overlap and their plans agree on every axis but time, a
-    :class:`MergeError` is raised before any decoding; ``max_entries``
-    caps each train's entry count as in :func:`tt_full`."""
+def _checked_run(segs, max_entries):
+    """The segments as a list and their run's dims; a :class:`MergeError`
+    on a gap or an overlap in time or on other non-time extents, and
+    ``max_entries`` caps each train's entry count as in :func:`tt_full`."""
     segs = list(segs)
     if not segs:
         raise MergeError("no segments to reconstruct")
@@ -908,25 +905,38 @@ def decode_leaves(segs, max_entries=None):
                 f"and {seg.plan.original_dims[1:]}"
             )
         _check_full_cap(seg.tt.dims, max_entries)
-    return _decoded_leaves(segs, extents)
+    return segs, (sum(seg.total_steps for seg in segs),) + extents
+
+
+def _prepared(seg, extents):
+    """A segment's plan matrix, its rows in original column-major order
+    over its longest leaf, and its stack cores as one column per leaf."""
+    box = (max(seg.part_time_extents),) + extents  # the longest leaf
+    # made before the contraction's temporaries, so its memory goes back
+    rows = _plan_rows(seg, np.ogrid[tuple(map(slice, box))]).ravel("F")
+    n_plan = len(seg.plan.tensorized_dims())
+    plan_mat = _contract_cores(seg.tt.cores[:n_plan])
+    # rows put in original order in place, one column at a time, so the
+    # products that decode leaves round exactly as on the contraction
+    for column in plan_mat.T:
+        column[: rows.size] = column[rows]
+    plan_mat = plan_mat[: rows.size]
+    leaf_mat = _contract_cores(seg.tt.cores[n_plan:], plan_mat.shape[1])
+    return plan_mat, leaf_mat.reshape((plan_mat.shape[1], -1), order="F")
+
+
+def decode_leaves(segs, max_entries=None):
+    """Decode consecutive segments of one run leaf by leaf: an iterator of
+    ``(first_step, block)``, each block a leaf's real steps in original
+    order, each leaf one product with its segment's plan matrix (one held
+    at a time).  The run is checked as in :func:`decode_columns` first."""
+    segs, dims = _checked_run(segs, max_entries)
+    return _decoded_leaves(segs, dims[1:])
 
 
 def _decoded_leaves(segs, extents):
     for seg in segs:
-        n_plan = len(seg.plan.tensorized_dims())
-        plan_mat = _contract_cores(seg.tt.cores[:n_plan])
-        box = (max(seg.part_time_extents),) + extents  # the longest leaf
-        rows = _plan_rows(seg, np.ogrid[tuple(map(slice, box))]).ravel("F")
-        # rows put in original order in place, one column copied at a
-        # time; the products below round exactly as on the contraction
-        for column in plan_mat.T:
-            column[: rows.size] = column[rows]
-        plan_mat = plan_mat[: rows.size]
-        del rows
-        rank = plan_mat.shape[1]
-        leaf_mat = _contract_cores(seg.tt.cores[n_plan:], rank).reshape(
-            (rank, -1), order="F"
-        )
+        plan_mat, leaf_mat = _prepared(seg, extents)
         step = seg.time_range[0]
         for leaf, extent in enumerate(seg.part_time_extents):
             if extent == 0:
@@ -938,30 +948,60 @@ def _decoded_leaves(segs, extents):
             step += extent
 
 
+def decode_columns(segs, max_entries=None):
+    """Decode consecutive segments of one run in DT64 file order: an
+    iterator of flat blocks of about ``_REGION_BLOCK_VALUES`` values, each
+    all steps of a range of whole non-time columns (a row range of every
+    plan matrix).  The run is checked and the plan matrices made before
+    it returns; then memory holds them and one block."""
+    segs, dims = _checked_run(segs, max_entries)
+    parts = [(seg, *_prepared(seg, dims[1:])) for seg in segs]
+    return _column_blocks(parts, dims[0], math.prod(dims[1:]))
+
+
+def _column_blocks(parts, n_t, n_columns):
+    width = max(1, _REGION_BLOCK_VALUES // n_t)
+    for j0 in range(0, n_columns, width):
+        block = np.empty((n_t, min(width, n_columns - j0)), order="F")
+        step = 0
+        for seg, plan_mat, leaf_mat in parts:
+            longest = max(seg.part_time_extents)
+            rows = plan_mat[longest * j0 : longest * (j0 + width)]
+            for leaf, extent in enumerate(seg.part_time_extents):
+                if extent:
+                    block[step : step + extent] = (rows @ leaf_mat[:, leaf]).reshape(
+                        (longest, -1), order="F"
+                    )[:extent]
+                    step += extent
+        yield block.reshape(-1, order="F")
+        del block  # a consumer that drops each block holds one at a time
+
+
 def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
     """Full dense reconstruction of consecutive segments of one run: the
-    blocks of :func:`decode_leaves`, written into one output."""
+    blocks of :func:`decode_columns`, written into one output."""
     segs = list(segs)
-    leaves = decode_leaves(segs, max_entries)
-    first = segs[0].time_range[0]
-    dims = (segs[-1].time_range[1] + 1 - first,) + segs[0].plan.original_dims[1:]
-    out = np.empty(dims, order="F")
-    for step, block in leaves:
-        out[step - first : step - first + len(block)] = block
-    return DenseTensor(dims, out.reshape(-1, order="F"))
+    blocks = decode_columns(segs, max_entries)
+    dims = (sum(s.total_steps for s in segs),) + segs[0].plan.original_dims[1:]
+    values, start = np.empty(math.prod(dims)), 0
+    for block in blocks:
+        values[start : start + block.size] = block
+        start += block.size
+    return DenseTensor(dims, values)
 
 
 def _plan_rows(seg: CompressedSegment, coords) -> np.ndarray:
     """Row of the contracted plan matrix behind original coordinates:
     ``coords`` holds one broadcasting array of 0-based indices per axis,
     time counted within a leaf.  Each particle goes to its sorted
-    position, and :func:`axis_offsets` undoes padding and interlacing."""
+    position, and :func:`axis_offsets` of just these indices undoes
+    padding and interlacing."""
     coords = list(coords)
     inverse = seg.inverse_permutations
     if inverse is not None:
         steps = (coords[0],) if inverse.ndim == 2 else ()
         coords[1] = inverse[steps + (coords[1],)]
-    return sum(axis[c] for axis, c in zip(axis_offsets(seg.plan), coords))
+    return sum(axis_offsets(seg.plan, coords))
 
 
 def reconstruct_segment(

@@ -220,24 +220,26 @@ def apply_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     return DenseTensor.from_numpy(np.transpose(arr, plan.interlace))
 
 
-def axis_offsets(plan: TensorizePlan) -> list:
-    """Per original axis, what each of its 0-based unpadded indices adds
-    to the flat column-major index of the tensorized tensor, built in
-    ``sum(padded_dims)`` integers.  Every split dimension belongs to one
-    axis, wherever interlacing puts it, so an entry's flat index is the
-    sum of its axes' offsets."""
+def axis_offsets(plan: TensorizePlan, indices=None) -> list:
+    """Per original axis, what each of its 0-based ``indices`` (an array
+    per axis, by default every unpadded index) adds to the flat index of
+    the tensorized tensor: the sum of its digits times their strides, at
+    a cost that follows the indices, not the extents.  An entry's flat
+    index is the sum of its axes' offsets, wherever interlacing puts them."""
     dims = plan.tensorized_dims()
     strides = np.cumprod((1,) + dims[:-1])
     # the train stride of each split dimension, in pre-interlace order
     strides = iter(strides[np.argsort(plan.interlace or range(len(dims)))])
+    if indices is None:
+        indices = [np.arange(n) for n in plan.original_dims]
     out = []
-    for ax, extent in enumerate(plan.original_dims, 1):
-        offsets = np.zeros(1, dtype=np.int64)
+    for ax, index in enumerate(indices, 1):
+        offset = 0
         for split in plan.axis_split_dims(ax):
             # column-major: each digit runs slower than those before it
-            digit = np.arange(split) * next(strides)
-            offsets = np.add.outer(digit, offsets).reshape(-1)
-        out.append(offsets[:extent])
+            index, digit = np.divmod(index, split)
+            offset = offset + digit * next(strides)
+        out.append(offset)
     return out
 
 

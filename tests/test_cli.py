@@ -4,6 +4,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from ttcompress import (
     write_run,
     write_ttc1,
 )
+from ttcompress import cli as cli_module
 from ttcompress.cli import main
 
 
@@ -330,7 +332,8 @@ class TestCompress:
         values = np.random.default_rng(5).uniform(size=(8, 12, 5))
         values[3, 4, 2] = np.nan
         src = str(tmp_path / "in.dt64")
-        write_dt64(src, DenseTensor.from_numpy(values))
+        t = DenseTensor.from_numpy(values)
+        write_dt64(src, t.dims, [t.values])
         out = tmp_path / "out"
         assert main(["compress", src, "-o", str(out)]) == 2
         assert "non-finite values" in capsys.readouterr().err
@@ -388,7 +391,7 @@ class TestCompress:
         rng = np.random.default_rng(0)
         t = DenseTensor.from_numpy(rng.uniform(size=(16, 16)))
         src = str(tmp_path / "in.dt64")
-        write_dt64(src, t)
+        write_dt64(src, t.dims, [t.values])
         out = str(tmp_path / "out")
         code = main(
             [
@@ -476,7 +479,7 @@ class TestCompress:
         rng = np.random.default_rng(4)
         t = DenseTensor.from_numpy(rng.uniform(size=(8, 12, 5, 2)))
         src = str(tmp_path / "in.dt64")
-        write_dt64(src, t)
+        write_dt64(src, t.dims, [t.values])
         out = tmp_path / "out"
         code = main(
             ["compress", src, "-o", str(out), "--tolerance", "1e-6"]
@@ -560,6 +563,7 @@ class TestReconstruct:
         code = main(["reconstruct", seg_dir, "-o", str(tmp_path / "x.dt64")])
         assert code == 2
         assert "internal error" not in capsys.readouterr().err
+        assert not (tmp_path / "x.dt64").exists()
 
     @pytest.mark.parametrize(
         "key, value",
@@ -585,6 +589,7 @@ class TestReconstruct:
         assert main(args) == 2
         assert main(args + ["--region", "1:40,1:64,1:3"]) == 2
         assert "internal error" not in capsys.readouterr().err
+        assert not (tmp_path / "x.dt64").exists()
 
     def test_oversized_archive_header_exits_two(self, tmp_path, capsys):
         # 52 bytes whose header declares one core of 2^40 entries
@@ -595,6 +600,7 @@ class TestReconstruct:
         out = str(tmp_path / "x.dt64")
         assert main(["reconstruct", str(archive), "-o", out]) == 2
         assert "internal error" not in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_region_out_of_bounds_exits_two(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")
@@ -637,6 +643,64 @@ class TestReconstruct:
         assert code == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and "QTT_MEMORY_CAP_ENTRIES" in err
+        assert not (tmp_path / "x.dt64").exists()
+
+    @pytest.mark.parametrize(
+        "fault, code",
+        [(OSError("No space left on device"), 2), (MemoryError(), 1),
+         (KeyboardInterrupt(), None)],
+    )
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_leaves_output_untouched(
+        self, run_dir, tmp_path, monkeypatch, fault, code, existing
+    ):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        target = tmp_path / "x.dt64"
+        if existing:
+            target.write_bytes(b"an earlier output")
+        decode = cli_module.decode_columns
+
+        def failing(segs):
+            blocks = decode(segs)
+            yield next(blocks)
+            raise fault
+
+        monkeypatch.setattr(cli_module, "decode_columns", failing)
+        monkeypatch.setattr(streaming, "_REGION_BLOCK_VALUES", 40)
+        args = ["reconstruct", os.path.join(out, "seg_0_39.ttc"), "-o", str(target)]
+        if code is None:
+            with pytest.raises(type(fault)):
+                main(args)
+        else:
+            assert main(args) == code
+        assert sorted(os.listdir(tmp_path)) == ["out", "run"] + ["x.dt64"] * existing
+        if existing:
+            assert target.read_bytes() == b"an earlier output"
+
+    def test_streams_below_the_output_size(self, tmp_path, monkeypatch):
+        # at 256 steps the whole output is below one block of
+        # _REGION_BLOCK_VALUES, so smaller blocks show that memory stays
+        # near the plan matrices and one block; 4-step segments keep the
+        # plan matrix well below half the output
+        run = tmp_path / "run"
+        write_run(run, synth_particles(1024, 256, "settle", seed=3))
+        out = str(tmp_path / "out")
+        args = ["--tolerance", "1e-2", "--segment-length", "4"]
+        assert main(["compress", str(run), "-o", out] + args) == 0
+        archive = os.path.join(out, "seg_0_255.ttc")
+        monkeypatch.setattr(streaming, "_REGION_BLOCK_VALUES", 1 << 14)
+        tracemalloc.start()
+        try:
+            assert main(["reconstruct", archive, "-o", str(tmp_path / "x.dt64")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output_bytes = 1024 * 256 * 3 * 8
+        assert peak < output_bytes / 2
+        want = reconstruct_segment(load_segment(archive))
+        write_dt64(tmp_path / "want.dt64", want.dims, [want.values])
+        assert (tmp_path / "x.dt64").read_bytes() == (tmp_path / "want.dt64").read_bytes()
 
     def test_malformed_region_exits_two(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")

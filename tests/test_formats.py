@@ -1,3 +1,4 @@
+import os
 import struct
 from pathlib import Path
 
@@ -29,10 +30,27 @@ class TestDT64:
         rng = np.random.default_rng(0)
         t = DenseTensor.from_numpy(rng.standard_normal((3, 4, 5)))
         path = tmp_path / "t.dt64"
-        write_dt64(path, t)
+        write_dt64(path, t.dims, [t.values])
         back = read_dt64(path)
         assert back.dims == t.dims
         assert np.array_equal(back.values, t.values)
+
+    def test_blocks_written_in_order(self, tmp_path):
+        t = DenseTensor.from_numpy(np.arange(24.0).reshape(2, 3, 4))
+        path = tmp_path / "t.dt64"
+        write_dt64(path, t.dims, [t.values[:6], t.values[6:18].reshape(2, 6, order="F"), t.values[18:]])
+        assert np.array_equal(read_dt64(path).values, t.values)
+
+    @pytest.mark.parametrize("sizes", [(5,), (6, 1), ()])
+    def test_blocks_must_fill_the_dims(self, tmp_path, sizes):
+        path = tmp_path / "t.dt64"
+        path.write_bytes(b"kept")
+        blocks = [np.zeros(n) for n in sizes]
+        with pytest.raises(FormatError, match="values"):
+            write_dt64(path, (2, 3), blocks)
+        # the file that was there is left as it was, and nothing beside it
+        assert path.read_bytes() == b"kept"
+        assert os.listdir(tmp_path) == ["t.dt64"]
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.dt64"
@@ -44,7 +62,7 @@ class TestDT64:
         rng = np.random.default_rng(1)
         t = DenseTensor.from_numpy(rng.standard_normal((4, 4)))
         path = tmp_path / "t.dt64"
-        write_dt64(path, t)
+        write_dt64(path, t.dims, [t.values])
         data = path.read_bytes()
         path.write_bytes(data[:-8])
         with pytest.raises(FormatError, match="byte offset"):
@@ -140,7 +158,8 @@ def pristine(tmp_path_factory):
     archive = Path(save_segment(work, merged))
     tensor = work / "t.dt64"
     rng = np.random.default_rng(7)
-    write_dt64(tensor, DenseTensor.from_numpy(rng.uniform(size=(3, 4, 2))))
+    t = DenseTensor.from_numpy(rng.uniform(size=(3, 4, 2)))
+    write_dt64(tensor, t.dims, [t.values])
     return work, {
         "ttc": (archive.read_bytes(), load_segment),
         "dt64": (tensor.read_bytes(), read_dt64),

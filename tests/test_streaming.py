@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from ttcompress import (
     MergeError,
     SnapshotBatch,
     StructureError,
+    TensorizePlan,
+    TTTensor,
     apply_plan,
     combine_stats,
     compose_tolerances,
@@ -31,18 +34,22 @@ from ttcompress import (
     read_dt64,
     reconstruct_region,
     reconstruct_segment,
+    reconstruct_segments,
     rel_frob,
     save_segment,
     stats_of,
     synth_particles,
     tt_full,
+    tt_get,
     tt_stack_new,
     tt_svd,
+    write_dt64,
     write_run,
 )
 from ttcompress import streaming
 from ttcompress.cli import main
 from ttcompress.streaming import CompressedSegment, DataStats
+from ttcompress.tensorize import axis_offsets
 from ttcompress.tt import _tt_round
 
 
@@ -1267,6 +1274,142 @@ class TestBatchedReadPath:
         with pytest.raises(StructureError):
             reconstruct_segment(broken)
 
+
+
+def streamed_run(n_p=12, merge=True, **cfg_kwargs):
+    """The parts ``ttc compress`` stores for a 44-step settling run in
+    8-step segments: the last segment holds 4 steps, so merged archives
+    have empty parts and zero-extent leaves."""
+    batch = synth_particles(n_p, 44, "settle", seed=9)
+    cfg = CompressionConfig(tolerance=1e-3, segment_length=8, **cfg_kwargs)
+    return compress_run(batch.time_slice, batch.n_t, cfg, merge)
+
+
+def dt64_archive():
+    # 12 = 2*2*3, 10 = 2*5 and 6 = 2*3: every axis is split
+    arr = np.cumsum(np.random.default_rng(47).uniform(size=(12, 10, 6)), axis=0)
+    data = DenseTensor.from_numpy(arr)
+    return [compress_tensor(data, CompressionConfig(tolerance=1e-3, reorder="none"))]
+
+
+# the parts one ``ttc reconstruct`` call writes, as ``ttc compress`` stores them
+STORED_RUNS = {
+    "merged-short-last": streamed_run,
+    "merged-padded-particles": lambda: streamed_run(n_p=7),
+    "merge-arity-3": lambda: streamed_run(merge_arity=3),
+    "no-merge": lambda: streamed_run(merge=False),
+    "timestep-no-merge": lambda: streamed_run(merge=False, reorder="timestep"),
+    "dt64-input": dt64_archive,
+}
+
+
+def leaf_by_leaf(segs):
+    """The run assembled from :func:`streaming.decode_leaves`."""
+    first = segs[0].time_range[0]
+    out = np.empty((segs[-1].time_range[1] + 1 - first,) + segs[0].plan.original_dims[1:])
+    for step, block in streaming.decode_leaves(segs):
+        out[step - first : step - first + len(block)] = block
+    return out.reshape(-1, order="F")
+
+
+class TestDecodeColumns:
+    """Full reconstruction in file order, one block of whole time columns
+    at a time."""
+
+    @pytest.mark.parametrize("case", sorted(STORED_RUNS))
+    @pytest.mark.parametrize("block_values", [1, 50, 1 << 20])
+    def test_blocks_are_the_run_in_file_order(self, case, block_values, monkeypatch):
+        segs = STORED_RUNS[case]()
+        want = reconstruct_segments(segs).values
+        monkeypatch.setattr(streaming, "_REGION_BLOCK_VALUES", block_values)
+        blocks = list(streaming.decode_columns(segs))
+        n_t = sum(s.total_steps for s in segs)
+        width = max(1, block_values // n_t)
+        assert all(b.ndim == 1 and b.size % n_t == 0 for b in blocks)
+        assert all(b.size == n_t * width for b in blocks[:-1])
+        got = np.concatenate(blocks)
+        # the same bits whatever the block size, and as leaf by leaf
+        assert np.array_equal(got, want)
+        assert np.array_equal(got, leaf_by_leaf(segs))
+
+    @pytest.mark.parametrize("case", sorted(STORED_RUNS))
+    def test_reconstruct_command_writes_the_same_file(self, case, tmp_path, monkeypatch):
+        paths = [save_segment(tmp_path / "run", s) for s in STORED_RUNS[case]()]
+        archive = paths[0] if len(paths) == 1 else str(tmp_path / "run")
+        want = reconstruct_segments([load_segment(p) for p in paths])
+        write_dt64(tmp_path / "want.dt64", want.dims, [want.values])
+        monkeypatch.setattr(streaming, "_REGION_BLOCK_VALUES", 50)
+        assert main(["reconstruct", archive, "-o", str(tmp_path / "got.dt64")]) == 0
+        got = (tmp_path / "got.dt64").read_bytes()
+        assert got == (tmp_path / "want.dt64").read_bytes()
+
+    def test_run_is_checked_before_any_block(self):
+        segs = streamed_run(merge=False)
+        with pytest.raises(MergeError):
+            streaming.decode_columns(segs[:1] + segs[2:])
+        broken = dataclasses.replace(
+            segs[1], permutations=np.zeros_like(segs[1].permutations)
+        )
+        with pytest.raises(StructureError):
+            streaming.decode_columns(segs[:1] + [broken] + segs[2:])
+        with pytest.raises(CapacityError):
+            streaming.decode_columns(segs, max_entries=1)
+
+
+def long_axis_archive(directory, bits):
+    """A stored rank-1 archive of 2 x 2**bits x 1 entries whose particle
+    axis is split into ``bits`` binary dimensions: a few hundred bytes
+    whatever the declared extent."""
+    plan = TensorizePlan(
+        original_dims=(2, 2**bits, 1),
+        axis_factors=((2,), (2,) * bits, (1,)),
+        axis_levels=(1, bits, 1),
+        interlace=None,
+        pads=(),
+    )
+    rng = np.random.default_rng(bits)
+    cores = tuple(
+        rng.uniform(0.5, 1.5, size=(1, n, 1)) for n in plan.tensorized_dims()
+    )
+    seg = CompressedSegment(
+        tt=TTTensor(cores),
+        plan=plan,
+        reorder="none",
+        permutations=None,
+        time_range=(0, 1),
+        part_time_extents=(2,),
+        stack_dims=(),
+        stats=DataStats(-1.0, 1.0, 1.0, 2 * 2**bits),
+        tolerance_spent=0.0,
+    )
+    return load_segment(save_segment(directory, seg))
+
+
+class TestRegionIndexMap:
+    """A region maps only the indices it asks for, not the axes' extents."""
+
+    @pytest.mark.parametrize("bits", [21, 40])
+    def test_one_entry_of_a_long_axis(self, tmp_path, bits):
+        seg = long_axis_archive(tmp_path, bits)
+        particle = 2**bits - 3
+        tracemalloc.start()
+        try:
+            got = entry(seg, 2, (particle + 1, 1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        digits = [(particle >> k) & 1 for k in range(bits)]
+        assert got == tt_get(seg.tt, [2] + [d + 1 for d in digits] + [1])
+        assert peak < 1 << 20
+
+    def test_whole_axis_offsets_unchanged(self):
+        seg = merged_ragged_segment()
+        dims = seg.plan.original_dims
+        every = axis_offsets(seg.plan)
+        some = [np.array([n - 1, 0]) for n in dims]
+        assert [len(o) for o in every] == list(dims)
+        for all_of_axis, chosen, index in zip(every, axis_offsets(seg.plan, some), some):
+            assert np.array_equal(all_of_axis[index], chosen)
 
 
 class TestStoreRoundtrip:
