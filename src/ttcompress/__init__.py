@@ -9,7 +9,7 @@ explicit error budget.
 
 __version__ = "0.1.0"
 
-from .dense import DenseMatrix, DenseTensor, long_index
+from .dense import DenseTensor, long_index
 from .errors import (
     CapacityError,
     ConfigError,

@@ -30,6 +30,7 @@ from .streaming import (
     compress_tensor,
     decode_columns,
     decode_leaves,
+    error_measures,
     list_segments,
     load_segment,
     reconstruct_region,
@@ -80,14 +81,11 @@ def _certified(parts) -> dict:
     or the measure is undefined (zero norm, constant data).  The parts
     cover disjoint steps, so their bounds add in squares."""
     err = combine_error_bounds(parts)
-    stats = combine_stats(p.stats for p in parts)
     rel_frob = nrmse = None
     if err is not None:
-        if stats.frobenius_norm > 0:
-            rel_frob = err / stats.frobenius_norm
-        if stats.x_max > stats.x_min:
-            scale = (stats.x_max - stats.x_min) * math.sqrt(stats.entry_count)
-            nrmse = err / scale
+        rel_frob, nrmse = error_measures(
+            err, combine_stats(p.stats for p in parts)
+        )
     return {"certified_rel_frob": rel_frob, "certified_nrmse": nrmse}
 
 
@@ -107,11 +105,9 @@ def _measure(parts, read) -> dict:
         del original, diff, block  # before the next leaf is decoded
     stats = combine_stats(stats)
     metrics = {k: getattr(stats, k) for k in ("entry_count", "x_min", "x_max")}
-    if stats.x_max > stats.x_min:
-        rmse = math.sqrt(err2 / stats.entry_count)
-        metrics["nrmse"] = rmse / (stats.x_max - stats.x_min)
-    if stats.frobenius_norm > 0:
-        metrics["rel_frob"] = math.sqrt(err2) / stats.frobenius_norm
+    rel_frob, nrmse = error_measures(math.sqrt(err2), stats)
+    measures = {"nrmse": nrmse, "rel_frob": rel_frob}
+    metrics.update((k, v) for k, v in measures.items() if v is not None)
     return metrics
 
 
@@ -325,7 +321,7 @@ def bench_table1(args):
     dense_k = kernel.to_numpy()
     rows = []
     for level in args.levels:
-        plan = matrix_interlace_plan(kernel.rows, level)
+        plan = matrix_interlace_plan(kernel.dims[0], level)
         tensor = tensorize_matrix_interlaced(kernel, level)
         for tau in args.taus:
             train = tt_svd(tensor, tau)

@@ -78,42 +78,10 @@ class DenseTensor:
         return float(self.values[long_index(indices, self.dims) - 1])
 
 
-@dataclass(frozen=True)
-class DenseMatrix:
-    """A rows x cols real matrix stored as a flat column-major sequence."""
-
-    rows: int
-    cols: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        rows, cols = int(self.rows), int(self.cols)
-        if rows < 1 or cols < 1:
-            raise ShapeError(f"matrix extents must be >= 1, got {rows}x{cols}")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise ShapeError("values must be a flat column-major sequence")
-        if vals.size != rows * cols:
-            raise ShapeError(
-                f"got {vals.size} values for a {rows}x{cols} matrix"
-            )
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "values", _freeze(vals))
-
-    @classmethod
-    def from_numpy(cls, arr) -> "DenseMatrix":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise ShapeError(f"expected a 2-d array, got ndim={arr.ndim}")
-        return cls(arr.shape[0], arr.shape[1], arr.flatten(order="F"))
-
-    def to_numpy(self) -> np.ndarray:
-        return self.values.reshape((self.rows, self.cols), order="F")
-
-    def get(self, i: int, j: int) -> float:
-        """Entry at 1-based (row, column)."""
-        return float(self.values[long_index((i, j), (self.rows, self.cols)) - 1])
+# A matrix is a 2-D DenseTensor.  The name stays because perfbench's
+# kernel worker (perfbench/worker.py) builds its matrix with
+# dense.DenseMatrix.from_numpy.
+DenseMatrix = DenseTensor
 
 
 def long_index(indices, dims) -> int:

@@ -8,6 +8,9 @@ TTC1 -- tensor-train archive: magic ``TTC1``, u32 version (=1), u32 d,
 (d+1) u64 ranks, d u64 dims, the d cores in order (each flattened
 column-major as float64), then a u32 byte length followed by that many
 bytes of UTF-8 JSON metadata.
+
+Both files end with their last declared field: the readers raise
+:class:`FormatError` on a short file and on trailing bytes.
 """
 
 import contextlib
@@ -52,6 +55,14 @@ class _Reader:
             )
         self.offset += n
         return buf
+
+    def finish(self) -> None:
+        """Raise unless the file ends where its last declared field did."""
+        if self.offset != self.size:
+            raise FormatError(
+                f"{self.size - self.offset} trailing bytes at byte offset "
+                f"{self.offset}, past the declared payload"
+            )
 
     def unpack(self, fmt: str):
         return struct.unpack(fmt, self.read(struct.calcsize(fmt)))
@@ -104,10 +115,8 @@ def read_dt64(path) -> DenseTensor:
         if d < 1:
             raise FormatError(f"dimensionality {d} at byte offset 4")
         dims = r.unpack(f"<{d}Q")
-        count = 1
-        for n in dims:
-            count *= int(n)
-        values = r.read_f64(count)
+        values = r.read_f64(math.prod(dims))
+        r.finish()
         return DenseTensor(tuple(int(n) for n in dims), values)
 
 
@@ -147,11 +156,10 @@ def read_ttc1(path):
         cores = []
         for k in range(d):
             shape = (ranks[k], dims[k], ranks[k + 1])
-            count = shape[0] * shape[1] * shape[2]
-            flat = r.read_f64(count)
-            cores.append(flat.reshape(shape, order="F"))
+            cores.append(r.read_f64(math.prod(shape)).reshape(shape, order="F"))
         (blob_len,) = r.unpack("<I")
         blob = r.read(blob_len)
+        r.finish()
         try:
             metadata = json.loads(blob.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:

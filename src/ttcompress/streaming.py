@@ -38,6 +38,7 @@ from .dense import DenseTensor, index_rows
 from .errors import (
     ConfigError,
     DataError,
+    FormatError,
     IndexRangeError,
     MergeError,
     PlanError,
@@ -131,6 +132,20 @@ def nrmse_to_relfrob(tau_nrmse: float, stats: DataStats):
     )
 
 
+def error_measures(err: float, stats: DataStats):
+    """``(rel_frob, nrmse)`` of an absolute Frobenius error ``err`` against
+    data of ``stats``: ``err / ||X||_F`` and ``err / ((x_max - x_min) *
+    sqrt(n))``, the inverse of :func:`nrmse_to_relfrob`.  Each is ``None``
+    where it is undefined (zero norm, constant data)."""
+    rel_frob = nrmse = None
+    if stats.frobenius_norm > 0:
+        rel_frob = err / stats.frobenius_norm
+    if stats.x_max > stats.x_min:
+        scale = (stats.x_max - stats.x_min) * math.sqrt(stats.entry_count)
+        nrmse = err / scale
+    return rel_frob, nrmse
+
+
 @dataclass(frozen=True)
 class CompressionConfig:
     """Everything the segment pipeline needs to know.
@@ -201,10 +216,12 @@ class CompressedSegment:
     """A compressed piece of a run plus everything needed to undo it.
 
     ``time_range`` holds inclusive global step indices.  A merged segment
-    carries extra trailing stack dimensions on its train; each stacked
-    leaf covers ``part_time_extents[j]`` real timesteps (padding copies
-    excluded).  ``tolerance_spent`` is the relative-Frobenius budget
-    consumed against this segment's own unpadded data: the a-priori
+    carries extra trailing stack dimensions on its train, past the plan's
+    (:attr:`stack_dims`); each stacked leaf covers
+    ``part_time_extents[j]`` real timesteps (padding copies excluded).
+    The Morton policy (:attr:`reorder`) follows from ``permutations``.
+    ``tolerance_spent`` is the relative-Frobenius budget consumed
+    against this segment's own unpadded data: the a-priori
     composition of its merges, or, for the last level of a
     :func:`merge_tree` under a budget, the certified bound over the data's
     norm.  ``error_bound`` is the certified absolute Frobenius error
@@ -216,36 +233,25 @@ class CompressedSegment:
 
     tt: TTTensor
     plan: TensorizePlan
-    reorder: str
     permutations: Optional[np.ndarray]
     time_range: tuple
     part_time_extents: tuple
-    stack_dims: tuple
     stats: DataStats
     tolerance_spent: float
     error_bound: Optional[float] = None
 
     def __post_init__(self):
         # integers, so step arithmetic and indexing cannot fail later
-        object.__setattr__(
-            self, "time_range", tuple(map(operator.index, self.time_range))
-        )
-        object.__setattr__(
-            self,
-            "part_time_extents",
-            tuple(map(operator.index, self.part_time_extents)),
-        )
-        object.__setattr__(
-            self, "stack_dims", tuple(map(operator.index, self.stack_dims))
-        )
-        expected = self.plan.tensorized_dims() + self.stack_dims
-        if self.tt.dims != expected:
+        for name in ("time_range", "part_time_extents"):
+            steps = tuple(map(operator.index, getattr(self, name)))
+            object.__setattr__(self, name, steps)
+        plan_dims = self.plan.tensorized_dims()
+        if self.tt.dims[: len(plan_dims)] != plan_dims:
             raise StructureError(
-                f"train dims {self.tt.dims} do not match plan + stack dims "
-                f"{expected}"
+                f"train dims {self.tt.dims} do not start with the plan's "
+                f"{plan_dims}"
             )
-        n_leaves = math.prod(self.stack_dims) if self.stack_dims else 1
-        if len(self.part_time_extents) != n_leaves:
+        if len(self.part_time_extents) != math.prod(self.stack_dims):
             raise StructureError(
                 "per-leaf time extents do not match the stack shape"
             )
@@ -282,6 +288,19 @@ class CompressedSegment:
         if self.error_bound is not None:
             bound = _finite(self.error_bound, "error bound", True)
             object.__setattr__(self, "error_bound", bound)
+
+    @property
+    def stack_dims(self) -> tuple:
+        """The train's dims past the plan's: one per merge level."""
+        return self.tt.dims[len(self.plan.tensorized_dims()) :]
+
+    @property
+    def reorder(self) -> str:
+        """The Morton policy of the permutations: ``"none"`` without,
+        ``"segment"`` for one, ``"timestep"`` for one per step."""
+        if self.permutations is None:
+            return "none"
+        return "segment" if self.permutations.ndim == 1 else "timestep"
 
     @property
     def total_steps(self) -> int:
@@ -431,11 +450,9 @@ def _compress(
     return CompressedSegment(
         tt=tt,
         plan=plan,
-        reorder="none" if perms is None else config.reorder,
         permutations=perms,
         time_range=(first_step, first_step + n_t - 1),
         part_time_extents=(n_t,),
-        stack_dims=(),
         stats=stats,
         tolerance_spent=tau_rel,
         error_bound=lost,
@@ -579,8 +596,8 @@ def combine_error_bounds(parts) -> Optional[float]:
 
 def _merge_parts(parts, tau_round: float) -> list:
     """The parts of a merge as a list, after the checks both merges share:
-    at least one part, a rounding tolerance >= 0, and one reorder policy
-    and one particle permutation across the parts."""
+    at least one part, a rounding tolerance >= 0, and one particle
+    permutation (so one reorder policy) across the parts."""
     parts = list(parts)
     if not parts:
         raise MergeError("nothing to merge")
@@ -588,8 +605,6 @@ def _merge_parts(parts, tau_round: float) -> list:
         raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
     base = parts[0]
     for p in parts[1:]:
-        if p.reorder != base.reorder:
-            raise MergeError("parts used different reorder policies")
         a, b = p.permutations, base.permutations
         if (a is None) != (b is None) or (
             a is not None and not np.array_equal(a, b)
@@ -614,8 +629,8 @@ def combine_tolerances(parts) -> float:
 
 def _merged(parts, tt: TTTensor, tau_round, lost, spent=None, **layout):
     """The part that merges ``parts`` into ``tt``, whose rounding at
-    ``tau_round`` discarded ``lost``; ``layout`` gives its plan, leaf
-    extents and stack dims.
+    ``tau_round`` discarded ``lost``; ``layout`` gives its plan and leaf
+    extents.
 
     Its budget is ``spent`` if certified, else the a-priori ``t +
     tau_round + t * tau_round``, ``t`` the parts' :func:`combine_tolerances`.
@@ -628,7 +643,6 @@ def _merged(parts, tt: TTTensor, tau_round, lost, spent=None, **layout):
         spent = compose_tolerances(combine_tolerances(parts), [tau_round])
     return CompressedSegment(
         tt=tt,
-        reorder=parts[0].reorder,
         permutations=parts[0].permutations,
         time_range=(parts[0].time_range[0], parts[-1].time_range[1]),
         stats=combine_stats([p.stats for p in parts]),
@@ -658,8 +672,6 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
             raise MergeError(
                 f"train dims differ: {p.tt.dims} != {base.tt.dims}"
             )
-        if p.stack_dims != base.stack_dims:
-            raise MergeError("parts carry different stack histories")
         if _normalize_time_axis(p.plan) != _normalize_time_axis(base.plan):
             raise MergeError("parts were tensorized under different plans")
     _check_contiguous(parts)
@@ -683,7 +695,6 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
         parts, merged, tau_round, lost, spent,
         plan=_normalize_time_axis(base.plan),
         part_time_extents=sum((p.part_time_extents for p in parts), ()),
-        stack_dims=base.stack_dims + (len(parts),),
     )
 
 
@@ -761,7 +772,7 @@ def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
     extents = (total,) if dim == 1 else base.part_time_extents
     return _merged(
         parts, merged_tt, tau_round, lost,
-        plan=plan, part_time_extents=extents, stack_dims=(),
+        plan=plan, part_time_extents=extents,
     )
 
 
@@ -889,10 +900,10 @@ def compress_run(
     return parts
 
 
-def _checked_run(segs, max_entries):
+def _checked_run(segs):
     """The segments as a list and their run's dims; a :class:`MergeError`
-    on a gap or an overlap in time or on other non-time extents, and
-    ``max_entries`` caps each train's entry count as in :func:`tt_full`."""
+    on a gap or an overlap in time or on other non-time extents, and a
+    :class:`CapacityError` on a train past the cap of :func:`tt_full`."""
     segs = list(segs)
     if not segs:
         raise MergeError("no segments to reconstruct")
@@ -904,7 +915,7 @@ def _checked_run(segs, max_entries):
                 f"segments disagree on their non-time extents: {extents} "
                 f"and {seg.plan.original_dims[1:]}"
             )
-        _check_full_cap(seg.tt.dims, max_entries)
+        _check_full_cap(seg.tt.dims)
     return segs, (sum(seg.total_steps for seg in segs),) + extents
 
 
@@ -925,12 +936,12 @@ def _prepared(seg, extents):
     return plan_mat, leaf_mat.reshape((plan_mat.shape[1], -1), order="F")
 
 
-def decode_leaves(segs, max_entries=None):
+def decode_leaves(segs):
     """Decode consecutive segments of one run leaf by leaf: an iterator of
     ``(first_step, block)``, each block a leaf's real steps in original
     order, each leaf one product with its segment's plan matrix (one held
     at a time).  The run is checked as in :func:`decode_columns` first."""
-    segs, dims = _checked_run(segs, max_entries)
+    segs, dims = _checked_run(segs)
     return _decoded_leaves(segs, dims[1:])
 
 
@@ -948,13 +959,13 @@ def _decoded_leaves(segs, extents):
             step += extent
 
 
-def decode_columns(segs, max_entries=None):
+def decode_columns(segs):
     """Decode consecutive segments of one run in DT64 file order: an
     iterator of flat blocks of about ``_REGION_BLOCK_VALUES`` values, each
     all steps of a range of whole non-time columns (a row range of every
     plan matrix).  The run is checked and the plan matrices made before
     it returns; then memory holds them and one block."""
-    segs, dims = _checked_run(segs, max_entries)
+    segs, dims = _checked_run(segs)
     parts = [(seg, *_prepared(seg, dims[1:])) for seg in segs]
     return _column_blocks(parts, dims[0], math.prod(dims[1:]))
 
@@ -977,11 +988,11 @@ def _column_blocks(parts, n_t, n_columns):
         del block  # a consumer that drops each block holds one at a time
 
 
-def reconstruct_segments(segs, max_entries=None) -> DenseTensor:
+def reconstruct_segments(segs) -> DenseTensor:
     """Full dense reconstruction of consecutive segments of one run: the
     blocks of :func:`decode_columns`, written into one output."""
     segs = list(segs)
-    blocks = decode_columns(segs, max_entries)
+    blocks = decode_columns(segs)
     dims = (sum(s.total_steps for s in segs),) + segs[0].plan.original_dims[1:]
     values, start = np.empty(math.prod(dims)), 0
     for block in blocks:
@@ -1004,12 +1015,10 @@ def _plan_rows(seg: CompressedSegment, coords) -> np.ndarray:
     return sum(axis_offsets(seg.plan, coords))
 
 
-def reconstruct_segment(
-    seg: CompressedSegment, max_entries=None
-) -> DenseTensor:
+def reconstruct_segment(seg: CompressedSegment) -> DenseTensor:
     """Full dense reconstruction of one segment (see
     :func:`reconstruct_segments`)."""
-    return reconstruct_segments([seg], max_entries)
+    return reconstruct_segments([seg])
 
 
 def _train_indices(seg: CompressedSegment, coords) -> np.ndarray:
@@ -1129,8 +1138,6 @@ def segment_metadata(
 
 
 def segment_from_parts(tt: TTTensor, meta: dict) -> CompressedSegment:
-    from .errors import FormatError
-
     try:
         perms = None
         if "permutation" in meta:
@@ -1138,18 +1145,23 @@ def segment_from_parts(tt: TTTensor, meta: dict) -> CompressedSegment:
                 meta["permutation"]["u32le_b64"], meta["permutation"]["shape"]
             )
         stats = DataStats(**meta["stats"])
-        return CompressedSegment(
+        seg = CompressedSegment(
             tt=tt,
             plan=_plan_from_dict(meta["plan"]),
-            reorder=meta.get("reorder", "none"),
             permutations=perms,
             time_range=tuple(meta["time_range"]),
             part_time_extents=tuple(meta["part_time_extents"]),
-            stack_dims=tuple(meta["stack_dims"]),
             stats=stats,
             tolerance_spent=meta["tolerance_spent"],
             error_bound=meta.get("error_bound"),
         )
+        # written from the train; reorder follows from the permutations
+        if tuple(map(operator.index, meta["stack_dims"])) != seg.stack_dims:
+            raise FormatError(
+                f"stack dims {meta['stack_dims']} are not the train's "
+                f"trailing dims {seg.stack_dims}"
+            )
+        return seg
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, FormatError):
             raise

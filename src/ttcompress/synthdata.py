@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import DenseMatrix, DenseTensor
+from .dense import DenseTensor
 from .errors import ConfigError, IngestionError
 
 GRAVITY = -9.81
@@ -39,7 +39,7 @@ def sample_univariate(delta: float, d: int) -> DenseTensor:
     return DenseTensor((n,), -np.log(np.abs(x - 0.5) + delta))
 
 
-def sample_kernel_matrix(delta: float, d: int) -> DenseMatrix:
+def sample_kernel_matrix(delta: float, d: int) -> DenseTensor:
     """Uniform samples of ``ln(1 / (|x - y| + delta))`` on (0, 1)^2.
 
     Returns the symmetric ``2**d x 2**d`` kernel matrix at cell midpoints;
@@ -51,7 +51,7 @@ def sample_kernel_matrix(delta: float, d: int) -> DenseMatrix:
         raise ConfigError(f"d must be in 1..12, got {d}")
     n = 1 << int(d)
     x = (np.arange(1, n + 1) - 0.5) / n
-    return DenseMatrix.from_numpy(
+    return DenseTensor.from_numpy(
         -np.log(np.abs(x[:, None] - x[None, :]) + delta)
     )
 
@@ -147,17 +147,11 @@ def synth_particles(
 
     if scenario == "noise":
         data = rng.uniform(size=(n_t, n_p, 3))
-        return SnapshotBatch(
-            data=DenseTensor.from_numpy(data),
-            positions_first=data[0].copy(),
-            timestep_size=dt,
-            position_columns=(0, 1, 2),
-        )
-
-    p0 = np.empty((n_p, 3))
-    p0[:, 0] = rng.uniform(0.0, 1.0, n_p)
-    p0[:, 1] = rng.uniform(0.0, 1.0, n_p)
-    p0[:, 2] = rng.uniform(0.5, 3.0, n_p)
+    else:
+        p0 = np.empty((n_p, 3))
+        p0[:, 0] = rng.uniform(0.0, 1.0, n_p)
+        p0[:, 1] = rng.uniform(0.0, 1.0, n_p)
+        p0[:, 2] = rng.uniform(0.5, 3.0, n_p)
 
     if scenario == "ballistic":
         v0 = rng.uniform(-0.5, 0.5, (n_p, 3))
@@ -169,33 +163,27 @@ def synth_particles(
             * np.array([0.0, 0.0, GRAVITY])[None, None, :]
             * (t**2)[:, None, None]
         )
-        return SnapshotBatch(
-            data=DenseTensor.from_numpy(data),
-            positions_first=data[0].copy(),
-            timestep_size=dt,
-            position_columns=(0, 1, 2),
-        )
-
-    # settle: drop from rest, bounce on the floor z = 0, damp to rest
-    data = np.empty((n_t, n_p, 3))
-    z = p0[:, 2].copy()
-    vz = np.zeros(n_p)
-    rest = np.zeros(n_p, dtype=bool)
-    rest_threshold = 0.02  # below this height and speed a particle stops
-    for step in range(n_t):
-        data[step, :, 0] = p0[:, 0]
-        data[step, :, 1] = p0[:, 1]
-        data[step, :, 2] = z
-        active = ~rest
-        vz[active] += GRAVITY * dt
-        z[active] += vz[active] * dt
-        bounced = active & (z < 0.0)
-        z[bounced] *= -1.0
-        vz[bounced] *= -SETTLE_RESTITUTION
-        settled = active & (z < rest_threshold) & (np.abs(vz) < rest_threshold)
-        z[settled] = 0.0
-        vz[settled] = 0.0
-        rest |= settled
+    elif scenario == "settle":
+        # drop from rest, bounce on the floor z = 0, damp to rest
+        data = np.empty((n_t, n_p, 3))
+        z = p0[:, 2].copy()
+        vz = np.zeros(n_p)
+        rest = np.zeros(n_p, dtype=bool)
+        rest_threshold = 0.02  # below this height and speed a particle stops
+        for step in range(n_t):
+            data[step, :, 0] = p0[:, 0]
+            data[step, :, 1] = p0[:, 1]
+            data[step, :, 2] = z
+            active = ~rest
+            vz[active] += GRAVITY * dt
+            z[active] += vz[active] * dt
+            bounced = active & (z < 0.0)
+            z[bounced] *= -1.0
+            vz[bounced] *= -SETTLE_RESTITUTION
+            settled = active & (z < rest_threshold) & (np.abs(vz) < rest_threshold)
+            z[settled] = 0.0
+            vz[settled] = 0.0
+            rest |= settled
     return SnapshotBatch(
         data=DenseTensor.from_numpy(data),
         positions_first=data[0].copy(),

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import DenseMatrix, DenseTensor
+from .dense import DenseTensor
 from .errors import ConfigError, IndexRangeError, PlanError
 
 
@@ -301,17 +301,16 @@ def matrix_interlace_plan(extent: int, level: int) -> TensorizePlan:
     )
 
 
-def tensorize_matrix_interlaced(m: DenseMatrix, level: int) -> DenseTensor:
-    """Tensorize a square power-of-two matrix with interlaced row/column
-    dimensions.
+def tensorize_matrix_interlaced(m: DenseTensor, level: int) -> DenseTensor:
+    """Tensorize a square power-of-two matrix, a 2-D tensor, with
+    interlaced row/column dimensions.
 
     The result is 2l-dimensional: two leading leaf dimensions of extent
     ``2^(d-l+1)`` (row block, column block) followed by alternating binary
     row/column dimensions.  This is an entry permutation, recorded in the
     plan returned by :func:`matrix_interlace_plan` for exact inversion.
+    Anything but a square 2-D tensor raises :class:`PlanError`.
     """
-    if m.rows != m.cols:
-        raise PlanError(f"matrix is not square: {m.rows}x{m.cols}")
-    plan = matrix_interlace_plan(m.rows, level)
-    data = DenseTensor((m.rows, m.cols), m.values)
-    return apply_plan(data, plan)
+    if m.ndim != 2 or m.dims[0] != m.dims[1]:
+        raise PlanError(f"not a square matrix: dims {m.dims}")
+    return apply_plan(m, matrix_interlace_plan(m.dims[0], level))

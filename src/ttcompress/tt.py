@@ -189,21 +189,16 @@ def tt_get(t: TTTensor, indices) -> float:
     return float(tt_gather(t, [tuple(indices)])[0])
 
 
-def _check_full_cap(dims, max_entries=None) -> None:
-    """Refuse to materialize more than ``max_entries`` entries (default
-    2**31, or the QTT_MEMORY_CAP_ENTRIES environment variable, which must
-    hold an integer >= 0)."""
-    if max_entries is not None:
-        cap = int(max_entries)
-    elif FULL_CAP_ENV_VAR in os.environ:
-        value = os.environ[FULL_CAP_ENV_VAR]
-        if not value.strip().isdecimal():
-            raise ConfigError(
-                f"{FULL_CAP_ENV_VAR} must be an integer >= 0, got {value!r}"
-            )
-        cap = int(value)
-    else:
-        cap = DEFAULT_FULL_CAP_ENTRIES
+def _check_full_cap(dims) -> None:
+    """Refuse to materialize more than the cap's entries: 2**31, or the
+    QTT_MEMORY_CAP_ENTRIES environment variable, which must hold an
+    integer >= 0."""
+    value = os.environ.get(FULL_CAP_ENV_VAR, str(DEFAULT_FULL_CAP_ENTRIES))
+    if not value.strip().isdecimal():
+        raise ConfigError(
+            f"{FULL_CAP_ENV_VAR} must be an integer >= 0, got {value!r}"
+        )
+    cap = int(value)
     total = math.prod(dims)
     if total > cap:
         raise CapacityError(
@@ -225,39 +220,25 @@ def _contract_cores(cores, r_in: int = 1) -> np.ndarray:
     return mat
 
 
-def tt_full(t: TTTensor, max_entries=None) -> DenseTensor:
+def tt_full(t: TTTensor) -> DenseTensor:
     """Materialize the represented tensor densely.
 
-    Refuses to allocate more than ``max_entries`` entries (default 2**31,
-    overridable per call or via the QTT_MEMORY_CAP_ENTRIES environment
-    variable) so tensorized datasets are not expanded by accident.
+    Refuses to allocate more than 2**31 entries, or the cap set by the
+    QTT_MEMORY_CAP_ENTRIES environment variable, so tensorized datasets
+    are not expanded by accident.
     """
-    _check_full_cap(t.dims, max_entries)
+    _check_full_cap(t.dims)
     return DenseTensor(t.dims, _contract_cores(t.cores).reshape(-1, order="F"))
 
 
 def tt_norm(t: TTTensor) -> float:
     """Frobenius norm of the represented tensor, computed from the cores.
 
-    A right-to-left orthogonalization pass folds each core's triangular
-    factor into its left neighbour; orthonormal factors do not change the
-    norm, so at the end the first core carries it all.  No dense
-    materialization.
+    The right-to-left QR sweep of :func:`_orthogonalize` leaves every core
+    but the first with orthonormal rows, which do not change the norm, so
+    the first core carries it all.  No dense materialization.
     """
-    carry = None  # triangular factor to fold into the next core to the left
-    for core in t.cores[:0:-1]:
-        r0, n, r1 = core.shape
-        mat = core.reshape((r0, n * r1), order="F")
-        if carry is not None:
-            mat = (mat.reshape((r0 * n, r1), order="F") @ carry).reshape(
-                (r0, -1), order="F"
-            )
-        _, r_fact = _qr_arrays(mat.T)
-        carry = r_fact.T
-    first = t.cores[0].reshape((t.cores[0].shape[1], -1), order="F")
-    if carry is not None:
-        first = first @ carry
-    return float(np.linalg.norm(first))
+    return float(np.linalg.norm(_orthogonalize(t.cores)[0]))
 
 
 def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
@@ -278,16 +259,13 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     return _tt_round(t, tau_rel_frob)[0]
 
 
-def _tt_round(t: TTTensor, tau_rel_frob: float, abs_budget: float = 0.0):
+def _tt_round(t: TTTensor, tau_rel_frob: float):
     """:func:`tt_round` and its certified error: ``(train, lost)`` with
     ``||X - train||_F <= lost``.  After the orthogonalization the cores
     right of the SVD step are orthonormal and those left of it too, so
-    the discarded pieces are mutually orthogonal, as in TT-SVD.
-
-    The sweep spends ``max(tau * ||X||_F, abs_budget)``, with the norm
-    taken from its own orthogonalization."""
+    the discarded pieces are mutually orthogonal, as in TT-SVD."""
     return _round_orthogonal(
-        TTTensor(tuple(_orthogonalize(t.cores))), tau_rel_frob, abs_budget
+        TTTensor(tuple(_orthogonalize(t.cores))), tau_rel_frob
     )
 
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttcompress import (
-    DenseMatrix,
     DenseTensor,
     IndexRangeError,
     ShapeError,
@@ -111,8 +110,6 @@ class TestConstruction:
             DenseTensor((2, 0), [])
         with pytest.raises(ShapeError):
             DenseTensor((2, 2), [1.0, 2.0])
-        with pytest.raises(ShapeError):
-            DenseMatrix(2, 2, [1.0])
 
     def test_values_read_only(self):
         t = DenseTensor((2,), [1.0, 2.0])

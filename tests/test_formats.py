@@ -168,7 +168,8 @@ def pristine(tmp_path_factory):
 
 class TestCorruptedFiles:
     """Every truncation and single-bit flip either still reads or fails as
-    a :class:`TTCompressError`, which ``ttc info`` reports with exit 2."""
+    a :class:`TTCompressError`, which ``ttc info`` reports with exit 2;
+    appended bytes always fail."""
 
     @pytest.mark.parametrize("kind", ["ttc", "dt64"])
     @settings(max_examples=150, deadline=None)
@@ -176,16 +177,52 @@ class TestCorruptedFiles:
     def test_truncation_or_bit_flip(self, pristine, kind, data):
         work, files = pristine
         blob, load = files[kind]
-        if data.draw(st.booleans(), label="truncate"):
+        how = data.draw(st.sampled_from(["truncate", "flip", "append"]))
+        if how == "truncate":
             broken = blob[: data.draw(st.integers(0, len(blob) - 1))]
-        else:
+        elif how == "flip":
             bit = data.draw(st.integers(0, 8 * len(blob) - 1))
             broken = bytearray(blob)
             broken[bit // 8] ^= 1 << bit % 8
+        else:
+            broken = blob + data.draw(st.binary(min_size=1, max_size=16))
         path = work / f"broken.{kind}"
         path.write_bytes(bytes(broken))
         try:
             load(path)
         except TTCompressError:
             pass
+        else:
+            assert how != "append", "trailing bytes were read"
         assert main(["info", str(path)]) in (0, 2)
+
+
+class TestTrailingBytes:
+    """A file ends with its last declared field: one byte more is a
+    :class:`FormatError` that names where the payload ended, and every
+    command that reads the file exits 2."""
+
+    @pytest.mark.parametrize("kind", ["ttc", "dt64"])
+    def test_reader_rejects_one_appended_byte(self, pristine, kind):
+        work, files = pristine
+        blob, load = files[kind]
+        path = work / f"appended.{kind}"
+        path.write_bytes(blob + b"\x00")
+        message = f"1 trailing bytes at byte offset {len(blob)}"
+        with pytest.raises(FormatError, match=message):
+            (read_ttc1 if kind == "ttc" else read_dt64)(path)
+        with pytest.raises(FormatError, match=message):
+            load(path)
+
+    def test_commands_reject_one_appended_byte(self, pristine, tmp_path, capsys):
+        _, files = pristine
+        archive, tensor = tmp_path / "a.ttc", tmp_path / "x.dt64"
+        archive.write_bytes(files["ttc"][0] + b"\x00")
+        tensor.write_bytes(files["dt64"][0] + b"\x00")
+        out = tmp_path / "out.dt64"
+        assert main(["info", str(archive)]) == 2
+        assert main(["reconstruct", str(archive), "-o", str(out)]) == 2
+        assert main(["compress", str(tensor), "-o", str(tmp_path / "c")]) == 2
+        assert "trailing bytes" in capsys.readouterr().err
+        assert not out.exists()
+        assert not (tmp_path / "c" / "manifest.json").exists()

@@ -10,6 +10,7 @@ from ttcompress import (
     CompressionConfig,
     ConfigError,
     DenseTensor,
+    FormatError,
     IndexRangeError,
     MergeError,
     SnapshotBatch,
@@ -35,6 +36,7 @@ from ttcompress import (
     reconstruct_region,
     reconstruct_segment,
     reconstruct_segments,
+    read_ttc1,
     rel_frob,
     save_segment,
     stats_of,
@@ -45,10 +47,11 @@ from ttcompress import (
     tt_svd,
     write_dt64,
     write_run,
+    write_ttc1,
 )
 from ttcompress import streaming
 from ttcompress.cli import main
-from ttcompress.streaming import CompressedSegment, DataStats
+from ttcompress.streaming import CompressedSegment, DataStats, segment_metadata
 from ttcompress.tensorize import axis_offsets
 from ttcompress.tt import _tt_round
 
@@ -1099,11 +1102,9 @@ def interlaced_segment():
     return CompressedSegment(
         tt=tt_svd(apply_plan(data, plan), 1e-2),
         plan=plan,
-        reorder="none",
         permutations=None,
         time_range=(0, 7),
         part_time_extents=(8,),
-        stack_dims=(),
         stats=stats_of(x),
         tolerance_spent=1e-2,
     )
@@ -1243,9 +1244,8 @@ class TestBatchedReadPath:
     def test_full_reconstruction_respects_cap(self, monkeypatch):
         seg = merged_ragged_segment()
         n_train = int(np.prod(seg.tt.dims))
-        with pytest.raises(CapacityError):
-            reconstruct_segment(seg, max_entries=n_train - 1)
-        assert reconstruct_segment(seg, max_entries=n_train).dims == (14, 5, 3)
+        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", str(n_train))
+        assert reconstruct_segment(seg).dims == (14, 5, 3)
         monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", str(n_train - 1))
         with pytest.raises(CapacityError):
             reconstruct_segment(seg)
@@ -1343,7 +1343,7 @@ class TestDecodeColumns:
         got = (tmp_path / "got.dt64").read_bytes()
         assert got == (tmp_path / "want.dt64").read_bytes()
 
-    def test_run_is_checked_before_any_block(self):
+    def test_run_is_checked_before_any_block(self, monkeypatch):
         segs = streamed_run(merge=False)
         with pytest.raises(MergeError):
             streaming.decode_columns(segs[:1] + segs[2:])
@@ -1352,8 +1352,9 @@ class TestDecodeColumns:
         )
         with pytest.raises(StructureError):
             streaming.decode_columns(segs[:1] + [broken] + segs[2:])
+        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "1")
         with pytest.raises(CapacityError):
-            streaming.decode_columns(segs, max_entries=1)
+            streaming.decode_columns(segs)
 
 
 def long_axis_archive(directory, bits):
@@ -1374,11 +1375,9 @@ def long_axis_archive(directory, bits):
     seg = CompressedSegment(
         tt=TTTensor(cores),
         plan=plan,
-        reorder="none",
         permutations=None,
         time_range=(0, 1),
         part_time_extents=(2,),
-        stack_dims=(),
         stats=DataStats(-1.0, 1.0, 1.0, 2 * 2**bits),
         tolerance_spent=0.0,
     )
@@ -1441,6 +1440,37 @@ class TestStoreRoundtrip:
         assert loaded.stats == seg.stats
         for a, b in zip(loaded.tt.cores, seg.tt.cores):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", sorted(STORED_RUNS))
+    def test_layout_follows_from_train_and_permutations(self, case, tmp_path):
+        policy = {"dt64-input": "none", "timestep-no-merge": "timestep"}
+        for seg in STORED_RUNS[case]():
+            path = save_segment(tmp_path / case, seg)
+            loaded = load_segment(path)
+            for part in (seg, loaded):
+                meta = segment_metadata(part)
+                assert part.stack_dims == tuple(meta["stack_dims"])
+                assert part.reorder == meta["reorder"]
+                assert part.reorder == policy.get(case, "segment")
+                plan_dims = part.plan.tensorized_dims()
+                assert part.tt.dims == plan_dims + part.stack_dims
+                assert bool(part.stack_dims) == case.startswith("merge")
+            assert read_ttc1(path)[1] == segment_metadata(seg)
+
+    @pytest.mark.parametrize("value", [[3], [2, 1], [], [2.0], "2", 2, None])
+    def test_stored_stack_dims_must_be_the_trains(self, tmp_path, value):
+        # two merged segments stack (2,); any other record of the stack
+        # is a format error, not a second account of the layout
+        batch = synth_particles(4, 16, "settle", seed=9)
+        cfg = CompressionConfig(tolerance=1e-3, segment_length=8)
+        (seg,) = compress_run(batch.time_slice, batch.n_t, cfg)
+        path = save_segment(tmp_path, seg)
+        tt, meta = read_ttc1(path)
+        assert meta["stack_dims"] == [2]
+        meta["stack_dims"] = value
+        write_ttc1(path, tt, meta)
+        with pytest.raises(FormatError, match="stack dims|malformed"):
+            load_segment(path)
 
     def test_byte_identical_recompression(self, tmp_path):
         batch = synth_particles(16, 8, "settle", seed=29)

@@ -3,7 +3,6 @@ import pytest
 
 from ttcompress import (
     AxisPad,
-    DenseMatrix,
     DenseTensor,
     PlanError,
     TensorizePlan,
@@ -84,14 +83,14 @@ class TestTensorizeVector:
 
 class TestInterlacedMatrix:
     def test_two_by_two_level1(self):
-        m = DenseMatrix.from_numpy(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        m = DenseTensor.from_numpy(np.array([[1.0, 2.0], [3.0, 4.0]]))
         t = tensorize_matrix_interlaced(m, 1)
         assert t.dims == (2, 2)
         assert np.array_equal(t.to_numpy(), m.to_numpy())
 
     def test_four_by_four_brute_force(self):
         rng = np.random.default_rng(1)
-        m = DenseMatrix.from_numpy(rng.uniform(size=(4, 4)))
+        m = DenseTensor.from_numpy(rng.uniform(size=(4, 4)))
         t = tensorize_matrix_interlaced(m, 2)
         assert t.dims == (2, 2, 2, 2)
         # oracle: enumerate the split long indices both ways
@@ -101,16 +100,16 @@ class TestInterlacedMatrix:
                     for j2 in (1, 2):
                         row = long_index((i1, i2), (2, 2))
                         col = long_index((j1, j2), (2, 2))
-                        assert t.get((i1, j1, i2, j2)) == m.get(row, col)
+                        assert t.get((i1, j1, i2, j2)) == m.get((row, col))
 
     def test_16_by_16_level3_shape(self):
-        m = DenseMatrix.from_numpy(np.zeros((16, 16)))
+        m = DenseTensor.from_numpy(np.zeros((16, 16)))
         t = tensorize_matrix_interlaced(m, 3)
         assert t.dims == (4, 4, 2, 2, 2, 2)
 
     def test_inversion_roundtrip(self):
         rng = np.random.default_rng(2)
-        m = DenseMatrix.from_numpy(rng.uniform(size=(16, 16)))
+        m = DenseTensor.from_numpy(rng.uniform(size=(16, 16)))
         for level in (1, 2, 3, 4):
             plan = matrix_interlace_plan(16, level)
             t = tensorize_matrix_interlaced(m, level)
@@ -120,10 +119,9 @@ class TestInterlacedMatrix:
             )
 
     def test_rejects_non_square(self):
-        with pytest.raises(PlanError):
-            tensorize_matrix_interlaced(
-                DenseMatrix.from_numpy(np.zeros((2, 4))), 1
-            )
+        for shape in [(2, 4), (2, 2, 2), (4,)]:
+            with pytest.raises(PlanError):
+                tensorize_matrix_interlaced(DenseTensor.from_numpy(np.zeros(shape)), 1)
 
 
 class TestPadReplicate:
