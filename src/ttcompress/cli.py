@@ -23,6 +23,8 @@ from .formats import read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
 from .metrics import rel_frob, write_csv
 from .streaming import (
+    REORDER_POLICIES,
+    TOLERANCE_KINDS,
     CompressionConfig,
     combine_error_bounds,
     combine_stats,
@@ -218,8 +220,7 @@ def cmd_reconstruct(args) -> int:
         out = reconstruct_region(segs[0], _parse_region(args.region, ndim))
         dims, blocks = out.dims, [out.values]
     else:
-        blocks = decode_columns(segs)  # checks the run before writing
-        dims = (sum(s.total_steps for s in segs),) + segs[0].plan.original_dims[1:]
+        dims, blocks = decode_columns(segs)  # checks the run before writing
     write_dt64(args.output, dims, blocks)
     print(f"wrote {args.output} dims={dims}")
     return EXIT_OK
@@ -428,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=0.1)
     p.add_argument(
         "--tolerance-kind",
-        choices=["nrmse", "relfrob"],
+        choices=TOLERANCE_KINDS,
         default="nrmse",
         dest="tolerance_kind",
     )
@@ -436,9 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--level", type=int, default=None, help="tensorization level override")
     p.add_argument("--merge-arity", type=int, default=2, dest="merge_arity")
     p.add_argument("--no-merge", dest="merge", action="store_false")
-    p.add_argument(
-        "--reorder", choices=["none", "segment", "timestep"], default="segment"
-    )
+    p.add_argument("--reorder", choices=REORDER_POLICIES, default="segment")
     p.add_argument("--morton-bits", type=int, default=None, dest="morton_bits")
     p.add_argument("--verify", action="store_true")
     p.add_argument("--no-tensorize", dest="tensorize", action="store_false")

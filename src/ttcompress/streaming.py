@@ -70,7 +70,7 @@ from .tt import (
 )
 
 TOLERANCE_KINDS = ("nrmse", "relfrob")
-REORDER_POLICIES = ("none", "segment", "timestep")
+REORDER_POLICIES = ("none", "segment")
 SEGMENT_FILE_RE = re.compile(r"^seg_(\d+)_(\d+)\.ttc$")
 # entries x largest rank per block of a region query, and values per
 # block of a full reconstruction: each array stays near 8 MB
@@ -155,9 +155,8 @@ class CompressionConfig:
     ``level`` is the tensorization level of every split axis (time and
     particles of a run, every axis of a plain tensor), capped at an axis's
     factor count; ``None`` keeps every factor as its own dimension.
-    ``reorder`` picks the Morton policy: one permutation per segment
-    (default), one per timestep (requires 3-component position-like data),
-    or none.
+    ``reorder`` picks the Morton policy: one permutation per segment,
+    from its first step's positions (default), or none.
     """
 
     tolerance: float = 0.1
@@ -219,7 +218,9 @@ class CompressedSegment:
     carries extra trailing stack dimensions on its train, past the plan's
     (:attr:`stack_dims`); each stacked leaf covers
     ``part_time_extents[j]`` real timesteps (padding copies excluded).
-    The Morton policy (:attr:`reorder`) follows from ``permutations``.
+    ``permutations`` is ``None`` or one permutation of the particles
+    for the whole segment, checked here; the Morton policy
+    (:attr:`reorder`) follows from it.
     ``tolerance_spent`` is the relative-Frobenius budget consumed
     against this segment's own unpadded data: the a-priori
     composition of its merges, or, for the last level of a
@@ -266,6 +267,16 @@ class CompressedSegment:
             raise StructureError("time range does not match leaf extents")
         if self.permutations is not None:
             perms = np.asarray(self.permutations)
+            n_p = self.plan.original_dims[1:2]  # () on a 1-D plan
+            if (
+                perms.ndim != 1
+                or perms.shape != n_p
+                or not np.array_equal(np.sort(perms), np.arange(len(perms)))
+            ):
+                raise StructureError(
+                    f"a permutation of shape {perms.shape} does not permute "
+                    f"the particles of {self.plan.original_dims}"
+                )
             object.__setattr__(self, "permutations", perms)
         stats = self.stats
         x_min = _finite(stats.x_min, "minimum")
@@ -296,11 +307,9 @@ class CompressedSegment:
 
     @property
     def reorder(self) -> str:
-        """The Morton policy of the permutations: ``"none"`` without,
-        ``"segment"`` for one, ``"timestep"`` for one per step."""
-        if self.permutations is None:
-            return "none"
-        return "segment" if self.permutations.ndim == 1 else "timestep"
+        """The Morton policy: ``"none"`` without a permutation, else
+        ``"segment"``."""
+        return "none" if self.permutations is None else "segment"
 
     @property
     def total_steps(self) -> int:
@@ -313,25 +322,10 @@ class CompressedSegment:
 
     @functools.cached_property
     def inverse_permutations(self) -> Optional[np.ndarray]:
-        """Sorted position of each original particle, per step of a leaf
-        for per-timestep permutations; ``None`` without reordering.
-        Checked on first use."""
+        """Sorted position of each original particle; ``None`` without
+        reordering."""
         perms = self.permutations
-        if perms is None:
-            return None
-        n_p = self.plan.original_dims[1]
-        fits = perms.shape == (n_p,) or (
-            perms.ndim == 2
-            and perms.shape[1] == n_p
-            and len(perms) >= max(self.part_time_extents)
-        )
-        inverse = np.argsort(perms, axis=-1) if fits else None
-        if not fits or np.any(np.take_along_axis(perms, inverse, -1) != np.arange(n_p)):
-            raise StructureError(
-                f"particle permutations of shape {perms.shape} do not "
-                f"permute {n_p} particles"
-            )
-        return inverse
+        return None if perms is None else np.argsort(perms)
 
 
 def _finite(value, what: str, nonnegative: bool = False) -> float:
@@ -478,7 +472,7 @@ def compress_segment(
     """
     stats = _data_stats(batch.data, first_step)
     arr = batch.data.to_numpy()
-    n_t, n_p, n_c = arr.shape
+    n_p = arr.shape[1]
 
     perms = None
     if permutation_override is not None:
@@ -495,25 +489,11 @@ def compress_segment(
                 "use reorder='none' for data without them"
             )
         perms = _morton_permutation(batch.positions_first, config.morton_bits)
-    elif config.reorder == "timestep":
-        if n_c != 3:
-            raise ConfigError(
-                "per-timestep reordering uses the data itself as positions "
-                "and needs exactly 3 components"
-            )
-        perms = np.stack(
-            [_morton_permutation(arr[t], config.morton_bits) for t in range(n_t)]
-        )
     data = batch.data
     if perms is not None:
-        # column-major results, so the flat values below are a view
-        if perms.ndim == 1:
-            # the transpose is row-major: take copies whole time columns
-            permuted = arr.T.take(perms, axis=1).T
-        else:
-            permuted = np.empty(arr.shape, order="F")
-            for t in range(n_t):
-                permuted[t] = arr[t, perms[t]]
+        # the transpose is row-major: take copies whole time columns, and
+        # the column-major result makes the flat values below a view
+        permuted = arr.T.take(perms, axis=1).T
         data = DenseTensor(arr.shape, permuted.reshape(-1, order="F"))
 
     # time and particles are split, components stay whole
@@ -866,11 +846,6 @@ def compress_run(
     """
     seg_len = config.segment_length
     merging = merge and n_t > seg_len
-    if merging and config.reorder == "timestep":
-        raise ConfigError(
-            "per-timestep reordering produces per-step permutations that "
-            "cannot be merged; rerun with --no-merge or --reorder segment"
-        )
     seg_config, pad = config, None
     if merging:
         seg_config = dataclasses.replace(config, tolerance=config.tolerance / 2)
@@ -960,14 +935,16 @@ def _decoded_leaves(segs, extents):
 
 
 def decode_columns(segs):
-    """Decode consecutive segments of one run in DT64 file order: an
-    iterator of flat blocks of about ``_REGION_BLOCK_VALUES`` values, each
-    all steps of a range of whole non-time columns (a row range of every
-    plan matrix).  The run is checked and the plan matrices made before
-    it returns; then memory holds them and one block."""
+    """Decode consecutive segments of one run in DT64 file order: the
+    run's dims and an iterator of flat blocks of about
+    ``_REGION_BLOCK_VALUES`` values, each all steps of a range of whole
+    non-time columns (a row range of every plan matrix), the pair that
+    :func:`~ttcompress.formats.write_dt64` takes.  The run is checked and
+    the plan matrices made before it returns; then memory holds them and
+    one block."""
     segs, dims = _checked_run(segs)
     parts = [(seg, *_prepared(seg, dims[1:])) for seg in segs]
-    return _column_blocks(parts, dims[0], math.prod(dims[1:]))
+    return dims, _column_blocks(parts, dims[0], math.prod(dims[1:]))
 
 
 def _column_blocks(parts, n_t, n_columns):
@@ -991,9 +968,7 @@ def _column_blocks(parts, n_t, n_columns):
 def reconstruct_segments(segs) -> DenseTensor:
     """Full dense reconstruction of consecutive segments of one run: the
     blocks of :func:`decode_columns`, written into one output."""
-    segs = list(segs)
-    blocks = decode_columns(segs)
-    dims = (sum(s.total_steps for s in segs),) + segs[0].plan.original_dims[1:]
+    dims, blocks = decode_columns(segs)
     values, start = np.empty(math.prod(dims)), 0
     for block in blocks:
         values[start : start + block.size] = block
@@ -1008,10 +983,8 @@ def _plan_rows(seg: CompressedSegment, coords) -> np.ndarray:
     position, and :func:`axis_offsets` of just these indices undoes
     padding and interlacing."""
     coords = list(coords)
-    inverse = seg.inverse_permutations
-    if inverse is not None:
-        steps = (coords[0],) if inverse.ndim == 2 else ()
-        coords[1] = inverse[steps + (coords[1],)]
+    if seg.inverse_permutations is not None:
+        coords[1] = seg.inverse_permutations[coords[1]]
     return sum(axis_offsets(seg.plan, coords))
 
 

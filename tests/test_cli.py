@@ -1,3 +1,4 @@
+import base64
 import csv
 import json
 import os
@@ -435,6 +436,17 @@ class TestCompress:
         assert "error" not in capsys.readouterr().err
         assert set(read_manifest(out)["metrics"]["ranks_final"]) == {1}
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--reorder", "timestep"), ("--tolerance-kind", "rmse")]
+    )
+    def test_unknown_policy_exits_two(self, run_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", run_dir, "-o", str(out), flag, value])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_output_path_is_a_file_exits_two(self, run_dir, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")
@@ -662,9 +674,13 @@ class TestReconstruct:
         decode = cli_module.decode_columns
 
         def failing(segs):
-            blocks = decode(segs)
-            yield next(blocks)
-            raise fault
+            dims, blocks = decode(segs)
+
+            def faulty():
+                yield next(blocks)
+                raise fault
+
+            return dims, faulty()
 
         monkeypatch.setattr(cli_module, "decode_columns", failing)
         monkeypatch.setattr(streaming, "_REGION_BLOCK_VALUES", 40)
@@ -872,6 +888,35 @@ class TestInfo:
         assert main(["info", archive]) == 2
         assert main(["reconstruct", archive, "-o", str(tmp_path / "x.dt64")]) == 2
         assert "internal error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda n_t, n_p: np.zeros(n_p),  # a duplicate
+            lambda n_t, n_p: np.arange(n_p - 2),  # too short
+            lambda n_t, n_p: np.tile(np.arange(n_p), (n_t, 1)),  # one per step
+            lambda n_t, n_p: np.arange(8).reshape(2, 2, 2),
+        ],
+        ids=["duplicate", "short", "2-d", "3-d"],
+    )
+    def test_malformed_permutation_exits_two(
+        self, run_dir, tmp_path, capsys, make
+    ):
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        tt, meta = read_ttc1(os.path.join(out, "seg_0_39.ttc"))
+        perm = make(40, 64)
+        meta["permutation"] = {
+            "shape": list(perm.shape),
+            "u32le_b64": base64.b64encode(perm.astype("<u4").tobytes()).decode(),
+        }
+        archive = str(tmp_path / "bad.ttc")
+        write_ttc1(archive, tt, meta)
+        assert main(["info", archive]) == 2
+        assert main(["reconstruct", archive, "-o", str(tmp_path / "x.dt64")]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "does not permute" in err
+        assert not (tmp_path / "x.dt64").exists()
 
     def test_truncated_archive_reports_offset(self, run_dir, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -165,18 +165,6 @@ class TestCompressSegment:
             recon, batch.data.to_numpy(), atol=1e-11 * seg.stats.frobenius_norm
         )
 
-    def test_per_timestep_reorder_roundtrip(self):
-        batch = synth_particles(24, 6, "ballistic", seed=5)
-        cfg = CompressionConfig(
-            tolerance=0.0, tolerance_kind="relfrob", reorder="timestep"
-        )
-        seg = compress_segment(batch, cfg)
-        assert seg.permutations.shape == (6, 24)
-        recon = reconstruct_segment(seg).to_numpy()
-        assert np.allclose(
-            recon, batch.data.to_numpy(), atol=1e-11 * seg.stats.frobenius_norm
-        )
-
     @pytest.mark.parametrize("level", [0, -1, True, 1.5, "2"])
     def test_bad_level_rejected(self, level):
         with pytest.raises(ConfigError, match="level"):
@@ -571,18 +559,6 @@ class TestCompressRun:
         measured = nrmse(batch.data, reconstruct_segment(final))
         scale = (stats.x_max - stats.x_min) * np.sqrt(stats.entry_count)
         assert measured <= final.error_bound / scale <= 1e-2
-
-    def test_timestep_reorder_cannot_merge(self):
-        batch = synth_particles(8, 8, "ballistic", seed=9)
-        config = CompressionConfig(segment_length=4, reorder="timestep")
-        with pytest.raises(ConfigError):
-            compress_run(batch.time_slice, 8, config)
-        levels = []
-        parts = compress_run(
-            batch.time_slice, 8, config, merge=False, on_level=levels.append
-        )
-        assert [s.time_range for s in parts] == [(0, 3), (4, 7)]
-        assert levels == [parts]
 
 
 def abs_error(arr, seg):
@@ -1120,7 +1096,6 @@ def single_segment(shape, **cfg_kwargs):
 READ_CASES = {
     "reorder-none": lambda: single_segment((8, 6, 3)),
     "reorder-segment": lambda: single_segment((8, 6, 3), reorder="segment"),
-    "reorder-timestep": lambda: single_segment((8, 6, 3), reorder="timestep"),
     "padded-particles": lambda: single_segment((6, 7, 3), reorder="segment"),
     "untensorized": lambda: single_segment((8, 6, 3), tensorize=False),
     "merged-ragged": merged_ragged_segment,
@@ -1136,12 +1111,14 @@ def read_case(request):
     return READ_CASES[request.param]()
 
 
-def run_segments(n_p, reorder, lengths=(4, 4, 4, 2)):
-    """Consecutive segments of one run, the last one short."""
+def run_segments(n_p, reorder, lengths=(4, 4, 4, 2), pinned=True):
+    """Consecutive segments of one run, the last one short.  Under
+    ``segment`` ordering they share one random permutation, or, unless
+    ``pinned``, each takes the Morton order of its first step."""
     rng = np.random.default_rng(46)
     arr = np.cumsum(rng.uniform(size=(sum(lengths), n_p, 3)), axis=0)
     cfg = relfrob_config(1e-3, reorder=reorder)
-    perm = rng.permutation(n_p) if reorder == "segment" else None
+    perm = rng.permutation(n_p) if reorder == "segment" and pinned else None
     starts = np.cumsum((0,) + lengths[:-1])
     return [
         compress_segment(
@@ -1166,8 +1143,8 @@ def merged_levels(n_p):
 RUN_CASES = {
     # two merged parts of a run with 7 particles, padded to 8
     "merged-padded-particles": lambda: merged_levels(7)[1],
-    # per-timestep permutations, which stop the run from merging
-    "reorder-timestep": lambda: run_segments(5, "timestep"),
+    # unmerged segments, each with its own Morton permutation
+    "own-permutations": lambda: run_segments(5, "segment", pinned=False),
     "interlaced": lambda: [interlaced_segment()],
     # one archive whose last leaf holds 2 of 4 steps
     "short-last-leaf": lambda: merged_levels(7)[-1],
@@ -1255,24 +1232,18 @@ class TestBatchedReadPath:
             reconstruct_region(seg, box).to_numpy(), reference_region(seg, box)
         )
 
-    def test_entry_on_per_timestep_permutations(self):
-        rng = np.random.default_rng(45)
-        arr = rng.uniform(size=(6, 9, 3))
-        cfg = relfrob_config(0.0, reorder="timestep")
-        seg = compress_segment(batch_from_array(arr), cfg, first_step=10)
-        assert seg.permutations.shape == (6, 9)
-        for t in range(6):
-            for p in range(9):
-                got = entry(seg, t + 1, (p + 1, 2))
-                assert got == pytest.approx(arr[t, p, 1], abs=1e-12)
-
     def test_malformed_permutation_is_rejected(self):
+        # a duplicate, too short, one per step, not a whole number: each
+        # fails when the record is built, before any read can use it
         seg = single_segment((8, 6, 3), reorder="segment")
-        broken = dataclasses.replace(seg, permutations=np.zeros(6, dtype=np.int64))
-        with pytest.raises(StructureError):
-            entry(broken, 1, (1, 1))
-        with pytest.raises(StructureError):
-            reconstruct_segment(broken)
+        for perm in (
+            np.zeros(6, dtype=np.int64),
+            np.arange(4),
+            np.tile(np.arange(6), (8, 1)),
+            np.arange(6.0) + 0.5,
+        ):
+            with pytest.raises(StructureError, match="does not permute"):
+                dataclasses.replace(seg, permutations=perm)
 
 
 
@@ -1298,7 +1269,6 @@ STORED_RUNS = {
     "merged-padded-particles": lambda: streamed_run(n_p=7),
     "merge-arity-3": lambda: streamed_run(merge_arity=3),
     "no-merge": lambda: streamed_run(merge=False),
-    "timestep-no-merge": lambda: streamed_run(merge=False, reorder="timestep"),
     "dt64-input": dt64_archive,
 }
 
@@ -1322,8 +1292,10 @@ class TestDecodeColumns:
         segs = STORED_RUNS[case]()
         want = reconstruct_segments(segs).values
         monkeypatch.setattr(streaming, "_REGION_BLOCK_VALUES", block_values)
-        blocks = list(streaming.decode_columns(segs))
+        dims, blocks = streaming.decode_columns(segs)
         n_t = sum(s.total_steps for s in segs)
+        assert dims == (n_t,) + segs[0].plan.original_dims[1:]
+        blocks = list(blocks)
         width = max(1, block_values // n_t)
         assert all(b.ndim == 1 and b.size % n_t == 0 for b in blocks)
         assert all(b.size == n_t * width for b in blocks[:-1])
@@ -1347,10 +1319,10 @@ class TestDecodeColumns:
         segs = streamed_run(merge=False)
         with pytest.raises(MergeError):
             streaming.decode_columns(segs[:1] + segs[2:])
-        broken = dataclasses.replace(
-            segs[1], permutations=np.zeros_like(segs[1].permutations)
-        )
         with pytest.raises(StructureError):
+            broken = dataclasses.replace(
+                segs[1], permutations=np.zeros_like(segs[1].permutations)
+            )
             streaming.decode_columns(segs[:1] + [broken] + segs[2:])
         monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "1")
         with pytest.raises(CapacityError):
@@ -1443,7 +1415,7 @@ class TestStoreRoundtrip:
 
     @pytest.mark.parametrize("case", sorted(STORED_RUNS))
     def test_layout_follows_from_train_and_permutations(self, case, tmp_path):
-        policy = {"dt64-input": "none", "timestep-no-merge": "timestep"}
+        policy = {"dt64-input": "none"}
         for seg in STORED_RUNS[case]():
             path = save_segment(tmp_path / case, seg)
             loaded = load_segment(path)
