@@ -46,7 +46,6 @@ from .streaming import (
     compress_tensor,
     list_segments,
     load_segment,
-    merge_concat,
     merge_stack,
     merge_tree,
     nrmse_to_relfrob,

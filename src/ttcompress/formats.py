@@ -79,28 +79,37 @@ def _write_f64(fh, values: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(values, dtype="<f8").data)
 
 
+@contextlib.contextmanager
+def _replacing(path):
+    """A file open for writing beside ``path`` that replaces it once the
+    block completes; a failure removes it, and ``path`` keeps what it
+    held (or stays absent)."""
+    part = f"{os.fspath(path)}.{os.getpid()}.part"
+    try:
+        with open(part, "wb") as fh:
+            yield fh
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
 def write_dt64(path, dims, blocks) -> None:
     """Write the header of a ``dims`` tensor, then each block's values,
     column-major, as they come (``t.dims, [t.values]`` for a tensor ``t``).
     Written beside ``path``, the file replaces it only once complete: a
     failure, blocks that miss ``prod(dims)`` values among them, keeps it."""
     dims = tuple(int(n) for n in dims)
-    part = f"{os.fspath(path)}.{os.getpid()}.part"
     count = 0
-    try:
-        with open(part, "wb") as fh:
-            fh.write(DT64_MAGIC + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
-            for block in blocks:
-                count += np.size(block)
-                _write_f64(fh, np.ravel(block, order="F"))
-                del block  # freed before the next one is made
+    with _replacing(path) as fh:
+        fh.write(DT64_MAGIC + struct.pack(f"<I{len(dims)}Q", len(dims), *dims))
+        for block in blocks:
+            count += np.size(block)
+            _write_f64(fh, np.ravel(block, order="F"))
+            del block  # freed before the next one is made
         if count != math.prod(dims):
             raise FormatError(f"{count} values given for dims {dims}")
-        os.replace(part, path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.remove(part)
-        raise
 
 
 def read_dt64(path) -> DenseTensor:
@@ -121,8 +130,10 @@ def read_dt64(path) -> DenseTensor:
 
 
 def write_ttc1(path, t: TTTensor, metadata: dict) -> None:
+    """Write an archive beside ``path``; it replaces ``path`` only once
+    complete, as in :func:`write_dt64`."""
     blob = json.dumps(metadata, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(TTC1_MAGIC)
         fh.write(struct.pack("<I", TTC1_VERSION))
         fh.write(struct.pack("<I", t.ndim))

@@ -5,16 +5,16 @@ pad, tensorize, TT-SVD), then merged under an explicit error budget.  Two
 accounts are kept.  A priori, parts within relative tolerances ``t_i``
 stack within their norm-weighted ``t`` (:func:`combine_tolerances`), and
 rounding at ``t_r`` gives ``t + t_r + t * t_r``; this governs
-:func:`merge_stack` and :func:`merge_concat`.  The ledger certifies each
-part's actual error from what its truncations discarded
+:func:`merge_stack`, the one merge, which stacks parts along a new
+trailing dimension so the stacks carry the time hierarchy.  The ledger
+certifies each part's actual error from what its truncations discarded
 (``CompressedSegment.error_bound``).  :func:`merge_tree` owns a run's
 budget: one :func:`merge_stack` per group rounds each level at the equal
 a-priori split, the last spending what the ledger leaves, and returns
-the merged part alone.  Stacks along a new trailing dimension keep time
-hierarchies; concatenation serves untensorized axes.  Every read maps
-coordinates through ``tensorize.axis_offsets``; full reads share one
-preparation and decode in file order, a block of whole time columns at
-a time (:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
+the merged part alone.  Every read maps coordinates through
+``tensorize.axis_offsets``; full reads share one preparation and decode
+in file order, a block of whole time columns at a time
+(:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
 """
 
 import base64
@@ -57,11 +57,9 @@ from .tensorize import (
 from .tt import (
     TTTensor,
     _check_full_cap,
-    _concat_trains,
     _contract_cores,
     _orthogonal_stack,
     _round_orthogonal,
-    _tt_round,
     _tt_svd,
     constant_tt,
     tt_gather,
@@ -265,19 +263,8 @@ class CompressedSegment:
         first, last = self.time_range
         if sum(self.part_time_extents) != last - first + 1:
             raise StructureError("time range does not match leaf extents")
-        if self.permutations is not None:
-            perms = np.asarray(self.permutations)
-            n_p = self.plan.original_dims[1:2]  # () on a 1-D plan
-            if (
-                perms.ndim != 1
-                or perms.shape != n_p
-                or not np.array_equal(np.sort(perms), np.arange(len(perms)))
-            ):
-                raise StructureError(
-                    f"a permutation of shape {perms.shape} does not permute "
-                    f"the particles of {self.plan.original_dims}"
-                )
-            object.__setattr__(self, "permutations", perms)
+        perms = _checked_permutation(self.permutations, self.plan.original_dims)
+        object.__setattr__(self, "permutations", perms)
         stats = self.stats
         x_min = _finite(stats.x_min, "minimum")
         if not x_min <= _finite(stats.x_max, "maximum"):
@@ -326,6 +313,25 @@ class CompressedSegment:
         reordering."""
         perms = self.permutations
         return None if perms is None else np.argsort(perms)
+
+
+def _checked_permutation(perms, dims) -> Optional[np.ndarray]:
+    """``perms`` as an array, or ``None``; a :class:`StructureError`
+    unless it is ``None`` or one permutation of the particles (the second
+    axis) of a tensor of extents ``dims``."""
+    if perms is None:
+        return None
+    perms = np.asarray(perms)
+    if (
+        perms.ndim != 1
+        or perms.shape != dims[1:2]  # () for 1-D dims
+        or not np.array_equal(np.sort(perms), np.arange(len(perms)))
+    ):
+        raise StructureError(
+            f"a permutation of shape {perms.shape} does not permute the "
+            f"particles of {dims}"
+        )
+    return perms
 
 
 def _finite(value, what: str, nonnegative: bool = False) -> float:
@@ -468,21 +474,14 @@ def compress_segment(
     finite.
 
     ``permutation_override`` pins one particle ordering across segments
-    that will later be merged.
+    that will later be merged; it must permute the batch's particles.
     """
     stats = _data_stats(batch.data, first_step)
     arr = batch.data.to_numpy()
-    n_p = arr.shape[1]
 
-    perms = None
-    if permutation_override is not None:
-        perms = np.asarray(permutation_override)
-        if perms.shape != (n_p,):
-            raise ConfigError(
-                f"permutation override has shape {perms.shape}, "
-                f"expected ({n_p},)"
-            )
-    elif config.reorder == "segment":
+    # checked as the segment record checks it, but before the SVD
+    perms = _checked_permutation(permutation_override, arr.shape)
+    if perms is None and config.reorder == "segment":
         if batch.positions_first is None:
             raise ConfigError(
                 "Morton reordering needs first-timestep positions; "
@@ -574,28 +573,6 @@ def combine_error_bounds(parts) -> Optional[float]:
     return math.hypot(*bounds)
 
 
-def _merge_parts(parts, tau_round: float) -> list:
-    """The parts of a merge as a list, after the checks both merges share:
-    at least one part, a rounding tolerance >= 0, and one particle
-    permutation (so one reorder policy) across the parts."""
-    parts = list(parts)
-    if not parts:
-        raise MergeError("nothing to merge")
-    if not tau_round >= 0:  # NaN too
-        raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
-    base = parts[0]
-    for p in parts[1:]:
-        a, b = p.permutations, base.permutations
-        if (a is None) != (b is None) or (
-            a is not None and not np.array_equal(a, b)
-        ):
-            raise StructureError(
-                "parts use different particle permutations; reuse one "
-                "ordering per merged group"
-            )
-    return parts
-
-
 def combine_tolerances(parts) -> float:
     """A-priori relative tolerance of parts that cover disjoint entries:
     their absolute errors ``t_i * ||X_i||`` add in squares, so it is
@@ -607,47 +584,41 @@ def combine_tolerances(parts) -> float:
     return min(worst, math.hypot(*errors) / norm) if norm > 0 else worst
 
 
-def _merged(parts, tt: TTTensor, tau_round, lost, spent=None, **layout):
-    """The part that merges ``parts`` into ``tt``, whose rounding at
-    ``tau_round`` discarded ``lost``; ``layout`` gives its plan and leaf
-    extents.
-
-    Its budget is ``spent`` if certified, else the a-priori ``t +
-    tau_round + t * tau_round``, ``t`` the parts' :func:`combine_tolerances`.
-    Its error bound is their bounds in root-sum-square, since they cover
-    disjoint entries, plus ``lost`` in full, since the rounding error is
-    not orthogonal to them.
-    """
-    bound = combine_error_bounds(parts)
-    if spent is None:
-        spent = compose_tolerances(combine_tolerances(parts), [tau_round])
-    return CompressedSegment(
-        tt=tt,
-        permutations=parts[0].permutations,
-        time_range=(parts[0].time_range[0], parts[-1].time_range[1]),
-        stats=combine_stats([p.stats for p in parts]),
-        tolerance_spent=spent,
-        error_bound=None if bound is None else bound + lost,
-        **layout,
-    )
-
-
 def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     """Merge segments by stacking along a new trailing dimension.
 
-    The stacked train is exact; rounding at ``tau_round`` (skipped when 0)
-    then shrinks the inflated ranks, with each part orthogonalized on its
-    own (:func:`~ttcompress.tt._orthogonal_stack`).  Budget and error
-    bound as in :func:`_merged`.  A relative ``budget`` also spends what
-    the parts' certified errors leave of ``budget * ||X||``, and the
-    certified bound over ``||X||`` becomes the part's budget; float slack
-    past it, or an unknown part bound, keep ``tau_round`` alone.
+    The parts share one particle permutation, the train dims and the plan
+    up to time padding, and follow each other in time.  The stacked train
+    is exact; rounding at ``tau_round`` (skipped when 0) then shrinks the
+    inflated ranks, with each part orthogonalized on its own
+    (:func:`~ttcompress.tt._orthogonal_stack`).
+
+    The merged part's budget is the a-priori ``t + tau_round + t *
+    tau_round``, ``t`` the parts' :func:`combine_tolerances`.  Its error
+    bound is their bounds in root-sum-square, since they cover disjoint
+    entries, plus what the rounding discarded in full, since that error is
+    not orthogonal to them.  A relative ``budget`` also spends what the
+    parts' certified errors leave of ``budget * ||X||``, and the certified
+    bound over ``||X||`` becomes the part's budget; float slack past it,
+    or an unknown part bound, keep ``tau_round`` alone.
     """
-    parts = _merge_parts(parts, tau_round)
+    parts = list(parts)
+    if not parts:
+        raise MergeError("nothing to merge")
+    if not tau_round >= 0:  # NaN too
+        raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
     if len(parts) == 1:
         return parts[0]
     base = parts[0]
     for p in parts[1:]:
+        a, b = p.permutations, base.permutations
+        if (a is None) != (b is None) or (
+            a is not None and not np.array_equal(a, b)
+        ):
+            raise StructureError(
+                "parts use different particle permutations; reuse one "
+                "ordering per merged group"
+            )
         if p.tt.dims != base.tt.dims:
             raise MergeError(
                 f"train dims differ: {p.tt.dims} != {base.tt.dims}"
@@ -657,7 +628,8 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     _check_contiguous(parts)
     trains = [p.tt for p in parts]
     ledger = combine_error_bounds(parts)
-    norm = combine_stats(p.stats for p in parts).frobenius_norm
+    stats = combine_stats(p.stats for p in parts)
+    norm = stats.frobenius_norm
     # what the ledger leaves of the budget: nothing without both
     spare, spent = -math.inf, None
     if budget is not None and ledger is not None:
@@ -671,88 +643,17 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
             spent = (ledger + lost) / norm
         elif lost > spare > 0:
             merged, lost = _round_orthogonal(ortho, tau_round)
-    return _merged(
-        parts, merged, tau_round, lost, spent,
+    if spent is None:
+        spent = compose_tolerances(combine_tolerances(parts), [tau_round])
+    return CompressedSegment(
+        tt=merged,
         plan=_normalize_time_axis(base.plan),
+        permutations=base.permutations,
+        time_range=(base.time_range[0], parts[-1].time_range[1]),
         part_time_extents=sum((p.part_time_extents for p in parts), ()),
-    )
-
-
-def _concat_axis_position(plan: TensorizePlan, axis: int) -> int:
-    """1-based train dimension holding a given unsplit original axis."""
-    if plan.interlace is not None:
-        raise MergeError("cannot concatenate interlaced plans")
-    split = plan.axis_split_dims(axis)
-    if len(split) != 1 or split[0] != plan.original_dims[axis - 1]:
-        raise MergeError(
-            f"axis {axis} is tensorized; stack along a new dimension instead"
-        )
-    pos = 0
-    for ax in range(1, axis):
-        pos += len(plan.axis_split_dims(ax))
-    return pos + 1
-
-
-def merge_concat(parts, dim: int, tau_round: float) -> CompressedSegment:
-    """Merge segments along an existing (untensorized) dimension.
-
-    Cores are combined with zero padding so reconstruction equals the
-    dense concatenation exactly, then rounded at ``tau_round`` (skipped
-    when 0) after a joint QR sweep, since the last core couples the
-    parts.  Budget and error bound as in :func:`_merged`.
-    """
-    parts = _merge_parts(parts, tau_round)
-    if len(parts) == 1:
-        return parts[0]
-    base = parts[0]
-    n_axes = len(base.plan.original_dims)
-    if not 1 <= dim <= n_axes:
-        raise IndexRangeError(f"axis {dim} out of range 1..{n_axes}")
-    for p in parts:
-        if p.stack_dims != ():
-            raise MergeError(
-                "parts already stacked along a new dimension cannot be "
-                "concatenated"
-            )
-        for ax in range(1, n_axes + 1):
-            if ax != dim and (
-                p.plan.axis_split_dims(ax) != base.plan.axis_split_dims(ax)
-                or p.plan.original_dims[ax - 1] != base.plan.original_dims[ax - 1]
-            ):
-                raise MergeError(f"parts differ on axis {ax}")
-        if p.plan.pads != base.plan.pads:
-            raise MergeError("parts carry different padding records")
-        if any(pad.axis == dim for pad in p.plan.pads):
-            raise MergeError(f"axis {dim} is padded; cannot concatenate")
-    pos = _concat_axis_position(base.plan, dim)
-    for p in parts[1:]:
-        if _concat_axis_position(p.plan, dim) != pos:
-            raise MergeError("concat axis sits at different train positions")
-    if dim == 1:
-        _check_contiguous(parts)
-    else:
-        for p in parts[1:]:
-            if p.time_range != base.time_range:
-                raise MergeError(
-                    "parts merged along a non-time axis must cover the "
-                    "same steps"
-                )
-
-    merged_tt, lost = _concat_trains([p.tt for p in parts], pos - 1), 0.0
-    if tau_round > 0:
-        merged_tt, lost = _tt_round(merged_tt, tau_round)
-
-    total = sum(p.plan.original_dims[dim - 1] for p in parts)
-    dims, factors = base.plan.original_dims, base.plan.axis_factors
-    plan = dataclasses.replace(
-        base.plan,
-        original_dims=dims[: dim - 1] + (total,) + dims[dim:],
-        axis_factors=factors[: dim - 1] + ((total,),) + factors[dim:],
-    )
-    extents = (total,) if dim == 1 else base.part_time_extents
-    return _merged(
-        parts, merged_tt, tau_round, lost,
-        plan=plan, part_time_extents=extents,
+        stats=stats,
+        tolerance_spent=spent,
+        error_bound=None if ledger is None else ledger + lost,
     )
 
 
@@ -1016,7 +917,8 @@ def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:
 
     ``region`` lists one inclusive 1-based (lo, hi) pair per original
     axis; the time axis counts within the segment (1..total steps).  The
-    box is evaluated in blocks, so memory stays bounded whatever its size.
+    output counts against the cap of :func:`~ttcompress.tt.tt_full`; the
+    box is evaluated in blocks, so memory stays near the output's size.
     """
     dims = (seg.total_steps,) + seg.plan.original_dims[1:]
     region = [tuple(int(x) for x in r) for r in region]
@@ -1031,6 +933,7 @@ def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:
             )
     out_dims = tuple(hi - lo + 1 for lo, hi in region)
     corner = np.array([lo for lo, _ in region])
+    _check_full_cap(out_dims)
     total = math.prod(out_dims)
     values = np.empty(total)
     block = max(1, _REGION_BLOCK_VALUES // max(seg.tt.ranks))

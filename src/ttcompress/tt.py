@@ -5,9 +5,10 @@ a multi-index is the product of one matrix slice per core (Oseledets,
 2011).  This module provides the sequential truncated-SVD decomposition of
 a dense tensor, the QR+SVD rank-reduction sweep for inflated chains (for
 stacks, with each part orthogonalized on its own), element access, full
-reconstruction, norm-from-cores, the compression ratio, and the two exact
-combination primitives used by streaming compression: concatenation along
-an existing dimension and stacking along a new trailing dimension.
+reconstruction, norm-from-cores, the compression ratio, and two exact
+combination primitives on one block builder (:func:`_concat_trains`):
+stacking along a new trailing dimension, which streaming compression
+merges segments with, and concatenation along an existing dimension.
 """
 
 import math
@@ -252,21 +253,12 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     other trimming is left to the SVD pass, which measures what it drops.
     (Cutting at a rank counted from an unpivoted QR's diagonal can drop a
     needed direction when stacked parts are linearly dependent.)  The
-    output satisfies
-    ``||X - Y||_F <= tau * ||X||_F`` relative to the input train, and no
-    rank ever increases.
+    output satisfies ``||X - Y||_F <= tau * ||X||_F`` relative to the
+    input train, and no rank ever increases.
     """
-    return _tt_round(t, tau_rel_frob)[0]
-
-
-def _tt_round(t: TTTensor, tau_rel_frob: float):
-    """:func:`tt_round` and its certified error: ``(train, lost)`` with
-    ``||X - train||_F <= lost``.  After the orthogonalization the cores
-    right of the SVD step are orthonormal and those left of it too, so
-    the discarded pieces are mutually orthogonal, as in TT-SVD."""
     return _round_orthogonal(
         TTTensor(tuple(_orthogonalize(t.cores))), tau_rel_frob
-    )
+    )[0]
 
 
 def _orthogonalize(cores) -> list:
@@ -306,9 +298,12 @@ def _orthogonal_stack(parts) -> TTTensor:
 def _round_orthogonal(
     t: TTTensor, tau_rel_frob: float, abs_budget: float = 0.0
 ):
-    """The truncation sweep of :func:`_tt_round` on a train whose cores
+    """The truncation sweep of :func:`tt_round` on a train whose cores
     right of the first are already right-orthogonal: ``(train, lost)``,
-    spending ``max(tau * ||X||_F, abs_budget)``."""
+    spending ``max(tau * ||X||_F, abs_budget)``.  The cores right of each
+    SVD step are orthonormal and those left of it too, so the discarded
+    pieces are mutually orthogonal, as in TT-SVD, and
+    ``||X - train||_F <= lost``."""
     _check_tolerance(tau_rel_frob)
     d = t.ndim
     if d == 1:

@@ -19,7 +19,6 @@ from ttcompress import (
     compress_segment,
     load_segment,
     load_snapshots,
-    merge_concat,
     merge_stack,
     morton_id,
     morton_sort,
@@ -215,12 +214,13 @@ def test_criterion_05_streaming_error_budget():
         for tau in (1e-2, 1e-4):
             for tau_round in (1e-2, 1e-4):
                 budget = tau + tau_round + tau * tau_round
-                for merge_kind in ("stack", "concat"):
+                # stacks of tensorized and of untensorized segments
+                for tensorize in (True, False):
                     cfg = CompressionConfig(
                         tolerance=tau,
                         tolerance_kind="relfrob",
                         reorder="none",
-                        tensorize=(merge_kind == "stack"),
+                        tensorize=tensorize,
                     )
                     parts = [
                         compress_segment(
@@ -230,15 +230,12 @@ def test_criterion_05_streaming_error_budget():
                         )
                         for i in range(n_seg)
                     ]
-                    if merge_kind == "stack":
-                        merged = merge_stack(parts, tau_round)
-                    else:
-                        merged = merge_concat(parts, 1, tau_round)
+                    merged = merge_stack(parts, tau_round)
                     err = rel_frob(dense, reconstruct_segment(merged))
                     worst = max(worst, err / budget)
                     trials += 1
                     assert err <= budget, (
-                        f"{merge_kind} x{n_seg} tau={tau:g} "
+                        f"stack (tensorize={tensorize}) x{n_seg} tau={tau:g} "
                         f"round={tau_round:g}: {err:.3e} > {budget:.3e}"
                     )
     print(

@@ -22,6 +22,7 @@ from ttcompress import (
     write_dt64,
     write_ttc1,
 )
+from ttcompress import formats
 from ttcompress.cli import main
 
 
@@ -89,6 +90,31 @@ class TestTTC1:
         for a, b in zip(back.cores, t.cores):
             assert np.array_equal(a, b)
         assert meta_back == meta
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_write_keeps_the_target(self, tmp_path, monkeypatch, existing):
+        rng = np.random.default_rng(3)
+        t = tt_svd(DenseTensor.from_numpy(rng.uniform(size=(4, 3, 4))), 1e-3)
+        path = tmp_path / "seg_0_3.ttc"
+        if existing:
+            write_ttc1(path, t, {"note": "kept"})
+        before = path.read_bytes() if existing else None
+        written = []
+
+        def fail_after_first_core(fh, values):
+            if written:
+                raise OSError("No space left on device")
+            written.append(len(values))
+            fh.write(np.ascontiguousarray(values, dtype="<f8").data)
+
+        monkeypatch.setattr(formats, "_write_f64", fail_after_first_core)
+        with pytest.raises(OSError):
+            write_ttc1(path, t, {"note": "new"})
+        assert written == [t.cores[0].size]
+        # the archive that was there is left as it was, and nothing beside it
+        assert os.listdir(tmp_path) == (["seg_0_3.ttc"] if existing else [])
+        if existing:
+            assert path.read_bytes() == before
 
     def test_oversized_core_is_a_format_error(self, tmp_path):
         # 52 bytes whose header declares one core of 2^40 entries

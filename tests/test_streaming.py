@@ -26,7 +26,6 @@ from ttcompress import (
     load_segment,
     open_run,
     matrix_interlace_plan,
-    merge_concat,
     merge_stack,
     merge_tree,
     nrmse,
@@ -43,6 +42,7 @@ from ttcompress import (
     synth_particles,
     tt_full,
     tt_get,
+    tt_round,
     tt_stack_new,
     tt_svd,
     write_dt64,
@@ -53,7 +53,6 @@ from ttcompress import streaming
 from ttcompress.cli import main
 from ttcompress.streaming import CompressedSegment, DataStats, segment_metadata
 from ttcompress.tensorize import axis_offsets
-from ttcompress.tt import _tt_round
 
 
 def batch_from_array(arr):
@@ -171,6 +170,26 @@ class TestCompressSegment:
             CompressionConfig(level=level)
         with pytest.raises(ConfigError, match="level"):
             CompressionConfig(level=level, tensorize=False)
+
+    @pytest.mark.parametrize(
+        "override",
+        [np.zeros(64, dtype=int), np.arange(63), np.arange(64).reshape(8, 8)],
+        ids=["repeats", "short", "2-d"],
+    )
+    def test_bad_permutation_override_fails_before_the_svd(
+        self, monkeypatch, override
+    ):
+        calls = []
+        svd = streaming._tt_svd
+        monkeypatch.setattr(
+            streaming, "_tt_svd", lambda *args: calls.append(1) or svd(*args)
+        )
+        batch = synth_particles(64, 8, "settle", seed=5)
+        with pytest.raises(StructureError, match="permute"):
+            compress_segment(
+                batch, CompressionConfig(tolerance=1e-2), permutation_override=override
+            )
+        assert calls == []
 
     def test_reorder_requires_positions(self):
         arr = np.zeros((4, 4, 2))
@@ -320,62 +339,6 @@ class TestMergeStack:
         recon = reconstruct_segment(merged)
         assert recon.dims == (12, 8, 3)
         assert rel_frob(DenseTensor.from_numpy(arr), recon) <= 2e-6
-
-
-class TestMergeConcat:
-    def test_split_tensor_roundtrip(self):
-        rng = np.random.default_rng(15)
-        arr = rng.uniform(size=(8, 3, 2))
-        tau, tau_round = 1e-2, 1e-3
-        cfg = relfrob_config(tau, tensorize=False)
-        parts = split_time(arr, 2, cfg)
-        merged = merge_concat(parts, 1, tau_round)
-        err = rel_frob(
-            DenseTensor.from_numpy(arr), reconstruct_segment(merged)
-        )
-        assert err <= compose_tolerances(tau, [tau_round])
-
-    def test_exact_with_zero_rounding(self):
-        rng = np.random.default_rng(16)
-        arr = rng.uniform(size=(8, 4, 2))
-        parts = split_time(arr, 2, relfrob_config(0.0, tensorize=False))
-        merged = merge_concat(parts, 1, 0.0)
-        for k in range(1, 3):
-            assert merged.tt.ranks[k] == sum(p.tt.ranks[k] for p in parts)
-        assert np.allclose(
-            reconstruct_segment(merged).to_numpy(), arr, atol=1e-12
-        )
-
-    def test_budget_across_split_counts(self):
-        rng = np.random.default_rng(17)
-        arr = rng.uniform(size=(8, 8, 8))
-        for n_seg in (2, 4, 8):
-            for tau in (1e-2, 1e-4):
-                for tau_round in (1e-2, 1e-4):
-                    parts = split_time(
-                        arr, n_seg, relfrob_config(tau, tensorize=False)
-                    )
-                    merged = merge_concat(parts, 1, tau_round)
-                    err = rel_frob(
-                        DenseTensor.from_numpy(arr),
-                        reconstruct_segment(merged),
-                    )
-                    assert err <= tau + tau_round + tau * tau_round
-
-    @pytest.mark.parametrize("tau_round", [-1.0, float("nan")])
-    def test_bad_rounding_tolerance_rejected(self, tau_round):
-        rng = np.random.default_rng(16)
-        arr = rng.uniform(size=(8, 4, 2))
-        parts = split_time(arr, 2, relfrob_config(0.1, tensorize=False))
-        with pytest.raises(ConfigError):
-            merge_concat(parts, 1, tau_round)
-
-    def test_tensorized_axis_rejected(self):
-        rng = np.random.default_rng(18)
-        arr = rng.uniform(size=(8, 4, 3))
-        parts = split_time(arr, 2, relfrob_config(0.1))  # tensorized
-        with pytest.raises(MergeError):
-            merge_concat(parts, 1, 0.0)
 
 
 MERGE_SHAPES = [(32, 2, [32, 16, 8, 4, 2, 1]), (3, 2, [3, 2, 1]), (5, 3, [5, 2, 1])]
@@ -590,8 +553,10 @@ class TestLedger:
         )
         assert constant.error_bound == 0.0
 
-    @pytest.mark.parametrize("merge_kind", ["stack", "concat"])
-    def test_merges(self, merge_kind):
+    @pytest.mark.parametrize(
+        "tensorize", [True, False], ids=["stack", "untensorized"]
+    )
+    def test_merges(self, tensorize):
         # the stacks of acceptance criterion 5
         rng = np.random.default_rng(97)
         x = rng.uniform(size=(8, 8, 8))
@@ -599,12 +564,9 @@ class TestLedger:
         for n_seg in (2, 4, 8):
             for tau in (1e-2, 1e-4):
                 for tau_round in (1e-2, 1e-4):
-                    cfg = relfrob_config(tau, tensorize=(merge_kind == "stack"))
+                    cfg = relfrob_config(tau, tensorize=tensorize)
                     parts = split_time(x, n_seg, cfg)
-                    if merge_kind == "stack":
-                        merged = merge_stack(parts, tau_round)
-                    else:
-                        merged = merge_concat(parts, 1, tau_round)
+                    merged = merge_stack(parts, tau_round)
                     err = abs_error(x, merged)
                     assert err <= merged.error_bound + MEASURE_SLACK * norm
                     # never looser than the a-priori composition
@@ -886,7 +848,7 @@ class TestStackRounding:
         stacked = tt_stack_new(trains)
         x = tt_full(stacked).values
         norm = np.linalg.norm(x)
-        joint, _ = _tt_round(stacked, tau)
+        joint = tt_round(stacked, tau)
         per_part, lost = streaming._round_orthogonal(
             streaming._orthogonal_stack(trains), tau
         )
@@ -963,7 +925,8 @@ class TestElementAccess:
         seg = compress_segment(batch, cfg)
         dense = reconstruct_segment(seg).to_numpy()
         # a cap too small for the full tensor still allows region queries
-        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "10")
+        # up to the cap's own size
+        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "24")
         region = reconstruct_region(seg, [(1, 8), (3, 3), (1, 3)])
         assert region.dims == (8, 1, 3)
         assert np.allclose(
@@ -1226,7 +1189,7 @@ class TestBatchedReadPath:
         monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", str(n_train - 1))
         with pytest.raises(CapacityError):
             reconstruct_segment(seg)
-        # regions are served from the cores whatever the cap
+        # regions are served from the cores under a cap the train exceeds
         box = [(1, 14), (2, 4), (1, 3)]
         assert_matches(
             reconstruct_region(seg, box).to_numpy(), reference_region(seg, box)
@@ -1372,6 +1335,26 @@ class TestRegionIndexMap:
         digits = [(particle >> k) & 1 for k in range(bits)]
         assert got == tt_get(seg.tt, [2] + [d + 1 for d in digits] + [1])
         assert peak < 1 << 20
+
+    def test_region_output_counts_against_the_cap(self, tmp_path, monkeypatch):
+        batch = synth_particles(64, 16, "settle", seed=30)
+        seg = compress_segment(batch, CompressionConfig(tolerance=1e-2))
+        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "100")
+        with pytest.raises(CapacityError):
+            reconstruct_region(seg, [(1, 16), (1, 64), (1, 3)])
+        assert reconstruct_region(seg, [(1, 16), (1, 2), (1, 3)]).dims == (16, 2, 3)
+
+    def test_huge_declared_region_exits_two(self, tmp_path, monkeypatch, capsys):
+        # a few hundred bytes that declare 2 x 2**40 x 1 entries
+        long_axis_archive(tmp_path, 40)
+        archive = str(tmp_path / "seg_0_1.ttc")
+        out = tmp_path / "region.dt64"
+        monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "100")
+        region = f"1:2,1:{2**40},1:1"
+        assert main(["reconstruct", archive, "-o", str(out), "--region", region]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "exceeds the cap" in err
+        assert not out.exists()
 
     def test_whole_axis_offsets_unchanged(self):
         seg = merged_ragged_segment()
