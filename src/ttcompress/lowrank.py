@@ -4,10 +4,15 @@ Truncated SVD with an absolute Frobenius truncation budget, an economy QR
 and a matrix-free spectral-norm estimator.  These are the primitives the
 tensor-train sweeps are built from.
 
-Truncations with a budget of at least ``GRAM_MIN_RELATIVE_BUDGET`` times
-the matrix norm go through the Gram matrix of the smaller side and numpy's
-``eigh``, wide and tall alike; the LAPACK SVD serves only smaller budgets,
-the zero matrix and the Gram path's checked fallback.
+A truncation takes one of three routes.  A matrix whose smaller side is
+at least ``RANGE_MIN_SIDE`` and whose budget is positive first tries a
+seeded randomized range finder, whose residual is measured directly; the
+small projected matrix it leaves then takes one of the other two.  When
+no sketch certifies, or the matrix is smaller, budgets of at least
+``GRAM_MIN_RELATIVE_BUDGET`` times the matrix norm go through the Gram
+matrix of the smaller side and numpy's ``eigh``, wide and tall alike; the
+LAPACK SVD serves only smaller budgets, the zero matrix and the Gram
+path's checked fallback.
 
 Importing this module runs every OpenBLAS loaded in the process on one
 thread (see :func:`_pin_blas_threads`).  scipy, whose LAPACK drivers the
@@ -32,6 +37,13 @@ from .errors import ConfigError, DataError
 # ||M||^2 (_EPS below), under the squared budget of at least
 # 1e-12 * ||M||^2 while that side is shorter than 4500.
 GRAM_MIN_RELATIVE_BUDGET = 1e-6
+# A matrix with a positive budget whose smaller side is at least this long
+# first tries the randomized range finder.  Below it the direct routes
+# are cheap, and the settling runs' merge unfoldings (smaller side up to
+# about 280, ranks near 200) would sketch in vain and fall back.
+RANGE_MIN_SIDE = 512
+_RANGE_FIRST_BLOCK = 16
+_RANGE_SEED = 0
 _EPS = float(np.finfo(np.float64).eps)
 
 # the C entry points of numpy's and scipy's OpenBLAS builds (scipy-openblas,
@@ -47,14 +59,15 @@ _OPENBLAS_SET_THREADS = (
 def _pin_blas_threads() -> None:
     """Run every OpenBLAS loaded in this process on one thread.
 
-    The sweeps make thousands of small LAPACK calls on matrices with at
-    most a few dozen rows; threads fighting over them made compression
-    several times slower on two cores, and the thread count changed the
-    last bits of the cores.  The count is set through each library's own
-    entry point because numpy is usually imported, and its OpenBLAS
-    initialised, before this module, so environment variables come too
-    late.  Libraries are found in ``/proc/self/maps``; where that file or
-    the entry point does not exist nothing is changed.
+    The sweeps make thousands of LAPACK calls, most on matrices with a
+    few dozen rows and the largest near 1024 x 1024; threads fighting
+    over them made compression several times slower on two cores, and
+    the thread count changed the last bits of the cores.  The count is
+    set through each library's own entry point because numpy is usually
+    imported, and its OpenBLAS initialised, before this module, so
+    environment variables come too late.  Libraries are found in
+    ``/proc/self/maps``; where that file or the entry point does not
+    exist nothing is changed.
     """
     try:
         with open("/proc/self/maps") as fh:
@@ -166,6 +179,48 @@ def _gram_truncation(arr: np.ndarray, delta: float, norm: float):
     return u, w, lost
 
 
+def _range_truncation(arr: np.ndarray, delta: float):
+    """Truncation through a seeded randomized range finder, or ``None``.
+
+    ``Q`` is an orthonormal basis of ``M Omega`` for Gaussian blocks of 16,
+    32, 64, ... columns, up to a quarter of the smaller side (Halko,
+    Martinsson & Tropp, 2011).  At the first size whose residual
+    ``res = ||M - Q Q^T M||_F``, computed directly, is within
+    ``delta / sqrt(2)``, ``B = Q^T M`` is truncated by the direct route
+    with the budget ``sqrt(delta^2 - res^2)``.  The residual and ``B``'s
+    loss lie in orthogonal complements, so ``U = Q U_B``, ``W = W_B`` lose
+    ``sqrt(res^2 + lost_B^2)``.  Returns ``None`` when no size certifies.
+    """
+    rng = np.random.default_rng(_RANGE_SEED)
+    sketch = np.empty((arr.shape[0], 0))
+    k = _RANGE_FIRST_BLOCK
+    while k <= min(arr.shape) // 4:
+        omega = rng.standard_normal((arr.shape[1], k - sketch.shape[1]))
+        sketch = np.hstack([sketch, arr @ omega])
+        q = np.linalg.qr(sketch)[0]
+        b = q.T @ arr
+        resid = q @ b
+        resid -= arr  # the norm ignores the sign; one m x n temporary
+        res = float(np.linalg.norm(resid))
+        if res * res <= delta * delta / 2:
+            budget = math.sqrt(delta * delta - res * res)
+            u, w, lost = _direct_truncation(b, budget, float(np.linalg.norm(b)))
+            return q @ u, w, math.sqrt(res * res + lost * lost)
+        k *= 2
+    return None
+
+
+def _direct_truncation(arr: np.ndarray, delta: float, norm: float):
+    """The Gram route, checked, or else the SVD: ``(U, W, discarded)``."""
+    if 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
+        u, w, lost = _gram_truncation(arr, delta, norm)
+        if lost <= delta * delta:
+            slack = min(arr.shape) * _EPS * norm**2
+            return u, w, math.sqrt(max(lost, 0.0) + slack)
+    u, s, vt, discarded = _exact_truncation(arr, delta, norm)
+    return u, s[:, None] * vt, discarded
+
+
 def _truncated_svd_arrays(arr: np.ndarray, delta: float):
     """numpy-level truncation used by the tensor-train sweeps.
 
@@ -174,28 +229,36 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
     carry the sweeps fold into the next core, and the rank is the smallest
     whose discarded energy is within ``delta``.
 
-    A matrix with a budget of at least ``GRAM_MIN_RELATIVE_BUDGET`` times
-    its norm goes through the Gram matrix of its smaller side, which is
-    far cheaper than an SVD when that side is short and keeps scipy
-    unloaded; the error is checked afterwards and the SVD runs instead
-    when it exceeds ``delta``.  Smaller budgets and the zero matrix go
-    straight to the SVD.
+    Three routes:
+
+    * range: a matrix whose smaller side is at least ``RANGE_MIN_SIDE``
+      and whose budget is positive first tries
+      :func:`_range_truncation`, which needs a few tall products instead
+      of a factorization of the whole matrix when its numerical rank is
+      small; ``B = Q^T M`` then takes one of the two routes below.  When
+      no sketch size certifies, the matrix goes on to those routes itself.
+    * Gram: a budget of at least ``GRAM_MIN_RELATIVE_BUDGET`` times the
+      norm goes through the Gram matrix of the smaller side, which is far
+      cheaper than an SVD when that side is short and keeps scipy
+      unloaded; the error is checked afterwards and the SVD runs instead
+      when it exceeds ``delta``.
+    * SVD: smaller budgets and the zero matrix go straight to scipy's
+      SVD, the accurate ``gesvd`` driver below ``1e-12`` times the norm.
 
     ``discarded_energy`` is ``||M - U W||_F``.  On the Gram path it is a
     difference of squares, and it also holds
     ``min(rows, cols) * eps * ||M||_F^2``, an estimate (not a proven
     bound) of that difference's float error: eigenvectors from ``eigh``
     are orthonormal only to about ``min(rows, cols) * eps``.  So it can
-    exceed ``delta`` by that much.
+    exceed ``delta`` by that much.  The range route's residual is
+    measured directly and adds only what ``B``'s route discards.
     """
     norm = _checked_norm(arr, delta)
-    if 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
-        u, w, lost = _gram_truncation(arr, delta, norm)
-        if lost <= delta * delta:
-            slack = min(arr.shape) * _EPS * norm**2
-            return u, w, math.sqrt(max(lost, 0.0) + slack)
-    u, s, vt, discarded = _exact_truncation(arr, delta, norm)
-    return u, s[:, None] * vt, discarded
+    if delta > 0 and min(arr.shape) >= RANGE_MIN_SIDE:
+        found = _range_truncation(arr, delta)
+        if found is not None:
+            return found
+    return _direct_truncation(arr, delta, norm)
 
 
 def _qr_arrays(arr: np.ndarray):

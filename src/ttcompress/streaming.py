@@ -55,6 +55,7 @@ from .tensorize import (
     next_factorable,
 )
 from .tt import (
+    _NORM_OVERFLOW,
     TTTensor,
     _check_full_cap,
     _contract_cores,
@@ -406,8 +407,9 @@ def build_plan(
 def _data_stats(data: DenseTensor, first_step: int = 0) -> DataStats:
     """Statistics of ``data``, whose first axis counts steps from
     ``first_step``; a :class:`DataError` names the first step that holds
-    a NaN or an infinity."""
-    stats = stats_of(data.values)
+    a NaN or an infinity, or the overflow of finite data's squared norm."""
+    with np.errstate(over="ignore"):
+        stats = stats_of(data.values)
     if not (math.isfinite(stats.x_min) and math.isfinite(stats.x_max)):
         # column-major values: the time index runs fastest
         steps = np.flatnonzero(~np.isfinite(data.values)) % data.dims[0]
@@ -415,6 +417,8 @@ def _data_stats(data: DenseTensor, first_step: int = 0) -> DataStats:
             f"timestep {first_step + steps.min()}: the data holds non-finite "
             "values (NaN or infinity)"
         )
+    if not math.isfinite(stats.frobenius_norm):
+        raise DataError(_NORM_OVERFLOW)
     return stats
 
 
@@ -762,9 +766,11 @@ def compress_run(
     t1 = time.perf_counter()
 
     if merging:
+        stats = combine_stats(s.stats for s in parts)
+        if not math.isfinite(stats.frobenius_norm):
+            raise DataError(_NORM_OVERFLOW)
         budget = config.tolerance
         if config.tolerance_kind == "nrmse":
-            stats = combine_stats(s.stats for s in parts)
             budget = nrmse_to_relfrob(config.tolerance, stats)
         # handed over, so that merge_tree frees them once level 1 is built
         handed = (parts.pop(0) for _ in range(len(parts)))

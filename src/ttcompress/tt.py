@@ -30,6 +30,7 @@ from .lowrank import _qr_arrays, _truncated_svd_arrays
 
 DEFAULT_FULL_CAP_ENTRIES = 2**31
 FULL_CAP_ENV_VAR = "QTT_MEMORY_CAP_ENTRIES"
+_NORM_OVERFLOW = "the data's squared Frobenius norm overflows float64"
 
 
 @dataclass(frozen=True)
@@ -114,13 +115,19 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float):
     ``||X - train||_F <= lost``, the root-sum-square of what the steps
     discarded (their pieces are mutually orthogonal).  This holds in
     exact arithmetic; float rounding is covered by the estimate that
-    :func:`_truncated_svd_arrays` adds on its Gram path."""
+    :func:`_truncated_svd_arrays` adds on its Gram path.  Its range
+    route, which serves unfoldings of at least ``RANGE_MIN_SIDE`` rows
+    and columns, measures its residual directly, not as a difference of
+    squares."""
     _check_tolerance(tau_rel_frob)
     if not np.isfinite(t.values).all():
         raise DataError("tensor contains non-finite entries")
     dims = t.dims
     d = len(dims)
-    norm = float(np.linalg.norm(t.values))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(t.values))
+    if not math.isfinite(norm):
+        raise DataError(_NORM_OVERFLOW)
     if norm == 0.0:
         return zero_tt(dims), 0.0
     if d == 1:

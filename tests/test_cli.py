@@ -340,6 +340,29 @@ class TestCompress:
         assert "non-finite values" in capsys.readouterr().err
         assert not list(out.rglob("*.ttc"))
 
+    @pytest.mark.parametrize("kind", ["nrmse", "relfrob"])
+    @pytest.mark.parametrize("source", ["dt64", "run", "merged-run"])
+    def test_overflowing_norm_exits_two(self, tmp_path, capsys, source, kind):
+        # finite values whose squared norm overflows float64: in the one
+        # segment, or, for the merged run, only in the pair of 16-step
+        # segments; no warning either, since the tests turn warnings into
+        # errors
+        scale = 6e152 if source == "merged-run" else 1e160
+        arr = np.random.default_rng(0).uniform(0.9, 1.0, (32, 8, 3)) * scale
+        t = DenseTensor.from_numpy(arr)
+        if source == "dt64":
+            src = str(tmp_path / "in.dt64")
+            write_dt64(src, t.dims, [t.values])
+        else:
+            src = str(tmp_path / "run")
+            write_run(src, SnapshotBatch(t, arr[0], 0.01))
+        out = tmp_path / "out"
+        args = ["compress", src, "-o", str(out), "--tolerance-kind", kind]
+        assert main(args + ["--segment-length", "16"]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "norm overflows" in err
+        assert not list(out.rglob("*.ttc"))
+
     def test_rerun_is_byte_identical(self, run_dir, tmp_path):
         out1, out2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         args = ["compress", run_dir, "--tolerance", "0.05"]

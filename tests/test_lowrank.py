@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,91 @@ class TestGramTruncation:
 
     def test_tall_result_over_budget_falls_back(self, svd_calls, monkeypatch):
         self.check_over_budget_falls_back(svd_calls, monkeypatch, True)
+
+
+
+class TestRangeTruncation:
+    """Matrices whose smaller side reaches ``RANGE_MIN_SIDE`` are sketched."""
+
+    @staticmethod
+    def geometric_700x600():
+        rng = np.random.default_rng(18)
+        u, _ = np.linalg.qr(rng.standard_normal((700, 600)))
+        v, _ = np.linalg.qr(rng.standard_normal((600, 600)))
+        return (u * 0.7 ** np.arange(600)) @ v.T
+
+    @pytest.fixture
+    def direct_shapes(self, monkeypatch):
+        """Shapes of the matrices the Gram and SVD routes truncate."""
+        shapes = []
+        original = lowrank._direct_truncation
+
+        def recording(arr, delta, norm):
+            shapes.append(arr.shape)
+            return original(arr, delta, norm)
+
+        monkeypatch.setattr(lowrank, "_direct_truncation", recording)
+        return shapes
+
+    @pytest.mark.parametrize("relative", [1e-2, 5e-13], ids=["gram", "svd"])
+    def test_certified_and_repeatable(self, svd_calls, direct_shapes, relative):
+        m = self.geometric_700x600()
+        assert min(m.shape) >= lowrank.RANGE_MIN_SIDE
+        norm = float(np.linalg.norm(m))
+        delta = relative * norm
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        # only the projected matrix reached the direct routes
+        assert len(direct_shapes) == 1
+        assert min(direct_shapes[0]) < lowrank.RANGE_MIN_SIDE
+        assert all(min(shape) < lowrank.RANGE_MIN_SIDE for shape in svd_calls)
+        gram_route = relative >= lowrank.GRAM_MIN_RELATIVE_BUDGET
+        assert (svd_calls == []) == gram_route
+        gram = u.T @ u
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+        assert np.max(np.abs(w - u.T @ m)) <= 1e-12 * norm
+        slack = min(direct_shapes[0]) * lowrank._EPS * norm**2 if gram_route else 0.0
+        assert discarded <= np.sqrt(delta**2 + slack)
+        # measuring the error rounds too, by a few eps * ||M||
+        err = np.linalg.norm(m - u @ w)
+        assert err <= discarded + 4 * lowrank._EPS * norm
+        again = _truncated_svd_arrays(m, delta)
+        assert np.array_equal(again[0], u) and np.array_equal(again[1], w)
+        assert again[2] == discarded
+
+    def test_full_rank_falls_back_bit_for_bit(self, monkeypatch):
+        m = np.random.default_rng(19).standard_normal((600, 600))
+        delta = 1e-3 * np.linalg.norm(m)
+        got = _truncated_svd_arrays(m, delta)
+        monkeypatch.setattr(lowrank, "RANGE_MIN_SIDE", math.inf)
+        want = _truncated_svd_arrays(m, delta)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+    def test_gram_budget_leaves_scipy_unloaded(self):
+        src = os.path.dirname(os.path.dirname(ttcompress.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", RANGE_WITHOUT_SCIPY],
+            env=env, check=True, capture_output=True, text=True, timeout=120,
+        )
+        assert done.stdout.split() == ["16", "False"]
+
+
+# Truncates a 600 x 600 matrix of rank 16 at a Gram budget in a fresh
+# process, then prints the rank kept and whether scipy was loaded.
+RANGE_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+from ttcompress.lowrank import RANGE_MIN_SIDE, _truncated_svd_arrays
+rng = np.random.default_rng(20)
+m = rng.standard_normal((600, 16)) @ rng.standard_normal((16, 600))
+assert min(m.shape) >= RANGE_MIN_SIDE
+u, w, _ = _truncated_svd_arrays(m, 1e-2 * np.linalg.norm(m))
+print(u.shape[1], "scipy" in sys.modules)
+"""
 
 
 # Runs the first SVD of a fresh process, which loads scipy, then prints

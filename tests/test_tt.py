@@ -6,6 +6,7 @@ import pytest
 from ttcompress import (
     CapacityError,
     ConfigError,
+    DataError,
     DenseTensor,
     IndexRangeError,
     ShapeError,
@@ -13,7 +14,10 @@ from ttcompress import (
     TTTensor,
     compression_ratio,
     constant_tt,
+    lowrank,
     rel_frob,
+    sample_kernel_matrix,
+    tensorize_matrix_interlaced,
     tt_concat_existing,
     tt_full,
     tt_get,
@@ -109,6 +113,28 @@ class TestTTSVD:
             tt_svd(x, tau)
         with pytest.raises(ConfigError):
             tt_round(tt_svd(x, 0.0), tau)
+
+    def test_overflowing_norm_rejected(self):
+        # finite values whose squared norm overflows float64; no warning
+        # either, since the tests turn warnings into errors
+        x = np.random.default_rng(0).standard_normal((16, 8, 3)) * 1e160
+        with pytest.raises(DataError, match="norm overflows"):
+            tt_svd(DenseTensor.from_numpy(x), 1e-2)
+
+    @pytest.fixture(scope="class")
+    def kernel_level_6(self):
+        # the paper's interlaced kernel study at its finest level: the
+        # second unfolding is 1024 x 1024, so it takes the range route
+        return tensorize_matrix_interlaced(sample_kernel_matrix(1e-5, 10), 6)
+
+    @pytest.mark.parametrize("tau", [1e-2, 1e-8, 1e-14])
+    def test_kernel_study_size_meets_tau(self, monkeypatch, kernel_level_6, tau):
+        train = tt_svd(kernel_level_6, tau)
+        # float64 floor: a lossless train already errs by a few 1e-14
+        assert rel_frob(kernel_level_6, tt_full(train)) <= tau + 1e-13
+        monkeypatch.setattr(lowrank, "RANGE_MIN_SIDE", math.inf)
+        direct = tt_svd(kernel_level_6, tau)
+        assert train.core_entry_count <= 1.02 * direct.core_entry_count
 
 
 class TestTTRound:
