@@ -114,11 +114,13 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float):
     """:func:`tt_svd` and its certified error: ``(train, lost)`` with
     ``||X - train||_F <= lost``, the root-sum-square of what the steps
     discarded (their pieces are mutually orthogonal).  This holds in
-    exact arithmetic; float rounding is covered by the estimate that
-    :func:`_truncated_svd_arrays` adds on its Gram path.  Its range
-    route, which serves unfoldings of at least ``RANGE_MIN_SIDE`` rows
-    and columns, measures its residual directly, not as a difference of
-    squares."""
+    exact arithmetic; float rounding is covered by the estimates that
+    :func:`_truncated_svd_arrays` adds on its Gram and SVD paths.  Its
+    range route, which serves unfoldings of at least ``RANGE_MIN_SIDE``
+    rows and columns, measures its residual directly, not as a
+    difference of squares.  Every route carries the projection of the
+    unfolding on the kept vectors into the next core, not the SVD's
+    ``diag(s) V^T``, so the SVD's own rounding stays out of the train."""
     _check_tolerance(tau_rel_frob)
     if not np.isfinite(t.values).all():
         raise DataError("tensor contains non-finite entries")

@@ -435,8 +435,10 @@ class TestCompress:
         recon = reconstruct_segment(load_segment(os.path.join(out, "seg_0_15.ttc")))
         assert metrics["rel_frob"] <= 1e-6
         assert metrics["rel_frob"] == pytest.approx(rel_frob(t, recon), rel=1e-9)
-        # nothing is discarded here; decoding adds float error of ~1e-15
-        assert metrics["certified_rel_frob"] == 0.0
+        # no singular value is dropped here: the certificate is only the
+        # SVD route's rounding estimate, and decoding adds float error of
+        # ~1e-15
+        assert 0.0 < metrics["certified_rel_frob"] <= 1e-14
         assert metrics["rel_frob"] <= 1e-12
         assert metrics["nrmse"] == pytest.approx(nrmse(t, recon), rel=1e-9)
 

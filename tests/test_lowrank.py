@@ -171,7 +171,8 @@ class TestGramTruncation:
         m = self.spectrum_500(10, tall)
         delta = 0.5 * lowrank.GRAM_MIN_RELATIVE_BUDGET * np.linalg.norm(m)
         u, w, _ = _truncated_svd_arrays(m, delta)
-        assert svd_calls == [m.shape]
+        # a wide matrix's SVD sees the triangle of a QR of its long side
+        assert svd_calls == [m.shape if tall else (16, 16)]
         assert np.linalg.norm(m - u @ w) <= delta
 
     def test_small_budget_uses_svd(self, svd_calls):
@@ -190,7 +191,7 @@ class TestGramTruncation:
 
     def test_zero_matrix_uses_svd(self, svd_calls):
         u, w, discarded = _truncated_svd_arrays(np.zeros((3, 50)), 0.5)
-        assert svd_calls == [(3, 50)]
+        assert svd_calls == [(3, 3)]
         assert u.shape == (3, 1) and w.shape == (1, 50)
         assert np.all(w == 0.0) and discarded == 0.0
 
@@ -204,7 +205,7 @@ class TestGramTruncation:
         )
         delta = 1e-2 * np.linalg.norm(m)
         u, w, _ = _truncated_svd_arrays(m, delta)
-        assert svd_calls == [m.shape]
+        assert svd_calls == [m.shape if tall else (16, 16)]
         assert np.linalg.norm(m - u @ w) <= delta
 
     def test_result_over_budget_falls_back(self, svd_calls, monkeypatch):
@@ -213,6 +214,64 @@ class TestGramTruncation:
     def test_tall_result_over_budget_falls_back(self, svd_calls, monkeypatch):
         self.check_over_budget_falls_back(svd_calls, monkeypatch, True)
 
+
+class TestSVDRoute:
+    """Budgets below the Gram route's: one LAPACK SVD, of the triangular
+    factor when the matrix is at least twice as wide as it is tall."""
+
+    SIGMA = 0.1 ** np.arange(16)
+
+    @staticmethod
+    def matrix(shape):
+        """``shape`` has a side of 16, the length of ``SIGMA``."""
+        rng = np.random.default_rng(list(shape))
+        m = matrix_with_spectrum(rng, TestSVDRoute.SIGMA, max(shape))
+        return m if shape[0] <= shape[1] else m.T
+
+    # keep 7 leaves a budget near 3e-7 * ||M|| (the fast gesdd driver),
+    # keep 13 one near 3e-13 * ||M|| (the accurate gesvd)
+    @pytest.mark.parametrize("keep", [7, 13])
+    @pytest.mark.parametrize(
+        "shape, factor",
+        [((16, 400), (16, 16)), ((400, 16), (400, 16)), ((16, 24), (16, 24)),
+         ((24, 16), (24, 16))],
+        ids=["wide", "tall", "near-square-wide", "near-square-tall"],
+    )
+    def test_certified_projection(self, svd_calls, shape, factor, keep):
+        m = self.matrix(shape)
+        norm = float(np.linalg.norm(m))
+        delta = TestGramTruncation.budget_between(self.SIGMA, keep)
+        assert delta < lowrank.GRAM_MIN_RELATIVE_BUDGET * norm
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        assert svd_calls == [factor]
+        gram = u.T @ u
+        assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
+        assert np.max(np.abs(w - u.T @ m)) <= 1e-13 * norm
+        assert discarded <= delta
+        # measuring the error rounds too, by a few eps * ||M||
+        err = np.linalg.norm(m - u @ w)
+        assert err <= discarded + 4 * lowrank._EPS * norm
+        sigma = scipy.linalg.svd(m, compute_uv=False)
+        assert u.shape[1] == svd_truncation_rank(sigma, delta) == keep
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps > 1e-18,
+        reason="needs a long double wider than float64 to measure eps-level errors",
+    )
+    @pytest.mark.parametrize(
+        "shape", [(2, 2), (6, 2), (500, 2), (16, 400), (400, 16), (64, 64)]
+    )
+    def test_rounding_is_certified(self, shape):
+        # nothing is dropped at a zero budget, so the whole error is rounding
+        rng = np.random.default_rng(list(shape))
+        sigma = np.logspace(0, -8, min(shape))
+        m = matrix_with_spectrum(rng, sigma, max(shape))
+        m = m if shape[0] <= shape[1] else m.T
+        u, w, discarded = _truncated_svd_arrays(m, 0.0)
+        assert u.shape[1] == min(shape)
+        wide = np.longdouble
+        err = np.linalg.norm(m.astype(wide) - u.astype(wide) @ w.astype(wide))
+        assert 0.0 < err <= discarded <= 20 * lowrank._EPS * np.linalg.norm(m)
 
 
 class TestRangeTruncation:

@@ -547,7 +547,11 @@ class TestLedger:
             seg = compress_segment(batch, cfg, pad_time_to=16)
             norm = np.linalg.norm(arr)
             assert abs_error(arr, seg) <= seg.error_bound + MEASURE_SLACK * norm
-            assert seg.error_bound <= seg.tolerance_spent * norm * (1 + 1e-6)
+            # the SVD route's rounding estimate, a few eps * ||X|| per
+            # step, is certified even where the tolerance is 0
+            assert seg.error_bound <= (
+                seg.tolerance_spent * (1 + 1e-6) + 1e-13
+            ) * norm
         constant = compress_segment(
             batch_from_array(np.full((4, 8, 3), 2.5)), CompressionConfig()
         )
