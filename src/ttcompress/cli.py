@@ -133,7 +133,6 @@ def _compress_dt64(args, config):
 
 def cmd_compress(args) -> int:
     outdir = args.output
-    os.makedirs(outdir, exist_ok=True)
     config = _config_from_args(args)
     if os.path.isdir(args.input):
         compress = _compress_run
@@ -144,7 +143,11 @@ def cmd_compress(args) -> int:
         raise IngestionError(
             f"input {args.input!r} is neither a run directory nor a file"
         )
+    if os.path.exists(outdir) and not os.path.isdir(outdir):
+        raise IngestionError(f"output {outdir!r} exists and is not a directory")
     final, subdir, timings, read = compress(args, config)
+    # OUT is made only to be written, so a failed run leaves none behind
+    os.makedirs(outdir, exist_ok=True)
     folder = os.path.join(outdir, subdir)
     paths = [save_segment(folder, p, config.config_hash()) for p in final]
     metrics = _measure(final, read) if args.verify else {}

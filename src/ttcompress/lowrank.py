@@ -11,17 +11,18 @@ small projected matrix it leaves then takes one of the other two.  When
 no sketch certifies, or the matrix is smaller, budgets of at least
 ``GRAM_MIN_RELATIVE_BUDGET`` times the matrix norm go through the Gram
 matrix of the smaller side and numpy's ``eigh``, wide and tall alike; the
-LAPACK SVD serves only smaller budgets, the zero matrix and the Gram
-path's checked fallback.  A matrix at least twice as wide as it is tall
-is first factored by a QR of its long side, and the SVD sees only the
-small triangular factor; every route carries the projection ``U^T M`` of
-the matrix on the kept vectors into the next core.
+SVD serves only smaller budgets, the zero matrix and the Gram path's
+checked fallback.  A matrix at least twice as wide as it is tall is first
+factored by a QR of its long side, and the SVD sees only the small
+triangular factor; every route carries the projection ``U^T M`` of the
+matrix on the kept vectors into the next core.
 
-Importing this module runs every OpenBLAS loaded in the process on one
-thread (see :func:`_pin_blas_threads`).  scipy, whose LAPACK drivers the
-SVD uses, is imported only by the first SVD, which pins the OpenBLAS it
-brings in the same way; reading archives never loads it, and neither does
-a compression whose budgets all take the Gram route.
+Every SVD is numpy's (LAPACK ``gesdd``), whatever the budget.  Importing
+this module runs every OpenBLAS loaded in the process on one thread (see
+:func:`_pin_blas_threads`).  scipy is imported only when ``gesdd`` fails
+to converge, for its ``gesvd`` driver, and the OpenBLAS it brings is then
+pinned the same way; reading archives never loads it, and neither does a
+compression whose SVDs all converge.
 """
 
 import ctypes
@@ -105,25 +106,27 @@ _pin_blas_threads()
 
 @functools.cache
 def _scipy_svd():
-    # scipy takes about 0.25 s and 22 MB to import, and only compression
-    # needs it; the OpenBLAS it brings is new to the process, so it is
-    # pinned like the ones loaded before
+    # scipy takes about 0.3 s and 22 MB to import, and only the fallback
+    # below needs it; the OpenBLAS it brings is new to the process, so it
+    # is pinned like the ones loaded before
     import scipy.linalg
 
     _pin_blas_threads()
     return scipy.linalg.svd
 
 
-def _svd(arr: np.ndarray, accurate: bool = False):
-    # gesdd is fast but its small singular values carry O(eps * sigma_1)
-    # noise; gesvd resolves them properly, which matters when the
-    # truncation budget sits near the noise floor
-    first, second = ("gesvd", "gesdd") if accurate else ("gesdd", "gesvd")
-    svd = _scipy_svd()
+def _svd(arr: np.ndarray):
+    """Thin SVD ``(U, s, V^T)`` through numpy's ``gesdd``, the one
+    driver for every budget (see :func:`_exact_truncation`).
+
+    Divide and conquer can fail to converge, which numpy reports as
+    ``LinAlgError``; scipy's QR-iteration driver ``gesvd`` then takes the
+    matrix.
+    """
     try:
-        return svd(arr, full_matrices=False, lapack_driver=first)
+        return np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError:
-        return svd(arr, full_matrices=False, lapack_driver=second)
+        return _scipy_svd()(arr, full_matrices=False, lapack_driver="gesvd")
 
 
 def svd_truncation_rank(singular_values: np.ndarray, delta: float) -> int:
@@ -151,7 +154,8 @@ def _checked_norm(arr: np.ndarray, delta: float) -> float:
 
 
 def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
-    """Truncation through one LAPACK SVD: ``(U, W, discarded)``.
+    """Truncation through one SVD, numpy's ``gesdd`` (:func:`_svd`):
+    ``(U, W, discarded)``.
 
     A matrix at least ``_FACTOR_FIRST_ASPECT`` times as wide as it is tall
     is first reduced to ``R^T`` of ``M^T = Q R``, which has ``M``'s
@@ -168,17 +172,18 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     plus an estimate (not a proven bound) of the rounding.  The SVD's
     backward error and the carry's rounding, taken as ``(2 + log2(rows))
     * eps * ||M||``, add to the dropped tail, since they need not be
-    orthogonal to it.  ``U``'s columns are orthonormal only to about
+    orthogonal to it; the same term covers ``gesdd``'s absolute error in
+    the small singular values, so a budget near ``eps * ||M||`` needs no
+    more accurate driver.  ``U``'s columns are orthonormal only to about
     ``eps``, which leaves ``U (U^T U - I) diag(s_r)`` of the kept part,
     orthogonal to the tail, in the error.
     """
-    accurate = 0.0 < delta < 1e-12 * norm
     rows, cols = arr.shape
     if cols >= _FACTOR_FIRST_ASPECT * rows:
         core = np.linalg.qr(arr.T, mode="r").T
     else:
         core = arr
-    u, s, _ = _svd(core, accurate=accurate)
+    u, s, _ = _svd(core)
     r = svd_truncation_rank(s, delta)
     u = u[:, :r]
     tail = float(np.sqrt(np.sum(s[r:] ** 2)))
@@ -281,15 +286,14 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
       no sketch size certifies, the matrix goes on to those routes itself.
     * Gram: a budget of at least ``GRAM_MIN_RELATIVE_BUDGET`` times the
       norm goes through the Gram matrix of the smaller side, which is far
-      cheaper than an SVD when that side is short and keeps scipy
-      unloaded; the error is checked afterwards and the SVD runs instead
-      when it exceeds ``delta``.
-    * SVD: smaller budgets and the zero matrix go to scipy's SVD, the
-      accurate ``gesvd`` driver below ``1e-12`` times the norm.  A matrix
-      at least twice as wide as it is tall is first factored by a QR of
-      its long side, and the SVD sees only the small triangular factor
-      (:func:`_exact_truncation`).  ``W`` is ``U^T M``, not
-      ``diag(s) V^T``, whose rounding would reach the next core.
+      cheaper than an SVD when that side is short; the error is checked
+      afterwards and the SVD runs instead when it exceeds ``delta``.
+    * SVD: smaller budgets, zero among them, and the zero matrix go to
+      numpy's ``gesdd`` (scipy's ``gesvd`` serves only when it fails to
+      converge).  A matrix at least twice as wide as it is tall is first
+      factored by a QR of its long side, and the SVD sees only the small
+      triangular factor (:func:`_exact_truncation`).  ``W`` is ``U^T M``,
+      not ``diag(s) V^T``, whose rounding would reach the next core.
 
     ``discarded_energy`` is ``||M - U W||_F``.  On the Gram path it is a
     difference of squares, and it also holds

@@ -115,7 +115,8 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float):
     ``||X - train||_F <= lost``, the root-sum-square of what the steps
     discarded (their pieces are mutually orthogonal).  This holds in
     exact arithmetic; float rounding is covered by the estimates that
-    :func:`_truncated_svd_arrays` adds on its Gram and SVD paths.  Its
+    :func:`_truncated_svd_arrays` adds on its Gram and SVD paths, the
+    latter numpy's ``gesdd`` at every budget, ``tau = 0`` included.  Its
     range route, which serves unfoldings of at least ``RANGE_MIN_SIDE``
     rows and columns, measures its residual directly, not as a
     difference of squares.  Every route carries the projection of the

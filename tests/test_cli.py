@@ -509,7 +509,26 @@ class TestCompress:
         assert code == 2
         err = capsys.readouterr().err
         assert "internal error" not in err and "level" in err
-        assert not out.exists() or not list(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "source, flags, message",
+        [
+            ("run", ["--segment-length", "0"], "segment length"),
+            ("run", ["--tolerance", "nan"], "finite"),
+            ("absent", [], "neither a run directory nor a file"),
+        ],
+        ids=["segment-length", "tolerance", "missing-input"],
+    )
+    def test_failed_compress_leaves_no_output(
+        self, run_dir, tmp_path, capsys, source, flags, message
+    ):
+        source = run_dir if source == "run" else str(tmp_path / source)
+        out = tmp_path / "out"
+        assert main(["compress", source, "-o", str(out)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and message in err
+        assert not out.exists()
 
     def test_level_applies_to_every_dt64_axis(self, tmp_path):
         # 5 and 2 have a single factor, so their level is capped at 1
@@ -777,7 +796,8 @@ def run_fresh(code, *args):
 
 
 class TestReadsStayScipyFree:
-    """scipy serves only the SVD, so reading an archive never imports it."""
+    """scipy serves only the fallback of an SVD that numpy's gesdd fails
+    to converge on, and reading an archive runs no SVD at all."""
 
     COMMAND = (
         "import sys; from ttcompress.cli import main; code = main(sys.argv[1:]); "
@@ -813,8 +833,9 @@ class TestReadsStayScipyFree:
 
 
 class TestCompressStaysScipyFree:
-    """At nRMSE 1e-2 every truncation budget takes the Gram route, wide
-    or tall, so compressing and merging a run never imports scipy."""
+    """Compressing never imports scipy: at nRMSE 1e-2 every truncation
+    budget takes the Gram route, wide or tall, and smaller budgets take
+    numpy's SVD."""
 
     def test_merged_settling_run(self, tmp_path):
         run = settling_run(tmp_path / "run", 3, 64, 100)
@@ -826,6 +847,19 @@ class TestCompressStaysScipyFree:
         )
         merged = load_segment(os.path.join(out, "seg_0_99.ttc"))
         assert merged.stack_dims == (2, 2, 2)
+
+    def test_tight_dt64(self, tmp_path):
+        rng = np.random.default_rng(6)
+        t = DenseTensor.from_numpy(rng.uniform(size=(16, 8, 3)))
+        src = str(tmp_path / "in.dt64")
+        write_dt64(src, t.dims, [t.values])
+        out = str(tmp_path / "out")
+        run_fresh(
+            TestReadsStayScipyFree.COMMAND,
+            "compress", src, "-o", out, "--tolerance", "1e-12",
+            "--tolerance-kind", "relfrob",
+        )
+        assert 0.0 < read_manifest(out)["metrics"]["certified_rel_frob"] <= 1e-12
 
 
 class TestInfo:

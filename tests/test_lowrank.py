@@ -27,9 +27,9 @@ def svd_calls(monkeypatch):
     calls = []
     original = lowrank._svd
 
-    def counting(arr, accurate=False):
+    def counting(arr):
         calls.append(arr.shape)
-        return original(arr, accurate=accurate)
+        return original(arr)
 
     monkeypatch.setattr(lowrank, "_svd", counting)
     return calls
@@ -228,8 +228,8 @@ class TestSVDRoute:
         m = matrix_with_spectrum(rng, TestSVDRoute.SIGMA, max(shape))
         return m if shape[0] <= shape[1] else m.T
 
-    # keep 7 leaves a budget near 3e-7 * ||M|| (the fast gesdd driver),
-    # keep 13 one near 3e-13 * ||M|| (the accurate gesvd)
+    # keep 7 leaves a budget near 3e-7 * ||M||, keep 13 one near
+    # 3e-13 * ||M||, where the small singular values sit near gesdd's noise
     @pytest.mark.parametrize("keep", [7, 13])
     @pytest.mark.parametrize(
         "shape, factor",
@@ -262,16 +262,21 @@ class TestSVDRoute:
         "shape", [(2, 2), (6, 2), (500, 2), (16, 400), (400, 16), (64, 64)]
     )
     def test_rounding_is_certified(self, shape):
-        # nothing is dropped at a zero budget, so the whole error is rounding
+        # at a zero budget nothing is dropped, so the whole error is
+        # rounding; the positive budgets drop the values near 1e-16, where
+        # gesdd's small singular values are mostly noise
         rng = np.random.default_rng(list(shape))
-        sigma = np.logspace(0, -8, min(shape))
-        m = matrix_with_spectrum(rng, sigma, max(shape))
-        m = m if shape[0] <= shape[1] else m.T
-        u, w, discarded = _truncated_svd_arrays(m, 0.0)
-        assert u.shape[1] == min(shape)
         wide = np.longdouble
-        err = np.linalg.norm(m.astype(wide) - u.astype(wide) @ w.astype(wide))
-        assert 0.0 < err <= discarded <= 20 * lowrank._EPS * np.linalg.norm(m)
+        for relative, low in [(0.0, -8), (1e-15, -16), (1e-13, -16)]:
+            sigma = np.logspace(0, low, min(shape))
+            m = matrix_with_spectrum(rng, sigma, max(shape))
+            m = m if shape[0] <= shape[1] else m.T
+            norm = np.linalg.norm(m)
+            delta = relative * norm
+            u, w, discarded = _truncated_svd_arrays(m, delta)
+            assert (u.shape[1] == min(shape)) == (relative == 0.0)
+            err = np.linalg.norm(m.astype(wide) - u.astype(wide) @ w.astype(wide))
+            assert 0.0 < err <= discarded <= delta + 20 * lowrank._EPS * norm
 
 
 class TestRangeTruncation:
@@ -332,16 +337,25 @@ class TestRangeTruncation:
         assert got[2] == want[2]
 
     def test_gram_budget_leaves_scipy_unloaded(self):
-        src = os.path.dirname(os.path.dirname(ttcompress.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-        )
-        done = subprocess.run(
-            [sys.executable, "-c", RANGE_WITHOUT_SCIPY],
-            env=env, check=True, capture_output=True, text=True, timeout=120,
-        )
-        assert done.stdout.split() == ["16", "False"]
+        assert run_fresh(RANGE_WITHOUT_SCIPY).split() == ["16", "False"]
+
+
+def run_fresh(script):
+    """stdout of ``script`` run in a fresh interpreter that imports this
+    checkout's ttcompress, with no BLAS thread count in its environment."""
+    src = os.path.dirname(os.path.dirname(ttcompress.__file__))
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env, check=True, capture_output=True, text=True, timeout=120,
+    )
+    return done.stdout
 
 
 # Truncates a 600 x 600 matrix of rank 16 at a Gram budget in a fresh
@@ -358,17 +372,27 @@ print(u.shape[1], "scipy" in sys.modules)
 """
 
 
-# Runs the first SVD of a fresh process, which loads scipy, then prints
-# the thread count that every loaded OpenBLAS reports of itself.  The
-# lossless tau 0 leaves every budget below the Gram route's, so the
-# sweep runs the LAPACK SVD.
-FIRST_SVD_THREADS = """
+# Makes numpy's SVD fail to converge in a fresh process and truncates a
+# 16 x 400 matrix at 1e-13 times its norm, so scipy's gesvd takes over.
+# Prints whether scipy was loaded, the error, the certificate, the norm
+# and the thread count that every loaded OpenBLAS reports of itself.
+FALLBACK_SVD_THREADS = """
 import ctypes, json, os, sys
 import numpy as np
-from ttcompress import DenseTensor, tt_svd
+from ttcompress.lowrank import _truncated_svd_arrays
+
+def no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+np.linalg.svd = no_convergence
 assert "scipy" not in sys.modules
-tt_svd(DenseTensor.from_numpy(np.arange(48.0).reshape(4, 3, 4) ** 2), 0.0)
-assert "scipy" in sys.modules
+rng = np.random.default_rng(21)
+u0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+v0, _ = np.linalg.qr(rng.standard_normal((400, 16)))
+m = (u0 * 0.1 ** np.arange(16)) @ v0.T
+norm = float(np.linalg.norm(m))
+u, w, discarded = _truncated_svd_arrays(m, 1e-13 * norm)
+err = float(np.linalg.norm(m - u @ w))
 with open("/proc/self/maps") as fh:
     paths = {f[5] for f in map(str.split, fh)
              if len(f) == 6 and "openblas" in os.path.basename(f[5])}
@@ -383,29 +407,44 @@ for path in sorted(paths):
             get_threads.restype = ctypes.c_int
             found[os.path.basename(path)] = get_threads()
             break
-print(json.dumps(found))
+print(json.dumps({"scipy": "scipy" in sys.modules, "err": err,
+                  "discarded": discarded, "norm": norm, "threads": found}))
 """
 
 
 def test_first_svd_pins_the_blas_it_loads():
+    """The first SVD that numpy's gesdd cannot serve loads scipy for
+    gesvd, pins the OpenBLAS scipy brings, and still certifies."""
     if not os.path.exists("/proc/self/maps"):
         pytest.skip("no /proc/self/maps to find the loaded BLAS in")
-    src = os.path.dirname(os.path.dirname(ttcompress.__file__))
-    env = {
-        k: v for k, v in os.environ.items()
-        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    }
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", FIRST_SVD_THREADS],
-        env=env, check=True, capture_output=True, text=True, timeout=120,
-    )
-    found = json.loads(done.stdout)
+    got = json.loads(run_fresh(FALLBACK_SVD_THREADS))
+    assert got["scipy"]
+    assert got["err"] <= got["discarded"] + 4 * lowrank._EPS * got["norm"]
+    found = got["threads"]
     if not found:
         pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
     assert found == {name: 1 for name in found}
+
+
+# Runs tt_svd at tau 0 and 1e-14 in a fresh process, budgets below the
+# Gram route's, and prints how many SVDs ran and whether scipy was loaded.
+EXACT_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+from ttcompress import DenseTensor, lowrank, tt_svd
+calls = []
+svd = lowrank._svd
+lowrank._svd = lambda arr: calls.append(arr.shape) or svd(arr)
+x = DenseTensor.from_numpy(np.arange(48.0).reshape(4, 3, 4) ** 2)
+for tau in (0.0, 1e-14):
+    tt_svd(x, tau)
+print(len(calls), "scipy" in sys.modules)
+"""
+
+
+def test_exact_truncations_leave_scipy_unloaded():
+    # two unfoldings per train, each through numpy's SVD
+    assert run_fresh(EXACT_WITHOUT_SCIPY).split() == ["4", "False"]
 
 
 class TestSpectralNormEstimate:
