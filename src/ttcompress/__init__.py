@@ -49,7 +49,6 @@ from .streaming import (
     merge_stack,
     merge_tree,
     nrmse_to_relfrob,
-    plan_tau_schedule,
     reconstruct_region,
     reconstruct_segment,
     reconstruct_segments,

@@ -54,7 +54,6 @@ def _config_from_args(args) -> CompressionConfig:
         tolerance=args.tolerance,
         tolerance_kind=args.tolerance_kind,
         segment_length=args.segment_length,
-        merge_arity=args.merge_arity,
         tensorize=args.tensorize,
         max_factor=args.max_factor,
         level=args.level,
@@ -361,14 +360,14 @@ def bench_table1(args):
 
 
 def bench_streaming(args):
-    """Segmented compression of a settling run plus its merge-tree levels."""
+    """Segmented compression of a settling run: a row for its segments and
+    one for the merged run."""
     n_t = args.segments * args.segment_length
     batch = synth_particles(args.particles, n_t, args.scenario, args.seed)
     config = CompressionConfig(
         tolerance=args.tolerance,
         tolerance_kind="nrmse",
         segment_length=args.segment_length,
-        merge_arity=args.merge_arity,
         reorder="segment",
     )
     rows = []
@@ -438,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--segment-length", type=int, default=32, dest="segment_length")
     p.add_argument("--level", type=int, default=None, help="tensorization level override")
-    p.add_argument("--merge-arity", type=int, default=2, dest="merge_arity")
     p.add_argument("--no-merge", dest="merge", action="store_false")
     p.add_argument("--reorder", choices=REORDER_POLICIES, default="segment")
     p.add_argument("--morton-bits", type=int, default=None, dest="morton_bits")
@@ -476,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scenario", choices=["ballistic", "settle", "noise"], default="settle"
     )
     p.add_argument("--tolerance", type=float, default=0.1)
-    p.add_argument("--merge-arity", type=int, default=2, dest="merge_arity")
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_bench)
     return parser

@@ -43,8 +43,8 @@ from .errors import ConfigError, DataError
 GRAM_MIN_RELATIVE_BUDGET = 1e-6
 # A matrix with a positive budget whose smaller side is at least this long
 # first tries the randomized range finder.  Below it the direct routes
-# are cheap, and the settling runs' merge unfoldings (smaller side up to
-# about 280, ranks near 200) would sketch in vain and fall back.
+# are cheap, and the settling runs' segment unfoldings (smaller side up
+# to about 214, ranks up to about 140) would sketch in vain.
 RANGE_MIN_SIDE = 512
 _RANGE_FIRST_BLOCK = 16
 _RANGE_SEED = 0
@@ -223,7 +223,7 @@ def _gram_truncation(arr: np.ndarray, delta: float, norm: float):
     return u, w, lost
 
 
-def _range_truncation(arr: np.ndarray, delta: float):
+def _range_truncation(arr: np.ndarray, delta: float, norm: float):
     """Truncation through a seeded randomized range finder, or ``None``.
 
     ``Q`` is an orthonormal basis of ``M Omega`` for Gaussian blocks of 16,
@@ -233,13 +233,20 @@ def _range_truncation(arr: np.ndarray, delta: float):
     ``delta / sqrt(2)``, ``B = Q^T M`` is truncated by the direct route
     with the budget ``sqrt(delta^2 - res^2)``.  The residual and ``B``'s
     loss lie in orthogonal complements, so ``U = Q U_B``, ``W = W_B`` lose
-    ``sqrt(res^2 + lost_B^2)``.  Returns ``None`` when no size certifies.
+    ``sqrt(res^2 + lost_B^2)``.  Returns ``None`` when no size certifies,
+    or as soon as none can: the singular values decrease, so each column
+    up to the cap is taken to capture at most the energy per column that
+    the last block captured, and when even that leaves more than
+    ``delta^2 / 2`` uncaptured, no further sketch is drawn.
     """
     rng = np.random.default_rng(_RANGE_SEED)
     sketch = np.empty((arr.shape[0], 0))
+    cap = min(arr.shape) // 4
     k = _RANGE_FIRST_BLOCK
-    while k <= min(arr.shape) // 4:
-        omega = rng.standard_normal((arr.shape[1], k - sketch.shape[1]))
+    missed = norm * norm  # energy outside the sketch's range
+    while k <= cap:
+        block = k - sketch.shape[1]
+        omega = rng.standard_normal((arr.shape[1], block))
         sketch = np.hstack([sketch, arr @ omega])
         q = np.linalg.qr(sketch)[0]
         b = q.T @ arr
@@ -250,6 +257,10 @@ def _range_truncation(arr: np.ndarray, delta: float):
             budget = math.sqrt(delta * delta - res * res)
             u, w, lost = _direct_truncation(b, budget, float(np.linalg.norm(b)))
             return q @ u, w, math.sqrt(res * res + lost * lost)
+        per_column = (missed - res * res) / block
+        missed = res * res
+        if missed - (cap - k) * per_column > delta * delta / 2:
+            return None
         k *= 2
     return None
 
@@ -308,7 +319,7 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
     """
     norm = _checked_norm(arr, delta)
     if delta > 0 and min(arr.shape) >= RANGE_MIN_SIDE:
-        found = _range_truncation(arr, delta)
+        found = _range_truncation(arr, delta, norm)
         if found is not None:
             return found
     return _direct_truncation(arr, delta, norm)

@@ -9,18 +9,20 @@ rounding at ``t_r`` gives ``t + t_r + t * t_r``; this governs
 trailing dimension so the stacks carry the time hierarchy.  The ledger
 certifies each part's actual error from what its truncations discarded
 (``CompressedSegment.error_bound``).  :func:`merge_tree` owns a run's
-budget: one :func:`merge_stack` per group rounds each level at the equal
-a-priori split, the last spending what the ledger leaves, and returns
-the merged part alone.  Every read maps coordinates through
-``tensorize.axis_offsets``; full reads share one preparation and decode
-in file order, a block of whole time columns at a time
-(:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
+budget: one :func:`merge_stack` stacks every segment and rounds the
+stack once, block by block, at the one-level a-priori share, spending
+too what the ledger leaves, and returns the merged part alone.  Every
+read maps coordinates through ``tensorize.axis_offsets``; full reads
+share one preparation and decode in file order, a block of whole time
+columns at a time (:func:`decode_columns`), or leaf by leaf
+(:func:`decode_leaves`).
 """
 
 import base64
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import numbers
@@ -59,13 +61,12 @@ from .tt import (
     TTTensor,
     _check_full_cap,
     _contract_cores,
-    _orthogonal_stack,
+    _orthogonalize,
     _round_orthogonal,
     _tt_svd,
     constant_tt,
     tt_gather,
     tt_stack_new,
-    zero_tt,
 )
 
 TOLERANCE_KINDS = ("nrmse", "relfrob")
@@ -161,7 +162,6 @@ class CompressionConfig:
     tolerance: float = 0.1
     tolerance_kind: str = "nrmse"
     segment_length: int = 32
-    merge_arity: int = 2
     tensorize: bool = True
     max_factor: int = 5
     level: Optional[int] = None
@@ -182,8 +182,6 @@ class CompressionConfig:
             raise ConfigError("an nRMSE target must be > 0")
         if self.segment_length < 1:
             raise ConfigError("segment length must be >= 1")
-        if self.merge_arity < 2:
-            raise ConfigError("merge arity must be >= 2")
         if self.max_factor < 2:
             raise ConfigError("factor cap must be >= 2")
         level = self.level
@@ -222,13 +220,13 @@ class CompressedSegment:
     (:attr:`reorder`) follows from it.
     ``tolerance_spent`` is the relative-Frobenius budget consumed
     against this segment's own unpadded data: the a-priori
-    composition of its merges, or, for the last level of a
-    :func:`merge_tree` under a budget, the certified bound over the data's
-    norm.  ``error_bound`` is the certified absolute Frobenius error
-    against the same data, from the ledger of discarded energies (``None``
-    when unknown, as in archives written without it).  Both, and the
-    statistics, must be finite, and ``stats.entry_count`` must be the
-    integer count of the segment's steps times its other extents.
+    composition of its merges, or, for a :func:`merge_stack` that spends
+    a budget, the certified bound over the data's norm.  ``error_bound``
+    is the certified absolute Frobenius error against the same data,
+    from the ledger of discarded energies (``None`` when unknown, as in
+    archives written without it).  Both, and the statistics, must be
+    finite, and ``stats.entry_count`` must be the integer count of the
+    segment's steps times its other extents.
     """
 
     tt: TTTensor
@@ -290,7 +288,8 @@ class CompressedSegment:
 
     @property
     def stack_dims(self) -> tuple:
-        """The train's dims past the plan's: one per merge level."""
+        """The train's dims past the plan's: one per stacking merge
+        (archives written before the one-level merge have several)."""
         return self.tt.dims[len(self.plan.tensorized_dims()) :]
 
     @property
@@ -525,29 +524,6 @@ def compose_tolerances(base: float, rounding_taus) -> float:
     return total
 
 
-def plan_tau_schedule(
-    total_budget: float, per_segment: float, n_levels: int
-):
-    """Equal per-level rounding tolerances exhausting the remaining budget.
-
-    Solves ``(1 + per_segment) * (1 + x)^n == 1 + total_budget`` for x.
-    """
-    if not 0 <= total_budget < math.inf:  # NaN too
-        raise ConfigError(
-            f"total budget must be a finite number >= 0, got {total_budget}"
-        )
-    if not 0 <= per_segment <= total_budget:
-        raise ConfigError(
-            f"per-segment tolerance {per_segment} is not within the total "
-            f"budget {total_budget}"
-        )
-    if n_levels == 0:
-        return []
-    factor = (1.0 + total_budget) / (1.0 + per_segment)
-    x = factor ** (1.0 / n_levels) - 1.0
-    return [max(x, 0.0)] * n_levels
-
-
 def _normalize_time_axis(plan: TensorizePlan) -> TensorizePlan:
     """Treat the padded time extent as original (per-leaf crops take over
     once segments are merged)."""
@@ -594,8 +570,11 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     The parts share one particle permutation, the train dims and the plan
     up to time padding, and follow each other in time.  The stacked train
     is exact; rounding at ``tau_round`` (skipped when 0) then shrinks the
-    inflated ranks, with each part orthogonalized on its own
-    (:func:`~ttcompress.tt._orthogonal_stack`).
+    inflated ranks in one blockwise sweep over the parts, each
+    orthogonalized on its own (:func:`~ttcompress.tt._round_orthogonal`),
+    so the stack is never formed.  The parts are taken one at a time: an
+    iterator that hands them over lets each go once its train is taken,
+    and a rounding merge holds only the orthogonalized copies.
 
     The merged part's budget is the a-priori ``t + tau_round + t *
     tau_round``, ``t`` the parts' :func:`combine_tolerances`.  Its error
@@ -606,13 +585,23 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     bound over ``||X||`` becomes the part's budget; float slack past it,
     or an unknown part bound, keep ``tau_round`` alone.
     """
-    parts = list(parts)
-    if not parts:
-        raise MergeError("nothing to merge")
     if not tau_round >= 0:  # NaN too
         raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
-    if len(parts) == 1:
-        return parts[0]
+    parts = iter(parts)
+    head = list(itertools.islice(parts, 2))
+    if not head:
+        raise MergeError("nothing to merge")
+    if len(head) == 1:
+        return head[0]
+    parts = itertools.chain((head.pop(0) for _ in range(2)), parts)
+    if tau_round > 0:
+        # each part orthogonalized as it is taken, so that a part handed
+        # over is let go and only its copy is held
+        parts = (
+            dataclasses.replace(p, tt=TTTensor(_orthogonalize(p.tt.cores)))
+            for p in parts
+        )
+    parts = list(parts)
     base = parts[0]
     for p in parts[1:]:
         a, b = p.permutations, base.permutations
@@ -641,12 +630,16 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     if tau_round == 0 and spare <= 0:
         merged, lost = tt_stack_new(trains), 0.0
     else:
-        ortho = _orthogonal_stack(trains)
-        merged, lost = _round_orthogonal(ortho, tau_round, spare)
+        # the parts were taken orthogonalized when tau_round > 0
+        blocks = [
+            t.cores if tau_round > 0 else _orthogonalize(t.cores)
+            for t in trains
+        ]
+        merged, lost = _round_orthogonal(blocks, tau_round, spare)
         if lost <= spare and norm > 0:
             spent = (ledger + lost) / norm
         elif lost > spare > 0:
-            merged, lost = _round_orthogonal(ortho, tau_round)
+            merged, lost = _round_orthogonal(blocks, tau_round)
     if spent is None:
         spent = compose_tolerances(combine_tolerances(parts), [tau_round])
     return CompressedSegment(
@@ -661,67 +654,46 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     )
 
 
-def merge_tree(segments, arity: int, budget=None, on_level=None):
-    """Hierarchical stack-merge of ``segments`` under one relative error
-    ``budget``; returns the merged part.  Level 0 holds the segments, and
-    each next level merges consecutive groups of ``arity``.
+def merge_tree(segments, budget=None, on_level=None):
+    """Merge ``segments`` into one part under one relative error
+    ``budget``, in a single :func:`merge_stack`: the stack of every
+    segment, rounded once.
 
-    Every level rounds at the equal per-level tolerance of
-    :func:`plan_tau_schedule` over the segments' :func:`combine_tolerances`,
-    which keeps the a-priori composition within the budget (segments
-    above it raise :class:`ConfigError` before any merging).  Those bounds
-    are worst cases, so :func:`merge_stack` also spends, at the last level,
-    whatever the ledger of certified errors leaves of the budget.
-    ``budget=None`` keeps every stack exact.  Each level is dropped once
-    the next is built.  ``on_level``, when given, observes each level's
-    parts as they are made, level 0 first.
+    The rounding tolerance is the one-level a-priori share ``(1 + B) / (1
+    + t) - 1`` of the budget ``B`` over the segments'
+    :func:`combine_tolerances` ``t``, which keeps the composition ``t +
+    t_r + t * t_r`` within the budget (segments above it raise
+    :class:`ConfigError` before any merging).  That bound is a worst case,
+    so :func:`merge_stack` also spends whatever the ledger of certified
+    errors leaves of the budget.  ``budget=None`` keeps the stack exact.
+    The segments are handed over one at a time, so the merge lets each go
+    once its train is taken.  ``on_level``, when given, observes the
+    segments and then the merged part, each as a list.
     """
-    level = list(segments)
-    if not level:
+    segments = list(segments)
+    if not segments:
         raise ConfigError("no segments to merge")
-    if arity < 2:
-        raise ConfigError("merge arity must be >= 2")
-    n_levels = 0  # merges until one part is left
-    while arity**n_levels < len(level):
-        n_levels += 1
-    report = on_level or (lambda parts: None)
-    schedule = [0.0] * n_levels
+    tau = 0.0
     if budget is not None:
-        schedule = plan_tau_schedule(budget, combine_tolerances(level), n_levels)
-    report(level)
-    for k, tau in enumerate(schedule, 1):
-        spend = budget if k == n_levels else None
-        level = [merge_stack(g, tau, spend) for g in _groups(level, arity)]
-        report(level)
-    return level[0]
-
-
-def _groups(level, arity: int):
-    """Consecutive groups of ``arity`` parts of a merge level, the last
-    filled up with :func:`_empty_part`."""
-    for start in range(0, len(level), arity):
-        group = level[start : start + arity]
-        yield group + [_empty_part(group[-1])] * (arity - len(group))
-
-
-def _empty_part(like: CompressedSegment) -> CompressedSegment:
-    """An exact all-zero part shaped like ``like`` that covers no steps.
-
-    It fills a short trailing group up to the merge arity, so every part
-    of a merge level has the same stack dims; its leaves have a time
-    extent of 0, so no reconstruction reads them, and the rounding step
-    removes its rank.
-    """
-    end = like.time_range[1]
-    return dataclasses.replace(
-        like,
-        tt=zero_tt(like.tt.dims),
-        time_range=(end + 1, end),
-        part_time_extents=(0,) * len(like.part_time_extents),
-        stats=DataStats(like.stats.x_min, like.stats.x_max, 0.0, 0),
-        tolerance_spent=0.0,
-        error_bound=0.0,
-    )
+        if not 0 <= budget < math.inf:  # NaN too
+            raise ConfigError(
+                f"total budget must be a finite number >= 0, got {budget}"
+            )
+        per_segment = combine_tolerances(segments)
+        if not per_segment <= budget:
+            raise ConfigError(
+                f"per-segment tolerance {per_segment} is not within the "
+                f"total budget {budget}"
+            )
+        tau = max((1.0 + budget) / (1.0 + per_segment) - 1.0, 0.0)
+    report = on_level or (lambda parts: None)
+    report(list(segments))
+    if len(segments) == 1:
+        return segments[0]
+    handed = (segments.pop(0) for _ in range(len(segments)))
+    merged = merge_stack(handed, tau, budget)
+    report([merged])
+    return merged
 
 
 def compress_run(
@@ -741,12 +713,14 @@ def compress_run(
     merged: at an nRMSE target ``r`` segment ``i`` errs by at most
     ``r * range_i * sqrt(n_i)``, and ``sum range_i^2 * n_i <= range^2 * n``.
     Merged segments share the first segment's Morton permutation, and one
-    :func:`merge_tree` pass merges them at the run's relative budget, which
-    the merged part's certified ``tolerance_spent`` never exceeds.
+    :func:`merge_tree` call stacks them all and rounds the stack once at
+    the run's relative budget, which the merged part's certified
+    ``tolerance_spent`` never exceeds.
 
     Returns the parts the run stores: ``[merged]``, or the segments when
     ``merge`` is off or the run fits in one segment.  ``on_level`` observes
-    the levels as in :func:`merge_tree`, or the segments alone; ``timings``,
+    the segments and the merged part as in :func:`merge_tree`, or the
+    segments alone; ``timings``,
     when given, receives the seconds of compression and of the merge.
     """
     seg_len = config.segment_length
@@ -772,9 +746,9 @@ def compress_run(
         budget = config.tolerance
         if config.tolerance_kind == "nrmse":
             budget = nrmse_to_relfrob(config.tolerance, stats)
-        # handed over, so that merge_tree frees them once level 1 is built
+        # handed over, so that the merge lets each go once it is taken
         handed = (parts.pop(0) for _ in range(len(parts)))
-        parts = [merge_tree(handed, config.merge_arity, budget, on_level)]
+        parts = [merge_tree(handed, budget, on_level)]
     elif on_level is not None:
         on_level(parts)
     if timings is not None:

@@ -4,7 +4,7 @@ A d-dimensional tensor is stored as a chain of order-3 cores; the entry at
 a multi-index is the product of one matrix slice per core (Oseledets,
 2011).  This module provides the sequential truncated-SVD decomposition of
 a dense tensor, the QR+SVD rank-reduction sweep for inflated chains (for
-stacks, with each part orthogonalized on its own), element access, full
+stacks, block by block, never forming the stack), element access, full
 reconstruction, norm-from-cores, the compression ratio, and two exact
 combination primitives on one block builder (:func:`_concat_trains`):
 stacking along a new trailing dimension, which streaming compression
@@ -257,18 +257,17 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
 
     Two sweeps: a right-to-left QR pass makes every core but the first
     right-orthogonal, then a left-to-right truncated-SVD pass trims ranks
-    against the budget ``tau * ||X||_F / sqrt(d - 1)`` per step.  The QR
-    pass keeps every column of each economy QR, so there a rank
-    ``r_{k-1}`` only shrinks to ``n_k * r_k`` when it exceeds it; all
-    other trimming is left to the SVD pass, which measures what it drops.
-    (Cutting at a rank counted from an unpivoted QR's diagonal can drop a
-    needed direction when stacked parts are linearly dependent.)  The
-    output satisfies ``||X - Y||_F <= tau * ||X||_F`` relative to the
-    input train, and no rank ever increases.
+    against ``B = tau * ||X||_F``, spent greedily (see
+    :func:`_round_orthogonal`).  The QR pass keeps every column of each
+    economy QR, so there a rank ``r_{k-1}`` only shrinks to ``n_k * r_k``
+    when it exceeds it; all other trimming is left to the SVD pass, which
+    measures what it drops.  (Cutting at a rank counted from an unpivoted
+    QR's diagonal can drop a needed direction when stacked parts are
+    linearly dependent.)  The output satisfies ``||X - Y||_F <= tau *
+    ||X||_F`` relative to the input train, and no rank ever increases.
     """
-    return _round_orthogonal(
-        TTTensor(tuple(_orthogonalize(t.cores))), tau_rel_frob
-    )[0]
+    parts = [_orthogonalize(t.cores)]
+    return _round_orthogonal(parts, tau_rel_frob, stacked=False)[0]
 
 
 def _orthogonalize(cores) -> list:
@@ -291,54 +290,69 @@ def _orthogonalize(cores) -> list:
     return cores
 
 
-def _orthogonal_stack(parts) -> TTTensor:
-    """:func:`tt_stack_new` of the parts, each orthogonalized first.
-
-    The stack is then right-orthogonal apart from its first core: its
-    interior cores are block-diagonal in right-orthogonal blocks with
-    disjoint columns, and the new trailing core is the identity.  So
-    :func:`_round_orthogonal` rounds it without a joint QR sweep, which
-    at arity 2 costs about four times the QR flops of the parts' own.
-    """
-    return tt_stack_new(
-        [TTTensor(tuple(_orthogonalize(p.cores))) for p in parts]
-    )
-
-
 def _round_orthogonal(
-    t: TTTensor, tau_rel_frob: float, abs_budget: float = 0.0
+    parts, tau_rel_frob: float, abs_budget: float = 0.0, stacked: bool = True
 ):
-    """The truncation sweep of :func:`tt_round` on a train whose cores
-    right of the first are already right-orthogonal: ``(train, lost)``,
-    spending ``max(tau * ||X||_F, abs_budget)``.  The cores right of each
-    SVD step are orthonormal and those left of it too, so the discarded
-    pieces are mutually orthogonal, as in TT-SVD, and
-    ``||X - train||_F <= lost``."""
+    """The truncation sweep of :func:`tt_round`, block by block:
+    ``(train, lost)`` with ``||X - train||_F <= lost``.
+
+    ``parts`` are core lists of equal dims, each right-orthogonal right of
+    its first core (:func:`_orthogonalize`).  ``X`` is their
+    :func:`tt_stack_new`, or with ``stacked=False`` the one part itself,
+    and is never formed: its first core is the parts' first cores side by
+    side, its interior cores are block-diagonal, each part's last core
+    fills its own trailing column, and the stack's identity core becomes
+    the final carry, of shape ``(r, P, 1)``.  So after each step the carry
+    ``W`` (r x sum r_i) times the next block-diagonal core is the parts'
+    ``W[:, cols_i] @ B_i`` side by side.  Right of each step the stack is
+    right-orthogonal, as its blocks are, and left of it orthonormal, so
+    the discarded pieces are mutually orthogonal, as in TT-SVD.
+
+    The sweep spends ``B = max(tau * ||X||_F, abs_budget)`` greedily: of
+    the ``s`` steps, step ``k`` may discard ``sqrt((B^2 - lost^2) / (s -
+    k))``, what the earlier steps left shared among those still to come,
+    so ``lost`` stays within ``B`` (up to the truncations' float
+    estimates).
+    """
     _check_tolerance(tau_rel_frob)
-    d = t.ndim
-    if d == 1:
-        return t, 0.0
-
-    cores = list(t.cores)
+    dims = tuple(c.shape[1] for c in parts[0])
+    d = len(dims)
+    if stacked:
+        dims += (len(parts),)
+    steps = len(dims) - 1
+    core = np.concatenate([p[0] for p in parts], axis=2)
     # the entire norm sits in the first core
-    norm = float(np.linalg.norm(cores[0]))
+    norm = float(np.linalg.norm(core))
+    if steps == 0:
+        return TTTensor((core,)), 0.0
     if norm == 0.0:
-        return zero_tt(t.dims), 0.0
-    delta = max(tau_rel_frob * norm, abs_budget) / math.sqrt(d - 1)
+        return zero_tt(dims), 0.0
+    budget = max(tau_rel_frob * norm, abs_budget)
+    budget2 = budget * budget  # inf for a huge budget, where ** would raise
 
-    # left-to-right rank truncation
+    cores = []
     lost2 = 0.0
-    for k in range(d - 1):
-        r0, n, r1 = cores[k].shape
-        mat = cores[k].reshape((r0 * n, r1), order="F")
+    for k in range(steps):
+        r0, n, r1 = core.shape
+        mat = core.reshape((r0 * n, r1), order="F")
+        delta = math.sqrt(max(budget2 - lost2, 0.0) / (steps - k))
         u, carry, discarded = _truncated_svd_arrays(mat, delta)
         lost2 += discarded**2
         rank = u.shape[1]
-        cores[k] = u.reshape((r0, n, rank), order="F")
-        nxt = cores[k + 1]
-        n0, nn, nr = nxt.shape
-        folded = carry @ nxt.reshape((n0, nn * nr), order="F")
-        cores[k + 1] = folded.reshape((rank, nn, nr), order="F")
+        cores.append(u.reshape((r0, n, rank), order="F"))
+        if k + 1 == d:  # the stack's identity core
+            core = carry.reshape((rank, len(parts), 1), order="F")
+            continue
+        blocks, col = [], 0
+        for p in parts:
+            n0, nn, nr = p[k + 1].shape
+            block = carry[:, col : col + n0] @ p[k + 1].reshape(
+                (n0, nn * nr), order="F"
+            )
+            blocks.append(block.reshape((rank, nn, nr), order="F"))
+            col += n0
+        core = np.concatenate(blocks, axis=2)
+    cores.append(core)
     return TTTensor(tuple(cores)), math.sqrt(lost2)
 
 

@@ -171,20 +171,19 @@ class TestCompress:
         assert metrics["nrmse"] <= metrics["certified_nrmse"] <= 0.1
 
     @pytest.mark.parametrize("n_seg", [3, 5, 40])
-    @pytest.mark.parametrize("arity", [2, 3])
-    def test_any_segment_count_merges(self, tmp_path, n_seg, arity):
-        # the last segment holds 11 of 16 steps, and short trailing merge
-        # groups are filled up to the arity
-        run = settling_run(tmp_path / "run", 3, 40, 16 * n_seg - 5)
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_any_segment_count_merges(self, tmp_path, n_seg, seed):
+        # the last segment holds 11 of 16 steps, and every segment is one
+        # leaf of the one stack
+        run = settling_run(tmp_path / "run", seed, 40, 16 * n_seg - 5)
         out = str(tmp_path / "out")
         args = ["compress", run, "-o", out, "--tolerance", "1e-2", "--verify"]
-        args += ["--segment-length", "16", "--merge-arity", str(arity)]
+        args += ["--segment-length", "16"]
         assert main(args) == 0
         reported = read_manifest(out)["metrics"]["nrmse"]
-        archive = os.path.join(out, f"seg_0_{16 * n_seg - 6}.ttc")
-        measured = nrmse(
-            load_snapshots(run).data, reconstruct_segment(load_segment(archive))
-        )
+        archive = load_segment(os.path.join(out, f"seg_0_{16 * n_seg - 6}.ttc"))
+        assert archive.stack_dims == (n_seg,)
+        measured = nrmse(load_snapshots(run).data, reconstruct_segment(archive))
         assert measured <= 1e-2
         assert reported == pytest.approx(measured, rel=1e-9)
 
@@ -205,7 +204,7 @@ class TestCompress:
         assert not reconstruct_segment(seg).to_numpy().any()
 
     def test_cli_matches_in_memory_pipeline(self, tmp_path):
-        # three segments, so the merge fills a short group
+        # three segments, the last one short
         batch = synth_particles(40, 40, "settle", seed=4)
         run = str(tmp_path / "run")
         write_run(run, batch)
@@ -846,7 +845,7 @@ class TestCompressStaysScipyFree:
             "--segment-length", "16",
         )
         merged = load_segment(os.path.join(out, "seg_0_99.ttc"))
-        assert merged.stack_dims == (2, 2, 2)
+        assert merged.stack_dims == (7,)
 
     def test_tight_dt64(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -1060,9 +1059,10 @@ class TestBench:
         )
         assert code == 0
         rows = self.read_rows(out)
-        assert [int(r["level"]) for r in rows] == [0, 1, 2]
-        assert [int(r["n_segments"]) for r in rows] == [4, 2, 1]
-        assert [int(r["steps_per_segment"]) for r in rows] == [8, 16, 32]
+        # the segments, then the merged run
+        assert [int(r["level"]) for r in rows] == [0, 1]
+        assert [int(r["n_segments"]) for r in rows] == [4, 1]
+        assert [int(r["steps_per_segment"]) for r in rows] == [8, 32]
         batch = synth_particles(64, 32, "settle", 3)
         config = CompressionConfig(tolerance=0.1, segment_length=8)
         levels = []

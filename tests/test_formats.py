@@ -180,7 +180,7 @@ def pristine(tmp_path_factory):
     batch = synth_particles(8, 40, "settle", seed=3)
     config = CompressionConfig(tolerance=1e-2, segment_length=8)
     (merged,) = compress_run(batch.time_slice, batch.n_t, config)
-    assert merged.stack_dims == (2, 2, 2)
+    assert merged.stack_dims == (5,)
     archive = Path(save_segment(work, merged))
     tensor = work / "t.dt64"
     rng = np.random.default_rng(7)

@@ -336,6 +336,36 @@ class TestRangeTruncation:
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
         assert got[2] == want[2]
 
+    @pytest.mark.parametrize(
+        "shape, relative", [((600, 600), 1e-3), ((512, 8192), 1e-2)]
+    )
+    def test_hopeless_sketching_stops_at_once(
+        self, monkeypatch, direct_shapes, shape, relative
+    ):
+        # a Gaussian matrix's flat spectrum: at the energy its first block
+        # captures per column, no sketch up to a quarter of the smaller
+        # side leaves delta^2 / 2, so no second sketch is drawn
+        m = np.random.default_rng(19).standard_normal(shape)
+        norm = float(np.linalg.norm(m))
+        delta = relative * norm
+        qr = np.linalg.qr
+        sketches = []
+
+        def counting(a, *args, **kwargs):
+            if not args and not kwargs and a.shape[0] == shape[0]:
+                sketches.append(a.shape[1])
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        assert sketches == [lowrank._RANGE_FIRST_BLOCK]
+        # the whole matrix went on to the direct route
+        assert direct_shapes == [shape]
+        slack = min(shape) * lowrank._EPS * norm**2
+        assert discarded <= np.sqrt(delta**2 + slack)
+        err = np.linalg.norm(m - u @ w)
+        assert err <= discarded + 4 * lowrank._EPS * norm
+
     def test_gram_budget_leaves_scipy_unloaded(self):
         assert run_fresh(RANGE_WITHOUT_SCIPY).split() == ["16", "False"]
 

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from ttcompress import (
     compress_run,
     compress_segment,
     compress_tensor,
+    invert_plan,
     load_segment,
     open_run,
     matrix_interlace_plan,
@@ -30,7 +33,6 @@ from ttcompress import (
     merge_tree,
     nrmse,
     nrmse_to_relfrob,
-    plan_tau_schedule,
     read_dt64,
     reconstruct_region,
     reconstruct_segment,
@@ -48,11 +50,13 @@ from ttcompress import (
     write_dt64,
     write_run,
     write_ttc1,
+    zero_tt,
 )
 from ttcompress import streaming
 from ttcompress.cli import main
 from ttcompress.streaming import CompressedSegment, DataStats, segment_metadata
 from ttcompress.tensorize import axis_offsets
+from ttcompress.tt import _orthogonalize
 
 
 def batch_from_array(arr):
@@ -68,6 +72,37 @@ def relfrob_config(tol, **kwargs):
     return CompressionConfig(
         tolerance=tol, tolerance_kind="relfrob", **kwargs
     )
+
+
+def empty_part(like):
+    """An exact all-zero part shaped like ``like`` that covers no steps,
+    as archives written before the one-level merge filled their short
+    groups with: its leaves have a time extent of 0."""
+    end = like.time_range[1]
+    return dataclasses.replace(
+        like,
+        tt=zero_tt(like.tt.dims),
+        time_range=(end + 1, end),
+        part_time_extents=(0,) * len(like.part_time_extents),
+        stats=DataStats(like.stats.x_min, like.stats.x_max, 0.0, 0),
+        tolerance_spent=0.0,
+        error_bound=0.0,
+    )
+
+
+def nested_merge(parts, arity, tau=0.0):
+    """The layout of archives written before the one-level merge: groups
+    of ``arity`` consecutive parts stacked level by level, each group by
+    one :func:`merge_stack` at ``tau``, short groups filled with
+    :func:`empty_part`, so the stack dims are ``(arity,) * levels``."""
+    level = list(parts)
+    while len(level) > 1:
+        groups = [level[i : i + arity] for i in range(0, len(level), arity)]
+        level = [
+            merge_stack(g + [empty_part(g[-1])] * (arity - len(g)), tau)
+            for g in groups
+        ]
+    return level[0]
 
 
 def split_time(arr, n_seg, cfg, **kwargs):
@@ -341,45 +376,45 @@ class TestMergeStack:
         assert rel_frob(DenseTensor.from_numpy(arr), recon) <= 2e-6
 
 
-MERGE_SHAPES = [(32, 2, [32, 16, 8, 4, 2, 1]), (3, 2, [3, 2, 1]), (5, 3, [5, 2, 1])]
-
-
 class TestMergeTree:
+    """One level: every segment stacked once, the stack rounded once.
+    Shapes ``n-of-k`` are ``n`` segments of ``k`` steps."""
+
     @pytest.mark.parametrize(
-        "n_seg, arity, counts", MERGE_SHAPES, ids=["32-of-2", "3-of-2", "5-of-3"]
+        "n_seg, steps", [(32, 2), (3, 2), (5, 3)], ids=["32-of-2", "3-of-2", "5-of-3"]
     )
-    def test_level_counts(self, n_seg, arity, counts):
+    def test_level_counts(self, n_seg, steps):
         rng = np.random.default_rng(19)
-        arr = rng.uniform(size=(n_seg, 4, 3))
+        arr = rng.uniform(size=(n_seg * steps, 4, 3))
         parts = split_time(arr, n_seg, relfrob_config(1e-3))
         levels = []
-        final = merge_tree(parts, arity, 2e-3, levels.append)
-        assert [len(lv) for lv in levels] == counts
+        final = merge_tree(parts, 2e-3, levels.append)
+        assert [len(lv) for lv in levels] == [n_seg, 1]
         assert levels[-1] == [final] and levels[0] == parts
-        for level in levels:
-            # short trailing groups are filled, so every part stacks alike
-            assert len({p.stack_dims for p in level}) == 1
-            assert sum(p.total_steps for p in level) == n_seg
+        # one leaf per segment, none empty
+        assert final.stack_dims == (n_seg,)
+        assert final.part_time_extents == (steps,) * n_seg
+        assert final.total_steps == n_seg * steps
 
     def test_single_segment_identity(self):
         rng = np.random.default_rng(20)
         arr = rng.uniform(size=(4, 4, 3))
         seg = compress_segment(batch_from_array(arr), relfrob_config(1e-3))
         levels = []
-        assert merge_tree([seg], 2) is seg
-        assert merge_tree([seg], 2, 1e-2, levels.append) is seg
+        assert merge_tree([seg]) is seg
+        assert merge_tree([seg], 1e-2, levels.append) is seg
         assert levels == [[seg]]
 
     @pytest.mark.parametrize(
-        "n_seg, arity", [(4, 2), (3, 2), (5, 3)], ids=["4-of-2", "3-of-2", "5-of-3"]
+        "n_seg, steps", [(4, 2), (3, 2), (5, 3)], ids=["4-of-2", "3-of-2", "5-of-3"]
     )
-    def test_final_error_within_budget(self, n_seg, arity):
+    def test_final_error_within_budget(self, n_seg, steps):
         rng = np.random.default_rng(21)
-        arr = rng.uniform(size=(2 * n_seg, 4, 3))
+        arr = rng.uniform(size=(n_seg * steps, 4, 3))
         tau = 1e-2
         parts = split_time(arr, n_seg, relfrob_config(tau))
-        final = merge_tree(parts, arity, 3 * tau)
-        assert final.total_steps == 2 * n_seg
+        final = merge_tree(parts, 3 * tau)
+        assert final.total_steps == n_seg * steps
         err = rel_frob(
             DenseTensor.from_numpy(arr), reconstruct_segment(final)
         )
@@ -388,12 +423,13 @@ class TestMergeTree:
         assert final.error_bound <= 3 * tau * np.linalg.norm(arr)
 
     def test_unknown_bound_keeps_the_planned_rounding(self):
-        # without a ledger the last level has nothing to spend from
+        # without a ledger the merge has nothing to spend from, and the
+        # one-level share composes to the whole budget
         rng = np.random.default_rng(21)
         arr = rng.uniform(size=(8, 4, 3))
         parts = split_time(arr, 4, relfrob_config(1e-2))
         parts[1] = dataclasses.replace(parts[1], error_bound=None)
-        final = merge_tree(parts, 2, 3e-2)
+        final = merge_tree(parts, 3e-2)
         assert final.error_bound is None
         assert final.tolerance_spent == pytest.approx(3e-2, rel=1e-12)
         err = rel_frob(DenseTensor.from_numpy(arr), reconstruct_segment(final))
@@ -409,44 +445,56 @@ class TestMergeTree:
 
         monkeypatch.setattr(streaming, "merge_stack", no_merge)
         with pytest.raises(ConfigError):
-            merge_tree(parts, 2, 5e-3)
+            merge_tree(parts, 5e-3)
 
     @pytest.mark.parametrize("budget", [-1.0, float("nan"), float("inf")])
     def test_bad_budget_rejected(self, budget):
         rng = np.random.default_rng(23)
         parts = split_time(rng.uniform(size=(8, 4, 3)), 4, relfrob_config(0.0))
         with pytest.raises(ConfigError):
-            merge_tree(parts, 2, budget)
+            merge_tree(parts, budget)
         with pytest.raises(ConfigError):
-            merge_tree(parts[:1], 2, budget)
+            merge_tree(parts[:1], budget)
 
-    @pytest.mark.parametrize("n_seg, arity", [(4, 2), (3, 2), (5, 3)])
-    def test_no_budget_keeps_exact_stacks(self, n_seg, arity):
+    @pytest.mark.parametrize("n_seg, steps", [(4, 2), (3, 2), (5, 3)])
+    def test_no_budget_keeps_exact_stacks(self, n_seg, steps):
         rng = np.random.default_rng(24)
-        arr = rng.uniform(size=(2 * n_seg, 4, 3))
+        arr = rng.uniform(size=(n_seg * steps, 4, 3))
         parts = split_time(arr, n_seg, relfrob_config(1e-2))
         levels = []
-        merge_tree(parts, arity, on_level=levels.append)
-        for below, level in zip(levels, levels[1:]):
-            groups = list(streaming._groups(below, arity))
-            assert len(groups) == len(level)
-            for group, part in zip(groups, level):
-                exact = tt_stack_new([p.tt for p in group])
-                assert all(
-                    np.array_equal(a, b)
-                    for a, b in zip(part.tt.cores, exact.cores)
-                )
-                # the parts' norm-weighted tolerance, never above the worst
-                assert part.tolerance_spent == weighted_tolerance(group)
-                assert part.tolerance_spent <= max(
-                    p.tolerance_spent for p in group
-                )
+        final = merge_tree(parts, on_level=levels.append)
+        assert levels == [parts, [final]]
+        exact = tt_stack_new([p.tt for p in parts])
+        assert all(
+            np.array_equal(a, b) for a, b in zip(final.tt.cores, exact.cores)
+        )
+        # the parts' norm-weighted tolerance, never above the worst
+        assert final.tolerance_spent == weighted_tolerance(parts)
+        assert final.tolerance_spent <= max(p.tolerance_spent for p in parts)
         assert np.allclose(
-            reconstruct_segment(levels[-1][0]).to_numpy(),
+            reconstruct_segment(final).to_numpy(),
             np.concatenate([reconstruct_segment(p).to_numpy() for p in parts]),
             rtol=0,
             atol=1e-12 * np.linalg.norm(arr),
         )
+
+    def test_rounding_holds_no_original_cores(self, monkeypatch):
+        # segments handed over are let go once the merge has taken their
+        # trains, so the rounding holds the orthogonalized copies alone
+        rng = np.random.default_rng(25)
+        parts = split_time(rng.uniform(size=(8, 4, 3)), 4, relfrob_config(1e-2))
+        trains = [weakref.ref(p.tt) for p in parts]
+        honest = streaming._round_orthogonal
+        alive = []
+
+        def watch(*args):
+            alive.append(sum(ref() is not None for ref in trains))
+            return honest(*args)
+
+        monkeypatch.setattr(streaming, "_round_orthogonal", watch)
+        final = merge_tree((parts.pop(0) for _ in range(4)), 3e-2)
+        assert alive == [0]
+        assert final.stack_dims == (4,)
 
 
 class TestCompressRun:
@@ -465,12 +513,12 @@ class TestCompressRun:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert merged.stack_dims == (2, 2, 2, 2)
+        assert merged.stack_dims == (16,)
         assert peak < raw / 4
 
     def test_returns_only_the_merged_part(self):
-        # the segments and the levels above them are dropped as the merge
-        # goes on, and none outlives it
+        # the segments are dropped as the merge takes them, and none
+        # outlives it
         import tracemalloc
 
         batch = synth_particles(1024, 512, "settle", seed=3)
@@ -518,7 +566,7 @@ class TestCompressRun:
         assert max(s.tolerance_spent for s in levels[0]) > budget / 2
         assert weighted_tolerance(levels[0]) <= budget / 2
         final = levels[-1][0]
-        assert final.stack_dims == (2, 2, 2)
+        assert final.stack_dims == (8,)
         measured = nrmse(batch.data, reconstruct_segment(final))
         scale = (stats.x_max - stats.x_min) * np.sqrt(stats.entry_count)
         assert measured <= final.error_bound / scale <= 1e-2
@@ -628,15 +676,12 @@ def settle_run(n_seg, seed=3):
 class TestSpendLeftover:
     @pytest.mark.parametrize("kind", ["nrmse", "relfrob"])
     @pytest.mark.parametrize("n_seg", [3, 5, 40])
-    @pytest.mark.parametrize("arity", [2, 3])
-    def test_bound_covers_measured_error(self, kind, n_seg, arity):
-        batch = settle_run(n_seg)
+    @pytest.mark.parametrize("seed", [2, 3])
+    def test_bound_covers_measured_error(self, kind, n_seg, seed):
+        batch = settle_run(n_seg, seed)
         arr = batch.data.to_numpy()
         config = CompressionConfig(
-            tolerance=1e-2,
-            tolerance_kind=kind,
-            segment_length=16,
-            merge_arity=arity,
+            tolerance=1e-2, tolerance_kind=kind, segment_length=16
         )
         levels = []
         compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
@@ -659,14 +704,11 @@ class TestSpendLeftover:
         assert final.tolerance_spent <= target
 
     @pytest.mark.parametrize("kind", ["nrmse", "relfrob"])
-    @pytest.mark.parametrize("n_seg, arity", [(5, 2), (8, 2), (5, 3)])
-    def test_compress_run_is_one_merge_tree_pass(self, kind, n_seg, arity):
-        batch = settle_run(n_seg)
+    @pytest.mark.parametrize("n_seg, seed", [(5, 2), (8, 2), (5, 3)])
+    def test_compress_run_is_one_merge_tree_pass(self, kind, n_seg, seed):
+        batch = settle_run(n_seg, seed)
         config = CompressionConfig(
-            tolerance=1e-2,
-            tolerance_kind=kind,
-            segment_length=16,
-            merge_arity=arity,
+            tolerance=1e-2, tolerance_kind=kind, segment_length=16
         )
         levels = []
         compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
@@ -676,8 +718,11 @@ class TestSpendLeftover:
             stats = combine_stats(s.stats for s in levels[0])
             budget = nrmse_to_relfrob(config.tolerance, stats)
         again = []
-        merge_tree(levels[0], arity, budget, again.append)
-        assert [len(lv) for lv in again] == [len(lv) for lv in levels]
+        merge_tree(levels[0], budget, again.append)
+        assert [len(lv) for lv in again] == [len(lv) for lv in levels] == [
+            n_seg,
+            1,
+        ]
         for a_level, b_level in zip(levels, again):
             for a, b in zip(a_level, b_level):
                 assert a.tt.ranks == b.tt.ranks
@@ -695,11 +740,10 @@ class TestSpendLeftover:
         segments = levels[0]
         target = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
         levels = []
-        merge_tree(segments, 2, target, levels.append)
-        worst = max(s.tolerance_spent for s in segments)
-        schedule = plan_tau_schedule(target, worst, len(levels) - 1)
-        # the last level rounded at its planned share instead
-        planned = merge_stack(levels[-2], schedule[-1])
+        merge_tree(segments, target, levels.append)
+        # the merge rounded at its a-priori share instead
+        worst = streaming.combine_tolerances(segments)
+        planned = merge_stack(segments, (1 + target) / (1 + worst) - 1)
         spent = levels[-1][0]
         assert spent.tt.core_entry_count < planned.tt.core_entry_count
         budget = target * spent.stats.frobenius_norm
@@ -707,18 +751,11 @@ class TestSpendLeftover:
         assert spent.tolerance_spent == pytest.approx(
             spent.error_bound / spent.stats.frobenius_norm, rel=1e-12
         )
-        # the levels below the last round at the planned share
-        for tau, below, level in zip(schedule, levels, levels[1:-1]):
-            for group, part in zip(streaming._groups(below, 2), level):
-                again = merge_stack(group, tau)
-                assert all(
-                    np.array_equal(x, y)
-                    for x, y in zip(part.tt.cores, again.tt.cores)
-                )
+        assert planned.tolerance_spent == pytest.approx(target, rel=1e-12)
 
     def test_slack_past_the_budget_falls_back(self, monkeypatch):
-        # a ledger inflated past the budget at the last level keeps the
-        # planned rounding and its a-priori tolerance
+        # a ledger inflated past the budget keeps the planned rounding and
+        # its a-priori tolerance
         batch = settle_run(4)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
         expected = []
@@ -728,17 +765,17 @@ class TestSpendLeftover:
         budget = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
         calls = []
 
-        def inflated(t, tau, abs_budget=0.0):
+        def inflated(parts, tau, abs_budget=0.0):
             calls.append(abs_budget)
-            train, lost = honest(t, tau, abs_budget)
-            if abs_budget > 0:  # the spending round of the last level
+            train, lost = honest(parts, tau, abs_budget)
+            if abs_budget > 0:  # the spending round
                 lost += budget * np.linalg.norm(batch.data.values)
             return train, lost
 
         monkeypatch.setattr(streaming, "_round_orthogonal", inflated)
-        final = merge_tree(segments, 2, budget)
-        # two planned merges, the spending round, the planned round
-        assert len(calls) == 4 and calls[2] > 0 and calls[3] == 0
+        final = merge_tree(segments, budget)
+        # the spending round, then the planned round
+        assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
         assert final.tt.core_entry_count > expected[-1][0].tt.core_entry_count
         assert final.tolerance_spent <= budget * (1 + 1e-12)
 
@@ -752,7 +789,7 @@ class TestSpendLeftover:
         (final,) = compress_run(
             batch.time_slice, batch.n_t, config, on_level=levels.append
         )
-        assert len(levels) == 3 and final.error_bound == 0.0
+        assert len(levels) == 2 and final.error_bound == 0.0
         # the a-priori composition, as merge_tree checks it
         assert final.tolerance_spent <= tolerance * (1 + 1e-12)
         assert not reconstruct_segment(final).to_numpy().any()
@@ -765,7 +802,7 @@ def same_cores(a, b):
 
 
 class TestMergeStackBudget:
-    """``merge_stack(parts, tau, budget)`` on the last group of a merged
+    """``merge_stack(parts, tau, budget)`` on the segments of a merged
     settling run: the one call that spends what the ledger leaves."""
 
     @pytest.fixture(scope="class")
@@ -774,13 +811,12 @@ class TestMergeStackBudget:
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
         levels = []
         compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
-        stats = combine_stats(s.stats for s in levels[0])
+        group = levels[0]
+        stats = combine_stats(s.stats for s in group)
         budget = nrmse_to_relfrob(1e-2, stats)
-        schedule = plan_tau_schedule(
-            budget, streaming.combine_tolerances(levels[0]), len(levels) - 1
-        )
-        (group,) = streaming._groups(levels[-2], 2)
-        return group, schedule[-1], budget, levels[-1][0]
+        # merge_tree's one-level share
+        tau = (1 + budget) / (1 + streaming.combine_tolerances(group)) - 1
+        return group, tau, budget, levels[-1][0]
 
     def test_equals_the_merge_tree_part(self, last):
         group, tau, budget, final = last
@@ -826,13 +862,14 @@ class TestMergeStackBudget:
 
 
 class TestStackRounding:
-    """Rounding a stack of separately orthogonalized parts matches the
-    joint sweep of the stacked train."""
+    """Rounding a stack block by block, each part orthogonalized on its
+    own, matches :func:`tt_round`'s joint sweep of the stacked train."""
 
     @pytest.fixture(scope="class")
     def cases(self):
-        # segments of a settling run padded to 16 steps, a short one with
-        # an empty part filling its group, and the merged parts above them
+        # segments of a settling run padded to 16 steps, a short one next
+        # to an all-zero part that covers no steps, and two parts merged
+        # before (the layout of archives written by the nested merge)
         batch = settle_run(3)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
         levels = []
@@ -841,8 +878,11 @@ class TestStackRounding:
         return {
             "two": segs[:2],
             "three": segs,
-            "padded": [segs[2], streaming._empty_part(segs[2])],
-            "two-level": levels[1],
+            "padded": [segs[2], empty_part(segs[2])],
+            "two-level": [
+                merge_stack(segs[:2], 1e-3),
+                merge_stack([segs[2], empty_part(segs[2])], 1e-3),
+            ],
         }
 
     @pytest.mark.parametrize("case", ["two", "three", "padded", "two-level"])
@@ -854,7 +894,7 @@ class TestStackRounding:
         norm = np.linalg.norm(x)
         joint = tt_round(stacked, tau)
         per_part, lost = streaming._round_orthogonal(
-            streaming._orthogonal_stack(trains), tau
+            [_orthogonalize(t.cores) for t in trains], tau
         )
         assert per_part.ranks == joint.ranks
         y = tt_full(per_part).values
@@ -881,15 +921,31 @@ class TestStackRounding:
 
 
 class TestScheduling:
+    """:func:`merge_tree` rounds its one level at the share ``(1 + B) / (1
+    + t) - 1`` of the budget ``B`` over the segments' tolerance ``t``."""
+
+    @staticmethod
+    def segments(per_segment):
+        rng = np.random.default_rng(26)
+        parts = split_time(rng.uniform(size=(8, 4, 3)), 4, relfrob_config(0.0))
+        return [
+            dataclasses.replace(p, tolerance_spent=per_segment, error_bound=None)
+            for p in parts
+        ]
+
     def test_equal_factor_schedule(self):
         total, per_seg = 0.1, 0.05
-        taus = plan_tau_schedule(total, per_seg, 3)
-        assert len(taus) == 3
-        assert compose_tolerances(per_seg, taus) == pytest.approx(total, rel=1e-12)
+        final = merge_tree(self.segments(per_seg), total)
+        # without a ledger the a-priori composition is the part's budget
+        assert final.tolerance_spent == pytest.approx(total, rel=1e-12)
+        share = (1 + total) / (1 + per_seg) - 1
+        assert compose_tolerances(per_seg, [share]) == pytest.approx(
+            total, rel=1e-12
+        )
 
     def test_over_budget_rejected(self):
         with pytest.raises(ConfigError):
-            plan_tau_schedule(0.01, 0.02, 2)
+            merge_tree(self.segments(0.02), 0.01)
 
     @pytest.mark.parametrize(
         "total, per_segment",
@@ -897,8 +953,11 @@ class TestScheduling:
          (0.1, float("nan")), (0.1, -0.01)],
     )
     def test_bad_budget_rejected(self, total, per_segment):
-        with pytest.raises(ConfigError):
-            plan_tau_schedule(total, per_segment, 2)
+        # a bad budget fails in the merge, a bad segment tolerance as the
+        # segment record is built
+        error = ConfigError if per_segment >= 0 else StructureError
+        with pytest.raises(error):
+            merge_tree(self.segments(per_segment), total)
 
 
 def entry(seg, t, coords):
@@ -1014,9 +1073,10 @@ def assert_matches(got, want):
     assert np.abs(got - want).max() <= 1e-12 * scale
 
 
-def merged_ragged_segment(reorder="segment", n_seg=4, arity=2):
-    # segments of 4 steps, the last holding 2 real steps; four of them
-    # stack (2, 2), and other counts fill their last groups with empty parts
+def merged_ragged_segment(reorder="segment", n_seg=4, arity=None):
+    # segments of 4 steps, the last holding 2 real steps, stacked (n_seg,);
+    # with an arity, in the nested layout of older archives, whose short
+    # groups hold empty parts
     rng = np.random.default_rng(40)
     n_t = 4 * n_seg - 2
     arr = np.cumsum(rng.uniform(size=(n_t, 5, 3)), axis=0)
@@ -1034,7 +1094,9 @@ def merged_ragged_segment(reorder="segment", n_seg=4, arity=2):
         )
         for start in range(0, n_t, 4)
     ]
-    return merge_tree(parts, arity, 4e-3)
+    if arity:
+        return nested_merge(parts, arity, 1e-3)
+    return merge_tree(parts, 4e-3)
 
 
 def interlaced_segment():
@@ -1067,7 +1129,7 @@ READ_CASES = {
     "untensorized": lambda: single_segment((8, 6, 3), tensorize=False),
     "merged-ragged": merged_ragged_segment,
     "merged-ragged-none": lambda: merged_ragged_segment("none"),
-    "merged-3-arity-2": lambda: merged_ragged_segment(n_seg=3),
+    "merged-3-arity-2": lambda: merged_ragged_segment(n_seg=3, arity=2),
     "merged-5-arity-3": lambda: merged_ragged_segment(n_seg=5, arity=3),
     "interlaced": interlaced_segment,
 }
@@ -1099,22 +1161,21 @@ def run_segments(n_p, reorder, lengths=(4, 4, 4, 2), pinned=True):
     ]
 
 
-def merged_levels(n_p):
-    """The merge levels of :func:`run_segments` under one ordering."""
-    levels = []
-    merge_tree(run_segments(n_p, "segment"), 2, 4e-3, levels.append)
-    return levels
+def merged_halves(n_p):
+    """:func:`run_segments` under one ordering, merged two by two."""
+    segs = run_segments(n_p, "segment")
+    return [merge_stack(segs[:2], 1e-3), merge_stack(segs[2:], 1e-3)]
 
 
 # the segments that one ``ttc reconstruct`` call turns into one .dt64
 RUN_CASES = {
     # two merged parts of a run with 7 particles, padded to 8
-    "merged-padded-particles": lambda: merged_levels(7)[1],
+    "merged-padded-particles": lambda: merged_halves(7),
     # unmerged segments, each with its own Morton permutation
     "own-permutations": lambda: run_segments(5, "segment", pinned=False),
     "interlaced": lambda: [interlaced_segment()],
     # one archive whose last leaf holds 2 of 4 steps
-    "short-last-leaf": lambda: merged_levels(7)[-1],
+    "short-last-leaf": lambda: [merge_tree(run_segments(7, "segment"), 4e-3)],
 }
 
 
@@ -1214,13 +1275,18 @@ class TestBatchedReadPath:
 
 
 
-def streamed_run(n_p=12, merge=True, **cfg_kwargs):
+def streamed_run(n_p=12, merge=True, arity=None):
     """The parts ``ttc compress`` stores for a 44-step settling run in
-    8-step segments: the last segment holds 4 steps, so merged archives
-    have empty parts and zero-extent leaves."""
+    8-step segments: the last segment holds 4 steps.  With an arity, its
+    segments merged in the nested layout of older archives, which have
+    empty parts and zero-extent leaves."""
     batch = synth_particles(n_p, 44, "settle", seed=9)
-    cfg = CompressionConfig(tolerance=1e-3, segment_length=8, **cfg_kwargs)
-    return compress_run(batch.time_slice, batch.n_t, cfg, merge)
+    cfg = CompressionConfig(tolerance=1e-3, segment_length=8)
+    if arity is None:
+        return compress_run(batch.time_slice, batch.n_t, cfg, merge)
+    levels = []
+    compress_run(batch.time_slice, batch.n_t, cfg, on_level=levels.append)
+    return [nested_merge(levels[0], arity, 1e-4)]
 
 
 def dt64_archive():
@@ -1234,7 +1300,7 @@ def dt64_archive():
 STORED_RUNS = {
     "merged-short-last": streamed_run,
     "merged-padded-particles": lambda: streamed_run(n_p=7),
-    "merge-arity-3": lambda: streamed_run(merge_arity=3),
+    "merge-arity-3": lambda: streamed_run(arity=3),
     "no-merge": lambda: streamed_run(merge=False),
     "dt64-input": dt64_archive,
 }
@@ -1371,6 +1437,40 @@ class TestRegionIndexMap:
 
 
 class TestStoreRoundtrip:
+    def test_nested_archive_still_reads(self, tmp_path, capsys):
+        # archives written before the one-level merge stack binary levels;
+        # every read decodes them as it did
+        batch = synth_particles(12, 60, "settle", seed=9)
+        cfg = CompressionConfig(tolerance=1e-3, segment_length=8)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, cfg, on_level=levels.append)
+        seg = nested_merge(levels[0], 2, 1e-4)
+        assert seg.stack_dims == (2, 2, 2)
+        assert seg.part_time_extents == (8,) * 7 + (4,)
+        path = save_segment(tmp_path, seg)
+        # the reference: the train's leaves through tt_full, each mapped
+        # back to the run by the plan and the particle order
+        full = tt_full(seg.tt).values.reshape(seg.tt.dims, order="F")
+        leaves = full.reshape(full.shape[: -3] + (-1,), order="F")
+        plan_dims = seg.plan.tensorized_dims()
+        want = np.empty((60,) + seg.plan.original_dims[1:])
+        for leaf, extent in enumerate(seg.part_time_extents):
+            block = DenseTensor(plan_dims, leaves[..., leaf].reshape(-1, order="F"))
+            sorted_block = invert_plan(block, seg.plan).to_numpy()[:extent]
+            want[8 * leaf : 8 * leaf + extent][:, seg.permutations] = sorted_block
+        out = tmp_path / "run.dt64"
+        assert main(["reconstruct", path, "-o", str(out)]) == 0
+        assert_matches(read_dt64(out).to_numpy(), want)
+        assert_matches(reconstruct_segment(load_segment(path)).to_numpy(), want)
+        box = [(5, 59), (2, 11), (1, 3)]
+        got = reconstruct_region(load_segment(path), box).to_numpy()
+        assert_matches(got, want[4:59, 1:11, 0:3])
+        capsys.readouterr()
+        assert main(["info", path, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["stack_dims"] == [2, 2, 2]
+        assert payload["train_dims"] == list(seg.tt.dims)
+
     def test_error_bound_roundtrip(self, tmp_path):
         batch = synth_particles(12, 8, "settle", seed=28)
         cfg = CompressionConfig(tolerance=0.05, tolerance_kind="nrmse")

@@ -32,7 +32,7 @@ from ttcompress.tt import _orthogonalize, _round_orthogonal, _tt_svd
 
 def rounded_with_loss(t, tau):
     """The two sweeps of tt_round, and the loss their truncations certify."""
-    return _round_orthogonal(TTTensor(tuple(_orthogonalize(t.cores))), tau)
+    return _round_orthogonal([_orthogonalize(t.cores)], tau, stacked=False)
 
 
 def random_tensor(rng, dims):
@@ -198,6 +198,59 @@ class TestTTRound:
         once = tt_round(inflated, 1e-4)
         twice = tt_round(once, 1e-4)
         assert twice.ranks == once.ranks
+
+
+def oracle_parts(name, rng):
+    """Parts of equal dims for :class:`TestBlockwiseRounding`: ranks that
+    differ, sizes spread over decades, an all-zero part, and parts that
+    are stacks themselves."""
+    dims = (3, 4, 2, 3)
+    parts = []
+    for i in range(7):
+        cores = random_tt(rng, dims, 1 + i % 4).cores
+        parts.append(TTTensor((10.0 ** -(i % 4) * cores[0],) + cores[1:]))
+    if name == "zero-part":
+        return [parts[1], zero_tt(dims), parts[2]]
+    if name == "nested":
+        return [
+            tt_round(tt_stack_new(parts[:2]), 1e-3),
+            tt_stack_new(parts[2:4]),
+            tt_round(tt_stack_new(parts[4:6]), 1e-1),
+        ]
+    return parts[: int(name)]
+
+
+class TestBlockwiseRounding:
+    """The merge's sweep over the parts' blocks against a dense oracle:
+    the same greedy sweep over the joint QR sweep of the stack."""
+
+    @pytest.mark.parametrize("name", ["1", "2", "3", "7", "zero-part", "nested"])
+    @pytest.mark.parametrize(
+        "tau, share", [(1e-1, 0.0), (1e-3, 0.0), (0.0, 1e-2), (1e-3, 1e-1)]
+    )
+    def test_matches_dense_oracle(self, name, tau, share):
+        rng = np.random.default_rng(11)
+        parts = oracle_parts(name, rng)
+        stacked = tt_stack_new(parts)
+        x = tt_full(stacked).values
+        norm = float(np.linalg.norm(x))
+        abs_budget = share * norm
+        oracle, _ = _round_orthogonal(
+            [_orthogonalize(stacked.cores)], tau, abs_budget, stacked=False
+        )
+        blocks, lost = _round_orthogonal(
+            [_orthogonalize(p.cores) for p in parts], tau, abs_budget
+        )
+        assert blocks.dims == stacked.dims
+        assert blocks.ranks == oracle.ranks
+        y = tt_full(blocks).values
+        assert np.linalg.norm(y - tt_full(oracle).values) <= 1e-12 * norm
+        err = float(np.linalg.norm(x - y))
+        assert err <= lost + 1e-12 * norm
+        assert lost <= max(tau * norm, abs_budget) + 1e-12 * norm
+        # a loose budget truncates, so the check has something to see
+        if len(parts) > 1 and (tau == 1e-1 or share == 1e-1):
+            assert sum(blocks.ranks) < sum(stacked.ranks)
 
 
 class TestCertifiedLoss:
