@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .dense import DenseTensor
 from .errors import ConfigError, IndexRangeError, IngestionError, TTCompressError
-from .formats import read_dt64, write_dt64
+from .formats import _replacing, read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
 from .metrics import rel_frob, write_csv
 from .streaming import (
@@ -63,9 +63,11 @@ def _config_from_args(args) -> CompressionConfig:
 
 
 def _write_manifest(outdir, payload) -> str:
+    """Write ``manifest.json`` beside its old copy, which it replaces only
+    once complete (:func:`formats._replacing`)."""
     path = os.path.join(outdir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
+    with _replacing(path) as fh:
+        fh.write(json.dumps(payload, sort_keys=True, indent=2).encode("ascii"))
     return path
 
 
@@ -392,7 +394,9 @@ def bench_streaming(args):
         batch.time_slice, n_t, dataclasses.replace(config, tensorize=False),
         on_level=lambda segs: flat.append(_overall_ratio(segs)),
     )
-    rows[0]["overall_ratio_untensorized"] = flat[0]
+    # the segments' ratio, then the merged run's when there is one
+    for row, ratio in zip(rows, flat):
+        row["overall_ratio_untensorized"] = ratio
     columns = [
         "study",
         "level",

@@ -17,23 +17,22 @@ factored by a QR of its long side, and the SVD sees only the small
 triangular factor; every route carries the projection ``U^T M`` of the
 matrix on the kept vectors into the next core.
 
-Every SVD is numpy's (LAPACK ``gesdd``), whatever the budget.  Importing
-this module runs every OpenBLAS loaded in the process on one thread (see
-:func:`_pin_blas_threads`).  scipy is imported only when ``gesdd`` fails
-to converge, for its ``gesvd`` driver, and the OpenBLAS it brings is then
-pinned the same way; reading archives never loads it, and neither does a
-compression whose SVDs all converge.
+Every SVD is numpy's (LAPACK ``gesdd``), whatever the budget; when it
+fails to converge, :func:`_svd` retries on the transpose and then runs a
+one-sided Jacobi SVD, so numpy is the only dependency.  Importing this
+module runs every OpenBLAS loaded in the process on one thread (see
+:func:`_pin_blas_threads`).
 """
 
 import ctypes
-import functools
 import math
 import os
+import re
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, TTCompressError
 
 # A matrix whose truncation budget is at least this multiple of its
 # Frobenius norm is truncated through the Gram matrix of its smaller side.
@@ -55,14 +54,25 @@ _RANGE_SEED = 0
 _FACTOR_FIRST_ASPECT = 2
 _EPS = float(np.finfo(np.float64).eps)
 
-# the C entry points of numpy's and scipy's OpenBLAS builds (scipy-openblas,
-# 64-bit integer and 32-bit integer) and of a plain OpenBLAS
-_OPENBLAS_SET_THREADS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
+# A one-sided Jacobi SVD that has not converged in this many sweeps gives
+# up; on graded spectra down to 1e-15 it took 13 at 256 x 256.
+_JACOBI_MAX_SWEEPS = 60
+
+
+def _set_threads_symbols(path: str):
+    """Names an OpenBLAS library at ``path`` may give its thread-count
+    entry point.  A build that adds a prefix or an integer-width suffix to
+    ``openblas`` in its file name, as numpy's wheels do, adds the same to
+    its symbols (``lib<p>openblas<s>.so`` exports
+    ``<p>openblas_set_num_threads<s>``); plain builds export one of the
+    last two names."""
+    stem = re.split(r"[-.]", os.path.basename(path).removeprefix("lib"), maxsplit=1)[0]
+    prefix, _, suffix = stem.partition("openblas")
+    return (
+        f"{prefix}openblas_set_num_threads{suffix}",
+        "openblas_set_num_threads64_",
+        "openblas_set_num_threads",
+    )
 
 
 def _pin_blas_threads() -> None:
@@ -92,7 +102,7 @@ def _pin_blas_threads() -> None:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for symbol in _OPENBLAS_SET_THREADS:
+        for symbol in _set_threads_symbols(path):
             set_threads = getattr(lib, symbol, None)
             if set_threads is not None:
                 set_threads.argtypes = [ctypes.c_int]
@@ -104,29 +114,88 @@ def _pin_blas_threads() -> None:
 _pin_blas_threads()
 
 
-@functools.cache
-def _scipy_svd():
-    # scipy takes about 0.3 s and 22 MB to import, and only the fallback
-    # below needs it; the OpenBLAS it brings is new to the process, so it
-    # is pinned like the ones loaded before
-    import scipy.linalg
-
-    _pin_blas_threads()
-    return scipy.linalg.svd
-
-
 def _svd(arr: np.ndarray):
     """Thin SVD ``(U, s, V^T)`` through numpy's ``gesdd``, the one
     driver for every budget (see :func:`_exact_truncation`).
 
     Divide and conquer can fail to converge, which numpy reports as
-    ``LinAlgError``; scipy's QR-iteration driver ``gesvd`` then takes the
-    matrix.
+    ``LinAlgError``; the same call on ``M^T`` then takes the matrix, and
+    should that fail too, :func:`_jacobi_svd` does.
     """
     try:
         return np.linalg.svd(arr, full_matrices=False)
     except np.linalg.LinAlgError:
-        return _scipy_svd()(arr, full_matrices=False, lapack_driver="gesvd")
+        pass
+    try:
+        v, s, ut = np.linalg.svd(arr.T, full_matrices=False)
+    except np.linalg.LinAlgError:
+        return _jacobi_svd(arr)
+    return ut.T, s, v.T
+
+
+def _jacobi_svd(arr: np.ndarray):
+    """Thin SVD ``(U, s, V^T)`` by one-sided (Hestenes) Jacobi rotations.
+
+    Of ``M`` and ``M^T``, the one with at least as many rows as columns,
+    ``T = Q_0 R``, is first reduced by a Householder QR, and the ``n``
+    columns of ``X = R^T`` are rotated in round-robin rounds of disjoint
+    pairs, each round's pairs at once; a pair is rotated while
+    ``|x_i^T x_j| > sqrt(n) eps ||x_i|| ||x_j||``.  This always converges
+    and is accurate (Demmel & Veselic, 1992), and the QR makes it
+    converge in a few sweeps where the spectrum is graded, but every
+    sweep passes over the whole matrix, so it serves only when ``gesdd``
+    fails.  The singular values are the final column norms.
+    Sorted by norm, the rotated columns' Householder ``Q`` gives ``T``'s
+    right vectors, orthonormal even where columns are zero, and ``Q_0``
+    times the accumulated rotations its left ones.
+    """
+    wide = arr.shape[0] < arr.shape[1]
+    q0, r = np.linalg.qr(arr.T if wide else arr)
+    # entries scaled to at most 1, so no square under- or overflows, and
+    # products below sqrt(n) eps^2 count as orthogonal: that far under the
+    # largest entry, no rotation changes what the SVD's rounding does not
+    scale = float(np.max(np.abs(r), initial=0.0)) or 1.0
+    x, n = r.T / scale, r.shape[0]
+    # the rounding of an n-term inner product, as LAPACK's dgesvj takes
+    # it; at eps itself, rotations that change nothing can cycle
+    tol = math.sqrt(n) * _EPS
+    v = np.eye(n)
+    # the circle method: index n is a bye when n is odd
+    ring, rounds = np.arange(n + n % 2), []
+    for _ in range(len(ring) - 1):
+        p, q = ring[: len(ring) // 2], ring[::-1][: len(ring) // 2]
+        rounds.append((p[(p < n) & (q < n)], q[(p < n) & (q < n)]))
+        ring = np.concatenate([ring[:1], np.roll(ring[1:], 1)])
+    for _ in range(_JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q in rounds:
+            xp, xq = x[:, p], x[:, q]
+            alpha, beta = np.sum(xp * xp, axis=0), np.sum(xq * xq, axis=0)
+            gamma = np.sum(xp * xq, axis=0)
+            hit = np.abs(gamma) > tol * np.maximum(np.sqrt(alpha * beta), _EPS)
+            if not hit.any():
+                continue
+            rotated = True
+            p, q = p[hit], q[hit]
+            zeta = (beta[hit] - alpha[hit]) / (2 * gamma[hit])
+            t = np.copysign(1.0, zeta) / (np.abs(zeta) + np.hypot(1.0, zeta))
+            c = 1 / np.sqrt(1 + t * t)
+            for m in (x, v):
+                mp, mq = m[:, p], m[:, q]
+                m[:, p], m[:, q] = c * mp - c * t * mq, c * t * mp + c * mq
+        if not rotated:
+            break
+    else:
+        raise TTCompressError(
+            f"Jacobi SVD of a {arr.shape[0]} x {arr.shape[1]} matrix did not "
+            f"converge in {_JACOBI_MAX_SWEEPS} sweeps"
+        )
+    s = np.linalg.norm(x, axis=0) * scale
+    order = np.argsort(-s, kind="stable")
+    q, r = np.linalg.qr(x[:, order])
+    right = q * np.where(np.diag(r) < 0, -1.0, 1.0)
+    left = q0 @ v[:, order]
+    return (right, s[order], left.T) if wide else (left, s[order], right.T)
 
 
 def svd_truncation_rank(singular_values: np.ndarray, delta: float) -> int:
@@ -176,7 +245,9 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     the small singular values, so a budget near ``eps * ||M||`` needs no
     more accurate driver.  ``U``'s columns are orthonormal only to about
     ``eps``, which leaves ``U (U^T U - I) diag(s_r)`` of the kept part,
-    orthogonal to the tail, in the error.
+    orthogonal to the tail, in the error.  The same certificate holds
+    when :func:`_svd` falls back to the transpose or to Jacobi rotations,
+    whose ``U`` is measured the same way.
     """
     rows, cols = arr.shape
     if cols >= _FACTOR_FIRST_ASPECT * rows:
@@ -253,6 +324,7 @@ def _range_truncation(arr: np.ndarray, delta: float, norm: float):
         resid = q @ b
         resid -= arr  # the norm ignores the sign; one m x n temporary
         res = float(np.linalg.norm(resid))
+        del resid  # freed before the next sketch makes its own
         if res * res <= delta * delta / 2:
             budget = math.sqrt(delta * delta - res * res)
             u, w, lost = _direct_truncation(b, budget, float(np.linalg.norm(b)))
@@ -300,10 +372,11 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
       cheaper than an SVD when that side is short; the error is checked
       afterwards and the SVD runs instead when it exceeds ``delta``.
     * SVD: smaller budgets, zero among them, and the zero matrix go to
-      numpy's ``gesdd`` (scipy's ``gesvd`` serves only when it fails to
-      converge).  A matrix at least twice as wide as it is tall is first
-      factored by a QR of its long side, and the SVD sees only the small
-      triangular factor (:func:`_exact_truncation`).  ``W`` is ``U^T M``,
+      numpy's ``gesdd`` (:func:`_svd`; when it fails to converge, on the
+      transpose and then by Jacobi rotations).  A matrix at least twice
+      as wide as it is tall is first factored by a QR of its long side,
+      and the SVD sees only the small triangular factor
+      (:func:`_exact_truncation`).  ``W`` is ``U^T M``,
       not ``diag(s) V^T``, whose rounding would reach the next core.
 
     ``discarded_energy`` is ``||M - U W||_F``.  On the Gram path it is a

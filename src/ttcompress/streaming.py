@@ -366,7 +366,8 @@ def build_plan(
     The leading ``n_split`` axes are factored into small primes (padding
     by replication when an extent will not factor) and keep
     ``config.level`` tree levels as dimensions (None: all of them; a
-    larger level is capped).  Later axes, and every axis when
+    larger level is capped).  Later axes, every axis at level 1 (whose
+    one dimension would be the whole padded extent) and every axis when
     tensorization is off, stay whole.  ``pad_time_to`` grows a short
     segment to a common length so the segments of one run share a shape
     and can be merged.
@@ -381,7 +382,7 @@ def build_plan(
     axis_factors, axis_levels, pads = [], [], []
     for ax, extent in enumerate(dims):
         target = t_target if ax == 0 else extent
-        if config.tensorize and ax < n_split:
+        if config.tensorize and ax < n_split and config.level != 1:
             factors = factor_dims(target, config.max_factor)
             if factors is None:
                 target = next_factorable(target, config.max_factor)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ttcompress
-from ttcompress import streaming
+from ttcompress import lowrank, streaming
 from ttcompress import (
     CompressionConfig,
     DenseTensor,
@@ -295,6 +295,23 @@ class TestCompress:
         assert "timestep 39" in capsys.readouterr().err
         assert not list(out.rglob("*.ttc"))
 
+    def test_failed_manifest_keeps_the_old_one(
+        self, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        out = tmp_path / "out"
+        assert main(["compress", run_dir, "-o", str(out)]) == 0
+        before = (out / "manifest.json").read_bytes()
+        payload = json.loads(before)
+        assert before == json.dumps(payload, sort_keys=True, indent=2).encode()
+        # a value JSON cannot encode, sorted after most of the manifest
+        monkeypatch.setattr(
+            cli_module, "_certified", lambda parts: {"certified_nrmse": object()}
+        )
+        assert main(["compress", run_dir, "-o", str(out)]) != 0
+        assert "not JSON serializable" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == before
+        assert sorted(os.listdir(out)) == ["manifest.json", "seg_0_39.ttc"]
+
     def test_oversized_run_header_exits_two(self, run_dir, tmp_path, capsys):
         # the step files cannot hold what the header claims: caught from
         # their sizes, before anything is allocated
@@ -493,6 +510,29 @@ class TestCompress:
         assert len(archives) == 3
         for path in archives:
             assert load_segment(path).plan.axis_levels == (2, 2, 1)
+
+    def test_level_one_keeps_axes_whole(self, tmp_path):
+        # 1021 particles factor only once padded to 1024; at level 1 the
+        # particle axis is one dimension, so padding it would only store
+        # replicated rows in every core
+        run = settling_run(tmp_path / "run", 4, 1021, 64)
+        trains = {}
+        for name, flags in [("level-1", ["--level", "1"]),
+                            ("flat", ["--no-tensorize"]), ("default", [])]:
+            out = tmp_path / name
+            code = main(
+                ["compress", run, "-o", str(out), "--tolerance", "1e-2",
+                 "--segment-length", "32"] + flags
+            )
+            assert code == 0
+            trains[name] = load_segment(out / "seg_0_63.ttc")
+        assert trains["level-1"].tt.dims == trains["flat"].tt.dims == (32, 1021, 3, 2)
+        assert trains["level-1"].plan.pads == ()
+        for a, b in zip(trains["level-1"].tt.cores, trains["flat"].tt.cores):
+            assert np.array_equal(a, b)
+        # the default level still splits the padded particle axis
+        (pad,) = trains["default"].plan.pads
+        assert (pad.original, pad.padded) == (1021, 1024)
 
     @pytest.mark.parametrize("level", ["0", "-1"])
     @pytest.mark.parametrize("flags", [["--no-tensorize"], []])
@@ -780,10 +820,14 @@ class TestReconstruct:
 
 
 def run_fresh(code, *args):
-    """Run ``code`` with ``args`` in a fresh interpreter that imports this
-    package."""
+    """stdout of ``code`` run with ``args`` in a fresh interpreter that
+    imports this checkout's package, with no BLAS thread count in its
+    environment."""
     src = os.path.dirname(os.path.dirname(ttcompress.__file__))
-    env = dict(os.environ)
+    env = {
+        k: v for k, v in os.environ.items()
+        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    }
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
     )
@@ -792,73 +836,87 @@ def run_fresh(code, *args):
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
-class TestReadsStayScipyFree:
-    """scipy serves only the fallback of an SVD that numpy's gesdd fails
-    to converge on, and reading an archive runs no SVD at all."""
+# Blocks scipy, so that importing it raises, then compresses a run
+# (merged and not) and a .dt64, reads them back, and truncates one matrix
+# with numpy's SVD failing.  The last line printed holds the truncation's
+# error, certificate and norm and the thread count each loaded OpenBLAS
+# reports of itself.
+NUMPY_ONLY = """
+import ctypes, json, os, sys
+sys.modules["scipy"] = None
+import numpy as np
+from ttcompress import lowrank
+from ttcompress.cli import main
 
-    COMMAND = (
-        "import sys; from ttcompress.cli import main; code = main(sys.argv[1:]); "
-        "assert 'scipy' not in sys.modules, 'scipy was imported'; sys.exit(code)"
-    )
+run, dt64, work = sys.argv[1:]
+out, flat, tight = (os.path.join(work, d) for d in ("out", "flat", "tight"))
+archive = os.path.join(out, "seg_0_99.ttc")
+compress = ["compress", run, "--tolerance", "1e-2", "--segment-length", "16"]
+for argv in (
+    compress + ["-o", out],
+    compress + ["-o", flat, "--no-merge"],
+    ["compress", dt64, "-o", tight, "--tolerance", "1e-12",
+     "--tolerance-kind", "relfrob"],
+    ["reconstruct", archive, "-o", os.path.join(work, "file.dt64")],
+    ["reconstruct", os.path.join(flat, "segments"), "-o",
+     os.path.join(work, "dir.dt64")],
+    ["reconstruct", archive, "-o", os.path.join(work, "region.dt64"),
+     "--region", "2:9,3:40,1:3"],
+    ["info", archive, "--json"],
+):
+    assert main(argv) == 0, argv
 
-    @pytest.mark.parametrize("command", ["file", "dir", "region", "info"])
-    def test_command(self, run_dir, tmp_path, command):
-        out = str(tmp_path / "out")
-        args = ["compress", run_dir, "-o", out, "--segment-length", "16"]
-        assert main(args) == 0
-        assert main(args + ["--no-merge"]) == 0
-        archive = os.path.join(out, "seg_0_39.ttc")
-        dt64 = str(tmp_path / "out.dt64")
-        argv = {
-            "file": ["reconstruct", archive, "-o", dt64],
-            "dir": ["reconstruct", os.path.join(out, "segments"), "-o", dt64],
-            "region": ["reconstruct", archive, "-o", dt64, "--region", "2:9,3:40,1:3"],
-            "info": ["info", archive, "--json"],
-        }[command]
-        run_fresh(self.COMMAND, *argv)
+def no_convergence(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
 
-    def test_load_segment_and_region(self, run_dir, tmp_path):
-        out = str(tmp_path / "out")
-        assert main(["compress", run_dir, "-o", out]) == 0
-        run_fresh(
-            "import sys; from ttcompress import load_segment, reconstruct_region; "
-            "seg = load_segment(sys.argv[1]); "
-            "reconstruct_region(seg, [(1, 40), (5, 9), (2, 3)]); "
-            "assert 'scipy' not in sys.modules, 'scipy was imported'",
-            os.path.join(out, "seg_0_39.ttc"),
-        )
+np.linalg.svd = no_convergence
+rng = np.random.default_rng(21)
+u0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
+v0, _ = np.linalg.qr(rng.standard_normal((400, 16)))
+m = (u0 * 0.1 ** np.arange(16)) @ v0.T
+norm = float(np.linalg.norm(m))
+u, w, discarded = lowrank._truncated_svd_arrays(m, 1e-13 * norm)
+err = float(np.linalg.norm(m - u @ w))
+found = {}
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as fh:
+        paths = {f[5] for f in map(str.split, fh)
+                 if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_",
+                       "scipy_openblas_get_num_threads",
+                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
+            get_threads = getattr(lib, symbol, None)
+            if get_threads is not None:
+                get_threads.restype = ctypes.c_int
+                found[os.path.basename(path)] = get_threads()
+                break
+print(json.dumps({"err": err, "discarded": discarded, "norm": norm,
+                  "threads": found}))
+"""
 
 
-class TestCompressStaysScipyFree:
-    """Compressing never imports scipy: at nRMSE 1e-2 every truncation
-    budget takes the Gram route, wide or tall, and smaller budgets take
-    numpy's SVD."""
-
-    def test_merged_settling_run(self, tmp_path):
-        run = settling_run(tmp_path / "run", 3, 64, 100)
-        out = str(tmp_path / "out")
-        run_fresh(
-            TestReadsStayScipyFree.COMMAND,
-            "compress", run, "-o", out, "--tolerance", "1e-2",
-            "--segment-length", "16",
-        )
-        merged = load_segment(os.path.join(out, "seg_0_99.ttc"))
-        assert merged.stack_dims == (7,)
-
-    def test_tight_dt64(self, tmp_path):
-        rng = np.random.default_rng(6)
-        t = DenseTensor.from_numpy(rng.uniform(size=(16, 8, 3)))
-        src = str(tmp_path / "in.dt64")
-        write_dt64(src, t.dims, [t.values])
-        out = str(tmp_path / "out")
-        run_fresh(
-            TestReadsStayScipyFree.COMMAND,
-            "compress", src, "-o", out, "--tolerance", "1e-12",
-            "--tolerance-kind", "relfrob",
-        )
-        assert 0.0 < read_manifest(out)["metrics"]["certified_rel_frob"] <= 1e-12
+def test_numpy_only(tmp_path):
+    """Every command runs with scipy unimportable, a failing ``gesdd``
+    falls back within the SVD route's certificate, and importing the
+    package runs every OpenBLAS it loads on one thread."""
+    run = settling_run(tmp_path / "run", 3, 64, 100)
+    rng = np.random.default_rng(6)
+    t = DenseTensor.from_numpy(rng.uniform(size=(16, 8, 3)))
+    dt64 = str(tmp_path / "in.dt64")
+    write_dt64(dt64, t.dims, [t.values])
+    stdout = run_fresh(NUMPY_ONLY, run, dt64, str(tmp_path))
+    got = json.loads(stdout.splitlines()[-1])
+    merged = load_segment(str(tmp_path / "out" / "seg_0_99.ttc"))
+    assert merged.stack_dims == (7,)
+    certified = read_manifest(tmp_path / "tight")["metrics"]["certified_rel_frob"]
+    assert 0.0 < certified <= 1e-12
+    assert got["err"] <= got["discarded"] + 4 * lowrank._EPS * got["norm"]
+    assert got["threads"] == {name: 1 for name in got["threads"]}
 
 
 class TestInfo:
@@ -1068,7 +1126,18 @@ class TestBench:
         levels = []
         compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
         assert len(levels) == len(rows)
-        for row, level in zip(rows, levels):
+        flat = []
+        compress_run(
+            batch.time_slice, batch.n_t,
+            CompressionConfig(tolerance=0.1, segment_length=8, tensorize=False),
+            on_level=flat.append,
+        )
+        assert len(flat) == len(rows)
+        for row, level, untensorized in zip(rows, levels, flat):
             measured = nrmse(batch.data, reconstruct_segments(level))
             assert float(row["overall_nrmse"]) == pytest.approx(measured, rel=1e-12)
             assert measured <= 0.1
+            # each row's untensorized ratio is its own level's
+            assert float(row["overall_ratio_untensorized"]) == pytest.approx(
+                cli_module._overall_ratio(untensorized), rel=1e-12
+            )

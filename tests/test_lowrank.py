@@ -1,16 +1,22 @@
-import json
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
-import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
-import ttcompress
-from ttcompress import ConfigError, DataError, lowrank, spectral_norm_estimate
-from ttcompress.lowrank import _truncated_svd_arrays, svd_truncation_rank
+from ttcompress import (
+    ConfigError,
+    DataError,
+    TTCompressError,
+    lowrank,
+    rel_frob,
+    sample_kernel_matrix,
+    spectral_norm_estimate,
+    tensorize_matrix_interlaced,
+    tt_full,
+)
+from ttcompress.lowrank import _jacobi_svd, _truncated_svd_arrays, svd_truncation_rank
+from ttcompress.tt import _tt_svd
 
 
 def matrix_with_spectrum(rng, sigma, cols):
@@ -137,7 +143,7 @@ class TestGramTruncation:
         assert discarded == pytest.approx(err, abs=1e-6 * norm)
         gram = u.T @ u
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
-        gesdd = scipy.linalg.svd(m, compute_uv=False, lapack_driver="gesdd")
+        gesdd = np.linalg.svd(m, compute_uv=False)
         assert u.shape[1] == svd_truncation_rank(gesdd, delta) == keep
 
     @pytest.mark.parametrize("spectrum", sorted(SPECTRA))
@@ -251,7 +257,7 @@ class TestSVDRoute:
         # measuring the error rounds too, by a few eps * ||M||
         err = np.linalg.norm(m - u @ w)
         assert err <= discarded + 4 * lowrank._EPS * norm
-        sigma = scipy.linalg.svd(m, compute_uv=False)
+        sigma = np.linalg.svd(m, compute_uv=False)
         assert u.shape[1] == svd_truncation_rank(sigma, delta) == keep
 
     @pytest.mark.skipif(
@@ -366,115 +372,109 @@ class TestRangeTruncation:
         err = np.linalg.norm(m - u @ w)
         assert err <= discarded + 4 * lowrank._EPS * norm
 
-    def test_gram_budget_leaves_scipy_unloaded(self):
-        assert run_fresh(RANGE_WITHOUT_SCIPY).split() == ["16", "False"]
+
+def failing_svd(monkeypatch, failures):
+    """Make ``np.linalg.svd`` raise ``LinAlgError`` on its first
+    ``failures`` calls (``math.inf``: on every call); returns the shapes
+    of the matrices it was handed."""
+    svd = np.linalg.svd
+    calls = []
+
+    def patched(arr, *args, **kwargs):
+        calls.append(arr.shape)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", patched)
+    return calls
 
 
-def run_fresh(script):
-    """stdout of ``script`` run in a fresh interpreter that imports this
-    checkout's ttcompress, with no BLAS thread count in its environment."""
-    src = os.path.dirname(os.path.dirname(ttcompress.__file__))
-    env = {
-        k: v for k, v in os.environ.items()
-        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    }
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+class TestSVDFallback:
+    """When ``gesdd`` fails to converge, :func:`lowrank._svd` retries on
+    the transpose, then runs a one-sided Jacobi SVD; either keeps the
+    SVD route's certificate."""
+
+    @staticmethod
+    def graded(shape, zero_cols=0):
+        """Singular values ``10^(-1.5 i)``, so that the budgets 1e-8 and
+        1e-14 times the norm fall at least a factor 3 from every tail
+        energy; ``zero_cols`` trailing zero columns, for which every
+        driver returns exact zero singular values."""
+        rows, cols = shape
+        rank = min(rows, cols - zero_cols)
+        rng = np.random.default_rng([rows, cols, zero_cols])
+        u, _ = np.linalg.qr(rng.standard_normal((rows, rank)))
+        v, _ = np.linalg.qr(rng.standard_normal((cols - zero_cols, rank)))
+        m = np.zeros(shape)
+        m[:, : cols - zero_cols] = (u * 10.0 ** (-1.5 * np.arange(rank))) @ v.T
+        return m
+
+    @pytest.mark.parametrize("failures", [1, math.inf], ids=["transpose", "jacobi"])
+    @pytest.mark.parametrize("relative", [0.0, 1e-14, 1e-8])
+    @pytest.mark.parametrize(
+        "shape, zero_cols",
+        [((16, 400), 0), ((400, 16), 0), ((64, 64), 0), ((12, 40), 30),
+         ((40, 12), 4)],
+        ids=["wide", "tall", "square", "zero-cols-wide", "zero-cols-tall"],
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script],
-        env=env, check=True, capture_output=True, text=True, timeout=120,
+    def test_keeps_rank_and_certificate(
+        self, monkeypatch, shape, zero_cols, relative, failures
+    ):
+        m = self.graded(shape, zero_cols)
+        norm = float(np.linalg.norm(m))
+        delta = relative * norm
+        assert delta < lowrank.GRAM_MIN_RELATIVE_BUDGET * norm
+        want = _truncated_svd_arrays(m, delta)[0].shape[1]
+        calls = failing_svd(monkeypatch, failures)
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        # gesdd was tried on the matrix (or its triangle) and its transpose
+        assert len(calls) == 2 and calls[1] == calls[0][::-1]
+        assert u.shape[1] == want
+        err = float(np.linalg.norm(m - u @ w))
+        assert err <= discarded + 4 * lowrank._EPS * norm
+
+    def test_kernel_train_meets_tau(self, monkeypatch):
+        # the interlaced kernel study at 64 x 64, every SVD by Jacobi
+        # rotations; tau = 1e-14 holds with no allowance
+        x = tensorize_matrix_interlaced(sample_kernel_matrix(1e-5, 6), 3)
+        tau = 1e-14
+        calls = failing_svd(monkeypatch, math.inf)
+        train, lost = _tt_svd(x, tau)
+        assert calls
+        err = rel_frob(x, tt_full(train))
+        assert err <= tau
+        assert err <= lost / np.linalg.norm(x.values)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(1, 40),
+        st.integers(1, 40),
+        st.integers(0, 2**32 - 1),
+        st.sets(st.integers(0, 39), max_size=12),
     )
-    return done.stdout
+    def test_singular_values_match_gesdd(self, rows, cols, seed, zero_cols):
+        rng = np.random.default_rng(seed)
+        # columns scaled over eight decades, some of them zero
+        m = rng.standard_normal((rows, cols)) * 10.0 ** rng.uniform(-8, 0, cols)
+        m[:, [j for j in zero_cols if j < cols]] = 0.0
+        u, s, vt = _jacobi_svd(m)
+        k = min(rows, cols)
+        assert u.shape == (rows, k) and s.shape == (k,) and vt.shape == (k, cols)
+        norm = float(np.linalg.norm(m))
+        tol = 4 * max(rows, cols) * lowrank._EPS * norm
+        assert np.all(np.abs(s - np.linalg.svd(m, compute_uv=False)) <= tol)
+        assert np.all(np.diff(s) <= 0)
+        # near eps, where a zero column handled wrongly leaves an O(1) gap
+        assert np.max(np.abs(u.T @ u - np.eye(k))) <= 1e-13
+        assert np.max(np.abs(vt @ vt.T - np.eye(k))) <= 1e-13
+        assert np.linalg.norm(m - (u * s) @ vt) <= tol
 
-
-# Truncates a 600 x 600 matrix of rank 16 at a Gram budget in a fresh
-# process, then prints the rank kept and whether scipy was loaded.
-RANGE_WITHOUT_SCIPY = """
-import sys
-import numpy as np
-from ttcompress.lowrank import RANGE_MIN_SIDE, _truncated_svd_arrays
-rng = np.random.default_rng(20)
-m = rng.standard_normal((600, 16)) @ rng.standard_normal((16, 600))
-assert min(m.shape) >= RANGE_MIN_SIDE
-u, w, _ = _truncated_svd_arrays(m, 1e-2 * np.linalg.norm(m))
-print(u.shape[1], "scipy" in sys.modules)
-"""
-
-
-# Makes numpy's SVD fail to converge in a fresh process and truncates a
-# 16 x 400 matrix at 1e-13 times its norm, so scipy's gesvd takes over.
-# Prints whether scipy was loaded, the error, the certificate, the norm
-# and the thread count that every loaded OpenBLAS reports of itself.
-FALLBACK_SVD_THREADS = """
-import ctypes, json, os, sys
-import numpy as np
-from ttcompress.lowrank import _truncated_svd_arrays
-
-def no_convergence(*args, **kwargs):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-np.linalg.svd = no_convergence
-assert "scipy" not in sys.modules
-rng = np.random.default_rng(21)
-u0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-v0, _ = np.linalg.qr(rng.standard_normal((400, 16)))
-m = (u0 * 0.1 ** np.arange(16)) @ v0.T
-norm = float(np.linalg.norm(m))
-u, w, discarded = _truncated_svd_arrays(m, 1e-13 * norm)
-err = float(np.linalg.norm(m - u @ w))
-with open("/proc/self/maps") as fh:
-    paths = {f[5] for f in map(str.split, fh)
-             if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-found = {}
-for path in sorted(paths):
-    lib = ctypes.CDLL(path)
-    for symbol in ("scipy_openblas_get_num_threads64_",
-                   "scipy_openblas_get_num_threads",
-                   "openblas_get_num_threads64_", "openblas_get_num_threads"):
-        get_threads = getattr(lib, symbol, None)
-        if get_threads is not None:
-            get_threads.restype = ctypes.c_int
-            found[os.path.basename(path)] = get_threads()
-            break
-print(json.dumps({"scipy": "scipy" in sys.modules, "err": err,
-                  "discarded": discarded, "norm": norm, "threads": found}))
-"""
-
-
-def test_first_svd_pins_the_blas_it_loads():
-    """The first SVD that numpy's gesdd cannot serve loads scipy for
-    gesvd, pins the OpenBLAS scipy brings, and still certifies."""
-    if not os.path.exists("/proc/self/maps"):
-        pytest.skip("no /proc/self/maps to find the loaded BLAS in")
-    got = json.loads(run_fresh(FALLBACK_SVD_THREADS))
-    assert got["scipy"]
-    assert got["err"] <= got["discarded"] + 4 * lowrank._EPS * got["norm"]
-    found = got["threads"]
-    if not found:
-        pytest.skip("no OpenBLAS with a thread-count entry point is loaded")
-    assert found == {name: 1 for name in found}
-
-
-# Runs tt_svd at tau 0 and 1e-14 in a fresh process, budgets below the
-# Gram route's, and prints how many SVDs ran and whether scipy was loaded.
-EXACT_WITHOUT_SCIPY = """
-import sys
-import numpy as np
-from ttcompress import DenseTensor, lowrank, tt_svd
-calls = []
-svd = lowrank._svd
-lowrank._svd = lambda arr: calls.append(arr.shape) or svd(arr)
-x = DenseTensor.from_numpy(np.arange(48.0).reshape(4, 3, 4) ** 2)
-for tau in (0.0, 1e-14):
-    tt_svd(x, tau)
-print(len(calls), "scipy" in sys.modules)
-"""
-
-
-def test_exact_truncations_leave_scipy_unloaded():
-    # two unfoldings per train, each through numpy's SVD
-    assert run_fresh(EXACT_WITHOUT_SCIPY).split() == ["4", "False"]
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lowrank, "_JACOBI_MAX_SWEEPS", 1)
+        m = self.graded((8, 8))
+        with pytest.raises(TTCompressError, match="did not converge"):
+            _jacobi_svd(m)
 
 
 class TestSpectralNormEstimate:
