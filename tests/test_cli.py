@@ -22,6 +22,7 @@ from ttcompress import (
     nrmse,
     read_dt64,
     read_ttc1,
+    reconstruct_region,
     reconstruct_segment,
     reconstruct_segments,
     rel_frob,
@@ -33,6 +34,8 @@ from ttcompress import (
 )
 from ttcompress import cli as cli_module
 from ttcompress.cli import main
+
+from conftest import settling_run
 
 
 @pytest.fixture
@@ -46,35 +49,6 @@ def run_dir(tmp_path):
 def read_manifest(outdir):
     with open(os.path.join(outdir, "manifest.json")) as fh:
         return json.load(fh)
-
-
-def settling_run(path, seed, n_p, n_t):
-    """Write a run of particles dropped from rest at seeded positions that
-    bounce on the floor z = 0 with restitution 0.5 until they settle."""
-    gravity, restitution, dt, rest = -9.81, 0.5, 0.01, 0.02
-    rng = np.random.default_rng([seed, 0])
-    x = rng.uniform(0.0, 1.0, n_p)
-    y = rng.uniform(0.0, 1.0, n_p)
-    z = rng.uniform(0.5, 3.0, n_p)
-    vz = np.zeros(n_p)
-    moving = np.ones(n_p, dtype=bool)
-    data = np.empty((n_t, n_p, 3))
-    data[:, :, 0] = x
-    data[:, :, 1] = y
-    for k in range(n_t):
-        data[k, :, 2] = z
-        vz = np.where(moving, vz + gravity * dt, 0.0)
-        z = np.where(moving, z + vz * dt, z)
-        below = z < 0.0
-        z = np.where(below, -z, z)
-        vz = np.where(below, -restitution * vz, vz)
-        stop = moving & (z < rest) & (np.abs(vz) < rest)
-        z[stop] = 0.0
-        vz[stop] = 0.0
-        moving &= ~stop
-    batch = SnapshotBatch(DenseTensor.from_numpy(data), data[0].copy(), dt)
-    write_run(path, batch)
-    return str(path)
 
 
 def unmerged_segments(run, out, length=16):
@@ -819,104 +793,52 @@ class TestReconstruct:
         assert "region" in capsys.readouterr().err
 
 
-def run_fresh(code, *args):
-    """stdout of ``code`` run with ``args`` in a fresh interpreter that
-    imports this checkout's package, with no BLAS thread count in its
-    environment."""
-    src = os.path.dirname(os.path.dirname(ttcompress.__file__))
-    env = {
-        k: v for k, v in os.environ.items()
-        if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
-    }
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    return done.stdout
+class TestReadsStayScipyFree:
+    """Reading an archive runs with scipy unimportable, and writes what the
+    same command writes in this process."""
+
+    @pytest.mark.parametrize("command", ["file", "dir", "region", "info"])
+    def test_command(self, numpy_only, tmp_path, capsys, command):
+        work, got = numpy_only
+        assert got["codes"][command] == 0
+        archive = str(work / "out" / "seg_0_99.ttc")
+        dt64 = str(tmp_path / "x.dt64")
+        argv = {
+            "file": ["reconstruct", archive, "-o", dt64],
+            "dir": ["reconstruct", str(work / "flat" / "segments"), "-o", dt64],
+            "region": ["reconstruct", archive, "-o", dt64, "--region", "2:9,3:40,1:3"],
+            "info": ["info", archive, "--json"],
+        }[command]
+        assert main(argv) == 0
+        if command == "info":
+            want = json.loads(capsys.readouterr().out)
+            assert json.loads(got["stdout"]["info"]) == want
+        else:
+            fresh = (work / f"{command}.dt64").read_bytes()
+            assert fresh == (tmp_path / "x.dt64").read_bytes()
+
+    def test_load_segment_and_region(self, numpy_only):
+        work, _ = numpy_only
+        seg = load_segment(str(work / "out" / "seg_0_99.ttc"))
+        want = reconstruct_region(seg, [(1, 40), (5, 9), (2, 3)])
+        np.testing.assert_array_equal(np.load(work / "region.npy"), want.values)
 
 
-# Blocks scipy, so that importing it raises, then compresses a run
-# (merged and not) and a .dt64, reads them back, and truncates one matrix
-# with numpy's SVD failing.  The last line printed holds the truncation's
-# error, certificate and norm and the thread count each loaded OpenBLAS
-# reports of itself.
-NUMPY_ONLY = """
-import ctypes, json, os, sys
-sys.modules["scipy"] = None
-import numpy as np
-from ttcompress import lowrank
-from ttcompress.cli import main
+class TestCompressStaysScipyFree:
+    """Compressing runs with scipy unimportable: every truncation budget
+    at nRMSE 1e-2 and at relfrob 1e-12."""
 
-run, dt64, work = sys.argv[1:]
-out, flat, tight = (os.path.join(work, d) for d in ("out", "flat", "tight"))
-archive = os.path.join(out, "seg_0_99.ttc")
-compress = ["compress", run, "--tolerance", "1e-2", "--segment-length", "16"]
-for argv in (
-    compress + ["-o", out],
-    compress + ["-o", flat, "--no-merge"],
-    ["compress", dt64, "-o", tight, "--tolerance", "1e-12",
-     "--tolerance-kind", "relfrob"],
-    ["reconstruct", archive, "-o", os.path.join(work, "file.dt64")],
-    ["reconstruct", os.path.join(flat, "segments"), "-o",
-     os.path.join(work, "dir.dt64")],
-    ["reconstruct", archive, "-o", os.path.join(work, "region.dt64"),
-     "--region", "2:9,3:40,1:3"],
-    ["info", archive, "--json"],
-):
-    assert main(argv) == 0, argv
+    def test_merged_settling_run(self, numpy_only):
+        work, got = numpy_only
+        assert got["codes"]["merged"] == 0 and got["codes"]["flat"] == 0
+        merged = load_segment(str(work / "out" / "seg_0_99.ttc"))
+        assert merged.stack_dims == (7,)
 
-def no_convergence(*args, **kwargs):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-np.linalg.svd = no_convergence
-rng = np.random.default_rng(21)
-u0, _ = np.linalg.qr(rng.standard_normal((16, 16)))
-v0, _ = np.linalg.qr(rng.standard_normal((400, 16)))
-m = (u0 * 0.1 ** np.arange(16)) @ v0.T
-norm = float(np.linalg.norm(m))
-u, w, discarded = lowrank._truncated_svd_arrays(m, 1e-13 * norm)
-err = float(np.linalg.norm(m - u @ w))
-found = {}
-if os.path.exists("/proc/self/maps"):
-    with open("/proc/self/maps") as fh:
-        paths = {f[5] for f in map(str.split, fh)
-                 if len(f) == 6 and "openblas" in os.path.basename(f[5])}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for symbol in ("scipy_openblas_get_num_threads64_",
-                       "scipy_openblas_get_num_threads",
-                       "openblas_get_num_threads64_", "openblas_get_num_threads"):
-            get_threads = getattr(lib, symbol, None)
-            if get_threads is not None:
-                get_threads.restype = ctypes.c_int
-                found[os.path.basename(path)] = get_threads()
-                break
-print(json.dumps({"err": err, "discarded": discarded, "norm": norm,
-                  "threads": found}))
-"""
-
-
-def test_numpy_only(tmp_path):
-    """Every command runs with scipy unimportable, a failing ``gesdd``
-    falls back within the SVD route's certificate, and importing the
-    package runs every OpenBLAS it loads on one thread."""
-    run = settling_run(tmp_path / "run", 3, 64, 100)
-    rng = np.random.default_rng(6)
-    t = DenseTensor.from_numpy(rng.uniform(size=(16, 8, 3)))
-    dt64 = str(tmp_path / "in.dt64")
-    write_dt64(dt64, t.dims, [t.values])
-    stdout = run_fresh(NUMPY_ONLY, run, dt64, str(tmp_path))
-    got = json.loads(stdout.splitlines()[-1])
-    merged = load_segment(str(tmp_path / "out" / "seg_0_99.ttc"))
-    assert merged.stack_dims == (7,)
-    certified = read_manifest(tmp_path / "tight")["metrics"]["certified_rel_frob"]
-    assert 0.0 < certified <= 1e-12
-    assert got["err"] <= got["discarded"] + 4 * lowrank._EPS * got["norm"]
-    assert got["threads"] == {name: 1 for name in got["threads"]}
+    def test_tight_dt64(self, numpy_only):
+        work, got = numpy_only
+        assert got["codes"]["tight"] == 0
+        certified = read_manifest(work / "tight")["metrics"]["certified_rel_frob"]
+        assert 0.0 < certified <= 1e-12
 
 
 class TestInfo:

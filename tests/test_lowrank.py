@@ -390,6 +390,15 @@ def failing_svd(monkeypatch, failures):
     return calls
 
 
+def test_first_svd_pins_the_blas_it_loads(numpy_only):
+    """In a fresh interpreter with scipy unimportable and numpy's SVD
+    failing, the fallback certifies, and importing the package runs every
+    OpenBLAS it loads on one thread."""
+    _, got = numpy_only
+    assert got["err"] <= got["discarded"] + 4 * lowrank._EPS * got["norm"]
+    assert got["threads"] == {name: 1 for name in got["threads"]}
+
+
 class TestSVDFallback:
     """When ``gesdd`` fails to converge, :func:`lowrank._svd` retries on
     the transpose, then runs a one-sided Jacobi SVD; either keeps the
