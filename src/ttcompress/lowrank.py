@@ -14,8 +14,11 @@ matrix of the smaller side and numpy's ``eigh``, wide and tall alike; the
 SVD serves only smaller budgets, the zero matrix and the Gram path's
 checked fallback.  A matrix at least twice as wide as it is tall is first
 factored by a QR of its long side, and the SVD sees only the small
-triangular factor; every route carries the projection ``U^T M`` of the
-matrix on the kept vectors into the next core.
+triangular factor; that QR is blocked (TSQR, Demmel, Grigori, Hoemmen &
+Langou, 2012): one batched LAPACK call factors cache-sized row blocks of
+the long side, and one more QR their stacked triangles.  Every route
+carries the projection ``U^T M`` of the matrix on the kept vectors into
+the next core.
 
 Every SVD is numpy's (LAPACK ``gesdd``), whatever the budget; when it
 fails to converge, :func:`_svd` retries on the transpose and then runs a
@@ -49,9 +52,15 @@ _RANGE_FIRST_BLOCK = 16
 _RANGE_SEED = 0
 # A matrix at least this many times as wide as it is tall is reduced to
 # the triangular factor of a QR of its long side before the exact SVD.
-# Nearer square, timed on one core at 16 to 256 rows, the QR and the SVD
-# of the triangle took 0.8 to 1.3 times the SVD of the whole matrix.
+# Timed on one core at 16 to 256 rows, the QR and the SVD of the triangle
+# took 0.4 to 1.3 times the SVD of the whole matrix at this aspect, but
+# 1.0 to 2.0 times at 1.5 and up to 2.6 times at 1.25.  The QR cuts row
+# blocks only from matrices at least 8 times as wide as tall, so these
+# figures hold for the blocked QR too.
 _FACTOR_FIRST_ASPECT = 2
+# That QR factors row blocks of about this many entries (256 KB) in one
+# batched LAPACK call; blocks of 2**12 to 2**17 entries timed alike.
+_TSQR_BLOCK_ENTRIES = 2**15
 _EPS = float(np.finfo(np.float64).eps)
 
 # A one-sided Jacobi SVD that has not converged in this many sweeps gives
@@ -222,6 +231,27 @@ def _checked_norm(arr: np.ndarray, delta: float) -> float:
     return float(np.linalg.norm(arr))
 
 
+def _tall_triangle(a: np.ndarray) -> np.ndarray:
+    """``R`` of ``A = Q R`` for a tall ``m x n`` matrix, by a two-level
+    blocked QR (TSQR; Demmel, Grigori, Hoemmen & Langou, 2012).
+
+    The rows are cut into blocks of at least ``4 n`` rows and about
+    ``_TSQR_BLOCK_ENTRIES`` entries, which one batched LAPACK call
+    factors; the stacked triangles and the leftover rows then take one
+    more QR.  Both levels are Householder QRs, so ``R`` is as backward
+    stable as one QR of the whole matrix, and each block stays in cache.
+    With fewer than two blocks the whole matrix takes one QR.
+    """
+    m, n = a.shape
+    rows = max(4 * n, _TSQR_BLOCK_ENTRIES // max(n, 1))
+    blocks = m // rows
+    if blocks < 2:
+        return np.linalg.qr(a, mode="r")
+    cut = blocks * rows
+    r = np.linalg.qr(a[:cut].reshape(blocks, rows, n), mode="r")
+    return np.linalg.qr(np.vstack([r.reshape(blocks * n, n), a[cut:]]), mode="r")
+
+
 def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     """Truncation through one SVD, numpy's ``gesdd`` (:func:`_svd`):
     ``(U, W, discarded)``.
@@ -230,8 +260,9 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     is first reduced to ``R^T`` of ``M^T = Q R``, which has ``M``'s
     singular values and left vectors, so the SVD sees only that small
     triangle (Chan's R-SVD, 1982) and never forms ``V^T`` of the wide
-    matrix.  Other matrices go to the SVD whole; for tall ones LAPACK
-    takes a QR first itself.
+    matrix.  ``R`` comes from :func:`_tall_triangle`, a blocked QR (TSQR)
+    as backward stable as one QR of the whole of ``M^T``.  Other matrices
+    go to the SVD whole; for tall ones LAPACK takes a QR first itself.
 
     ``W = U^T M``, not ``diag(s) V^T``, which passes the SVD's own
     rounding on to the next core; at budgets near ``eps * ||M||`` that
@@ -251,7 +282,7 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     """
     rows, cols = arr.shape
     if cols >= _FACTOR_FIRST_ASPECT * rows:
-        core = np.linalg.qr(arr.T, mode="r").T
+        core = _tall_triangle(arr.T).T
     else:
         core = arr
     u, s, _ = _svd(core)
@@ -351,7 +382,7 @@ def _direct_truncation(arr: np.ndarray, delta: float, norm: float):
     return _exact_truncation(arr, delta, norm)
 
 
-def _truncated_svd_arrays(arr: np.ndarray, delta: float):
+def _truncated_svd_arrays(arr: np.ndarray, delta: float, norm: Optional[float] = None):
     """numpy-level truncation used by the tensor-train sweeps.
 
     Returns ``(U, W, discarded_energy)`` with ``M ~ U @ W``: ``U`` has
@@ -389,8 +420,12 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float):
     SVD route it is the root-sum-square of the dropped singular values
     plus an estimate of the rounding, a few ``eps * ||M||_F`` (see
     :func:`_exact_truncation`).
+
+    A caller that has already checked ``M`` to be finite and ``delta`` to
+    be non-negative, and computed ``||M||_F``, passes it as ``norm``.
     """
-    norm = _checked_norm(arr, delta)
+    if norm is None:
+        norm = _checked_norm(arr, delta)
     if delta > 0 and min(arr.shape) >= RANGE_MIN_SIDE:
         found = _range_truncation(arr, delta, norm)
         if found is not None:

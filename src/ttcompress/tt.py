@@ -142,7 +142,8 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float):
     lost2 = 0.0
     r_prev = 1
     for k in range(d - 1):
-        u, m, discarded = _truncated_svd_arrays(m, delta)
+        # step 0's unfolding is the checked tensor, whose norm is known
+        u, m, discarded = _truncated_svd_arrays(m, delta, norm if k == 0 else None)
         lost2 += discarded**2
         r = u.shape[1]
         cores.append(u.reshape((r_prev, dims[k], r), order="F"))

@@ -15,7 +15,12 @@ from ttcompress import (
     tensorize_matrix_interlaced,
     tt_full,
 )
-from ttcompress.lowrank import _jacobi_svd, _truncated_svd_arrays, svd_truncation_rank
+from ttcompress.lowrank import (
+    _jacobi_svd,
+    _tall_triangle,
+    _truncated_svd_arrays,
+    svd_truncation_rank,
+)
 from ttcompress.tt import _tt_svd
 
 
@@ -38,6 +43,21 @@ def svd_calls(monkeypatch):
         return original(arr)
 
     monkeypatch.setattr(lowrank, "_svd", counting)
+    return calls
+
+
+@pytest.fixture
+def batched(monkeypatch):
+    """Numbers of row blocks handed to each stacked QR call."""
+    calls = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        if a.ndim == 3:
+            calls.append(a.shape[0])
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
     return calls
 
 
@@ -239,17 +259,19 @@ class TestSVDRoute:
     @pytest.mark.parametrize("keep", [7, 13])
     @pytest.mark.parametrize(
         "shape, factor",
-        [((16, 400), (16, 16)), ((400, 16), (400, 16)), ((16, 24), (16, 24)),
-         ((24, 16), (24, 16))],
-        ids=["wide", "tall", "near-square-wide", "near-square-tall"],
+        [((16, 400), (16, 16)), ((16, 5000), (16, 16)), ((400, 16), (400, 16)),
+         ((16, 24), (16, 24)), ((24, 16), (24, 16))],
+        ids=["wide", "wide-blocked", "tall", "near-square-wide", "near-square-tall"],
     )
-    def test_certified_projection(self, svd_calls, shape, factor, keep):
+    def test_certified_projection(self, svd_calls, batched, shape, factor, keep):
         m = self.matrix(shape)
         norm = float(np.linalg.norm(m))
         delta = TestGramTruncation.budget_between(self.SIGMA, keep)
         assert delta < lowrank.GRAM_MIN_RELATIVE_BUDGET * norm
         u, w, discarded = _truncated_svd_arrays(m, delta)
         assert svd_calls == [factor]
+        # 5000 columns make two row blocks of 2048 and 904 leftover rows
+        assert batched == ([2] if shape == (16, 5000) else [])
         gram = u.T @ u
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-13
         assert np.max(np.abs(w - u.T @ m)) <= 1e-13 * norm
@@ -265,7 +287,8 @@ class TestSVDRoute:
         reason="needs a long double wider than float64 to measure eps-level errors",
     )
     @pytest.mark.parametrize(
-        "shape", [(2, 2), (6, 2), (500, 2), (16, 400), (400, 16), (64, 64)]
+        "shape",
+        [(2, 2), (6, 2), (500, 2), (16, 400), (8, 9001), (400, 16), (64, 64)],
     )
     def test_rounding_is_certified(self, shape):
         # at a zero budget nothing is dropped, so the whole error is
@@ -283,6 +306,71 @@ class TestSVDRoute:
             assert (u.shape[1] == min(shape)) == (relative == 0.0)
             err = np.linalg.norm(m.astype(wide) - u.astype(wide) @ w.astype(wide))
             assert 0.0 < err <= discarded <= delta + 20 * lowrank._EPS * norm
+
+
+class TestTallTriangle:
+    """The blocked QR behind the SVD route's triangle: ``R^T R = A^T A``
+    and ``R``'s singular values are one flat QR's, to a few
+    ``eps * ||A||``."""
+
+    @staticmethod
+    def rows(n):
+        """Rows per block for ``n`` columns."""
+        return max(4 * n, lowrank._TSQR_BLOCK_ENTRIES // n)
+
+    @staticmethod
+    def check(a):
+        n = a.shape[1]
+        r = _tall_triangle(a)
+        assert r.shape == (n, n)
+        assert np.array_equal(r, np.triu(r))
+        # the Gram's defect measured at most 2.7 eps * ||A||^2 here, and
+        # the singular values' at most 1.6 eps * ||A||
+        norm = float(np.linalg.norm(a))
+        tol = 8 * lowrank._EPS * norm
+        assert np.max(np.abs(r.T @ r - a.T @ a), initial=0.0) <= tol * norm
+        flat = np.linalg.svd(np.linalg.qr(a, mode="r"), compute_uv=False)
+        got = np.linalg.svd(r, compute_uv=False)
+        assert np.max(np.abs(got - flat), initial=0.0) <= tol
+
+    @pytest.mark.parametrize(
+        "n, blocks, extra",
+        [(8, 1, 100), (8, 4, 0), (16, 3, 1000), (1, 2, 0), (1, 5, 7), (64, 2, 63),
+         (256, 4, 0)],
+        ids=["one-block", "multiple", "remainder", "n1", "n1-remainder",
+             "remainder-below-n", "wide-block"],
+    )
+    def test_matches_flat_qr(self, batched, n, blocks, extra):
+        rng = np.random.default_rng([n, blocks, extra])
+        m = blocks * self.rows(n) + extra
+        self.check(rng.standard_normal((m, n)) * 10.0 ** rng.uniform(-8, 0, n))
+        assert batched == ([] if blocks < 2 else [blocks])
+
+    def test_zero_columns(self):
+        assert _tall_triangle(np.empty((3 * 2**15, 0))).shape == (0, 0)
+        assert _tall_triangle(np.empty((5, 0))).shape == (0, 0)
+
+    def test_rank_deficient(self, batched):
+        rng = np.random.default_rng(7)
+        n = 16
+        a = rng.standard_normal((3 * self.rows(n) + 5, 5)) @ rng.standard_normal((5, n))
+        a[:, 3] = 0.0
+        self.check(a)
+        assert batched == [3]
+        s = np.linalg.svd(_tall_triangle(a), compute_uv=False)
+        assert np.all(s[5:] <= 1e-13 * s[0])
+
+    def test_non_contiguous(self, batched):
+        # the sweeps hand over M^T of an F-ordered M, which is C-ordered;
+        # strided and F-ordered inputs give a contiguous copy's R
+        rng = np.random.default_rng(3)
+        n, m = 8, 5 * self.rows(8) + 3
+        columns = rng.standard_normal((m, 2 * n))[:, ::2]
+        rows = rng.standard_normal((2 * m, n))[::2]
+        for a in (columns, rows, np.asfortranarray(columns)):
+            self.check(a)
+            assert np.array_equal(_tall_triangle(a), _tall_triangle(a.copy()))
+        assert batched == [5] * 9
 
 
 class TestRangeTruncation:
