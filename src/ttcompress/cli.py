@@ -151,6 +151,9 @@ def cmd_compress(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     folder = os.path.join(outdir, subdir)
     paths = [save_segment(folder, p, config.config_hash()) for p in final]
+    # an earlier run's archives here would be read back with this one's
+    for stale in set(list_segments(folder)) - set(paths):
+        os.remove(stale)
     metrics = _measure(final, read) if args.verify else {}
     metrics.update(_certified(final))
     metrics["compression_ratio_cores_only"] = _overall_ratio(final)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, IndexRangeError, ShapeError
+from .errors import IndexRangeError, ShapeError
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -125,9 +125,3 @@ def index_rows(indices, dims) -> np.ndarray:
             f"index {idx[row, k]} out of range 1..{dims[k]} at position {k + 1}"
         )
     return idx
-
-
-def check_finite(t) -> None:
-    """Raise :class:`DataError` if any entry is NaN or infinite."""
-    if not np.isfinite(t.values if hasattr(t, "values") else t).all():
-        raise DataError("input contains non-finite entries")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import check_finite
 from .errors import DataError, IndexRangeError, ShapeError
 
 MAX_BITS = 21  # 3 * 21 = 63 key bits fit an unsigned 64-bit integer
@@ -50,6 +49,8 @@ def _as_points(points) -> np.ndarray:
         raise ShapeError(f"expected an (n, 3) point array, got {pts.shape}")
     if pts.shape[0] < 1:
         raise ShapeError("need at least one point")
+    if not np.isfinite(pts).all():
+        raise DataError("points contain non-finite coordinates")
     return pts
 
 
@@ -60,7 +61,6 @@ def fit_domain(points) -> DomainTransform:
     axis (zero extent) gets scale 1 and is centred at 0.5.
     """
     pts = _as_points(points)
-    check_finite(pts)
     mins = pts.min(axis=0)
     maxs = pts.max(axis=0)
     extent = maxs - mins
@@ -86,8 +86,6 @@ def morton_keys(points, b: int) -> np.ndarray:
         raise IndexRangeError(f"bit depth {b} out of range 1..{MAX_BITS}")
     b = int(b)
     pts = _as_points(points)
-    if not np.isfinite(pts).all():
-        raise DataError("points contain non-finite coordinates")
     if (pts < 0.0).any() or (pts >= 1.0).any():
         raise IndexRangeError("points must lie in the half-open unit cube")
     # cells < 2^b is guaranteed: scaling by a power of two is exact

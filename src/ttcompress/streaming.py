@@ -433,10 +433,10 @@ def _compress(
     """TT-SVD of ``data`` (already in particle order) under ``plan``.
 
     Constant (or zero) data is exactly rank 1 after any reshaping and is
-    stored as such.  When padding grows the tensor the internal tolerance
-    is tightened by the norm ratio so the guarantee still holds on the
-    real data region.  The error bound is the one TT-SVD certifies on the
-    padded tensor, which bounds the real data region's error too.
+    stored as such.  The tolerance is relative to the unpadded data's
+    norm (``stats``), so padding adds nothing to the budget.  The error
+    bound is the one TT-SVD certifies on the padded tensor, which bounds
+    the real data region's error too.
     """
     if stats.x_max == stats.x_min or stats.frobenius_norm == 0.0:
         tt, tau_rel = constant_tt(plan.tensorized_dims(), stats.x_min), 0.0
@@ -446,10 +446,7 @@ def _compress(
         if config.tolerance_kind == "nrmse":
             tau_rel = nrmse_to_relfrob(tau_rel, stats)
         tensorized = apply_plan(data, plan)
-        padded_norm = float(np.linalg.norm(tensorized.values))
-        tt, lost = _tt_svd(
-            tensorized, tau_rel * stats.frobenius_norm / padded_norm
-        )
+        tt, lost = _tt_svd(tensorized, tau_rel, stats.frobenius_norm)
     n_t = data.dims[0]
     return CompressedSegment(
         tt=tt,
@@ -577,14 +574,17 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     iterator that hands them over lets each go once its train is taken,
     and a rounding merge holds only the orthogonalized copies.
 
-    The merged part's budget is the a-priori ``t + tau_round + t *
-    tau_round``, ``t`` the parts' :func:`combine_tolerances`.  Its error
-    bound is their bounds in root-sum-square, since they cover disjoint
-    entries, plus what the rounding discarded in full, since that error is
-    not orthogonal to them.  A relative ``budget`` also spends what the
-    parts' certified errors leave of ``budget * ||X||``, and the certified
-    bound over ``||X||`` becomes the part's budget; float slack past it,
-    or an unknown part bound, keep ``tau_round`` alone.
+    Tolerances are relative to ``||X||``, the parts' unpadded data norm,
+    not the stack's, which padded time copies can inflate: the rounding
+    may discard ``tau_round * ||X||``, so the a-priori budget ``t +
+    tau_round + t * tau_round``, ``t`` the parts'
+    :func:`combine_tolerances`, holds on the data.  The error bound is
+    the parts' bounds in root-sum-square (disjoint entries) plus the
+    rounding's loss in full.  A relative ``budget`` also spends what the
+    parts' certified errors leave of ``budget * ||X||``: one rounding at
+    the larger of the two, and the certified bound over ``||X||`` becomes
+    the part's budget.  Float slack past a larger spare rounds again at
+    the planned share; an unknown part bound keeps that share alone.
     """
     if not tau_round >= 0:  # NaN too
         raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
@@ -624,10 +624,12 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
     ledger = combine_error_bounds(parts)
     stats = combine_stats(p.stats for p in parts)
     norm = stats.frobenius_norm
+    planned = tau_round * norm
     # what the ledger leaves of the budget: nothing without both
-    spare, spent = -math.inf, None
+    spare = -math.inf
     if budget is not None and ledger is not None:
         spare = budget * norm - ledger
+    spent = compose_tolerances(combine_tolerances(parts), [tau_round])
     if tau_round == 0 and spare <= 0:
         merged, lost = tt_stack_new(trains), 0.0
     else:
@@ -636,13 +638,11 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
             t.cores if tau_round > 0 else _orthogonalize(t.cores)
             for t in trains
         ]
-        merged, lost = _round_orthogonal(blocks, tau_round, spare)
+        merged, lost = _round_orthogonal(blocks, max(planned, spare))
+        if lost > spare > planned:  # float slack past the spare
+            merged, lost = _round_orthogonal(blocks, planned)
         if lost <= spare and norm > 0:
             spent = (ledger + lost) / norm
-        elif lost > spare > 0:
-            merged, lost = _round_orthogonal(blocks, tau_round)
-    if spent is None:
-        spent = compose_tolerances(combine_tolerances(parts), [tau_round])
     return CompressedSegment(
         tt=merged,
         plan=_normalize_time_axis(base.plan),
@@ -715,8 +715,10 @@ def compress_run(
     ``r * range_i * sqrt(n_i)``, and ``sum range_i^2 * n_i <= range^2 * n``.
     Merged segments share the first segment's Morton permutation, and one
     :func:`merge_tree` call stacks them all and rounds the stack once at
-    the run's relative budget, which the merged part's certified
-    ``tolerance_spent`` never exceeds.
+    the run's relative budget, which the merged part's
+    ``tolerance_spent`` never exceeds: every tolerance is relative to the
+    unpadded data's norm, so it holds on a run whose padded last segment
+    is short and energetic too.
 
     Returns the parts the run stores: ``[merged]``, or the segments when
     ``merge`` is off or the run fits in one segment.  ``on_level`` observes

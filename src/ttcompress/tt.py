@@ -110,7 +110,7 @@ def tt_svd(t: DenseTensor, tau_rel_frob: float) -> TTTensor:
     return _tt_svd(t, tau_rel_frob)[0]
 
 
-def _tt_svd(t: DenseTensor, tau_rel_frob: float):
+def _tt_svd(t: DenseTensor, tau_rel_frob: float, data_norm=None):
     """:func:`tt_svd` and its certified error: ``(train, lost)`` with
     ``||X - train||_F <= lost``, the root-sum-square of what the steps
     discarded (their pieces are mutually orthogonal).  This holds in
@@ -121,7 +121,9 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float):
     rows and columns, measures its residual directly, not as a
     difference of squares.  Every route carries the projection of the
     unfolding on the kept vectors into the next core, not the SVD's
-    ``diag(s) V^T``, so the SVD's own rounding stays out of the train."""
+    ``diag(s) V^T``, so the SVD's own rounding stays out of the train.
+    ``tau`` is relative to ``data_norm`` when given, the norm of the data
+    a padded ``t`` holds, and else to ``||t||_F``."""
     _check_tolerance(tau_rel_frob)
     if not np.isfinite(t.values).all():
         raise DataError("tensor contains non-finite entries")
@@ -136,7 +138,8 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float):
     if d == 1:
         return TTTensor((t.values.reshape((1, dims[0], 1)),)), 0.0
 
-    delta = tau_rel_frob * norm / math.sqrt(d - 1)
+    scale = norm if data_norm is None else data_norm
+    delta = tau_rel_frob * scale / math.sqrt(d - 1)
     m = t.values.reshape((dims[0], -1), order="F")
     cores = []
     lost2 = 0.0
@@ -258,17 +261,21 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
 
     Two sweeps: a right-to-left QR pass makes every core but the first
     right-orthogonal, then a left-to-right truncated-SVD pass trims ranks
-    against ``B = tau * ||X||_F``, spent greedily (see
-    :func:`_round_orthogonal`).  The QR pass keeps every column of each
-    economy QR, so there a rank ``r_{k-1}`` only shrinks to ``n_k * r_k``
-    when it exceeds it; all other trimming is left to the SVD pass, which
-    measures what it drops.  (Cutting at a rank counted from an unpivoted
-    QR's diagonal can drop a needed direction when stacked parts are
-    linearly dependent.)  The output satisfies ``||X - Y||_F <= tau *
-    ||X||_F`` relative to the input train, and no rank ever increases.
+    against ``B = tau * ||X||_F``, measured on the first core after the
+    QR pass and spent greedily (see :func:`_round_orthogonal`).  The QR
+    pass keeps every column of each economy QR, so there a rank
+    ``r_{k-1}`` only shrinks to ``n_k * r_k`` when it exceeds it; all
+    other trimming is left to the SVD pass, which measures what it drops.
+    (Cutting at a rank counted from an unpivoted QR's diagonal can drop a
+    needed direction when stacked parts are linearly dependent.)  The
+    output satisfies ``||X - Y||_F <= tau * ||X||_F`` relative to the
+    input train, and no rank ever increases.
     """
-    parts = [_orthogonalize(t.cores)]
-    return _round_orthogonal(parts, tau_rel_frob, stacked=False)[0]
+    _check_tolerance(tau_rel_frob)
+    cores = _orthogonalize(t.cores)
+    # the entire norm sits in the first core
+    budget = tau_rel_frob * float(np.linalg.norm(cores[0]))
+    return _round_orthogonal([cores], budget, stacked=False)[0]
 
 
 def _orthogonalize(cores) -> list:
@@ -291,9 +298,7 @@ def _orthogonalize(cores) -> list:
     return cores
 
 
-def _round_orthogonal(
-    parts, tau_rel_frob: float, abs_budget: float = 0.0, stacked: bool = True
-):
+def _round_orthogonal(parts, budget: float, stacked: bool = True):
     """The truncation sweep of :func:`tt_round`, block by block:
     ``(train, lost)`` with ``||X - train||_F <= lost``.
 
@@ -309,26 +314,23 @@ def _round_orthogonal(
     right-orthogonal, as its blocks are, and left of it orthonormal, so
     the discarded pieces are mutually orthogonal, as in TT-SVD.
 
-    The sweep spends ``B = max(tau * ||X||_F, abs_budget)`` greedily: of
-    the ``s`` steps, step ``k`` may discard ``sqrt((B^2 - lost^2) / (s -
-    k))``, what the earlier steps left shared among those still to come,
-    so ``lost`` stays within ``B`` (up to the truncations' float
-    estimates).
+    The sweep spends the absolute Frobenius ``budget`` ``B`` greedily,
+    whatever norm the caller measured it against: of the ``s`` steps,
+    step ``k`` may discard ``sqrt((B^2 - lost^2) / (s - k))``, what the
+    earlier steps left shared among those still to come, so ``lost``
+    stays within ``B`` (up to the truncations' float estimates).
     """
-    _check_tolerance(tau_rel_frob)
     dims = tuple(c.shape[1] for c in parts[0])
     d = len(dims)
     if stacked:
         dims += (len(parts),)
     steps = len(dims) - 1
     core = np.concatenate([p[0] for p in parts], axis=2)
-    # the entire norm sits in the first core
-    norm = float(np.linalg.norm(core))
     if steps == 0:
         return TTTensor((core,)), 0.0
-    if norm == 0.0:
+    # the entire norm sits in the first core
+    if np.linalg.norm(core) == 0.0:
         return zero_tt(dims), 0.0
-    budget = max(tau_rel_frob * norm, abs_budget)
     budget2 = budget * budget  # inf for a huge budget, where ** would raise
 
     cores = []

@@ -229,6 +229,34 @@ class TestCompress:
         for record in outputs:
             assert record["bytes"] == os.path.getsize(record["path"])
 
+    @pytest.mark.parametrize(
+        "flags, first, second, kept",
+        [
+            (["--no-merge"], 64, 32, ["segments/seg_0_31.ttc"]),
+            ([], 32, 64, ["seg_0_63.ttc"]),
+        ],
+        ids=["no-merge", "merged"],
+    )
+    def test_rerun_leaves_no_stale_archive(
+        self, tmp_path, flags, first, second, kept
+    ):
+        # a second run into the same OUT removes the archives of the first
+        # that it did not write, so they are not read back with its own
+        out = tmp_path / "out"
+        for n_t in (first, second):
+            run = str(tmp_path / f"run{n_t}")
+            write_run(run, synth_particles(64, n_t, "settle", seed=2))
+            args = ["compress", run, "-o", str(out), "--segment-length", "32"]
+            assert main(args + flags) == 0
+        written = sorted(
+            p.relative_to(out).as_posix() for p in out.rglob("*.ttc")
+        )
+        assert written == kept
+        folder = os.path.dirname(str(out / kept[0]))
+        recon = str(tmp_path / "recon.dt64")
+        assert main(["reconstruct", folder, "-o", recon]) == 0
+        assert read_dt64(recon).dims == (second, 64, 3)
+
     def test_verify_holds_one_leaf_at_a_time(self, tmp_path):
         import tracemalloc
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ttcompress import (
+    DataError,
     IndexRangeError,
     fit_domain,
     morton_id,
@@ -34,6 +35,16 @@ class TestFitDomain:
         )
         mapped = fit_domain(pts).apply(pts)
         assert np.all(mapped >= 0.0) and np.all(mapped < 1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points_are_data_errors(self, bad):
+        # the same check as morton_keys', in the point parsing they share
+        pts = np.zeros((4, 3))
+        pts[2, 1] = bad
+        with pytest.raises(DataError):
+            fit_domain(pts)
+        with pytest.raises(DataError):
+            morton_keys(pts, 4)
 
 
 class TestMortonId:

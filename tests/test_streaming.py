@@ -44,6 +44,7 @@ from ttcompress import (
     synth_particles,
     tt_full,
     tt_get,
+    tt_norm,
     tt_round,
     tt_stack_new,
     tt_svd,
@@ -673,6 +674,51 @@ def settle_run(n_seg, seed=3):
     return synth_particles(40, 16 * n_seg - 5, "settle", seed=seed)
 
 
+def energetic_run(seed, n_t=33, amp=3.0):
+    """64 particles drifting over ``linspace(0, 1)`` in time with 0.01
+    noise, whose last step jumps by ``amp`` times a standard normal: in
+    32-step segments the last one is short and its padding copies of that
+    step hold far more energy than the data."""
+    rng = np.random.default_rng(seed)
+    arr = np.linspace(0.0, 1.0, n_t)[:, None, None]
+    arr = arr + 0.01 * rng.standard_normal((n_t, 64, 3))
+    arr[-1] += amp * rng.standard_normal((64, 3))
+    return batch_from_array(arr)
+
+
+class TestPaddedMerge:
+    """Every tolerance is relative to the unpadded data's norm, so a
+    short, energetic last segment, whose padding copies dominate the
+    stacked train's norm, does not inflate what the merge may discard."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_merge_stack_holds_the_composition(self, seed):
+        batch, tau_round = energetic_run(seed, amp=30.0), 3e-2
+        config = CompressionConfig(tolerance=5e-3, segment_length=32)
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
+        parts = levels[0]
+        assert [p.total_steps for p in parts] == [32, 1]
+        merged = merge_stack(parts, tau_round)
+        bound = compose_tolerances(
+            streaming.combine_tolerances(parts), [tau_round]
+        )
+        assert merged.tolerance_spent == bound
+        assert rel_frob(batch.data, reconstruct_segment(merged)) <= bound
+
+    @pytest.mark.parametrize(
+        "seed, n_t, amp", [(0, 33, 3.0), (1, 34, 10.0), (2, 40, 30.0)]
+    )
+    def test_compress_run_meets_the_target(self, seed, n_t, amp):
+        batch = energetic_run(seed, n_t, amp)
+        config = CompressionConfig(tolerance=1e-2, segment_length=32)
+        (merged,) = compress_run(batch.time_slice, batch.n_t, config)
+        assert merged.stack_dims == (2,)
+        measured = nrmse(batch.data, reconstruct_segment(merged))
+        _, certified = streaming.error_measures(merged.error_bound, merged.stats)
+        assert measured <= certified <= 1e-2
+
+
 class TestSpendLeftover:
     @pytest.mark.parametrize("kind", ["nrmse", "relfrob"])
     @pytest.mark.parametrize("n_seg", [3, 5, 40])
@@ -753,31 +799,65 @@ class TestSpendLeftover:
         )
         assert planned.tolerance_spent == pytest.approx(target, rel=1e-12)
 
-    def test_slack_past_the_budget_falls_back(self, monkeypatch):
-        # a ledger inflated past the budget keeps the planned rounding and
-        # its a-priori tolerance
+    @staticmethod
+    def overshooting_merge(monkeypatch, spare_binds):
+        """merge_stack of a settling run's segments at merge_tree's share
+        ``tau``, whose first rounding reports a loss past the budget:
+        ``(part, budgets the roundings got, spare, tau * ||X||, a-priori
+        tolerance, merge_tree's part)``.  ``spare_binds`` leaves a spare
+        above ``tau * ||X||``, else one of half of it."""
         batch = settle_run(4)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
-        expected = []
-        compress_run(batch.time_slice, batch.n_t, config, on_level=expected.append)
-        segments = expected[0]
-        honest = streaming._round_orthogonal
+        levels = []
+        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
+        segments = levels[0]
+        norm = combine_stats(s.stats for s in segments).frobenius_norm
+        ledger = streaming.combine_error_bounds(segments)
         budget = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
+        worst = streaming.combine_tolerances(segments)
+        tau = (1 + budget) / (1 + worst) - 1
+        planned = tau * norm
+        assert budget * norm - ledger > planned
+        if not spare_binds:
+            budget = (ledger + planned / 2) / norm
+        honest = streaming._round_orthogonal
         calls = []
 
-        def inflated(parts, tau, abs_budget=0.0):
-            calls.append(abs_budget)
-            train, lost = honest(parts, tau, abs_budget)
-            if abs_budget > 0:  # the spending round
-                lost += budget * np.linalg.norm(batch.data.values)
+        def inflated(parts, limit, stacked=True):
+            calls.append(limit)
+            train, lost = honest(parts, limit, stacked)
+            if len(calls) == 1:  # the first round overshoots the spare
+                lost += budget * norm
             return train, lost
 
         monkeypatch.setattr(streaming, "_round_orthogonal", inflated)
-        final = merge_tree(segments, budget)
-        # the spending round, then the planned round
-        assert len(calls) == 2 and calls[0] > 0 and calls[1] == 0
-        assert final.tt.core_entry_count > expected[-1][0].tt.core_entry_count
-        assert final.tolerance_spent <= budget * (1 + 1e-12)
+        final = merge_stack(segments, tau, budget)
+        spare = budget * norm - ledger
+        a_priori = compose_tolerances(worst, [tau])
+        return final, calls, spare, planned, a_priori, levels[-1][0]
+
+    def test_slack_past_the_budget_falls_back(self, monkeypatch):
+        # a loss inflated past what the ledger leaves rounds once more, at
+        # the planned tau * ||X||, whose certified loss the spare covers
+        final, calls, spare, planned, _, merged = self.overshooting_merge(
+            monkeypatch, True
+        )
+        assert calls == [spare, planned]
+        assert final.tt.core_entry_count > merged.tt.core_entry_count
+        norm = final.stats.frobenius_norm
+        assert final.tolerance_spent == pytest.approx(
+            final.error_bound / norm, rel=1e-12
+        )
+        assert final.tolerance_spent < merged.tolerance_spent
+
+    def test_slack_under_the_planned_share_rounds_once(self, monkeypatch):
+        # the planned share bound the one round, so a second round would
+        # repeat it: the part keeps it, and the a-priori tolerance
+        final, calls, _, planned, a_priori, _ = self.overshooting_merge(
+            monkeypatch, False
+        )
+        assert calls == [planned]
+        assert final.tolerance_spent == a_priori
 
 
     @pytest.mark.parametrize("tolerance", [0.1, 0.0])
@@ -893,8 +973,9 @@ class TestStackRounding:
         x = tt_full(stacked).values
         norm = np.linalg.norm(x)
         joint = tt_round(stacked, tau)
+        # tt_round's budget: tau times the norm it measures on its cores
         per_part, lost = streaming._round_orthogonal(
-            [_orthogonalize(t.cores) for t in trains], tau
+            [_orthogonalize(t.cores) for t in trains], tau * tt_norm(stacked)
         )
         assert per_part.ranks == joint.ranks
         y = tt_full(per_part).values

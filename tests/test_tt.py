@@ -31,8 +31,11 @@ from ttcompress.tt import _orthogonalize, _round_orthogonal, _tt_svd
 
 
 def rounded_with_loss(t, tau):
-    """The two sweeps of tt_round, and the loss their truncations certify."""
-    return _round_orthogonal([_orthogonalize(t.cores)], tau, stacked=False)
+    """The two sweeps of tt_round, and the loss their truncations certify:
+    the budget is tau times the norm, which sits in the first core."""
+    cores = _orthogonalize(t.cores)
+    budget = tau * np.linalg.norm(cores[0])
+    return _round_orthogonal([cores], budget, stacked=False)
 
 
 def random_tensor(rng, dims):
@@ -234,12 +237,13 @@ class TestBlockwiseRounding:
         stacked = tt_stack_new(parts)
         x = tt_full(stacked).values
         norm = float(np.linalg.norm(x))
-        abs_budget = share * norm
+        # one absolute budget, as merge_stack spends it
+        budget = max(tau, share) * norm
         oracle, _ = _round_orthogonal(
-            [_orthogonalize(stacked.cores)], tau, abs_budget, stacked=False
+            [_orthogonalize(stacked.cores)], budget, stacked=False
         )
         blocks, lost = _round_orthogonal(
-            [_orthogonalize(p.cores) for p in parts], tau, abs_budget
+            [_orthogonalize(p.cores) for p in parts], budget
         )
         assert blocks.dims == stacked.dims
         assert blocks.ranks == oracle.ranks
@@ -247,7 +251,7 @@ class TestBlockwiseRounding:
         assert np.linalg.norm(y - tt_full(oracle).values) <= 1e-12 * norm
         err = float(np.linalg.norm(x - y))
         assert err <= lost + 1e-12 * norm
-        assert lost <= max(tau * norm, abs_budget) + 1e-12 * norm
+        assert lost <= budget + 1e-12 * norm
         # a loose budget truncates, so the check has something to see
         if len(parts) > 1 and (tau == 1e-1 or share == 1e-1):
             assert sum(blocks.ranks) < sum(stacked.ranks)
