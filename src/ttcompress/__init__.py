@@ -40,7 +40,6 @@ from .streaming import (
     CompressionConfig,
     DataStats,
     combine_stats,
-    compose_tolerances,
     compress_run,
     compress_segment,
     compress_tensor,

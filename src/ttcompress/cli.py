@@ -22,6 +22,7 @@ from .errors import ConfigError, IndexRangeError, IngestionError, TTCompressErro
 from .formats import _replacing, read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
 from .metrics import rel_frob, write_csv
+from .morton import DEFAULT_BITS
 from .streaming import (
     REORDER_POLICIES,
     TOLERANCE_KINDS,
@@ -54,7 +55,6 @@ def _config_from_args(args) -> CompressionConfig:
         tolerance=args.tolerance,
         tolerance_kind=args.tolerance_kind,
         segment_length=args.segment_length,
-        tensorize=args.tensorize,
         max_factor=args.max_factor,
         level=args.level,
         reorder=args.reorder,
@@ -151,9 +151,15 @@ def cmd_compress(args) -> int:
     os.makedirs(outdir, exist_ok=True)
     folder = os.path.join(outdir, subdir)
     paths = [save_segment(folder, p, config.config_hash()) for p in final]
-    # an earlier run's archives here would be read back with this one's
-    for stale in set(list_segments(folder)) - set(paths):
-        os.remove(stale)
+    # an earlier run's archives, in either layout, would be read back
+    # beside this one's manifest
+    segments = os.path.join(outdir, "segments")
+    for place in (outdir, segments):
+        if os.path.isdir(place):
+            for stale in set(list_segments(place)) - set(paths):
+                os.remove(stale)
+    if os.path.isdir(segments) and not os.listdir(segments):
+        os.rmdir(segments)
     metrics = _measure(final, read) if args.verify else {}
     metrics.update(_certified(final))
     metrics["compression_ratio_cores_only"] = _overall_ratio(final)
@@ -245,7 +251,6 @@ def cmd_info(args) -> int:
         "stack_dims": list(seg.stack_dims),
         "time_range": list(seg.time_range),
         "reorder": seg.reorder,
-        "tolerance_spent": seg.tolerance_spent,
         "error_bound": seg.error_bound,
         **_certified([seg]),
         "compression_ratio_cores_only": seg.compression_ratio,
@@ -268,7 +273,6 @@ def cmd_info(args) -> int:
             "stack_dims",
             "time_range",
             "reorder",
-            "tolerance_spent",
             "entry_count",
         ):
             print(f"{key}: {payload[key]}")
@@ -394,7 +398,7 @@ def bench_streaming(args):
     # the same segments untensorized, at the same budget and ordering
     flat = []
     compress_run(
-        batch.time_slice, n_t, dataclasses.replace(config, tensorize=False),
+        batch.time_slice, n_t, dataclasses.replace(config, level=1),
         on_level=lambda segs: flat.append(_overall_ratio(segs)),
     )
     # the segments' ratio, then the merged run's when there is one
@@ -443,12 +447,20 @@ def build_parser() -> argparse.ArgumentParser:
         dest="tolerance_kind",
     )
     p.add_argument("--segment-length", type=int, default=32, dest="segment_length")
-    p.add_argument("--level", type=int, default=None, help="tensorization level override")
+    levels = p.add_mutually_exclusive_group()
+    levels.add_argument(
+        "--level", type=int, default=None, help="tensorization level override"
+    )
+    levels.add_argument(
+        "--no-tensorize", dest="level", action="store_const", const=1,
+        help="keep every axis whole (the same as --level 1)",
+    )
     p.add_argument("--no-merge", dest="merge", action="store_false")
     p.add_argument("--reorder", choices=REORDER_POLICIES, default="segment")
-    p.add_argument("--morton-bits", type=int, default=None, dest="morton_bits")
+    p.add_argument(
+        "--morton-bits", type=int, default=DEFAULT_BITS, dest="morton_bits"
+    )
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--no-tensorize", dest="tensorize", action="store_false")
     p.add_argument("--max-factor", type=int, default=5, dest="max_factor")
     p.set_defaults(func=cmd_compress)
 

@@ -1,28 +1,25 @@
 """Segment-wise streaming compression.
 
 Incoming snapshot batches are compressed independently (reorder particles,
-pad, tensorize, TT-SVD), then merged under an explicit error budget.  Two
-accounts are kept.  A priori, parts within relative tolerances ``t_i``
-stack within their norm-weighted ``t`` (:func:`combine_tolerances`), and
-rounding at ``t_r`` gives ``t + t_r + t * t_r``; this governs
-:func:`merge_stack`, the one merge, which stacks parts along a new
-trailing dimension so the stacks carry the time hierarchy.  The ledger
-certifies each part's actual error from what its truncations discarded
-(``CompressedSegment.error_bound``).  :func:`merge_tree` owns a run's
-budget: one :func:`merge_stack` stacks every segment and rounds the
-stack once, block by block, at the one-level a-priori share, spending
-too what the ledger leaves, and returns the merged part alone.  Every
-read maps coordinates through ``tensorize.axis_offsets``; full reads
-share one preparation and decode in file order, a block of whole time
-columns at a time (:func:`decode_columns`), or leaf by leaf
-(:func:`decode_leaves`).
+pad, tensorize, TT-SVD), then merged under an explicit error budget.  One
+account of the error is kept: each part's ledger
+(``CompressedSegment.error_bound``) certifies its actual error from what
+its truncations discarded.  :func:`merge_stack`, the one merge, stacks
+parts along a new trailing dimension, so the stacks carry the time
+hierarchy; its certificate is the parts' bounds in root-sum-square plus
+what one rounding discards, and that rounding spends only what the
+ledger leaves of the budget.  :func:`merge_tree` owns a run's budget:
+one :func:`merge_stack` stacks every segment, and it returns the merged
+part alone.  Every read maps coordinates through
+``tensorize.axis_offsets``; full reads share one preparation and decode
+in file order, a block of whole time columns at a time
+(:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
 """
 
 import base64
 import dataclasses
 import functools
 import hashlib
-import itertools
 import json
 import math
 import numbers
@@ -146,6 +143,15 @@ def error_measures(err: float, stats: DataStats):
     return rel_frob, nrmse
 
 
+def _integer_in(value, lo, hi=math.inf) -> bool:
+    """``value`` is an integer, not a bool, in ``lo..hi``."""
+    return (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and lo <= value <= hi
+    )
+
+
 @dataclass(frozen=True)
 class CompressionConfig:
     """Everything the segment pipeline needs to know.
@@ -154,7 +160,8 @@ class CompressionConfig:
     lossless mode (keep every numerically nonzero singular value).
     ``level`` is the tensorization level of every split axis (time and
     particles of a run, every axis of a plain tensor), capped at an axis's
-    factor count; ``None`` keeps every factor as its own dimension.
+    factor count; ``None`` keeps every factor as its own dimension, and
+    ``1`` keeps every axis whole (no tensorization).
     ``reorder`` picks the Morton policy: one permutation per segment,
     from its first step's positions (default), or none.
     """
@@ -162,11 +169,10 @@ class CompressionConfig:
     tolerance: float = 0.1
     tolerance_kind: str = "nrmse"
     segment_length: int = 32
-    tensorize: bool = True
     max_factor: int = 5
     level: Optional[int] = None
     reorder: str = "segment"
-    morton_bits: Optional[int] = None
+    morton_bits: int = DEFAULT_BITS
 
     def __post_init__(self):
         if not 0 <= self.tolerance < math.inf:
@@ -184,20 +190,16 @@ class CompressionConfig:
             raise ConfigError("segment length must be >= 1")
         if self.max_factor < 2:
             raise ConfigError("factor cap must be >= 2")
-        level = self.level
-        if level is not None and (
-            isinstance(level, bool)
-            or not isinstance(level, numbers.Integral)
-            or level < 1
-        ):
+        level, bits = self.level, self.morton_bits
+        if level is not None and not _integer_in(level, 1):
             raise ConfigError(f"level must be an integer >= 1, got {level!r}")
         if self.reorder not in REORDER_POLICIES:
             raise ConfigError(
                 f"reorder policy must be one of {REORDER_POLICIES}, "
                 f"got {self.reorder!r}"
             )
-        if self.morton_bits is not None and not 1 <= self.morton_bits <= 21:
-            raise ConfigError("morton bits must be in 1..21")
+        if not _integer_in(bits, 1, 21):
+            raise ConfigError(f"morton bits must be an integer in 1..21, got {bits!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -218,15 +220,11 @@ class CompressedSegment:
     ``permutations`` is ``None`` or one permutation of the particles
     for the whole segment, checked here; the Morton policy
     (:attr:`reorder`) follows from it.
-    ``tolerance_spent`` is the relative-Frobenius budget consumed
-    against this segment's own unpadded data: the a-priori
-    composition of its merges, or, for a :func:`merge_stack` that spends
-    a budget, the certified bound over the data's norm.  ``error_bound``
-    is the certified absolute Frobenius error against the same data,
-    from the ledger of discarded energies (``None`` when unknown, as in
-    archives written without it).  Both, and the statistics, must be
-    finite, and ``stats.entry_count`` must be the integer count of the
-    segment's steps times its other extents.
+    ``error_bound`` is the certified absolute Frobenius error against
+    this segment's own unpadded data, from the ledger of discarded
+    energies (``None`` when unknown, as in archives written without it).
+    It and the statistics must be finite, and ``stats.entry_count`` must
+    be the integer count of the segment's steps times its other extents.
     """
 
     tt: TTTensor
@@ -235,7 +233,6 @@ class CompressedSegment:
     time_range: tuple
     part_time_extents: tuple
     stats: DataStats
-    tolerance_spent: float
     error_bound: Optional[float] = None
 
     def __post_init__(self):
@@ -280,8 +277,6 @@ class CompressedSegment:
                 f"entry count {count!r} is not {self.total_steps} steps of "
                 f"{self.plan.original_dims[1:]}"
             )
-        spent = _finite(self.tolerance_spent, "tolerance spent", True)
-        object.__setattr__(self, "tolerance_spent", spent)
         if self.error_bound is not None:
             bound = _finite(self.error_bound, "error bound", True)
             object.__setattr__(self, "error_bound", bound)
@@ -350,9 +345,9 @@ def _finite(value, what: str, nonnegative: bool = False) -> float:
     return float(value)
 
 
-def _morton_permutation(positions, bits: Optional[int]) -> np.ndarray:
+def _morton_permutation(positions, bits: int) -> np.ndarray:
     transform = fit_domain(positions)
-    return morton_sort(transform.apply(positions), bits or DEFAULT_BITS)
+    return morton_sort(transform.apply(positions), bits)
 
 
 def build_plan(
@@ -366,11 +361,10 @@ def build_plan(
     The leading ``n_split`` axes are factored into small primes (padding
     by replication when an extent will not factor) and keep
     ``config.level`` tree levels as dimensions (None: all of them; a
-    larger level is capped).  Later axes, every axis at level 1 (whose
-    one dimension would be the whole padded extent) and every axis when
-    tensorization is off, stay whole.  ``pad_time_to`` grows a short
-    segment to a common length so the segments of one run share a shape
-    and can be merged.
+    larger level is capped).  Later axes and every axis at level 1 (whose
+    one dimension would be the whole padded extent) stay whole.
+    ``pad_time_to`` grows a short segment to a common length so the
+    segments of one run share a shape and can be merged.
     """
     t_target = dims[0]
     if pad_time_to is not None:
@@ -382,7 +376,7 @@ def build_plan(
     axis_factors, axis_levels, pads = [], [], []
     for ax, extent in enumerate(dims):
         target = t_target if ax == 0 else extent
-        if config.tensorize and ax < n_split and config.level != 1:
+        if ax < n_split and config.level != 1:
             factors = factor_dims(target, config.max_factor)
             if factors is None:
                 target = next_factorable(target, config.max_factor)
@@ -439,8 +433,7 @@ def _compress(
     the real data region's error too.
     """
     if stats.x_max == stats.x_min or stats.frobenius_norm == 0.0:
-        tt, tau_rel = constant_tt(plan.tensorized_dims(), stats.x_min), 0.0
-        lost = 0.0
+        tt, lost = constant_tt(plan.tensorized_dims(), stats.x_min), 0.0
     else:
         tau_rel = config.tolerance
         if config.tolerance_kind == "nrmse":
@@ -455,7 +448,6 @@ def _compress(
         time_range=(first_step, first_step + n_t - 1),
         part_time_extents=(n_t,),
         stats=stats,
-        tolerance_spent=tau_rel,
         error_bound=lost,
     )
 
@@ -506,20 +498,11 @@ def compress_tensor(
 ) -> CompressedSegment:
     """Compress a generic dense tensor (no particle semantics).
 
-    Every axis is factored when tensorization is on, each at
-    ``config.level``.  The first axis plays the role of time in the
-    segment bookkeeping.
+    Every axis is factored, each at ``config.level``.  The first axis
+    plays the role of time in the segment bookkeeping.
     """
     plan = build_plan(data.dims, config, data.ndim)
     return _compress(data, plan, config, _data_stats(data))
-
-
-def compose_tolerances(base: float, rounding_taus) -> float:
-    """Cumulative relative tolerance after a chain of rounded merges."""
-    total = float(base)
-    for tau in rounding_taus:
-        total = total + tau + total * tau
-    return total
 
 
 def _normalize_time_axis(plan: TensorizePlan) -> TensorizePlan:
@@ -551,58 +534,9 @@ def combine_error_bounds(parts) -> Optional[float]:
     return math.hypot(*bounds)
 
 
-def combine_tolerances(parts) -> float:
-    """A-priori relative tolerance of parts that cover disjoint entries:
-    their absolute errors ``t_i * ||X_i||`` add in squares, so it is
-    ``sqrt(sum (t_i * ||X_i||)^2) / ||X||``, or the worst ``t_i`` when
-    that is less (float rounding) or the data is all zero."""
-    worst = max(p.tolerance_spent for p in parts)
-    norm = math.hypot(*(p.stats.frobenius_norm for p in parts))
-    errors = (p.tolerance_spent * p.stats.frobenius_norm for p in parts)
-    return min(worst, math.hypot(*errors) / norm) if norm > 0 else worst
-
-
-def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
-    """Merge segments by stacking along a new trailing dimension.
-
-    The parts share one particle permutation, the train dims and the plan
-    up to time padding, and follow each other in time.  The stacked train
-    is exact; rounding at ``tau_round`` (skipped when 0) then shrinks the
-    inflated ranks in one blockwise sweep over the parts, each
-    orthogonalized on its own (:func:`~ttcompress.tt._round_orthogonal`),
-    so the stack is never formed.  The parts are taken one at a time: an
-    iterator that hands them over lets each go once its train is taken,
-    and a rounding merge holds only the orthogonalized copies.
-
-    Tolerances are relative to ``||X||``, the parts' unpadded data norm,
-    not the stack's, which padded time copies can inflate: the rounding
-    may discard ``tau_round * ||X||``, so the a-priori budget ``t +
-    tau_round + t * tau_round``, ``t`` the parts'
-    :func:`combine_tolerances`, holds on the data.  The error bound is
-    the parts' bounds in root-sum-square (disjoint entries) plus the
-    rounding's loss in full.  A relative ``budget`` also spends what the
-    parts' certified errors leave of ``budget * ||X||``: one rounding at
-    the larger of the two, and the certified bound over ``||X||`` becomes
-    the part's budget.  Float slack past a larger spare rounds again at
-    the planned share; an unknown part bound keeps that share alone.
-    """
-    if not tau_round >= 0:  # NaN too
-        raise ConfigError(f"rounding tolerance must be >= 0, got {tau_round}")
-    parts = iter(parts)
-    head = list(itertools.islice(parts, 2))
-    if not head:
-        raise MergeError("nothing to merge")
-    if len(head) == 1:
-        return head[0]
-    parts = itertools.chain((head.pop(0) for _ in range(2)), parts)
-    if tau_round > 0:
-        # each part orthogonalized as it is taken, so that a part handed
-        # over is let go and only its copy is held
-        parts = (
-            dataclasses.replace(p, tt=TTTensor(_orthogonalize(p.tt.cores)))
-            for p in parts
-        )
-    parts = list(parts)
+def _check_mergeable(parts) -> None:
+    """The parts share one particle permutation, the train dims and the
+    plan up to time padding, and follow each other in time."""
     base = parts[0]
     for p in parts[1:]:
         a, b = p.permutations, base.permutations
@@ -620,29 +554,50 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
         if _normalize_time_axis(p.plan) != _normalize_time_axis(base.plan):
             raise MergeError("parts were tensorized under different plans")
     _check_contiguous(parts)
-    trains = [p.tt for p in parts]
+
+
+def merge_stack(parts, budget: float = 0.0) -> CompressedSegment:
+    """Merge segments by stacking along a new trailing dimension.
+
+    The parts must be mergeable (:func:`_check_mergeable`).  ``budget`` is
+    the merged part's relative error budget against ``||X||``, the parts'
+    unpadded data norm (not the stack's, which padded time copies can
+    inflate).  The parts' certified bounds add in squares (disjoint
+    entries) into the ledger.  When it is known and leaves a spare of
+    ``budget * ||X||``, one blockwise rounding
+    (:func:`~ttcompress.tt._round_orthogonal`) spends that spare alone,
+    each part orthogonalized on its own and the stack never formed, and
+    the bound is the ledger plus what it lost.  Otherwise the stack stays
+    exact and the bound is the ledger (``None`` if a part's is unknown).
+    So parts within a relative ``t`` merge within ``max(t, budget)``,
+    inside ``t + t_r + t * t_r`` at a budget ``t_r``.  Parts handed over
+    by an iterator let each original train go once its orthogonalized
+    copy is taken.
+    """
+    if not 0 <= budget < math.inf:  # NaN too
+        raise ConfigError(
+            f"merge budget must be a finite number >= 0, got {budget}"
+        )
+    parts = list(parts)
+    if not parts:
+        raise MergeError("nothing to merge")
+    if len(parts) == 1:
+        return parts[0]
+    _check_mergeable(parts)
     ledger = combine_error_bounds(parts)
     stats = combine_stats(p.stats for p in parts)
-    norm = stats.frobenius_norm
-    planned = tau_round * norm
-    # what the ledger leaves of the budget: nothing without both
     spare = -math.inf
-    if budget is not None and ledger is not None:
-        spare = budget * norm - ledger
-    spent = compose_tolerances(combine_tolerances(parts), [tau_round])
-    if tau_round == 0 and spare <= 0:
-        merged, lost = tt_stack_new(trains), 0.0
+    if ledger is not None:
+        spare = budget * stats.frobenius_norm - ledger
+    if spare > 0:
+        for i in range(len(parts)):
+            # in place, so that a part handed over lets its train go
+            cores = _orthogonalize(parts[i].tt.cores)
+            parts[i] = dataclasses.replace(parts[i], tt=TTTensor(cores))
+        merged, lost = _round_orthogonal([p.tt.cores for p in parts], spare)
     else:
-        # the parts were taken orthogonalized when tau_round > 0
-        blocks = [
-            t.cores if tau_round > 0 else _orthogonalize(t.cores)
-            for t in trains
-        ]
-        merged, lost = _round_orthogonal(blocks, max(planned, spare))
-        if lost > spare > planned:  # float slack past the spare
-            merged, lost = _round_orthogonal(blocks, planned)
-        if lost <= spare and norm > 0:
-            spent = (ledger + lost) / norm
+        merged, lost = tt_stack_new([p.tt for p in parts]), 0.0
+    base = parts[0]
     return CompressedSegment(
         tt=merged,
         plan=_normalize_time_axis(base.plan),
@@ -650,7 +605,6 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
         time_range=(base.time_range[0], parts[-1].time_range[1]),
         part_time_extents=sum((p.part_time_extents for p in parts), ()),
         stats=stats,
-        tolerance_spent=spent,
         error_bound=None if ledger is None else ledger + lost,
     )
 
@@ -658,41 +612,25 @@ def merge_stack(parts, tau_round: float, budget=None) -> CompressedSegment:
 def merge_tree(segments, budget=None, on_level=None):
     """Merge ``segments`` into one part under one relative error
     ``budget``, in a single :func:`merge_stack`: the stack of every
-    segment, rounded once.
-
-    The rounding tolerance is the one-level a-priori share ``(1 + B) / (1
-    + t) - 1`` of the budget ``B`` over the segments'
-    :func:`combine_tolerances` ``t``, which keeps the composition ``t +
-    t_r + t * t_r`` within the budget (segments above it raise
-    :class:`ConfigError` before any merging).  That bound is a worst case,
-    so :func:`merge_stack` also spends whatever the ledger of certified
-    errors leaves of the budget.  ``budget=None`` keeps the stack exact.
-    The segments are handed over one at a time, so the merge lets each go
-    once its train is taken.  ``on_level``, when given, observes the
+    segment, rounded at most once, spending what the segments' certified
+    errors leave of the budget.  ``budget=None`` keeps the stack exact.
+    The segments are handed over one at a time, so the merge lets each
+    go once its train is taken.  ``on_level``, when given, observes the
     segments and then the merged part, each as a list.
     """
     segments = list(segments)
     if not segments:
         raise ConfigError("no segments to merge")
-    tau = 0.0
-    if budget is not None:
-        if not 0 <= budget < math.inf:  # NaN too
-            raise ConfigError(
-                f"total budget must be a finite number >= 0, got {budget}"
-            )
-        per_segment = combine_tolerances(segments)
-        if not per_segment <= budget:
-            raise ConfigError(
-                f"per-segment tolerance {per_segment} is not within the "
-                f"total budget {budget}"
-            )
-        tau = max((1.0 + budget) / (1.0 + per_segment) - 1.0, 0.0)
+    if budget is not None and not 0 <= budget < math.inf:  # NaN too
+        raise ConfigError(
+            f"total budget must be a finite number >= 0, got {budget}"
+        )
     report = on_level or (lambda parts: None)
     report(list(segments))
     if len(segments) == 1:
         return segments[0]
     handed = (segments.pop(0) for _ in range(len(segments)))
-    merged = merge_stack(handed, tau, budget)
+    merged = merge_stack(handed, budget or 0.0)
     report([merged])
     return merged
 
@@ -714,11 +652,11 @@ def compress_run(
     merged: at an nRMSE target ``r`` segment ``i`` errs by at most
     ``r * range_i * sqrt(n_i)``, and ``sum range_i^2 * n_i <= range^2 * n``.
     Merged segments share the first segment's Morton permutation, and one
-    :func:`merge_tree` call stacks them all and rounds the stack once at
-    the run's relative budget, which the merged part's
-    ``tolerance_spent`` never exceeds: every tolerance is relative to the
-    unpadded data's norm, so it holds on a run whose padded last segment
-    is short and energetic too.
+    :func:`merge_tree` call stacks them all and rounds the stack at most
+    once, spending only what their certified errors leave of the run's
+    relative budget, which the merged part's ``error_bound`` thus keeps:
+    every tolerance is relative to the unpadded data's norm, so it holds
+    on a run whose padded last segment is short and energetic too.
 
     Returns the parts the run stores: ``[merged]``, or the segments when
     ``merge`` is off or the run fits in one segment.  ``on_level`` observes
@@ -980,7 +918,6 @@ def segment_metadata(
         "reorder": seg.reorder,
         "plan": _plan_to_dict(seg.plan),
         "stats": dataclasses.asdict(seg.stats),
-        "tolerance_spent": seg.tolerance_spent,
         "tool_version": __version__,
     }
     if seg.error_bound is not None:
@@ -1011,7 +948,8 @@ def segment_from_parts(tt: TTTensor, meta: dict) -> CompressedSegment:
             time_range=tuple(meta["time_range"]),
             part_time_extents=tuple(meta["part_time_extents"]),
             stats=stats,
-            tolerance_spent=meta["tolerance_spent"],
+            # archives written before the ledger alone budgeted merges
+            # also hold a "tolerance_spent" key, which is ignored
             error_bound=meta.get("error_bound"),
         )
         # written from the train; reorder follows from the permutations

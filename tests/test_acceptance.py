@@ -214,13 +214,13 @@ def test_criterion_05_streaming_error_budget():
         for tau in (1e-2, 1e-4):
             for tau_round in (1e-2, 1e-4):
                 budget = tau + tau_round + tau * tau_round
-                # stacks of tensorized and of untensorized segments
-                for tensorize in (True, False):
+                # stacks of tensorized and of untensorized (level 1) segments
+                for level in (None, 1):
                     cfg = CompressionConfig(
                         tolerance=tau,
                         tolerance_kind="relfrob",
                         reorder="none",
-                        tensorize=tensorize,
+                        level=level,
                     )
                     parts = [
                         compress_segment(
@@ -235,7 +235,7 @@ def test_criterion_05_streaming_error_budget():
                     worst = max(worst, err / budget)
                     trials += 1
                     assert err <= budget, (
-                        f"stack (tensorize={tensorize}) x{n_seg} tau={tau:g} "
+                        f"stack (level={level}) x{n_seg} tau={tau:g} "
                         f"round={tau_round:g}: {err:.3e} > {budget:.3e}"
                     )
     print(
@@ -291,7 +291,7 @@ def test_criterion_07_nrmse_targeting():
 def test_criterion_08_tensorization_advantage():
     batch = synth_particles(1024, 512, "settle", seed=7)
     cfg = CompressionConfig(tolerance=1e-1, tolerance_kind="nrmse")
-    cfg_flat = dataclasses.replace(cfg, tensorize=False)
+    cfg_flat = dataclasses.replace(cfg, level=1)
     wins = 0
     total = 0
     for start in range(0, 512, 32):

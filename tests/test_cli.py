@@ -33,7 +33,7 @@ from ttcompress import (
     write_ttc1,
 )
 from ttcompress import cli as cli_module
-from ttcompress.cli import main
+from ttcompress.cli import build_parser, main
 
 from conftest import settling_run
 
@@ -256,6 +256,47 @@ class TestCompress:
         recon = str(tmp_path / "recon.dt64")
         assert main(["reconstruct", folder, "-o", recon]) == 0
         assert read_dt64(recon).dims == (second, 64, 3)
+
+    @pytest.mark.parametrize(
+        "first, second, kept",
+        [
+            (["--no-merge"], [], ["seg_0_95.ttc"]),
+            ([], ["--no-merge"], [f"segments/seg_{a}_{b}.ttc"
+                                  for a, b in ((0, 31), (32, 63), (64, 95))]),
+        ],
+        ids=["segments-then-merged", "merged-then-segments"],
+    )
+    def test_rerun_clears_the_other_layout(self, tmp_path, first, second, kept):
+        # a merged run stores one archive in OUT, a --no-merge run its
+        # segments in OUT/segments; a rerun in the other layout removes the
+        # first run's archives, and an emptied segments folder too
+        out = tmp_path / "out"
+        for n_t, flags in ((64, first), (96, second)):
+            run = str(tmp_path / f"run{n_t}")
+            write_run(run, synth_particles(64, n_t, "settle", seed=2))
+            args = ["compress", run, "-o", str(out), "--segment-length", "32"]
+            assert main(args + flags) == 0
+        written = sorted(
+            p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()
+        )
+        assert written == sorted(kept + ["manifest.json"])
+        assert (out / "segments").exists() == bool(second)
+        folder = os.path.dirname(str(out / kept[0]))
+        recon = str(tmp_path / "recon.dt64")
+        assert main(["reconstruct", folder, "-o", recon]) == 0
+        assert read_dt64(recon).dims == (96, 64, 3)
+
+    def test_rerun_keeps_other_files(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "segments").mkdir(parents=True)
+        (out / "segments" / "notes.txt").write_text("kept")
+        (out / "seg_0_x.ttc").write_text("not an archive name")
+        run = str(tmp_path / "run")
+        write_run(run, synth_particles(16, 40, "settle", seed=2))
+        args = ["compress", run, "-o", str(out), "--segment-length", "16"]
+        assert main(args) == 0
+        assert (out / "segments" / "notes.txt").read_text() == "kept"
+        assert (out / "seg_0_x.ttc").exists()
 
     def test_verify_holds_one_leaf_at_a_time(self, tmp_path):
         import tracemalloc
@@ -537,7 +578,7 @@ class TestCompress:
         assert (pad.original, pad.padded) == (1021, 1024)
 
     @pytest.mark.parametrize("level", ["0", "-1"])
-    @pytest.mark.parametrize("flags", [["--no-tensorize"], []])
+    @pytest.mark.parametrize("flags", [["--no-merge"], []])
     def test_bad_level_exits_before_reading(
         self, run_dir, tmp_path, capsys, monkeypatch, level, flags
     ):
@@ -551,6 +592,25 @@ class TestCompress:
         err = capsys.readouterr().err
         assert "internal error" not in err and "level" in err
         assert not out.exists()
+
+    def test_no_tensorize_is_level_one(
+        self, run_dir, tmp_path, capsys, monkeypatch
+    ):
+        # one spelling per plan: --no-tensorize sets level 1, so it cannot
+        # be given with another level
+        argv = ["compress", run_dir, "-o", str(tmp_path / "out")]
+        args = build_parser().parse_args(argv + ["--no-tensorize"])
+        assert args.level == 1 and not hasattr(args, "tensorize")
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("opened the run before the flags were checked")
+
+        monkeypatch.setattr(ttcompress.cli, "open_run", no_read)
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--level", "2", "--no-tensorize"])
+        assert exc.value.code == 2
+        assert "not allowed with" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "source, flags, message",
@@ -911,6 +971,34 @@ class TestInfo:
         assert payload["error_bound"] is None
         assert payload["certified_rel_frob"] is None
 
+    def test_archive_has_one_error_account(self, run_dir, tmp_path, capsys):
+        # the certified bound is the archive's only error figure; archives
+        # that also hold the retired a-priori "tolerance_spent" still read,
+        # and certify the same
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out, "--tolerance", "0.05"]) == 0
+        archive = os.path.join(out, "seg_0_39.ttc")
+        tt, meta = read_ttc1(archive)
+        assert "tolerance_spent" not in meta
+        old = str(tmp_path / "old.ttc")
+        write_ttc1(old, tt, {**meta, "tolerance_spent": 0.0123})
+        capsys.readouterr()
+        payloads = []
+        for path in (archive, old):
+            assert main(["info", path, "--json"]) == 0
+            payloads.append(json.loads(capsys.readouterr().out))
+        new, older = payloads
+        for key in ("error_bound", "certified_rel_frob", "certified_nrmse"):
+            assert new[key] == older[key] is not None
+        assert "tolerance_spent" not in new and "tolerance_spent" not in older
+        metrics = read_manifest(out)["metrics"]
+        assert new["certified_nrmse"] == metrics["certified_nrmse"]
+        assert main(["info", old]) == 0
+        assert "tolerance_spent" not in capsys.readouterr().out
+        rec = str(tmp_path / "rec.dt64")
+        assert main(["reconstruct", old, "-o", rec]) == 0
+        assert read_dt64(rec).dims == (40, 64, 3)
+
     @pytest.mark.parametrize("bound", [-1.0, float("nan"), "0.1"])
     def test_malformed_bound_exits_two(self, run_dir, tmp_path, capsys, bound):
         out = str(tmp_path / "out")
@@ -933,9 +1021,6 @@ class TestInfo:
             ("x_max", float("inf")),
             ("frobenius_norm", -1.0),
             ("frobenius_norm", float("nan")),
-            ("tolerance_spent", -1.0),
-            ("tolerance_spent", float("nan")),
-            ("tolerance_spent", "0.1"),
         ],
     )
     def test_malformed_stats_exit_two(
@@ -945,10 +1030,7 @@ class TestInfo:
         assert main(["compress", run_dir, "-o", out]) == 0
         tt, meta = read_ttc1(os.path.join(out, "seg_0_39.ttc"))
         assert meta["stats"]["entry_count"] == 40 * 64 * 3
-        if key == "tolerance_spent":
-            meta[key] = value
-        else:
-            meta["stats"][key] = value
+        meta["stats"][key] = value
         archive = str(tmp_path / "bad.ttc")
         write_ttc1(archive, tt, meta)
         assert main(["info", archive]) == 2
@@ -1079,7 +1161,7 @@ class TestBench:
         flat = []
         compress_run(
             batch.time_slice, batch.n_t,
-            CompressionConfig(tolerance=0.1, segment_length=8, tensorize=False),
+            CompressionConfig(tolerance=0.1, segment_length=8, level=1),
             on_level=flat.append,
         )
         assert len(flat) == len(rows)

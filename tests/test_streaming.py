@@ -21,7 +21,6 @@ from ttcompress import (
     TTTensor,
     apply_plan,
     combine_stats,
-    compose_tolerances,
     compress_run,
     compress_segment,
     compress_tensor,
@@ -86,7 +85,6 @@ def empty_part(like):
         time_range=(end + 1, end),
         part_time_extents=(0,) * len(like.part_time_extents),
         stats=DataStats(like.stats.x_min, like.stats.x_max, 0.0, 0),
-        tolerance_spent=0.0,
         error_bound=0.0,
     )
 
@@ -94,7 +92,7 @@ def empty_part(like):
 def nested_merge(parts, arity, tau=0.0):
     """The layout of archives written before the one-level merge: groups
     of ``arity`` consecutive parts stacked level by level, each group by
-    one :func:`merge_stack` at ``tau``, short groups filled with
+    one :func:`merge_stack` under the budget ``tau``, short groups filled with
     :func:`empty_part`, so the stack dims are ``(arity,) * levels``."""
     level = list(parts)
     while len(level) > 1:
@@ -174,9 +172,7 @@ class TestCompressSegment:
         batch = synth_particles(1024, 32, "settle", seed=2)
         cfg = CompressionConfig(tolerance=0.1, tolerance_kind="nrmse")
         tens = compress_segment(batch, cfg)
-        flat = compress_segment(
-            batch, dataclasses.replace(cfg, tensorize=False)
-        )
+        flat = compress_segment(batch, dataclasses.replace(cfg, level=1))
         assert tens.compression_ratio > flat.compression_ratio
 
     def test_error_guarantee_on_unpadded_region(self):
@@ -204,8 +200,11 @@ class TestCompressSegment:
     def test_bad_level_rejected(self, level):
         with pytest.raises(ConfigError, match="level"):
             CompressionConfig(level=level)
-        with pytest.raises(ConfigError, match="level"):
-            CompressionConfig(level=level, tensorize=False)
+
+    @pytest.mark.parametrize("bits", [0, 22, None, True, 1.5])
+    def test_bad_morton_bits_rejected(self, bits):
+        with pytest.raises(ConfigError, match="morton bits"):
+            CompressionConfig(morton_bits=bits)
 
     @pytest.mark.parametrize(
         "override",
@@ -241,16 +240,6 @@ class TestCompressSegment:
             )
 
 
-def weighted_tolerance(parts):
-    """A-priori tolerance of disjoint parts: sqrt(sum (t_i ||X_i||)^2) / ||X||,
-    capped at the worst t_i."""
-    norms = np.array([p.stats.frobenius_norm for p in parts])
-    taus = np.array([p.tolerance_spent for p in parts])
-    if not norms.any():
-        return taus.max()
-    return min(taus.max(), np.linalg.norm(taus * norms) / np.linalg.norm(norms))
-
-
 class TestMergeStack:
     def test_duplicate_data_collapses(self):
         rng = np.random.default_rng(7)
@@ -258,29 +247,40 @@ class TestMergeStack:
         arr = np.concatenate([block, block], axis=0)
         cfg = relfrob_config(1e-8)
         parts = split_time(arr, 2, cfg)
-        merged = merge_stack(parts, 1e-10)
+        merged = merge_stack(parts, 2e-8)
         single = parts[0]
         d = single.tt.ndim
         assert merged.tt.ranks[1:d] == single.tt.ranks[1:d]
 
     def test_tolerance_composition(self):
-        assert compose_tolerances(1e-2, [1e-2]) == pytest.approx(0.0201)
+        # parts within t merge within max(t, budget), inside the
+        # composition t + t_r + t * t_r at a budget t_r
+        rng = np.random.default_rng(8)
+        arr = rng.uniform(size=(8, 8, 2))
+        norm = np.linalg.norm(arr)
+        tau = 1e-2
+        parts = split_time(arr, 2, relfrob_config(tau))
+        for budget in (1e-3, 1e-2, 5e-2):
+            merged = merge_stack(parts, budget)
+            assert merged.error_bound <= max(tau, budget) * norm * (1 + 1e-6)
+            err = abs_error(arr, merged)
+            assert err <= merged.error_bound + MEASURE_SLACK * norm
 
     def test_stacking_error_only_from_rounding(self):
         rng = np.random.default_rng(8)
         arr = rng.uniform(size=(8, 8, 2))
         cfg = relfrob_config(1e-2)
         parts = split_time(arr, 2, cfg)
-        tau_round = 1e-3
-        merged = merge_stack(parts, tau_round)
+        ledger = streaming.combine_error_bounds(parts)
+        budget = 2e-2
+        merged = merge_stack(parts, budget)
         stacked_parts = np.concatenate(
             [reconstruct_segment(p).to_numpy() for p in parts], axis=0
         )
-        err = rel_frob(
-            DenseTensor.from_numpy(stacked_parts),
-            reconstruct_segment(merged),
-        )
-        assert err <= tau_round
+        lost = merged.error_bound - ledger
+        norm = np.linalg.norm(arr)
+        assert 0 < lost <= (budget * norm - ledger) * (1 + 1e-9)
+        assert abs_error(stacked_parts, merged) <= lost + MEASURE_SLACK * norm
 
     def test_budget_property(self):
         rng = np.random.default_rng(9)
@@ -295,32 +295,29 @@ class TestMergeStack:
                         DenseTensor.from_numpy(arr),
                         reconstruct_segment(merged),
                     )
-                    assert err <= tau + tau_round + tau * tau_round
-                    assert merged.tolerance_spent == pytest.approx(
-                        compose_tolerances(tau, [tau_round])
-                    )
+                    composed = tau + tau_round + tau * tau_round
+                    assert err <= composed
+                    assert merged.error_bound <= composed * np.linalg.norm(arr)
 
     @pytest.mark.parametrize("tau_round", [0.0, 1e-3])
     def test_own_range_parts_compose_by_norm(self, tau_round):
         # segments of a settling run at nRMSE 1e-2 against their own
-        # ranges: their relative tolerances differ
+        # ranges: their relative errors differ, and their absolute bounds
+        # add in squares, below the worst relative one over the run
         batch = synth_particles(32, 64, "settle", seed=5)
         config = CompressionConfig(
             tolerance=1e-2, segment_length=16, reorder="none"
         )
         parts = compress_run(batch.time_slice, 64, config, merge=False)
-        taus = [p.tolerance_spent for p in parts]
-        assert max(taus) > 1.1 * min(taus)
+        rel = [p.error_bound / p.stats.frobenius_norm for p in parts]
+        assert max(rel) > 1.1 * min(rel)
         merged = merge_stack(parts, tau_round)
-        weighted = weighted_tolerance(parts)
-        assert merged.tolerance_spent == pytest.approx(
-            compose_tolerances(weighted, [tau_round]), rel=1e-12
-        )
-        assert merged.tolerance_spent < compose_tolerances(max(taus), [tau_round])
         norm = merged.stats.frobenius_norm
-        assert abs_error(batch.data.to_numpy(), merged) <= (
-            merged.tolerance_spent * norm
-        )
+        ledger = np.hypot.reduce([p.error_bound for p in parts])
+        assert ledger < max(rel) * norm
+        assert ledger <= merged.error_bound
+        assert merged.error_bound <= max(ledger, tau_round * norm) * (1 + 1e-9)
+        assert abs_error(batch.data.to_numpy(), merged) <= merged.error_bound
 
     def test_stats_union_exact(self):
         rng = np.random.default_rng(10)
@@ -420,33 +417,20 @@ class TestMergeTree:
             DenseTensor.from_numpy(arr), reconstruct_segment(final)
         )
         assert err <= 3 * tau
-        assert final.tolerance_spent <= 3 * tau * (1 + 1e-12)
         assert final.error_bound <= 3 * tau * np.linalg.norm(arr)
 
     def test_unknown_bound_keeps_the_planned_rounding(self):
-        # without a ledger the merge has nothing to spend from, and the
-        # one-level share composes to the whole budget
+        # without a ledger the merge has nothing to spend from: the stack
+        # stays exact, and its bound unknown
         rng = np.random.default_rng(21)
         arr = rng.uniform(size=(8, 4, 3))
         parts = split_time(arr, 4, relfrob_config(1e-2))
         parts[1] = dataclasses.replace(parts[1], error_bound=None)
         final = merge_tree(parts, 3e-2)
         assert final.error_bound is None
-        assert final.tolerance_spent == pytest.approx(3e-2, rel=1e-12)
+        assert same_cores(final.tt, tt_stack_new([p.tt for p in parts]))
         err = rel_frob(DenseTensor.from_numpy(arr), reconstruct_segment(final))
-        assert err <= 3e-2
-
-    def test_budget_exhaustion_fails_before_work(self, monkeypatch):
-        rng = np.random.default_rng(22)
-        arr = rng.uniform(size=(8, 4, 3))
-        parts = split_time(arr, 4, relfrob_config(1e-2))
-
-        def no_merge(*args):
-            raise AssertionError("merged before the budget was checked")
-
-        monkeypatch.setattr(streaming, "merge_stack", no_merge)
-        with pytest.raises(ConfigError):
-            merge_tree(parts, 5e-3)
+        assert err <= 1e-2
 
     @pytest.mark.parametrize("budget", [-1.0, float("nan"), float("inf")])
     def test_bad_budget_rejected(self, budget):
@@ -469,9 +453,8 @@ class TestMergeTree:
         assert all(
             np.array_equal(a, b) for a, b in zip(final.tt.cores, exact.cores)
         )
-        # the parts' norm-weighted tolerance, never above the worst
-        assert final.tolerance_spent == weighted_tolerance(parts)
-        assert final.tolerance_spent <= max(p.tolerance_spent for p in parts)
+        # the parts' bounds in root-sum-square, nothing lost
+        assert final.error_bound == streaming.combine_error_bounds(parts)
         assert np.allclose(
             reconstruct_segment(final).to_numpy(),
             np.concatenate([reconstruct_segment(p).to_numpy() for p in parts]),
@@ -564,8 +547,10 @@ class TestCompressRun:
         compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
         stats = stats_of(velocities)
         budget = nrmse_to_relfrob(1e-2, stats)
-        assert max(s.tolerance_spent for s in levels[0]) > budget / 2
-        assert weighted_tolerance(levels[0]) <= budget / 2
+        own = [nrmse_to_relfrob(5e-3, s.stats) for s in levels[0]]
+        assert max(own) > budget / 2
+        ledger = streaming.combine_error_bounds(levels[0])
+        assert ledger <= budget / 2 * stats.frobenius_norm
         final = levels[-1][0]
         assert final.stack_dims == (8,)
         measured = nrmse(batch.data, reconstruct_segment(final))
@@ -598,18 +583,17 @@ class TestLedger:
             assert abs_error(arr, seg) <= seg.error_bound + MEASURE_SLACK * norm
             # the SVD route's rounding estimate, a few eps * ||X|| per
             # step, is certified even where the tolerance is 0
-            assert seg.error_bound <= (
-                seg.tolerance_spent * (1 + 1e-6) + 1e-13
-            ) * norm
+            tau = cfg.tolerance
+            if cfg.tolerance_kind == "nrmse":
+                tau = nrmse_to_relfrob(tau, seg.stats)
+            assert seg.error_bound <= (tau * (1 + 1e-6) + 1e-13) * norm
         constant = compress_segment(
             batch_from_array(np.full((4, 8, 3), 2.5)), CompressionConfig()
         )
         assert constant.error_bound == 0.0
 
-    @pytest.mark.parametrize(
-        "tensorize", [True, False], ids=["stack", "untensorized"]
-    )
-    def test_merges(self, tensorize):
+    @pytest.mark.parametrize("level", [None, 1], ids=["stack", "untensorized"])
+    def test_merges(self, level):
         # the stacks of acceptance criterion 5
         rng = np.random.default_rng(97)
         x = rng.uniform(size=(8, 8, 8))
@@ -617,14 +601,15 @@ class TestLedger:
         for n_seg in (2, 4, 8):
             for tau in (1e-2, 1e-4):
                 for tau_round in (1e-2, 1e-4):
-                    cfg = relfrob_config(tau, tensorize=tensorize)
+                    cfg = relfrob_config(tau, level=level)
                     parts = split_time(x, n_seg, cfg)
+                    ledger = streaming.combine_error_bounds(parts)
                     merged = merge_stack(parts, tau_round)
                     err = abs_error(x, merged)
                     assert err <= merged.error_bound + MEASURE_SLACK * norm
-                    # never looser than the a-priori composition
-                    assert merged.error_bound <= (
-                        merged.tolerance_spent * norm * (1 + 1e-6)
+                    # the ledger, or the budget when it leaves a spare
+                    assert ledger <= merged.error_bound <= (
+                        max(ledger, tau_round * norm * (1 + 1e-9))
                     )
 
     def test_unknown_part_bound_propagates(self):
@@ -646,9 +631,6 @@ class TestLedger:
     @pytest.mark.parametrize(
         "field, value",
         [
-            ("tolerance_spent", -1.0),
-            ("tolerance_spent", float("nan")),
-            ("tolerance_spent", "0.1"),
             ("x_min", float("-inf")),
             ("x_min", 2.0),
             ("frobenius_norm", -1.0),
@@ -661,12 +643,9 @@ class TestLedger:
         rng = np.random.default_rng(99)
         seg = split_time(rng.uniform(size=(4, 4, 3)), 1, relfrob_config(1e-2))[0]
         assert seg.stats.entry_count == 48 and seg.stats.x_max < 1
-        if field == "tolerance_spent":
-            change = {field: value}
-        else:
-            change = {"stats": dataclasses.replace(seg.stats, **{field: value})}
+        stats = dataclasses.replace(seg.stats, **{field: value})
         with pytest.raises(StructureError):
-            dataclasses.replace(seg, **change)
+            dataclasses.replace(seg, stats=stats)
 
 
 def settle_run(n_seg, seed=3):
@@ -700,11 +679,13 @@ class TestPaddedMerge:
         parts = levels[0]
         assert [p.total_steps for p in parts] == [32, 1]
         merged = merge_stack(parts, tau_round)
-        bound = compose_tolerances(
-            streaming.combine_tolerances(parts), [tau_round]
-        )
-        assert merged.tolerance_spent == bound
-        assert rel_frob(batch.data, reconstruct_segment(merged)) <= bound
+        # the rounding spends tau_round of the data's norm, not of the
+        # stack's, whose padding copies hold far more
+        norm = merged.stats.frobenius_norm
+        ledger = streaming.combine_error_bounds(parts)
+        assert merged.error_bound <= max(ledger, tau_round * norm * (1 + 1e-9))
+        measured = rel_frob(batch.data, reconstruct_segment(merged))
+        assert measured <= merged.error_bound / norm + MEASURE_SLACK
 
     @pytest.mark.parametrize(
         "seed, n_t, amp", [(0, 33, 3.0), (1, 34, 10.0), (2, 40, 30.0)]
@@ -744,10 +725,6 @@ class TestSpendLeftover:
                     assert err <= part.error_bound + slack
         final = levels[-1][0]
         assert final.error_bound <= target * stats.frobenius_norm
-        assert final.tolerance_spent == pytest.approx(
-            final.error_bound / final.stats.frobenius_norm, rel=1e-12
-        )
-        assert final.tolerance_spent <= target
 
     @pytest.mark.parametrize("kind", ["nrmse", "relfrob"])
     @pytest.mark.parametrize("n_seg, seed", [(5, 2), (8, 2), (5, 3)])
@@ -776,9 +753,10 @@ class TestSpendLeftover:
                     np.array_equal(x, y) for x, y in zip(a.tt.cores, b.tt.cores)
                 )
                 assert a.error_bound == b.error_bound
-                assert a.tolerance_spent == b.tolerance_spent
 
     def test_spends_more_than_the_schedule(self):
+        # the one rounding spends what the ledger leaves of the target: a
+        # merge that left half that spare unspent keeps more entries
         batch = settle_run(8)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
         levels = []
@@ -787,78 +765,12 @@ class TestSpendLeftover:
         target = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
         levels = []
         merge_tree(segments, target, levels.append)
-        # the merge rounded at its a-priori share instead
-        worst = streaming.combine_tolerances(segments)
-        planned = merge_stack(segments, (1 + target) / (1 + worst) - 1)
         spent = levels[-1][0]
-        assert spent.tt.core_entry_count < planned.tt.core_entry_count
-        budget = target * spent.stats.frobenius_norm
-        assert planned.error_bound < spent.error_bound <= budget
-        assert spent.tolerance_spent == pytest.approx(
-            spent.error_bound / spent.stats.frobenius_norm, rel=1e-12
-        )
-        assert planned.tolerance_spent == pytest.approx(target, rel=1e-12)
-
-    @staticmethod
-    def overshooting_merge(monkeypatch, spare_binds):
-        """merge_stack of a settling run's segments at merge_tree's share
-        ``tau``, whose first rounding reports a loss past the budget:
-        ``(part, budgets the roundings got, spare, tau * ||X||, a-priori
-        tolerance, merge_tree's part)``.  ``spare_binds`` leaves a spare
-        above ``tau * ||X||``, else one of half of it."""
-        batch = settle_run(4)
-        config = CompressionConfig(tolerance=1e-2, segment_length=16)
-        levels = []
-        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
-        segments = levels[0]
-        norm = combine_stats(s.stats for s in segments).frobenius_norm
+        norm = spent.stats.frobenius_norm
         ledger = streaming.combine_error_bounds(segments)
-        budget = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
-        worst = streaming.combine_tolerances(segments)
-        tau = (1 + budget) / (1 + worst) - 1
-        planned = tau * norm
-        assert budget * norm - ledger > planned
-        if not spare_binds:
-            budget = (ledger + planned / 2) / norm
-        honest = streaming._round_orthogonal
-        calls = []
-
-        def inflated(parts, limit, stacked=True):
-            calls.append(limit)
-            train, lost = honest(parts, limit, stacked)
-            if len(calls) == 1:  # the first round overshoots the spare
-                lost += budget * norm
-            return train, lost
-
-        monkeypatch.setattr(streaming, "_round_orthogonal", inflated)
-        final = merge_stack(segments, tau, budget)
-        spare = budget * norm - ledger
-        a_priori = compose_tolerances(worst, [tau])
-        return final, calls, spare, planned, a_priori, levels[-1][0]
-
-    def test_slack_past_the_budget_falls_back(self, monkeypatch):
-        # a loss inflated past what the ledger leaves rounds once more, at
-        # the planned tau * ||X||, whose certified loss the spare covers
-        final, calls, spare, planned, _, merged = self.overshooting_merge(
-            monkeypatch, True
-        )
-        assert calls == [spare, planned]
-        assert final.tt.core_entry_count > merged.tt.core_entry_count
-        norm = final.stats.frobenius_norm
-        assert final.tolerance_spent == pytest.approx(
-            final.error_bound / norm, rel=1e-12
-        )
-        assert final.tolerance_spent < merged.tolerance_spent
-
-    def test_slack_under_the_planned_share_rounds_once(self, monkeypatch):
-        # the planned share bound the one round, so a second round would
-        # repeat it: the part keeps it, and the a-priori tolerance
-        final, calls, _, planned, a_priori, _ = self.overshooting_merge(
-            monkeypatch, False
-        )
-        assert calls == [planned]
-        assert final.tolerance_spent == a_priori
-
+        half = merge_stack(segments, (ledger + (target * norm - ledger) / 2) / norm)
+        assert spent.tt.core_entry_count < half.tt.core_entry_count
+        assert ledger < half.error_bound < spent.error_bound <= target * norm
 
     @pytest.mark.parametrize("tolerance", [0.1, 0.0])
     def test_all_zero_run(self, tolerance):
@@ -870,8 +782,6 @@ class TestSpendLeftover:
             batch.time_slice, batch.n_t, config, on_level=levels.append
         )
         assert len(levels) == 2 and final.error_bound == 0.0
-        # the a-priori composition, as merge_tree checks it
-        assert final.tolerance_spent <= tolerance * (1 + 1e-12)
         assert not reconstruct_segment(final).to_numpy().any()
 
 
@@ -882,8 +792,8 @@ def same_cores(a, b):
 
 
 class TestMergeStackBudget:
-    """``merge_stack(parts, tau, budget)`` on the segments of a merged
-    settling run: the one call that spends what the ledger leaves."""
+    """``merge_stack(parts, budget)`` on the segments of a merged settling
+    run: the one call that spends what the ledger leaves."""
 
     @pytest.fixture(scope="class")
     def last(self):
@@ -894,51 +804,74 @@ class TestMergeStackBudget:
         group = levels[0]
         stats = combine_stats(s.stats for s in group)
         budget = nrmse_to_relfrob(1e-2, stats)
-        # merge_tree's one-level share
-        tau = (1 + budget) / (1 + streaming.combine_tolerances(group)) - 1
-        return group, tau, budget, levels[-1][0]
+        ledger = streaming.combine_error_bounds(group)
+        return group, budget, ledger, stats.frobenius_norm, levels[-1][0]
 
     def test_equals_the_merge_tree_part(self, last):
-        group, tau, budget, final = last
-        part = merge_stack(group, tau, budget)
+        group, budget, ledger, norm, final = last
+        part = merge_stack(group, budget)
         assert same_cores(part.tt, final.tt)
         assert part.error_bound == final.error_bound
-        assert part.tolerance_spent == final.tolerance_spent
-        # the certified bound, below the a-priori composition
-        norm = part.stats.frobenius_norm
-        assert part.tolerance_spent == part.error_bound / norm
-        assert part.tolerance_spent < merge_stack(group, tau).tolerance_spent
+        # the ledger plus the one rounding's loss, within the budget
+        assert ledger < part.error_bound <= budget * norm
 
-    def test_budget_below_the_ledger_rounds_at_tau(self, last):
-        group, tau, _, _ = last
-        ledger = streaming.combine_error_bounds(group)
-        norm = combine_stats(p.stats for p in group).frobenius_norm
-        part = merge_stack(group, tau, 0.5 * ledger / norm)
-        planned = merge_stack(group, tau)
-        assert same_cores(part.tt, planned.tt)
-        assert part.error_bound == planned.error_bound
-        assert part.tolerance_spent == compose_tolerances(
-            streaming.combine_tolerances(group), [tau]
+    def test_budget_below_the_ledger_rounds_at_tau(self, last, monkeypatch):
+        # a budget the ledger already exceeds leaves nothing to round at:
+        # the bound stays the ledger, over the budget
+        group, _, ledger, norm, _ = last
+        calls = []
+        monkeypatch.setattr(
+            streaming, "_round_orthogonal", lambda *args: calls.append(args)
         )
+        part = merge_stack(group, 0.5 * ledger / norm)
+        assert calls == []
+        assert part.error_bound == ledger
 
     def test_unknown_bound_rounds_at_tau(self, last):
-        group, tau, budget, _ = last
+        # no ledger, nothing to spend from: the exact stack
+        group, budget, _, _, _ = last
         group = [dataclasses.replace(group[0], error_bound=None)] + group[1:]
-        part = merge_stack(group, tau, budget)
-        planned = merge_stack(group, tau)
+        part = merge_stack(group, budget)
         assert part.error_bound is None
-        assert same_cores(part.tt, planned.tt)
-        assert part.tolerance_spent == planned.tolerance_spent
+        assert same_cores(part.tt, tt_stack_new([p.tt for p in group]))
 
     @pytest.mark.parametrize("share", [0.0, 0.5])
     def test_no_spare_keeps_the_exact_stack(self, last, share):
-        group, _, _, _ = last
-        ledger = streaming.combine_error_bounds(group)
-        norm = combine_stats(p.stats for p in group).frobenius_norm
-        part = merge_stack(group, 0.0, share * ledger / norm)
+        group, _, ledger, norm, _ = last
+        part = merge_stack(group, share * ledger / norm)
         assert same_cores(part.tt, tt_stack_new([p.tt for p in group]))
         assert part.error_bound == ledger
-        assert part.tolerance_spent == streaming.combine_tolerances(group)
+
+    @pytest.mark.parametrize(
+        "n_t, kind, tolerance",
+        [(257, "relfrob", 1e-14), (257, "nrmse", 1e-2), (200, "relfrob", 1e-6)],
+    )
+    def test_rounds_within_the_spare(self, monkeypatch, n_t, kind, tolerance):
+        # the ledger of a run at relfrob 1e-14 already exceeds half the
+        # target, so no fixed share of the budget is left to round at
+        batch = synth_particles(128, n_t, "settle", seed=0)
+        config = CompressionConfig(
+            tolerance=tolerance, tolerance_kind=kind, segment_length=32
+        )
+        honest = streaming._round_orthogonal
+        budgets = []
+
+        def watch(blocks, budget):
+            budgets.append(budget)
+            return honest(blocks, budget)
+
+        monkeypatch.setattr(streaming, "_round_orthogonal", watch)
+        levels = []
+        compress_run(batch.time_slice, n_t, config, on_level=levels.append)
+        segments = levels[0]
+        stats = combine_stats(s.stats for s in segments)
+        target = tolerance
+        if kind == "nrmse":
+            target = nrmse_to_relfrob(tolerance, stats)
+        spare = target * stats.frobenius_norm
+        spare -= streaming.combine_error_bounds(segments)
+        assert len(budgets) <= 1
+        assert all(b <= spare for b in budgets)
 
 
 class TestStackRounding:
@@ -1002,31 +935,14 @@ class TestStackRounding:
 
 
 class TestScheduling:
-    """:func:`merge_tree` rounds its one level at the share ``(1 + B) / (1
-    + t) - 1`` of the budget ``B`` over the segments' tolerance ``t``."""
+    """:func:`merge_tree` checks its budget, and a segment record its
+    bound, before any merging."""
 
     @staticmethod
-    def segments(per_segment):
+    def segments(bound):
         rng = np.random.default_rng(26)
         parts = split_time(rng.uniform(size=(8, 4, 3)), 4, relfrob_config(0.0))
-        return [
-            dataclasses.replace(p, tolerance_spent=per_segment, error_bound=None)
-            for p in parts
-        ]
-
-    def test_equal_factor_schedule(self):
-        total, per_seg = 0.1, 0.05
-        final = merge_tree(self.segments(per_seg), total)
-        # without a ledger the a-priori composition is the part's budget
-        assert final.tolerance_spent == pytest.approx(total, rel=1e-12)
-        share = (1 + total) / (1 + per_seg) - 1
-        assert compose_tolerances(per_seg, [share]) == pytest.approx(
-            total, rel=1e-12
-        )
-
-    def test_over_budget_rejected(self):
-        with pytest.raises(ConfigError):
-            merge_tree(self.segments(0.02), 0.01)
+        return [dataclasses.replace(p, error_bound=bound) for p in parts]
 
     @pytest.mark.parametrize(
         "total, per_segment",
@@ -1034,7 +950,7 @@ class TestScheduling:
          (0.1, float("nan")), (0.1, -0.01)],
     )
     def test_bad_budget_rejected(self, total, per_segment):
-        # a bad budget fails in the merge, a bad segment tolerance as the
+        # a bad budget fails in the merge, a bad segment bound as the
         # segment record is built
         error = ConfigError if per_segment >= 0 else StructureError
         with pytest.raises(error):
@@ -1192,7 +1108,6 @@ def interlaced_segment():
         time_range=(0, 7),
         part_time_extents=(8,),
         stats=stats_of(x),
-        tolerance_spent=1e-2,
     )
 
 
@@ -1207,7 +1122,7 @@ READ_CASES = {
     "reorder-none": lambda: single_segment((8, 6, 3)),
     "reorder-segment": lambda: single_segment((8, 6, 3), reorder="segment"),
     "padded-particles": lambda: single_segment((6, 7, 3), reorder="segment"),
-    "untensorized": lambda: single_segment((8, 6, 3), tensorize=False),
+    "untensorized": lambda: single_segment((8, 6, 3), level=1),
     "merged-ragged": merged_ragged_segment,
     "merged-ragged-none": lambda: merged_ragged_segment("none"),
     "merged-3-arity-2": lambda: merged_ragged_segment(n_seg=3, arity=2),
@@ -1465,7 +1380,6 @@ def long_axis_archive(directory, bits):
         time_range=(0, 1),
         part_time_extents=(2,),
         stats=DataStats(-1.0, 1.0, 1.0, 2 * 2**bits),
-        tolerance_spent=0.0,
     )
     return load_segment(save_segment(directory, seg))
 
@@ -1570,12 +1484,13 @@ class TestStoreRoundtrip:
         seg = compress_segment(batch, cfg, first_step=16)
         path = save_segment(tmp_path, seg, cfg.config_hash())
         assert path.endswith("seg_16_23.ttc")
+        # the certified bound is the one error figure stored
+        assert "tolerance_spent" not in read_ttc1(path)[1]
         loaded = load_segment(path)
         assert loaded.time_range == seg.time_range
         assert loaded.plan == seg.plan
         assert loaded.stack_dims == seg.stack_dims
         assert loaded.part_time_extents == seg.part_time_extents
-        assert loaded.tolerance_spent == seg.tolerance_spent
         assert np.array_equal(loaded.permutations, seg.permutations)
         assert loaded.stats == seg.stats
         for a, b in zip(loaded.tt.cores, seg.tt.cores):
