@@ -18,7 +18,8 @@ triangular factor; that QR is blocked (TSQR, Demmel, Grigori, Hoemmen &
 Langou, 2012): one batched LAPACK call factors cache-sized row blocks of
 the long side, and one more QR their stacked triangles.  Every route
 carries the projection ``U^T M`` of the matrix on the kept vectors into
-the next core.
+the next core; a wide matrix whose rank keeps every row is that
+projection itself, kept whole with ``U = I`` and nothing discarded.
 
 Every SVD is numpy's (LAPACK ``gesdd``), whatever the budget; when it
 fails to converge, :func:`_svd` retries on the transpose and then runs a
@@ -44,10 +45,14 @@ from .errors import ConfigError, DataError, TTCompressError
 # 1e-12 * ||M||^2 while that side is shorter than 4500.
 GRAM_MIN_RELATIVE_BUDGET = 1e-6
 # A matrix with a positive budget whose smaller side is at least this long
-# first tries the randomized range finder.  Below it the direct routes
-# are cheap, and the settling runs' segment unfoldings (smaller side up
-# to about 214, ranks up to about 140) would sketch in vain.
-RANGE_MIN_SIDE = 512
+# first tries the randomized range finder.  Of the 562 truncations of a
+# settling run's segments and merge (4096 particles, 1024 steps), the
+# largest smaller side is 214, so those never sketch.  A sketch that
+# fails to certify stops after one block, and at smaller sides of 256 to
+# 300 that costs 5 to 20% of the direct route (0.5 ms against 8 to 18 ms
+# at 256 x 384, 6 ms against 29 to 71 ms at 256 x 4096); the kernel
+# study's 256 x 4096 unfoldings of ranks 11 to 15 certify at once.
+RANGE_MIN_SIDE = 256
 _RANGE_FIRST_BLOCK = 16
 _RANGE_SEED = 0
 # A matrix at least this many times as wide as it is tall is reduced to
@@ -223,6 +228,13 @@ def svd_truncation_rank(singular_values: np.ndarray, delta: float) -> int:
     return max(r, 1)
 
 
+def _svd_rounding(rows: int, norm: float) -> float:
+    """The SVD route's estimate (not a proven bound) of its own rounding
+    on a matrix of ``rows`` rows and norm ``norm``: ``(2 + log2(rows)) *
+    eps * norm`` (see :func:`_exact_truncation`)."""
+    return (2 + math.log2(rows)) * _EPS * norm
+
+
 def _checked_norm(arr: np.ndarray, delta: float) -> float:
     if not delta >= 0:  # NaN too
         raise ConfigError(f"truncation budget must be >= 0, got {delta}")
@@ -252,6 +264,19 @@ def _tall_triangle(a: np.ndarray) -> np.ndarray:
     return np.linalg.qr(np.vstack([r.reshape(blocks * n, n), a[cut:]]), mode="r")
 
 
+def _kept_whole(arr: np.ndarray, rank: int):
+    """``(I, M, 0.0)`` when ``rank`` keeps every row of a wide (or
+    square) ``M``, else ``None``.  ``U = I`` is orthonormal and
+    ``W = U^T M = M`` exactly, so nothing is dropped or rounded and the
+    error is exactly 0.  The next unfolding differs from the one the
+    singular vectors give only by an orthogonal rotation of its rows, so
+    later ranks do not change."""
+    rows, cols = arr.shape
+    if rank == rows <= cols:
+        return np.eye(rows), arr, 0.0
+    return None
+
+
 def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     """Truncation through one SVD, numpy's ``gesdd`` (:func:`_svd`):
     ``(U, W, discarded)``.
@@ -266,19 +291,22 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
 
     ``W = U^T M``, not ``diag(s) V^T``, which passes the SVD's own
     rounding on to the next core; at budgets near ``eps * ||M||`` that
-    rounding outgrows the budget.
+    rounding outgrows the budget.  When the rank keeps every row of a
+    wide matrix, it is kept whole (:func:`_kept_whole`): ``U = I``,
+    ``W = M`` and ``discarded = 0``, with no product or estimate formed.
 
-    ``discarded`` is the root-sum-square of the dropped singular values
-    plus an estimate (not a proven bound) of the rounding.  The SVD's
-    backward error and the carry's rounding, taken as ``(2 + log2(rows))
-    * eps * ||M||``, add to the dropped tail, since they need not be
-    orthogonal to it; the same term covers ``gesdd``'s absolute error in
-    the small singular values, so a budget near ``eps * ||M||`` needs no
-    more accurate driver.  ``U``'s columns are orthonormal only to about
-    ``eps``, which leaves ``U (U^T U - I) diag(s_r)`` of the kept part,
-    orthogonal to the tail, in the error.  The same certificate holds
-    when :func:`_svd` falls back to the transpose or to Jacobi rotations,
-    whose ``U`` is measured the same way.
+    Otherwise ``discarded`` is the root-sum-square of the dropped
+    singular values plus an estimate (not a proven bound) of the
+    rounding.  The SVD's backward error and the carry's rounding, taken
+    as ``(2 + log2(rows)) * eps * ||M||`` (:func:`_svd_rounding`), add to
+    the dropped tail, since they need not be orthogonal to it; the same
+    term covers ``gesdd``'s absolute error in the small singular values,
+    so a budget near ``eps * ||M||`` needs no more accurate driver.
+    ``U``'s columns are orthonormal only to about ``eps``, which leaves
+    ``U (U^T U - I) diag(s_r)`` of the kept part, orthogonal to the tail,
+    in the error.  The same certificate holds when :func:`_svd` falls
+    back to the transpose or to Jacobi rotations, whose ``U`` is measured
+    the same way.
     """
     rows, cols = arr.shape
     if cols >= _FACTOR_FIRST_ASPECT * rows:
@@ -287,9 +315,12 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
         core = arr
     u, s, _ = _svd(core)
     r = svd_truncation_rank(s, delta)
+    whole = _kept_whole(arr, r)
+    if whole is not None:
+        return whole
     u = u[:, :r]
     tail = float(np.sqrt(np.sum(s[r:] ** 2)))
-    backward = (2 + math.log2(rows)) * _EPS * norm
+    backward = _svd_rounding(rows, norm)
     defect = float(np.linalg.norm((u.T @ u - np.eye(r)) * s[:r]))
     discarded = math.hypot(tail + backward, defect)
     # M^T U is C-ordered, so W comes out F-ordered for the sweeps' reshapes
@@ -297,21 +328,30 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
 
 
 def _gram_truncation(arr: np.ndarray, delta: float, norm: float):
-    """Truncation through the Gram matrix of the smaller side and ``eigh``.
+    """Truncation through the Gram matrix of the smaller side and ``eigh``:
+    ``(U, W, discarded)``, or ``None`` when the result misses ``delta``.
 
-    Returns ``(U, W, lost)`` with ``M ~ U W``.  A wide matrix takes ``U``
-    from the leading eigenvectors of ``M M^T`` and ``W = U^T M``.  A tall
-    one takes ``V_r`` from those of ``M^T M`` and a thin QR
-    ``M V_r = Q R``, with ``U = Q`` and ``W = R V_r^T``.  For orthonormal
-    eigenvectors the error ``||M - U W||_F^2`` equals
-    ``lost = ||M||_F^2 - ||kept||_F^2`` (``kept`` being ``W`` or ``R``),
-    whatever the accuracy of the eigenvalues that chose the rank.
+    ``M ~ U W``.  A wide matrix takes ``U`` from the leading eigenvectors
+    of ``M M^T`` and ``W = U^T M``, or is kept whole when the rank keeps
+    every row (:func:`_kept_whole`).  A tall one takes ``V_r`` from those
+    of ``M^T M`` and a thin QR ``M V_r = Q R``, with ``U = Q`` and
+    ``W = R V_r^T``.  For orthonormal eigenvectors the error
+    ``||M - U W||_F^2`` equals ``lost = ||M||_F^2 - ||kept||_F^2``
+    (``kept`` being ``W`` or ``R``), whatever the accuracy of the
+    eigenvalues that chose the rank.  That difference is checked against
+    ``delta^2``; ``discarded`` adds ``min(rows, cols) * eps * ||M||_F^2``
+    to it, an estimate (not a proven bound) of its float error, since
+    ``eigh``'s eigenvectors are orthonormal only to about
+    ``min(rows, cols) * eps``.
     """
     wide = arr.shape[0] <= arr.shape[1]
     evals, evecs = np.linalg.eigh(arr @ arr.T if wide else arr.T @ arr)
     # eigh sorts ascending; rounding can leave tiny negative eigenvalues
     sigma = np.sqrt(np.maximum(evals[::-1], 0.0))
     r = svd_truncation_rank(sigma, delta)
+    whole = _kept_whole(arr, r)
+    if whole is not None:
+        return whole
     lead = evecs[:, ::-1][:, :r]
     if wide:
         # M^T U is C-ordered, so W comes out F-ordered for the sweeps'
@@ -322,7 +362,10 @@ def _gram_truncation(arr: np.ndarray, delta: float, norm: float):
         u, kept = np.linalg.qr(arr @ lead)
         w = (lead @ kept.T).T
     lost = norm**2 - float(np.linalg.norm(kept)) ** 2
-    return u, w, lost
+    if lost > delta * delta:
+        return None
+    slack = min(arr.shape) * _EPS * norm**2
+    return u, w, math.sqrt(max(lost, 0.0) + slack)
 
 
 def _range_truncation(arr: np.ndarray, delta: float, norm: float):
@@ -375,10 +418,9 @@ def _direct_truncation(arr: np.ndarray, delta: float, norm: float):
     of a wide matrix first and carries ``U^T M``, never ``diag(s) V^T``.
     """
     if 0.0 < GRAM_MIN_RELATIVE_BUDGET * norm <= delta:
-        u, w, lost = _gram_truncation(arr, delta, norm)
-        if lost <= delta * delta:
-            slack = min(arr.shape) * _EPS * norm**2
-            return u, w, math.sqrt(max(lost, 0.0) + slack)
+        found = _gram_truncation(arr, delta, norm)
+        if found is not None:
+            return found
     return _exact_truncation(arr, delta, norm)
 
 
@@ -410,8 +452,14 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float, norm: Optional[float] =
       (:func:`_exact_truncation`).  ``W`` is ``U^T M``,
       not ``diag(s) V^T``, whose rounding would reach the next core.
 
-    ``discarded_energy`` is ``||M - U W||_F``.  On the Gram path it is a
-    difference of squares, and it also holds
+    On the Gram and SVD routes, a wide (or square) matrix whose rank keeps
+    every row is returned whole, ``(I, M, 0.0)``: nothing is dropped or
+    rounded, and the next unfolding differs from the one the singular
+    vectors give only by an orthogonal rotation of its rows.
+
+    ``discarded_energy`` is ``||M - U W||_F``: exactly 0 for a matrix
+    kept whole.  Otherwise, on the Gram path it is a difference of
+    squares, and it also holds
     ``min(rows, cols) * eps * ||M||_F^2``, an estimate (not a proven
     bound) of that difference's float error: eigenvectors from ``eigh``
     are orthonormal only to about ``min(rows, cols) * eps``.  So it can

@@ -43,6 +43,7 @@ from .errors import (
     PlanError,
     StructureError,
 )
+from .lowrank import _svd_rounding
 from .morton import DEFAULT_BITS, fit_domain, morton_sort
 from .synthdata import SnapshotBatch
 from .tensorize import (
@@ -556,6 +557,19 @@ def _check_mergeable(parts) -> None:
     _check_contiguous(parts)
 
 
+def _rounding_floor(parts, norm: float) -> float:
+    """About the least that rounding the parts' stack certifies as lost:
+    the SVD route's estimate of its own rounding, ``(2 + log2(rows)) *
+    eps * norm`` per step, in root-sum-square.  Step ``k`` unfolds at most
+    ``R_k n_k`` rows, ``R_k`` being the stack's rank: 1 left of the first
+    core, the parts' ranks summed elsewhere."""
+    dims = parts[0].tt.dims
+    rows = [dims[0]] + [
+        sum(p.tt.ranks[k] for p in parts) * n for k, n in enumerate(dims) if k
+    ]
+    return math.sqrt(sum(_svd_rounding(r, norm) ** 2 for r in rows))
+
+
 def merge_stack(parts, budget: float = 0.0) -> CompressedSegment:
     """Merge segments by stacking along a new trailing dimension.
 
@@ -564,15 +578,17 @@ def merge_stack(parts, budget: float = 0.0) -> CompressedSegment:
     unpadded data norm (not the stack's, which padded time copies can
     inflate).  The parts' certified bounds add in squares (disjoint
     entries) into the ledger.  When it is known and leaves a spare of
-    ``budget * ||X||``, one blockwise rounding
+    ``budget * ||X||`` above the float estimates the rounding itself
+    would certify (:func:`_rounding_floor`), one blockwise rounding
     (:func:`~ttcompress.tt._round_orthogonal`) spends that spare alone,
     each part orthogonalized on its own and the stack never formed, and
-    the bound is the ledger plus what it lost.  Otherwise the stack stays
-    exact and the bound is the ledger (``None`` if a part's is unknown).
-    So parts within a relative ``t`` merge within ``max(t, budget)``,
-    inside ``t + t_r + t * t_r`` at a budget ``t_r``.  Parts handed over
-    by an iterator let each original train go once its orthogonalized
-    copy is taken.
+    the bound is the ledger plus what it lost.  Otherwise, as when near
+    float64's precision those estimates alone would exceed the spare,
+    the stack stays exact and the bound is the ledger (``None`` if a
+    part's is unknown).  So parts within a relative ``t`` merge within
+    ``max(t, budget)``, inside ``t + t_r + t * t_r`` at a budget ``t_r``.
+    Parts handed over by an iterator let each original train go once its
+    orthogonalized copy is taken.
     """
     if not 0 <= budget < math.inf:  # NaN too
         raise ConfigError(
@@ -589,7 +605,7 @@ def merge_stack(parts, budget: float = 0.0) -> CompressedSegment:
     spare = -math.inf
     if ledger is not None:
         spare = budget * stats.frobenius_norm - ledger
-    if spare > 0:
+    if spare > _rounding_floor(parts, stats.frobenius_norm):
         for i in range(len(parts)):
             # in place, so that a part handed over lets its train go
             cores = _orthogonalize(parts[i].tt.cores)

@@ -127,6 +127,19 @@ class TestCompress:
         assert metrics["nrmse"] <= metrics["certified_nrmse"] <= 1e-2
         assert metrics["rel_frob"] <= metrics["certified_rel_frob"]
 
+    def test_near_precision_certifies_the_target(self, tmp_path):
+        # at relfrob 1e-14 the segments' ledger leaves a spare below the
+        # float estimates one rounding of the stack would certify, so the
+        # stack stays exact and the certificate is the ledger
+        run = str(tmp_path / "run")
+        write_run(run, synth_particles(128, 257, "settle", seed=0))
+        out = str(tmp_path / "out")
+        args = ["compress", run, "-o", out, "--tolerance", "1e-14"]
+        args += ["--tolerance-kind", "relfrob", "--segment-length", "32"]
+        assert main(args + ["--verify"]) == 0
+        metrics = read_manifest(out)["metrics"]
+        assert metrics["rel_frob"] <= metrics["certified_rel_frob"] <= 1e-14
+
     def test_manifest_certifies_without_verify(self, run_dir, tmp_path):
         out = str(tmp_path / "out")
         assert main(["compress", run_dir, "-o", out, "--tolerance", "0.1"]) == 0

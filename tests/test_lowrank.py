@@ -5,14 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttcompress import (
+    CompressionConfig,
     ConfigError,
     DataError,
     TTCompressError,
+    compress_run,
     lowrank,
     rel_frob,
     sample_kernel_matrix,
     spectral_norm_estimate,
+    synth_particles,
     tensorize_matrix_interlaced,
+    tt,
     tt_full,
 )
 from ttcompress.lowrank import (
@@ -114,10 +118,20 @@ class TestTruncatedSVD:
         assert np.allclose(gram, np.diag(np.diag(gram)), atol=1e-10)
 
     def test_nonincreasing_singular_values(self):
-        rng = np.random.default_rng(4)
-        _, w, _ = _truncated_svd_arrays(rng.standard_normal((9, 9)), 0.0)
-        sv = np.linalg.norm(w, axis=1)
-        assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0)
+        # at budgets that drop something, on the Gram and the SVD route,
+        # the rows of W = U^T M have the kept singular values as norms
+        m = matrix_with_spectrum(
+            np.random.default_rng(4), 10.0 ** (-1.5 * np.arange(9)), 9
+        )
+        norm = np.linalg.norm(m)
+        for relative in (1e-4, 1e-9):
+            _, w, _ = _truncated_svd_arrays(m, relative * norm)
+            assert 1 < w.shape[0] < 9
+            sv = np.linalg.norm(w, axis=1)
+            assert np.all(sv[:-1] >= sv[1:]) and np.all(sv >= 0)
+        # a zero budget keeps every row, and the matrix is kept whole
+        u, w, discarded = _truncated_svd_arrays(m, 0.0)
+        assert np.array_equal(u, np.eye(9)) and w is m and discarded == 0.0
 
     def test_non_finite_rejected(self):
         bad = np.ones((2, 2))
@@ -291,9 +305,10 @@ class TestSVDRoute:
         [(2, 2), (6, 2), (500, 2), (16, 400), (8, 9001), (400, 16), (64, 64)],
     )
     def test_rounding_is_certified(self, shape):
-        # at a zero budget nothing is dropped, so the whole error is
-        # rounding; the positive budgets drop the values near 1e-16, where
-        # gesdd's small singular values are mostly noise
+        # at a zero budget nothing is dropped: a wide (or square) matrix
+        # is kept whole, with no error at all, and a tall one's whole
+        # error is rounding; the positive budgets drop the values near
+        # 1e-16, where gesdd's small singular values are mostly noise
         rng = np.random.default_rng(list(shape))
         wide = np.longdouble
         for relative, low in [(0.0, -8), (1e-15, -16), (1e-13, -16)]:
@@ -305,7 +320,83 @@ class TestSVDRoute:
             u, w, discarded = _truncated_svd_arrays(m, delta)
             assert (u.shape[1] == min(shape)) == (relative == 0.0)
             err = np.linalg.norm(m.astype(wide) - u.astype(wide) @ w.astype(wide))
-            assert 0.0 < err <= discarded <= delta + 20 * lowrank._EPS * norm
+            if relative == 0.0 and shape[0] <= shape[1]:
+                assert err == discarded == 0.0
+            else:
+                assert 0.0 < err <= discarded <= delta + 20 * lowrank._EPS * norm
+
+
+class TestKeptWhole:
+    """A wide (or square) matrix whose rank keeps every row is returned
+    whole on the Gram and the SVD route: ``U = I``, ``W = M`` and nothing
+    discarded.  A tall one still gets an orthonormal basis."""
+
+    # singular values down to 1e-3 of the largest, so every budget of
+    # these tests keeps them all
+    @staticmethod
+    def matrix(shape):
+        rows, cols = min(shape), max(shape)
+        m = matrix_with_spectrum(
+            np.random.default_rng(list(shape)), np.logspace(0, -3, rows), cols
+        )
+        return m if shape[0] <= shape[1] else m.T
+
+    @pytest.mark.parametrize(
+        "relative", [0.0, 1e-12, 1e-5], ids=["zero", "svd", "gram"]
+    )
+    @pytest.mark.parametrize(
+        "shape", [(16, 400), (16, 5000), (16, 24), (9, 9)],
+        ids=["wide", "wide-blocked", "near-square", "square"],
+    )
+    def test_wide_full_rank_is_kept_whole(self, svd_calls, shape, relative):
+        m = self.matrix(shape)
+        u, w, discarded = _truncated_svd_arrays(m, relative * np.linalg.norm(m))
+        assert np.array_equal(u, np.eye(shape[0])) and w is m
+        assert discarded == 0.0
+        assert np.linalg.norm(m - u @ w) == 0.0
+        # the SVD route still chose the rank by its SVD
+        gram_route = relative >= lowrank.GRAM_MIN_RELATIVE_BUDGET
+        assert (svd_calls == []) == gram_route
+
+    @pytest.mark.parametrize(
+        "relative", [0.0, 1e-12, 1e-5], ids=["zero", "svd", "gram"]
+    )
+    @pytest.mark.parametrize(
+        "shape", [(400, 16), (24, 16)], ids=["tall", "near-square"]
+    )
+    def test_tall_full_rank_gets_a_basis(self, shape, relative):
+        m = self.matrix(shape)
+        norm = float(np.linalg.norm(m))
+        u, w, discarded = _truncated_svd_arrays(m, relative * norm)
+        assert u.shape == shape and w.shape == (16, 16)
+        assert np.max(np.abs(u.T @ u - np.eye(16))) <= 1e-13
+        assert 0.0 < discarded
+        assert np.linalg.norm(m - u @ w) <= discarded + 4 * lowrank._EPS * norm
+
+
+def test_settling_run_never_sketches(monkeypatch):
+    """Segments and merge of a settling run of 4096 particles keep every
+    unfolding's smaller side below ``RANGE_MIN_SIDE``, so they never take
+    the range route."""
+    batch = synth_particles(4096, 96, "settle", seed=25)
+    sides, sketched = [], []
+    truncate, sketch = tt._truncated_svd_arrays, lowrank._range_truncation
+
+    def recording(arr, *args):
+        sides.append(min(arr.shape))
+        return truncate(arr, *args)
+
+    monkeypatch.setattr(tt, "_truncated_svd_arrays", recording)
+    monkeypatch.setattr(
+        lowrank, "_range_truncation",
+        lambda arr, *args: sketched.append(arr.shape) or sketch(arr, *args),
+    )
+    (merged,) = compress_run(
+        batch.time_slice, batch.n_t, CompressionConfig(tolerance=1e-2)
+    )
+    assert merged.stack_dims == (3,)
+    assert sketched == []
+    assert max(sides) < lowrank.RANGE_MIN_SIDE
 
 
 class TestTallTriangle:
@@ -420,6 +511,34 @@ class TestRangeTruncation:
         again = _truncated_svd_arrays(m, delta)
         assert np.array_equal(again[0], u) and np.array_equal(again[1], w)
         assert again[2] == discarded
+
+    def test_kernel_unfolding_is_sketched(
+        self, svd_calls, direct_shapes, monkeypatch
+    ):
+        # the shape of the kernel study's level-7 unfolding, of numerical
+        # rank 16, at a budget below the Gram route's: the first sketch
+        # certifies, and neither the SVD nor the blocked QR sees the
+        # whole matrix, only the projected 16 x 4096 one
+        m = matrix_with_spectrum(
+            np.random.default_rng(21), 0.1 ** np.arange(256), 4096
+        )
+        assert min(m.shape) == lowrank.RANGE_MIN_SIDE
+        norm = float(np.linalg.norm(m))
+        delta = 1e-9 * norm
+        assert delta < lowrank.GRAM_MIN_RELATIVE_BUDGET * norm
+        triangles = []
+        tall_triangle = lowrank._tall_triangle
+        monkeypatch.setattr(
+            lowrank, "_tall_triangle",
+            lambda a: triangles.append(a.shape) or tall_triangle(a),
+        )
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        k = lowrank._RANGE_FIRST_BLOCK
+        assert direct_shapes == [(k, 4096)]
+        assert triangles == [(4096, k)] and svd_calls == [(k, k)]
+        assert u.shape == (256, 10) and discarded <= delta
+        assert np.max(np.abs(w - u.T @ m)) <= 1e-12 * norm
+        assert np.linalg.norm(m - u @ w) <= discarded + 4 * lowrank._EPS * norm
 
     def test_full_rank_falls_back_bit_for_bit(self, monkeypatch):
         m = np.random.default_rng(19).standard_normal((600, 600))
