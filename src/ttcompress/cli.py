@@ -22,7 +22,6 @@ from .errors import ConfigError, IndexRangeError, IngestionError, TTCompressErro
 from .formats import _replacing, read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
 from .metrics import rel_frob, write_csv
-from .morton import DEFAULT_BITS
 from .streaming import (
     REORDER_POLICIES,
     TOLERANCE_KINDS,
@@ -55,10 +54,8 @@ def _config_from_args(args) -> CompressionConfig:
         tolerance=args.tolerance,
         tolerance_kind=args.tolerance_kind,
         segment_length=args.segment_length,
-        max_factor=args.max_factor,
         level=args.level,
         reorder=args.reorder,
-        morton_bits=args.morton_bits,
     )
 
 
@@ -118,9 +115,7 @@ def _compress_run(args, config):
     n_t, read = open_run(args.input)
     timings = {}
     parts = compress_run(read, n_t, config, args.merge, timings)
-    # --no-merge keeps the segments apart from a merged run's one archive
-    subdir = "" if args.merge else "segments"
-    return parts, subdir, timings, lambda a, b: read(a, b).data
+    return parts, timings, lambda a, b: read(a, b).data
 
 
 def _compress_dt64(args, config):
@@ -129,7 +124,7 @@ def _compress_dt64(args, config):
     parts = [compress_tensor(tensor, config)]
     timings = {"compress": time.perf_counter() - t0, "merge": 0.0}
     steps = tensor.to_numpy()
-    return parts, "", timings, lambda a, b: DenseTensor.from_numpy(steps[a:b])
+    return parts, timings, lambda a, b: DenseTensor.from_numpy(steps[a:b])
 
 
 def cmd_compress(args) -> int:
@@ -146,20 +141,13 @@ def cmd_compress(args) -> int:
         )
     if os.path.exists(outdir) and not os.path.isdir(outdir):
         raise IngestionError(f"output {outdir!r} exists and is not a directory")
-    final, subdir, timings, read = compress(args, config)
-    # OUT is made only to be written, so a failed run leaves none behind
-    os.makedirs(outdir, exist_ok=True)
-    folder = os.path.join(outdir, subdir)
-    paths = [save_segment(folder, p, config.config_hash()) for p in final]
-    # an earlier run's archives, in either layout, would be read back
-    # beside this one's manifest
-    segments = os.path.join(outdir, "segments")
-    for place in (outdir, segments):
-        if os.path.isdir(place):
-            for stale in set(list_segments(place)) - set(paths):
-                os.remove(stale)
-    if os.path.isdir(segments) and not os.listdir(segments):
-        os.rmdir(segments)
+    final, timings, read = compress(args, config)
+    # OUT is made only once there are archives to write, so a failed run
+    # leaves none behind
+    paths = [save_segment(outdir, p, config.config_hash()) for p in final]
+    # an earlier run's archives would be read back beside this one's manifest
+    for stale in set(list_segments(outdir)) - set(paths):
+        os.remove(stale)
     metrics = _measure(final, read) if args.verify else {}
     metrics.update(_certified(final))
     metrics["compression_ratio_cores_only"] = _overall_ratio(final)
@@ -290,15 +278,21 @@ def cmd_info(args) -> int:
     return EXIT_OK
 
 
+def _nonempty(values, text):
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no values")
+    return values
+
+
 def _parse_floats(text):
-    return [float(x) for x in text.split(",") if x]
+    return _nonempty([float(x) for x in text.split(",") if x], text)
 
 
 def _parse_levels(text):
     if ":" in text:
         lo, hi = text.split(":")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x]
+        return _nonempty(list(range(int(lo), int(hi) + 1)), text)
+    return _nonempty([int(x) for x in text.split(",") if x], text)
 
 
 def bench_fig3(args):
@@ -447,21 +441,13 @@ def build_parser() -> argparse.ArgumentParser:
         dest="tolerance_kind",
     )
     p.add_argument("--segment-length", type=int, default=32, dest="segment_length")
-    levels = p.add_mutually_exclusive_group()
-    levels.add_argument(
-        "--level", type=int, default=None, help="tensorization level override"
-    )
-    levels.add_argument(
-        "--no-tensorize", dest="level", action="store_const", const=1,
-        help="keep every axis whole (the same as --level 1)",
+    p.add_argument(
+        "--level", type=int, default=None,
+        help="tensorization level override; 1 keeps every axis whole",
     )
     p.add_argument("--no-merge", dest="merge", action="store_false")
     p.add_argument("--reorder", choices=REORDER_POLICIES, default="segment")
-    p.add_argument(
-        "--morton-bits", type=int, default=DEFAULT_BITS, dest="morton_bits"
-    )
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--max-factor", type=int, default=5, dest="max_factor")
     p.set_defaults(func=cmd_compress)
 
     p = sub.add_parser("reconstruct", help="expand archives back to a .dt64 tensor")
@@ -498,19 +484,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_BENCH_DEFAULTS = {
+    "fig3": dict(d=20, deltas=[1e-1, 1e-5, 1e-9], taus=[1e-1, 1e-2, 1e-3, 1e-4],
+                 levels=list(range(10, 21))),
+    "table1": dict(d=10, deltas=[1e-5], taus=[1e-2, 1e-5, 1e-8, 1e-11, 1e-14],
+                   levels=[6, 7, 8]),
+}
+
+
 def _apply_bench_defaults(args) -> None:
+    """The study's defaults for the flags that were not given; a given
+    value, even 0, is kept for the study to check."""
     if args.command != "bench":
         return
-    if args.study == "fig3":
-        args.d = args.d or 20
-        args.deltas = args.deltas or [1e-1, 1e-5, 1e-9]
-        args.taus = args.taus or [1e-1, 1e-2, 1e-3, 1e-4]
-        args.levels = args.levels or list(range(10, 21))
-    elif args.study == "table1":
-        args.d = args.d or 10
-        args.deltas = args.deltas or [1e-5]
-        args.taus = args.taus or [1e-2, 1e-5, 1e-8, 1e-11, 1e-14]
-        args.levels = args.levels or [6, 7, 8]
+    for key, value in _BENCH_DEFAULTS.get(args.study, {}).items():
+        if getattr(args, key) is None:
+            setattr(args, key, value)
 
 
 def main(argv=None) -> int:

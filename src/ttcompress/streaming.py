@@ -69,6 +69,9 @@ from .tt import (
 
 TOLERANCE_KINDS = ("nrmse", "relfrob")
 REORDER_POLICIES = ("none", "segment")
+# largest prime a split axis factors into; an extent with a larger prime
+# factor is padded up to the next extent without one
+MAX_FACTOR = 5
 SEGMENT_FILE_RE = re.compile(r"^seg_(\d+)_(\d+)\.ttc$")
 # entries x largest rank per block of a region query, and values per
 # block of a full reconstruction: each array stays near 8 MB
@@ -144,12 +147,12 @@ def error_measures(err: float, stats: DataStats):
     return rel_frob, nrmse
 
 
-def _integer_in(value, lo, hi=math.inf) -> bool:
-    """``value`` is an integer, not a bool, in ``lo..hi``."""
+def _integer_in(value, lo) -> bool:
+    """``value`` is an integer, not a bool, of at least ``lo``."""
     return (
         isinstance(value, numbers.Integral)
         and not isinstance(value, bool)
-        and lo <= value <= hi
+        and lo <= value
     )
 
 
@@ -162,18 +165,18 @@ class CompressionConfig:
     ``level`` is the tensorization level of every split axis (time and
     particles of a run, every axis of a plain tensor), capped at an axis's
     factor count; ``None`` keeps every factor as its own dimension, and
-    ``1`` keeps every axis whole (no tensorization).
+    ``1`` keeps every axis whole (no tensorization); split axes factor
+    into primes up to :data:`MAX_FACTOR`.
     ``reorder`` picks the Morton policy: one permutation per segment,
-    from its first step's positions (default), or none.
+    from its first step's positions (default), sorted on keys of
+    ``morton.DEFAULT_BITS`` bits per axis, or none.
     """
 
     tolerance: float = 0.1
     tolerance_kind: str = "nrmse"
     segment_length: int = 32
-    max_factor: int = 5
     level: Optional[int] = None
     reorder: str = "segment"
-    morton_bits: int = DEFAULT_BITS
 
     def __post_init__(self):
         if not 0 <= self.tolerance < math.inf:
@@ -189,9 +192,7 @@ class CompressionConfig:
             raise ConfigError("an nRMSE target must be > 0")
         if self.segment_length < 1:
             raise ConfigError("segment length must be >= 1")
-        if self.max_factor < 2:
-            raise ConfigError("factor cap must be >= 2")
-        level, bits = self.level, self.morton_bits
+        level = self.level
         if level is not None and not _integer_in(level, 1):
             raise ConfigError(f"level must be an integer >= 1, got {level!r}")
         if self.reorder not in REORDER_POLICIES:
@@ -199,8 +200,6 @@ class CompressionConfig:
                 f"reorder policy must be one of {REORDER_POLICIES}, "
                 f"got {self.reorder!r}"
             )
-        if not _integer_in(bits, 1, 21):
-            raise ConfigError(f"morton bits must be an integer in 1..21, got {bits!r}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -346,11 +345,6 @@ def _finite(value, what: str, nonnegative: bool = False) -> float:
     return float(value)
 
 
-def _morton_permutation(positions, bits: int) -> np.ndarray:
-    transform = fit_domain(positions)
-    return morton_sort(transform.apply(positions), bits)
-
-
 def build_plan(
     dims,
     config: CompressionConfig,
@@ -378,10 +372,10 @@ def build_plan(
     for ax, extent in enumerate(dims):
         target = t_target if ax == 0 else extent
         if ax < n_split and config.level != 1:
-            factors = factor_dims(target, config.max_factor)
+            factors = factor_dims(target, MAX_FACTOR)
             if factors is None:
-                target = next_factorable(target, config.max_factor)
-                factors = factor_dims(target, config.max_factor)
+                target = next_factorable(target, MAX_FACTOR)
+                factors = factor_dims(target, MAX_FACTOR)
             level = config.level
             level = len(factors) if level is None else min(level, len(factors))
         else:
@@ -481,7 +475,8 @@ def compress_segment(
                 "Morton reordering needs first-timestep positions; "
                 "use reorder='none' for data without them"
             )
-        perms = _morton_permutation(batch.positions_first, config.morton_bits)
+        first = batch.positions_first
+        perms = morton_sort(fit_domain(first).apply(first), DEFAULT_BITS)
     data = batch.data
     if perms is not None:
         # the transpose is row-major: take copies whole time columns, and

@@ -81,8 +81,7 @@ commands = {
     "tight": ["compress", dt64, "-o", tight, "--tolerance", "1e-12",
               "--tolerance-kind", "relfrob"],
     "file": ["reconstruct", archive, "-o", os.path.join(work, "file.dt64")],
-    "dir": ["reconstruct", os.path.join(flat, "segments"), "-o",
-            os.path.join(work, "dir.dt64")],
+    "dir": ["reconstruct", flat, "-o", os.path.join(work, "dir.dt64")],
     "region": ["reconstruct", archive, "-o", os.path.join(work, "region.dt64"),
                "--region", "2:9,3:40,1:3"],
     "info": ["info", archive, "--json"],

@@ -33,7 +33,7 @@ from ttcompress import (
     write_ttc1,
 )
 from ttcompress import cli as cli_module
-from ttcompress.cli import build_parser, main
+from ttcompress.cli import main
 
 from conftest import settling_run
 
@@ -52,11 +52,12 @@ def read_manifest(outdir):
 
 
 def unmerged_segments(run, out, length=16):
-    """Compress ``run`` losslessly into unmerged segments; their directory."""
+    """Compress ``run`` losslessly into unmerged segments; their directory,
+    ``out`` itself."""
     args = ["compress", run, "-o", str(out), "--tolerance", "0"]
     args += ["--tolerance-kind", "relfrob", "--no-merge"]
     assert main(args + ["--segment-length", str(length)]) == 0
-    return os.path.join(out, "segments")
+    return str(out)
 
 
 class TestCompress:
@@ -97,7 +98,7 @@ class TestCompress:
         )
         assert code == 0
         rec = str(tmp_path / "rec.dt64")
-        assert main(["reconstruct", os.path.join(out, "segments"), "-o", rec]) == 0
+        assert main(["reconstruct", out, "-o", rec]) == 0
         original = load_snapshots(run_dir).data
         recon = read_dt64(rec)
         norm = float(np.linalg.norm(original.values))
@@ -199,7 +200,7 @@ class TestCompress:
         # the merged archive, and the segments --no-merge stores
         for flags, names in (
             ([], ["seg_0_39.ttc"]),
-            (["--no-merge"], [f"segments/seg_{a}_{b}.ttc"
+            (["--no-merge"], [f"seg_{a}_{b}.ttc"
                               for a, b in ((0, 15), (16, 31), (32, 39))]),
         ):
             merge = not flags
@@ -208,9 +209,8 @@ class TestCompress:
             assert main(args + ["--segment-length", "16"] + flags) == 0
             mem = tmp_path / f"mem_{merge}"
             parts = compress_run(batch.time_slice, batch.n_t, config, merge)
-            subdir = mem if merge else mem / "segments"
             for part in parts:
-                save_segment(subdir, part, config.config_hash())
+                save_segment(mem, part, config.config_hash())
             assert len(parts) == len(names)
             for name in names:
                 assert (out / name).read_bytes() == (mem / name).read_bytes()
@@ -220,14 +220,14 @@ class TestCompress:
         [
             (40, [], ["seg_0_39.ttc"]),
             (16, [], ["seg_0_15.ttc"]),
-            (40, ["--no-merge"], [f"segments/seg_{a}_{b}.ttc"
+            (40, ["--no-merge"], [f"seg_{a}_{b}.ttc"
                                   for a, b in ((0, 15), (16, 31), (32, 39))]),
         ],
         ids=["merged", "one-segment", "no-merge"],
     )
     def test_output_layout(self, tmp_path, n_t, flags, archives):
         # a run stores its merged archive, or its segments under --no-merge,
-        # and the manifest lists exactly what was written
+        # in OUT beside the manifest, which lists exactly what was written
         run = str(tmp_path / "run")
         write_run(run, synth_particles(16, n_t, "settle", seed=2))
         out = tmp_path / "out"
@@ -243,61 +243,57 @@ class TestCompress:
             assert record["bytes"] == os.path.getsize(record["path"])
 
     @pytest.mark.parametrize(
-        "flags, first, second, kept",
+        "runs, kept",
         [
-            (["--no-merge"], 64, 32, ["segments/seg_0_31.ttc"]),
-            ([], 32, 64, ["seg_0_63.ttc"]),
+            (((64, ["--no-merge"]), (32, ["--no-merge"])), ["seg_0_31.ttc"]),
+            (((32, []), (64, [])), ["seg_0_63.ttc"]),
+            (((64, ["--no-merge"]), (96, [])), ["seg_0_95.ttc"]),
+            (((64, []), (96, ["--no-merge"])),
+             [f"seg_{a}_{b}.ttc" for a, b in ((0, 31), (32, 63), (64, 95))]),
         ],
-        ids=["no-merge", "merged"],
+        ids=["no-merge", "merged", "segments-then-merged", "merged-then-segments"],
     )
-    def test_rerun_leaves_no_stale_archive(
-        self, tmp_path, flags, first, second, kept
-    ):
-        # a second run into the same OUT removes the archives of the first
-        # that it did not write, so they are not read back with its own
+    def test_rerun_leaves_no_stale_archive(self, tmp_path, runs, kept):
+        # a second run into the same OUT, merged or not, removes the
+        # archives of the first that it did not write, so they are not
+        # read back with its own
         out = tmp_path / "out"
-        for n_t in (first, second):
+        for n_t, flags in runs:
             run = str(tmp_path / f"run{n_t}")
             write_run(run, synth_particles(64, n_t, "settle", seed=2))
             args = ["compress", run, "-o", str(out), "--segment-length", "32"]
             assert main(args + flags) == 0
-        written = sorted(
-            p.relative_to(out).as_posix() for p in out.rglob("*.ttc")
-        )
-        assert written == kept
-        folder = os.path.dirname(str(out / kept[0]))
+        assert sorted(os.listdir(out)) == sorted(kept + ["manifest.json"])
         recon = str(tmp_path / "recon.dt64")
-        assert main(["reconstruct", folder, "-o", recon]) == 0
-        assert read_dt64(recon).dims == (second, 64, 3)
+        assert main(["reconstruct", str(out), "-o", recon]) == 0
+        assert read_dt64(recon).dims == (runs[-1][0], 64, 3)
+
+    def test_no_merge_writes_into_out(self, run_dir, tmp_path):
+        # the segments sit beside the manifest, with no segments folder,
+        # and OUT reads back as the run
+        out = unmerged_segments(run_dir, tmp_path / "out")
+        assert sorted(os.listdir(out)) == [
+            "manifest.json", "seg_0_15.ttc", "seg_16_31.ttc", "seg_32_39.ttc",
+        ]
+        recon = str(tmp_path / "recon.dt64")
+        assert main(["reconstruct", out, "-o", recon]) == 0
+        original = load_snapshots(run_dir).data.to_numpy()
+        got = read_dt64(recon).to_numpy()
+        assert got.shape == original.shape
+        assert np.abs(got - original).max() <= 1e-9
 
     @pytest.mark.parametrize(
-        "first, second, kept",
-        [
-            (["--no-merge"], [], ["seg_0_95.ttc"]),
-            ([], ["--no-merge"], [f"segments/seg_{a}_{b}.ttc"
-                                  for a, b in ((0, 31), (32, 63), (64, 95))]),
-        ],
-        ids=["segments-then-merged", "merged-then-segments"],
+        "flags",
+        [["--max-factor", "7"], ["--morton-bits", "8"], ["--no-tensorize"]],
+        ids=["max-factor", "morton-bits", "no-tensorize"],
     )
-    def test_rerun_clears_the_other_layout(self, tmp_path, first, second, kept):
-        # a merged run stores one archive in OUT, a --no-merge run its
-        # segments in OUT/segments; a rerun in the other layout removes the
-        # first run's archives, and an emptied segments folder too
+    def test_removed_flags_are_unknown(self, run_dir, tmp_path, capsys, flags):
         out = tmp_path / "out"
-        for n_t, flags in ((64, first), (96, second)):
-            run = str(tmp_path / f"run{n_t}")
-            write_run(run, synth_particles(64, n_t, "settle", seed=2))
-            args = ["compress", run, "-o", str(out), "--segment-length", "32"]
-            assert main(args + flags) == 0
-        written = sorted(
-            p.relative_to(out).as_posix() for p in out.rglob("*") if p.is_file()
-        )
-        assert written == sorted(kept + ["manifest.json"])
-        assert (out / "segments").exists() == bool(second)
-        folder = os.path.dirname(str(out / kept[0]))
-        recon = str(tmp_path / "recon.dt64")
-        assert main(["reconstruct", folder, "-o", recon]) == 0
-        assert read_dt64(recon).dims == (96, 64, 3)
+        with pytest.raises(SystemExit) as exc:
+            main(["compress", run_dir, "-o", str(out)] + flags)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_rerun_keeps_other_files(self, tmp_path):
         out = tmp_path / "out"
@@ -465,7 +461,7 @@ class TestCompress:
                 env["OPENBLAS_NUM_THREADS"] = threads
             archive = {}
             for flags, name in (([], "seg_0_255.ttc"),
-                                (["--no-merge"], "segments/seg_0_31.ttc")):
+                                (["--no-merge"], "seg_0_31.ttc")):
                 out = str(tmp_path / f"out_{threads}_{len(flags)}")
                 subprocess.run(
                     [sys.executable, "-c",
@@ -573,8 +569,7 @@ class TestCompress:
         # replicated rows in every core
         run = settling_run(tmp_path / "run", 4, 1021, 64)
         trains = {}
-        for name, flags in [("level-1", ["--level", "1"]),
-                            ("flat", ["--no-tensorize"]), ("default", [])]:
+        for name, flags in [("level-1", ["--level", "1"]), ("default", [])]:
             out = tmp_path / name
             code = main(
                 ["compress", run, "-o", str(out), "--tolerance", "1e-2",
@@ -582,10 +577,8 @@ class TestCompress:
             )
             assert code == 0
             trains[name] = load_segment(out / "seg_0_63.ttc")
-        assert trains["level-1"].tt.dims == trains["flat"].tt.dims == (32, 1021, 3, 2)
+        assert trains["level-1"].tt.dims == (32, 1021, 3, 2)
         assert trains["level-1"].plan.pads == ()
-        for a, b in zip(trains["level-1"].tt.cores, trains["flat"].tt.cores):
-            assert np.array_equal(a, b)
         # the default level still splits the padded particle axis
         (pad,) = trains["default"].plan.pads
         assert (pad.original, pad.padded) == (1021, 1024)
@@ -605,25 +598,6 @@ class TestCompress:
         err = capsys.readouterr().err
         assert "internal error" not in err and "level" in err
         assert not out.exists()
-
-    def test_no_tensorize_is_level_one(
-        self, run_dir, tmp_path, capsys, monkeypatch
-    ):
-        # one spelling per plan: --no-tensorize sets level 1, so it cannot
-        # be given with another level
-        argv = ["compress", run_dir, "-o", str(tmp_path / "out")]
-        args = build_parser().parse_args(argv + ["--no-tensorize"])
-        assert args.level == 1 and not hasattr(args, "tensorize")
-
-        def no_read(*args, **kwargs):
-            raise AssertionError("opened the run before the flags were checked")
-
-        monkeypatch.setattr(ttcompress.cli, "open_run", no_read)
-        with pytest.raises(SystemExit) as exc:
-            main(argv + ["--level", "2", "--no-tensorize"])
-        assert exc.value.code == 2
-        assert "not allowed with" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "source, flags, message",
@@ -906,7 +880,7 @@ class TestReadsStayScipyFree:
         dt64 = str(tmp_path / "x.dt64")
         argv = {
             "file": ["reconstruct", archive, "-o", dt64],
-            "dir": ["reconstruct", str(work / "flat" / "segments"), "-o", dt64],
+            "dir": ["reconstruct", str(work / "flat"), "-o", dt64],
             "region": ["reconstruct", archive, "-o", dt64, "--region", "2:9,3:40,1:3"],
             "info": ["info", archive, "--json"],
         }[command]
@@ -1130,6 +1104,27 @@ class TestBench:
         for delta in ("0.1", "1e-05"):
             for tau in ("0.1", "0.001"):
                 assert by_key[(delta, tau, 12)] >= by_key[(delta, tau, 6)]
+
+    @pytest.mark.parametrize("study, limit", [("fig3", 24), ("table1", 12)])
+    def test_given_d_is_kept(self, tmp_path, capsys, study, limit):
+        # --d 0 is given, not absent: the study rejects it rather than
+        # running its default
+        out = tmp_path / "out.csv"
+        assert main(["bench", study, "-o", str(out), "--d", "0"]) == 2
+        assert f"d must be in 1..{limit}, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--levels", ""), ("--levels", "8:6"), ("--taus", ""), ("--deltas", ",")],
+    )
+    def test_empty_list_exits_two(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "table1", "-o", str(out), flag, value])
+        assert exc.value.code == 2
+        assert "lists no values" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_table1_single_cell(self, tmp_path):
         out = str(tmp_path / "table1.csv")

@@ -201,10 +201,14 @@ class TestCompressSegment:
         with pytest.raises(ConfigError, match="level"):
             CompressionConfig(level=level)
 
-    @pytest.mark.parametrize("bits", [0, 22, None, True, 1.5])
-    def test_bad_morton_bits_rejected(self, bits):
-        with pytest.raises(ConfigError, match="morton bits"):
-            CompressionConfig(morton_bits=bits)
+    @pytest.mark.parametrize("field", ["max_factor", "morton_bits"])
+    def test_removed_settings_are_unknown(self, field):
+        # each took one value, now a constant: MAX_FACTOR, morton.DEFAULT_BITS
+        with pytest.raises(TypeError, match=field):
+            CompressionConfig(**{field: 5})
+        assert [f.name for f in dataclasses.fields(CompressionConfig)] == [
+            "tolerance", "tolerance_kind", "segment_length", "level", "reorder",
+        ]
 
     @pytest.mark.parametrize(
         "override",
