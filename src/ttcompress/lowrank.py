@@ -6,19 +6,23 @@ tensor-train sweeps are built from.
 
 A truncation takes one of three routes.  A matrix whose smaller side is
 at least ``RANGE_MIN_SIDE`` and whose budget is positive first tries a
-seeded randomized range finder, whose residual is measured directly; the
-small projected matrix it leaves then takes one of the other two.  When
-no sketch certifies, or the matrix is smaller, budgets of at least
-``GRAM_MIN_RELATIVE_BUDGET`` times the matrix norm go through the Gram
-matrix of the smaller side and numpy's ``eigh``, wide and tall alike; the
-SVD serves only smaller budgets, the zero matrix and the Gram path's
-checked fallback.  A matrix at least twice as wide as it is tall is first
-factored by a QR of its long side, and the SVD sees only the small
-triangular factor; that QR is blocked (TSQR, Demmel, Grigori, Hoemmen &
-Langou, 2012): one batched LAPACK call factors cache-sized row blocks of
-the long side, and one more QR their stacked triangles.  Every route
-carries the projection ``U^T M`` of the matrix on the kept vectors into
-the next core; a wide matrix whose rank keeps every row is that
+seeded randomized range finder; the small projected matrix it leaves
+then takes one of the other two.  Its residual is a difference of
+squares at the Gram route's budgets and is otherwise measured directly,
+row block by row block, so it forms no temporary the size of the
+matrix.  When no sketch certifies, or the matrix is smaller, budgets of
+at least ``GRAM_MIN_RELATIVE_BUDGET`` times the matrix norm go through
+the Gram matrix of the smaller side and numpy's ``eigh``, wide and tall
+alike; the SVD serves only smaller budgets, the zero matrix and the Gram
+path's checked fallback.  On that route a matrix at least twice as wide
+as it is tall first takes the eigenvalues of its Gram, and when they
+prove that the rank keeps every row, no factorization runs at all.
+Otherwise it is factored by a QR of its long side, and the SVD sees only
+the small triangular factor; that QR is blocked (TSQR, Demmel, Grigori,
+Hoemmen & Langou, 2012): one batched LAPACK call factors cache-sized row
+blocks of the long side, and one more QR their stacked triangles.  Every
+route carries the projection ``U^T M`` of the matrix on the kept vectors
+into the next core; a wide matrix whose rank keeps every row is that
 projection itself, kept whole with ``U = I`` and nothing discarded.
 
 Every SVD is numpy's (LAPACK ``gesdd``), whatever the budget; when it
@@ -39,10 +43,12 @@ import numpy as np
 from .errors import ConfigError, DataError, TTCompressError
 
 # A matrix whose truncation budget is at least this multiple of its
-# Frobenius norm is truncated through the Gram matrix of its smaller side.
-# Squaring costs eigenvalue accuracy of about min(rows, cols) * eps *
-# ||M||^2 (_EPS below), under the squared budget of at least
-# 1e-12 * ||M||^2 while that side is shorter than 4500.
+# Frobenius norm is truncated through the Gram matrix of its smaller side,
+# and at such budgets the range route measures its residual as the same
+# kind of difference of squares, ||M||^2 - ||Q^T M||^2.  Squaring costs
+# accuracy of about min(rows, cols) * eps * ||M||^2 (_EPS below), under
+# the squared budget of at least 1e-12 * ||M||^2 while that side is
+# shorter than 4500.
 GRAM_MIN_RELATIVE_BUDGET = 1e-6
 # A matrix with a positive budget whose smaller side is at least this long
 # first tries the randomized range finder.  Of the 562 truncations of a
@@ -64,7 +70,9 @@ _RANGE_SEED = 0
 # figures hold for the blocked QR too.
 _FACTOR_FIRST_ASPECT = 2
 # That QR factors row blocks of about this many entries (256 KB) in one
-# batched LAPACK call; blocks of 2**12 to 2**17 entries timed alike.
+# batched LAPACK call; blocks of 2**12 to 2**17 entries timed alike.  The
+# range route's direct residual ||M - Q B||_F is summed over row blocks of
+# the same size.
 _TSQR_BLOCK_ENTRIES = 2**15
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -278,8 +286,8 @@ def _kept_whole(arr: np.ndarray, rank: int):
 
 
 def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
-    """Truncation through one SVD, numpy's ``gesdd`` (:func:`_svd`):
-    ``(U, W, discarded)``.
+    """Truncation through at most one SVD, numpy's ``gesdd``
+    (:func:`_svd`): ``(U, W, discarded)``.
 
     A matrix at least ``_FACTOR_FIRST_ASPECT`` times as wide as it is tall
     is first reduced to ``R^T`` of ``M^T = Q R``, which has ``M``'s
@@ -288,6 +296,15 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     matrix.  ``R`` comes from :func:`_tall_triangle`, a blocked QR (TSQR)
     as backward stable as one QR of the whole of ``M^T``.  Other matrices
     go to the SVD whole; for tall ones LAPACK takes a QR first itself.
+
+    Before that QR, the wide matrix takes ``eigvalsh(M M^T)``.  The Gram
+    product errs by at most about ``cols * eps * ||M||_F^2`` (Higham,
+    2002) and its eigenvalues by ``rows * eps * ||M||_F^2`` more, so
+    when the smallest exceeds ``delta^2 + (rows + cols) * eps *
+    ||M||_F^2``, every singular value exceeds ``delta``, the rank keeps
+    every row, and the matrix is kept whole with no QR and no SVD.  Kept
+    whole is exact, so the margin decides only whether the rank is the
+    one the SVD would choose, never the error certificate.
 
     ``W = U^T M``, not ``diag(s) V^T``, which passes the SVD's own
     rounding on to the next core; at budgets near ``eps * ||M||`` that
@@ -310,6 +327,11 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     """
     rows, cols = arr.shape
     if cols >= _FACTOR_FIRST_ASPECT * rows:
+        # full rank proved from the Gram (see above); where ||M||^2 or
+        # delta^2 overflows, nothing is proved and the Gram is not formed
+        margin = delta * delta + (rows + cols) * _EPS * norm * norm
+        if margin < math.inf and np.linalg.eigvalsh(arr @ arr.T)[0] > margin:
+            return _kept_whole(arr, rows)
         core = _tall_triangle(arr.T).T
     else:
         core = arr
@@ -374,11 +396,17 @@ def _range_truncation(arr: np.ndarray, delta: float, norm: float):
     ``Q`` is an orthonormal basis of ``M Omega`` for Gaussian blocks of 16,
     32, 64, ... columns, up to a quarter of the smaller side (Halko,
     Martinsson & Tropp, 2011).  At the first size whose residual
-    ``res = ||M - Q Q^T M||_F``, computed directly, is within
-    ``delta / sqrt(2)``, ``B = Q^T M`` is truncated by the direct route
-    with the budget ``sqrt(delta^2 - res^2)``.  The residual and ``B``'s
-    loss lie in orthogonal complements, so ``U = Q U_B``, ``W = W_B`` lose
-    ``sqrt(res^2 + lost_B^2)``.  Returns ``None`` when no size certifies,
+    ``res = ||M - Q Q^T M||_F`` is within ``delta / sqrt(2)``,
+    ``B = Q^T M`` is truncated by the direct route with the budget
+    ``sqrt(delta^2 - res^2)``.  The residual and ``B``'s loss lie in
+    orthogonal complements, so ``U = Q U_B``, ``W = W_B`` lose
+    ``sqrt(res^2 + lost_B^2)``.  At budgets of at least
+    ``GRAM_MIN_RELATIVE_BUDGET`` times the norm, ``res^2`` is the
+    difference of squares ``||M||_F^2 - ||B||_F^2``, and the certificate
+    adds the Gram route's own slack, ``min(rows, cols) * eps *
+    ||M||_F^2``; below them it is measured directly by
+    :func:`_residual_squared`, one row block at a time, so no ``m x n``
+    temporary is formed.  Returns ``None`` when no size certifies,
     or as soon as none can: the singular values decrease, so each column
     up to the cap is taken to capture at most the energy per column that
     the last block captured, and when even that leaves more than
@@ -389,26 +417,41 @@ def _range_truncation(arr: np.ndarray, delta: float, norm: float):
     cap = min(arr.shape) // 4
     k = _RANGE_FIRST_BLOCK
     missed = norm * norm  # energy outside the sketch's range
+    squares = GRAM_MIN_RELATIVE_BUDGET * norm <= delta
+    slack = min(arr.shape) * _EPS * norm * norm if squares else 0.0
     while k <= cap:
         block = k - sketch.shape[1]
         omega = rng.standard_normal((arr.shape[1], block))
         sketch = np.hstack([sketch, arr @ omega])
         q = np.linalg.qr(sketch)[0]
         b = q.T @ arr
-        resid = q @ b
-        resid -= arr  # the norm ignores the sign; one m x n temporary
-        res = float(np.linalg.norm(resid))
-        del resid  # freed before the next sketch makes its own
-        if res * res <= delta * delta / 2:
-            budget = math.sqrt(delta * delta - res * res)
-            u, w, lost = _direct_truncation(b, budget, float(np.linalg.norm(b)))
-            return q @ u, w, math.sqrt(res * res + lost * lost)
-        per_column = (missed - res * res) / block
-        missed = res * res
+        b_norm = float(np.linalg.norm(b))
+        if squares:
+            res2 = max(norm * norm - b_norm * b_norm, 0.0)
+        else:
+            res2 = _residual_squared(arr, q, b)
+        if res2 <= delta * delta / 2:
+            budget = math.sqrt(delta * delta - res2)
+            u, w, lost = _direct_truncation(b, budget, b_norm)
+            return q @ u, w, math.sqrt(res2 + slack + lost * lost)
+        per_column = (missed - res2) / block
+        missed = res2
         if missed - (cap - k) * per_column > delta * delta / 2:
             return None
         k *= 2
     return None
+
+
+def _residual_squared(arr: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
+    """``||M - Q B||_F^2``, summed over row blocks of about
+    ``_TSQR_BLOCK_ENTRIES`` entries, so no ``m x n`` temporary is formed."""
+    rows = max(1, _TSQR_BLOCK_ENTRIES // arr.shape[1])
+    total = 0.0
+    for start in range(0, arr.shape[0], rows):
+        resid = q[start : start + rows] @ b
+        resid -= arr[start : start + rows]  # the sign does not matter
+        total += float(np.vdot(resid, resid))
+    return total
 
 
 def _direct_truncation(arr: np.ndarray, delta: float, norm: float):
@@ -438,8 +481,9 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float, norm: Optional[float] =
       and whose budget is positive first tries
       :func:`_range_truncation`, which needs a few tall products instead
       of a factorization of the whole matrix when its numerical rank is
-      small; ``B = Q^T M`` then takes one of the two routes below.  When
-      no sketch size certifies, the matrix goes on to those routes itself.
+      small, and forms no temporary of the whole matrix's size;
+      ``B = Q^T M`` then takes one of the two routes below.  When no
+      sketch size certifies, the matrix goes on to those routes itself.
     * Gram: a budget of at least ``GRAM_MIN_RELATIVE_BUDGET`` times the
       norm goes through the Gram matrix of the smaller side, which is far
       cheaper than an SVD when that side is short; the error is checked
@@ -447,7 +491,9 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float, norm: Optional[float] =
     * SVD: smaller budgets, zero among them, and the zero matrix go to
       numpy's ``gesdd`` (:func:`_svd`; when it fails to converge, on the
       transpose and then by Jacobi rotations).  A matrix at least twice
-      as wide as it is tall is first factored by a QR of its long side,
+      as wide as it is tall first takes the eigenvalues of its Gram,
+      which can prove that the rank keeps every row before any
+      factorization; otherwise it is factored by a QR of its long side,
       and the SVD sees only the small triangular factor
       (:func:`_exact_truncation`).  ``W`` is ``U^T M``,
       not ``diag(s) V^T``, whose rounding would reach the next core.
@@ -463,8 +509,10 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float, norm: Optional[float] =
     ``min(rows, cols) * eps * ||M||_F^2``, an estimate (not a proven
     bound) of that difference's float error: eigenvectors from ``eigh``
     are orthonormal only to about ``min(rows, cols) * eps``.  So it can
-    exceed ``delta`` by that much.  The range route's residual is
-    measured directly and adds only what ``B``'s route discards.  On the
+    exceed ``delta`` by that much.  The range route's residual is the
+    same kind of difference of squares, with the same slack, at those
+    budgets and is measured directly below them; it adds what ``B``'s
+    route discards.  On the
     SVD route it is the root-sum-square of the dropped singular values
     plus an estimate of the rounding, a few ``eps * ||M||_F`` (see
     :func:`_exact_truncation`).

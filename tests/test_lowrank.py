@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -47,6 +48,20 @@ def svd_calls(monkeypatch):
         return original(arr)
 
     monkeypatch.setattr(lowrank, "_svd", counting)
+    return calls
+
+
+@pytest.fixture
+def triangle_calls(monkeypatch):
+    """Shapes of the tall matrices handed to the blocked QR."""
+    calls = []
+    original = lowrank._tall_triangle
+
+    def counting(a):
+        calls.append(a.shape)
+        return original(a)
+
+    monkeypatch.setattr(lowrank, "_tall_triangle", counting)
     return calls
 
 
@@ -207,19 +222,26 @@ class TestGramTruncation:
         )
         return m.T if tall else m
 
-    def check_small_budget_uses_svd(self, svd_calls, tall):
-        m = self.spectrum_500(10, tall)
+    @staticmethod
+    def check_small_budget_uses_svd(svd_calls, m):
+        tall = m.shape[0] > m.shape[1]
         delta = 0.5 * lowrank.GRAM_MIN_RELATIVE_BUDGET * np.linalg.norm(m)
         u, w, _ = _truncated_svd_arrays(m, delta)
         # a wide matrix's SVD sees the triangle of a QR of its long side
         assert svd_calls == [m.shape if tall else (16, 16)]
         assert np.linalg.norm(m - u @ w) <= delta
+        return u
 
     def test_small_budget_uses_svd(self, svd_calls):
-        self.check_small_budget_uses_svd(svd_calls, tall=False)
+        # the rank falls below the rows, so no Gram proves full rank first
+        m = matrix_with_spectrum(
+            np.random.default_rng(10), 0.1 ** np.arange(16), 500
+        )
+        u = self.check_small_budget_uses_svd(svd_calls, m)
+        assert u.shape[1] < 16
 
     def test_tall_small_budget_uses_svd(self, svd_calls):
-        self.check_small_budget_uses_svd(svd_calls, tall=True)
+        self.check_small_budget_uses_svd(svd_calls, self.spectrum_500(10, True))
 
     def test_tall_matrix_uses_gram(self, svd_calls):
         m = self.spectrum_500(11, tall=True)
@@ -354,9 +376,11 @@ class TestKeptWhole:
         assert np.array_equal(u, np.eye(shape[0])) and w is m
         assert discarded == 0.0
         assert np.linalg.norm(m - u @ w) == 0.0
-        # the SVD route still chose the rank by its SVD
+        # on the SVD route, a matrix at least twice as wide as tall proves
+        # its full rank from its Gram; the others choose it by their SVD
         gram_route = relative >= lowrank.GRAM_MIN_RELATIVE_BUDGET
-        assert (svd_calls == []) == gram_route
+        proved = shape[1] >= lowrank._FACTOR_FIRST_ASPECT * shape[0]
+        assert (svd_calls == []) == (gram_route or proved)
 
     @pytest.mark.parametrize(
         "relative", [0.0, 1e-12, 1e-5], ids=["zero", "svd", "gram"]
@@ -372,6 +396,82 @@ class TestKeptWhole:
         assert np.max(np.abs(u.T @ u - np.eye(16))) <= 1e-13
         assert 0.0 < discarded
         assert np.linalg.norm(m - u @ w) <= discarded + 4 * lowrank._EPS * norm
+
+
+class TestFullRankProof:
+    """On the SVD route, a matrix at least twice as wide as tall first
+    takes the eigenvalues of its Gram ``M M^T``.  Past ``delta^2 + (rows
+    + cols) * eps * ||M||^2`` the smallest proves that the rank keeps
+    every row, and the matrix is kept whole with no QR and no SVD;
+    otherwise the SVD of the triangle chooses the rank as before."""
+
+    @staticmethod
+    def matrix(shape, smallest):
+        """A matrix whose smallest singular value squared is ``smallest``
+        times its norm squared; the others run from 1 to 1e-2."""
+        rows, cols = shape
+        sigma = np.logspace(0, -2, rows)
+        rest = float(np.sum(sigma[:-1] ** 2))
+        sigma[-1] = math.sqrt(smallest * rest / (1 - smallest))
+        return matrix_with_spectrum(np.random.default_rng(list(shape)), sigma, cols)
+
+    # each offset puts the smallest singular value (squared, at the
+    # margin) that far to either side of the edge; 1e-8 is below what
+    # gesdd resolves there, so only the route's own SVD is the reference
+    @pytest.mark.parametrize("offset", [-1e-3, 1e-3, -1e-8, 1e-8])
+    @pytest.mark.parametrize("edge", ["budget", "margin"])
+    @pytest.mark.parametrize("relative", [0.0, 1e-12, 1e-9])
+    @pytest.mark.parametrize(
+        "shape", [(16, 400), (16, 5000)], ids=["wide", "wide-blocked"]
+    )
+    def test_rank_next_to_the_margin(
+        self, svd_calls, triangle_calls, shape, relative, edge, offset
+    ):
+        rows, cols = shape
+        if edge == "budget":
+            smallest = (relative * (1 + offset)) ** 2
+        else:
+            smallest = (relative**2 + (rows + cols) * lowrank._EPS) * (1 + offset)
+        m = self.matrix(shape, smallest)
+        delta = relative * float(np.linalg.norm(m))
+        assert delta < lowrank.GRAM_MIN_RELATIVE_BUDGET * np.linalg.norm(m)
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        rank = u.shape[1]
+        if svd_calls == []:
+            # proved full rank: kept whole, with no QR either
+            assert triangle_calls == [] and rank == rows
+            assert np.array_equal(u, np.eye(rows)) and w is m and discarded == 0.0
+        else:
+            assert svd_calls == [(rows, rows)] and triangle_calls == [m.T.shape]
+        if edge == "budget":
+            # far below the margin, no Gram proves anything
+            assert svd_calls == [(rows, rows)]
+        triangle = np.linalg.svd(lowrank._tall_triangle(m.T), compute_uv=False)
+        assert rank == svd_truncation_rank(triangle, delta)
+        if edge == "margin" or abs(offset) == 1e-3:
+            gesdd = np.linalg.svd(m, compute_uv=False)
+            assert rank == svd_truncation_rank(gesdd, delta)
+
+
+@pytest.mark.parametrize("relative", [1e-3, 1e-12], ids=["squares", "blockwise"])
+def test_range_route_forms_no_full_size_temporary(relative):
+    """The range route measures its residual from the norms of ``M`` and
+    ``Q^T M`` at Gram budgets and row block by row block below them, so
+    its peak stays far below one copy of the matrix."""
+    rng = np.random.default_rng(29)
+    left = np.linalg.qr(rng.standard_normal((1024, 64)))[0]
+    right = np.linalg.qr(rng.standard_normal((1024, 64)))[0]
+    m = (left * 0.3 ** np.arange(64)) @ right.T
+    delta = relative * float(np.linalg.norm(m))
+    tracemalloc.start()
+    try:
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 4
+    assert discarded <= delta
+    assert np.linalg.norm(m - u @ w) <= discarded + 4 * lowrank._EPS * np.linalg.norm(m)
 
 
 def test_settling_run_never_sketches(monkeypatch):
@@ -513,7 +613,7 @@ class TestRangeTruncation:
         assert again[2] == discarded
 
     def test_kernel_unfolding_is_sketched(
-        self, svd_calls, direct_shapes, monkeypatch
+        self, svd_calls, direct_shapes, triangle_calls
     ):
         # the shape of the kernel study's level-7 unfolding, of numerical
         # rank 16, at a budget below the Gram route's: the first sketch
@@ -526,16 +626,10 @@ class TestRangeTruncation:
         norm = float(np.linalg.norm(m))
         delta = 1e-9 * norm
         assert delta < lowrank.GRAM_MIN_RELATIVE_BUDGET * norm
-        triangles = []
-        tall_triangle = lowrank._tall_triangle
-        monkeypatch.setattr(
-            lowrank, "_tall_triangle",
-            lambda a: triangles.append(a.shape) or tall_triangle(a),
-        )
         u, w, discarded = _truncated_svd_arrays(m, delta)
         k = lowrank._RANGE_FIRST_BLOCK
         assert direct_shapes == [(k, 4096)]
-        assert triangles == [(4096, k)] and svd_calls == [(k, k)]
+        assert triangle_calls == [(4096, k)] and svd_calls == [(k, k)]
         assert u.shape == (256, 10) and discarded <= delta
         assert np.max(np.abs(w - u.T @ m)) <= 1e-12 * norm
         assert np.linalg.norm(m - u @ w) <= discarded + 4 * lowrank._EPS * norm
