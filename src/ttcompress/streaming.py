@@ -1,19 +1,19 @@
 """Segment-wise streaming compression.
 
-Incoming snapshot batches are compressed independently (reorder particles,
-pad, tensorize, TT-SVD), then merged under an explicit error budget.  One
-account of the error is kept: each part's ledger
-(``CompressedSegment.error_bound``) certifies its actual error from what
-its truncations discarded.  :func:`merge_stack`, the one merge, stacks
-parts along a new trailing dimension, so the stacks carry the time
-hierarchy; its certificate is the parts' bounds in root-sum-square plus
-what one rounding discards, and that rounding spends only what the
-ledger leaves of the budget.  :func:`merge_tree` owns a run's budget:
-one :func:`merge_stack` stacks every segment, and it returns the merged
-part alone.  Every read maps coordinates through
-``tensorize.axis_offsets``; full reads share one preparation and decode
-in file order, a block of whole time columns at a time
-(:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
+A run's segments, each read as the 3-D tensor of its steps, are
+compressed independently (reorder particles, pad, tensorize, TT-SVD),
+then merged under an explicit error budget.  One account of the error is
+kept: each part's ledger (``CompressedSegment.error_bound``) certifies
+its actual error from what its truncations discarded.
+:func:`merge_stack`, the one merge, stacks parts along a new trailing
+dimension, so the stacks carry the time hierarchy; its certificate is
+the parts' bounds in root-sum-square plus what one rounding discards,
+and that rounding spends only what the ledger leaves of the budget.
+:func:`merge_tree` owns a run's budget: one :func:`merge_stack` stacks
+every segment, and it returns the merged part alone.  Every read maps
+coordinates through ``tensorize.axis_offsets``; full reads share one
+preparation and decode in file order, a block of whole time columns at a
+time (:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
 """
 
 import base64
@@ -41,11 +41,11 @@ from .errors import (
     IndexRangeError,
     MergeError,
     PlanError,
+    ShapeError,
     StructureError,
 )
 from .lowrank import _svd_rounding
 from .morton import DEFAULT_BITS, fit_domain, morton_sort
-from .synthdata import SnapshotBatch
 from .tensorize import (
     AxisPad,
     TensorizePlan,
@@ -168,8 +168,9 @@ class CompressionConfig:
     ``1`` keeps every axis whole (no tensorization); split axes factor
     into primes up to :data:`MAX_FACTOR`.
     ``reorder`` picks the Morton policy: one permutation per segment,
-    from its first step's positions (default), sorted on keys of
-    ``morton.DEFAULT_BITS`` bits per axis, or none.
+    from its first step's positions, the first three components of the
+    data (default), sorted on keys of ``morton.DEFAULT_BITS`` bits per
+    axis, or none.
     """
 
     tolerance: float = 0.1
@@ -448,36 +449,42 @@ def _compress(
 
 
 def compress_segment(
-    batch: SnapshotBatch,
+    data: DenseTensor,
     config: CompressionConfig,
     first_step: int = 0,
     permutation_override: Optional[np.ndarray] = None,
     pad_time_to: Optional[int] = None,
 ) -> CompressedSegment:
-    """Compress one snapshot batch.
+    """Compress one segment: the 3-D tensor of its steps, dims
+    (n_t, n_p, n_c).
 
-    Pipeline: reorder particles by the Morton policy, pad and tensorize
-    per the plan, then TT-SVD at the tolerance converted with the batch's
-    own statistics, taken from the raw (pre-padding) data, which must be
-    finite.
+    Pipeline: reorder particles by the Morton policy, which sorts on the
+    first step's first three components (the positions), pad and
+    tensorize per the plan, then TT-SVD at the tolerance converted with
+    the segment's own statistics, taken from the raw (pre-padding) data,
+    which must be finite.
 
     ``permutation_override`` pins one particle ordering across segments
-    that will later be merged; it must permute the batch's particles.
+    that will later be merged; it must permute the segment's particles.
     """
-    stats = _data_stats(batch.data, first_step)
-    arr = batch.data.to_numpy()
+    if data.ndim != 3:
+        raise ShapeError(
+            "segment data must be 3-dimensional (steps, particles, "
+            f"components), got {data.ndim} dimensions"
+        )
+    stats = _data_stats(data, first_step)
+    arr = data.to_numpy()
 
     # checked as the segment record checks it, but before the SVD
     perms = _checked_permutation(permutation_override, arr.shape)
     if perms is None and config.reorder == "segment":
-        if batch.positions_first is None:
+        if arr.shape[2] < 3:
             raise ConfigError(
-                "Morton reordering needs first-timestep positions; "
-                "use reorder='none' for data without them"
+                "Morton reordering needs three position components, "
+                f"got {arr.shape[2]}; use reorder='none'"
             )
-        first = batch.positions_first
+        first = arr[0, :, :3]
         perms = morton_sort(fit_domain(first).apply(first), DEFAULT_BITS)
-    data = batch.data
     if perms is not None:
         # the transpose is row-major: take copies whole time columns, and
         # the column-major result makes the flat values below a view
@@ -656,12 +663,14 @@ def compress_run(
 ):
     """Compress a run of ``n_t`` steps segment by segment and merge it.
 
-    ``read(start, stop)`` returns the :class:`SnapshotBatch` of steps
-    [start, stop).  Each step is read once, one segment at a time, so
-    memory holds one segment plus the compressed parts.  Each segment is
-    compressed against its own statistics, at half the target when
-    merged: at an nRMSE target ``r`` segment ``i`` errs by at most
-    ``r * range_i * sqrt(n_i)``, and ``sum range_i^2 * n_i <= range^2 * n``.
+    ``read(start, stop)`` returns the 3-D :class:`DenseTensor` of steps
+    [start, stop), as a run directory's reader and
+    ``SnapshotBatch.time_slice`` do.  Each step is read once, one segment
+    at a time, so memory holds one segment plus the compressed parts.
+    Each segment is compressed against its own statistics, at half the
+    target when merged: at an nRMSE target ``r`` segment ``i`` errs by at
+    most ``r * range_i * sqrt(n_i)``, and
+    ``sum range_i^2 * n_i <= range^2 * n``.
     Merged segments share the first segment's Morton permutation, and one
     :func:`merge_tree` call stacks them all and rounds the stack at most
     once, spending only what their certified errors leave of the run's
@@ -686,9 +695,9 @@ def compress_run(
     parts = []  # the segments
     for start in range(0, n_t, seg_len):
         perms = parts[0].permutations if merging and parts else None
-        batch = read(start, min(start + seg_len, n_t))
-        parts.append(compress_segment(batch, seg_config, start, perms, pad))
-        del batch  # one raw segment in memory at a time
+        data = read(start, min(start + seg_len, n_t))
+        parts.append(compress_segment(data, seg_config, start, perms, pad))
+        del data  # one raw segment in memory at a time
     t1 = time.perf_counter()
 
     if merging:

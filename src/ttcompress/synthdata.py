@@ -11,7 +11,6 @@ defines the on-disk snapshot layout the CLI ingests.
 import json
 import os
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -60,63 +59,28 @@ def sample_kernel_matrix(delta: float, d: int) -> DenseTensor:
 class SnapshotBatch:
     """Raw per-timestep particle data before any ordering or reshaping.
 
-    ``data`` has dims (n_t, n_p, n_c); ``positions_first`` holds the
-    particle positions at the batch's first timestep when available
-    (needed for Morton ordering).  ``position_columns`` records which
-    data components are positions (0-based), so sub-batches can extract
-    their own first-step positions; None means the data carries no
-    positions beyond ``positions_first``.
+    ``data`` has dims (n_t, n_p, n_c); its first three components, when
+    there are three, are the particle positions that Morton ordering
+    sorts on.
     """
 
     data: DenseTensor
-    positions_first: Optional[np.ndarray]
     timestep_size: float
-    position_columns: Optional[tuple] = None
 
     def __post_init__(self):
         if self.data.ndim != 3:
             raise ConfigError(
                 f"batch data must be 3-dimensional, got {self.data.ndim}"
             )
-        if self.positions_first is not None:
-            pos = np.asarray(self.positions_first, dtype=np.float64)
-            if pos.shape != (self.data.dims[1], 3):
-                raise ConfigError(
-                    f"positions shape {pos.shape} does not match "
-                    f"({self.data.dims[1]}, 3)"
-                )
-            if not np.isfinite(pos).all():
-                raise ConfigError("positions contain non-finite values")
-            object.__setattr__(self, "positions_first", pos)
-        if self.position_columns is not None:
-            cols = tuple(int(c) for c in self.position_columns)
-            if len(cols) != 3 or any(
-                not 0 <= c < self.data.dims[2] for c in cols
-            ):
-                raise ConfigError(
-                    f"position columns {cols} invalid for "
-                    f"{self.data.dims[2]} components"
-                )
-            object.__setattr__(self, "position_columns", cols)
 
     @property
     def n_t(self) -> int:
         return self.data.dims[0]
 
-    def time_slice(self, start: int, stop: int) -> "SnapshotBatch":
-        """Sub-batch over timesteps [start, stop) (0-based)."""
-        arr = self.data.to_numpy()[start:stop]
-        positions = None
-        if self.position_columns is not None:
-            positions = arr[0][:, list(self.position_columns)].copy()
-        elif start == 0:
-            positions = self.positions_first
-        return SnapshotBatch(
-            data=DenseTensor.from_numpy(arr),
-            positions_first=positions,
-            timestep_size=self.timestep_size,
-            position_columns=self.position_columns,
-        )
+    def time_slice(self, start: int, stop: int) -> DenseTensor:
+        """Steps [start, stop) (0-based) as a 3-D tensor: the batch read
+        as :func:`open_run`'s reader reads a run."""
+        return DenseTensor.from_numpy(self.data.to_numpy()[start:stop])
 
 
 SCENARIOS = ("ballistic", "settle", "noise")
@@ -136,7 +100,8 @@ def synth_particles(
     from rest drop onto a floor and bounce with restitution 0.5 until they
     come to rest, giving a smooth / rough / smooth compressibility
     profile.  ``noise``: i.i.d. uniform values, the incompressible
-    control.  All three return position-like 3-component data.
+    control.  All three return 3-component data whose components are
+    the positions.
     """
     if n_p < 1 or n_t < 1:
         raise ConfigError("extents must be >= 1")
@@ -184,12 +149,7 @@ def synth_particles(
             z[settled] = 0.0
             vz[settled] = 0.0
             rest |= settled
-    return SnapshotBatch(
-        data=DenseTensor.from_numpy(data),
-        positions_first=data[0].copy(),
-        timestep_size=dt,
-        position_columns=(0, 1, 2),
-    )
+    return SnapshotBatch(DenseTensor.from_numpy(data), dt)
 
 
 def _step_name(k: int) -> str:
@@ -223,15 +183,8 @@ def write_run(path, batch: SnapshotBatch) -> None:
             fh.write(step.tobytes())
 
 
-def open_run(path):
-    """Open a run directory for reading by step range.
-
-    Returns ``(n_t, read)``: ``read(start, stop)`` assembles steps
-    [start, stop) (0-based) into a snapshot batch.  Every step file's size
-    is checked here, before anything is allocated, and again when read.
-    The first three components are the positions when at least three
-    exist; otherwise the batch carries none.
-    """
+def _meta(path):
+    """``(n_t, n_p, n_c, dt)`` from a run directory's ``meta.json``."""
     meta_path = os.path.join(path, META_NAME)
     if not os.path.isfile(meta_path):
         raise IngestionError(f"missing {META_NAME} in {path}")
@@ -247,8 +200,19 @@ def open_run(path):
         raise IngestionError(f"bad header fields in {META_NAME}: {exc}") from exc
     if n_t < 1 or n_p < 1 or n_c < 1:
         raise IngestionError("header extents must be >= 1")
+    return n_t, n_p, n_c, dt
 
-    pos_cols = (0, 1, 2) if n_c >= 3 else None
+
+def open_run(path):
+    """Open a run directory for reading by step range.
+
+    Returns ``(n_t, read)``: ``read(start, stop)`` assembles steps
+    [start, stop) (0-based) into one 3-D :class:`DenseTensor` of dims
+    (steps, n_p, n_c).  Every step file's size is checked here, before
+    anything is allocated, and again when read.  The first three
+    components, when there are three, are the positions.
+    """
+    n_t, n_p, n_c, _ = _meta(path)
     expected = n_p * n_c
 
     def check_size(k: int, size: int) -> None:
@@ -264,7 +228,7 @@ def open_run(path):
             raise IngestionError(f"timestep {k}: missing {_step_name(k)}")
         check_size(k, os.path.getsize(step_path))
 
-    def read(start: int, stop: int) -> SnapshotBatch:
+    def read(start: int, stop: int) -> DenseTensor:
         if not 0 <= start < stop <= n_t:
             raise IngestionError(
                 f"step range [{start}, {stop}) outside the run's 0..{n_t - 1}"
@@ -275,17 +239,12 @@ def open_run(path):
             raw = np.fromfile(os.path.join(path, _step_name(k)), dtype="<f8")
             check_size(k, raw.nbytes)
             rows[k - start] = raw
-        # one copy into the column-major batch, whose flat values below
+        # one copy into the column-major tensor, whose flat values below
         # are then a view
         data = np.asfortranarray(
             rows.reshape((stop - start, n_c, n_p)).transpose(0, 2, 1)
         )
-        return SnapshotBatch(
-            data=DenseTensor(data.shape, data.reshape(-1, order="F")),
-            positions_first=None if pos_cols is None else data[0][:, pos_cols],
-            timestep_size=dt,
-            position_columns=pos_cols,
-        )
+        return DenseTensor(data.shape, data.reshape(-1, order="F"))
 
     return n_t, read
 
@@ -294,4 +253,4 @@ def load_snapshots(path) -> SnapshotBatch:
     """Assemble a whole run directory into one snapshot batch (see
     :func:`open_run`)."""
     n_t, read = open_run(path)
-    return read(0, n_t)
+    return SnapshotBatch(read(0, n_t), _meta(path)[3])

@@ -34,7 +34,7 @@ def settling_run(path, seed, n_p, n_t):
         z[stop] = 0.0
         vz[stop] = 0.0
         moving &= ~stop
-    batch = SnapshotBatch(DenseTensor.from_numpy(data), data[0].copy(), dt)
+    batch = SnapshotBatch(DenseTensor.from_numpy(data), dt)
     write_run(path, batch)
     return str(path)
 

@@ -39,7 +39,6 @@ from ttcompress import (
     tt_svd,
     write_run,
 )
-from ttcompress.streaming import SnapshotBatch
 from ttcompress.tensorize import invert_plan, matrix_interlace_plan
 from ttcompress.tt import TTTensor, compression_ratio
 
@@ -60,15 +59,6 @@ EXPECTED_SPECTRAL = {
     (6, 1e-11): 1.5e-9, (7, 1e-11): 1.5e-9, (8, 1e-11): 1.1e-9,
     (6, 1e-14): 5.9e-12, (7, 1e-14): 6.0e-12, (8, 1e-14): 7.4e-12,
 }
-
-
-def batch_from_array(arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    return SnapshotBatch(
-        data=DenseTensor.from_numpy(arr),
-        positions_first=arr[0, :, :3].copy() if arr.shape[2] >= 3 else None,
-        timestep_size=1.0,
-    )
 
 
 def random_tt(rng, dims, rank):
@@ -97,11 +87,11 @@ def test_criterion_01_kernel_study_reproduction():
         for tau in (1e-2, 1e-5, 1e-8, 1e-11, 1e-14):
             train = tt_svd(tensor, tau)
             ratio = compression_ratio(train)
-            recon = invert_plan(tt_full(train), plan).to_numpy()
+            diff = dense - invert_plan(tt_full(train), plan).to_numpy()
             est = spectral_norm_estimate(
-                lambda v: dense @ v - recon @ v,
-                lambda v: dense.T @ v - recon.T @ v,
-                dense.shape,
+                lambda v: diff @ v,
+                lambda v: diff.T @ v,
+                diff.shape,
                 tol=1e-3,
                 max_iterations=500,
             )
@@ -224,7 +214,7 @@ def test_criterion_05_streaming_error_budget():
                     )
                     parts = [
                         compress_segment(
-                            batch_from_array(x[i * step : (i + 1) * step]),
+                            DenseTensor.from_numpy(x[i * step : (i + 1) * step]),
                             cfg,
                             first_step=i * step,
                         )
@@ -278,7 +268,7 @@ def test_criterion_07_nrmse_targeting():
     results = []
     for target in (1e-1, 1e-2):
         cfg = CompressionConfig(tolerance=target, tolerance_kind="nrmse")
-        seg = compress_segment(batch, cfg)
+        seg = compress_segment(batch.data, cfg)
         measured = nrmse(batch.data, reconstruct_segment(seg))
         assert measured <= target, f"nRMSE {measured:.3e} above {target:g}"
         results.append((target, measured, seg.compression_ratio))
@@ -341,7 +331,7 @@ def test_criterion_10_pipeline_roundtrip(tmp_path):
     write_run(run_dir, batch)
     loaded = load_snapshots(run_dir)
     cfg = CompressionConfig(tolerance=0.0, tolerance_kind="relfrob")
-    seg = compress_segment(loaded, cfg)
+    seg = compress_segment(loaded.data, cfg)
     assert seg.plan.pads, "expected the particle axis to be padded"
     path = save_segment(tmp_path, seg, cfg.config_hash())
     restored = reconstruct_segment(load_segment(path))

@@ -26,14 +26,19 @@ from ttcompress import (
     reconstruct_segment,
     reconstruct_segments,
     rel_frob,
+    sample_kernel_matrix,
     save_segment,
     synth_particles,
+    tensorize_matrix_interlaced,
+    tt_full,
+    tt_svd,
     write_dt64,
     write_run,
     write_ttc1,
 )
 from ttcompress import cli as cli_module
 from ttcompress.cli import main
+from ttcompress.tensorize import invert_plan, matrix_interlace_plan
 
 from conftest import settling_run
 
@@ -179,7 +184,7 @@ class TestCompress:
     def test_all_zero_run_merges(self, tmp_path, tolerance):
         zeros = np.zeros((40, 8, 3))
         run = str(tmp_path / "run")
-        batch = SnapshotBatch(DenseTensor.from_numpy(zeros), zeros[0], 1.0)
+        batch = SnapshotBatch(DenseTensor.from_numpy(zeros), 1.0)
         write_run(run, batch)
         out = str(tmp_path / "out")
         args = ["compress", run, "-o", out, "--tolerance", tolerance]
@@ -389,7 +394,7 @@ class TestCompress:
         # the first step is named, not the first value in storage order
         arr[70, 9, 2] = arr[80, 0, 0] = value
         run = str(tmp_path / "run")
-        write_run(run, SnapshotBatch(DenseTensor.from_numpy(arr), arr[0], 0.01))
+        write_run(run, SnapshotBatch(DenseTensor.from_numpy(arr), 0.01))
         out = tmp_path / "out"
         args = ["compress", run, "-o", str(out), "--tolerance", "1e-2"]
         assert main(args + flags) == 2
@@ -423,7 +428,7 @@ class TestCompress:
             write_dt64(src, t.dims, [t.values])
         else:
             src = str(tmp_path / "run")
-            write_run(src, SnapshotBatch(t, arr[0], 0.01))
+            write_run(src, SnapshotBatch(t, 0.01))
         out = tmp_path / "out"
         args = ["compress", src, "-o", str(out), "--tolerance-kind", kind]
         assert main(args + ["--segment-length", "16"]) == 2
@@ -867,6 +872,23 @@ class TestReconstruct:
         assert code == 2
         assert "region" in capsys.readouterr().err
 
+    def test_empty_region_exits_two(self, run_dir, tmp_path, capsys):
+        # an empty region is a malformed one, not a request for the run
+        out = str(tmp_path / "out")
+        assert main(["compress", run_dir, "-o", out]) == 0
+        target = tmp_path / "x.dt64"
+        archive = os.path.join(out, "seg_0_39.ttc")
+        assert main(["reconstruct", archive, "-o", str(target), "--region", ""]) == 2
+        assert "region" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_empty_region_on_directory_exits_two(self, run_dir, tmp_path, capsys):
+        seg_dir = unmerged_segments(run_dir, tmp_path / "out")
+        target = tmp_path / "x.dt64"
+        assert main(["reconstruct", seg_dir, "-o", str(target), "--region", ""]) == 2
+        assert "single archive file" in capsys.readouterr().err
+        assert not target.exists()
+
 
 class TestReadsStayScipyFree:
     """Reading an archive runs with scipy unimportable, and writes what the
@@ -1136,6 +1158,19 @@ class TestBench:
         assert len(rows) == 1
         ratio = float(rows[0]["ratio"])
         assert abs(ratio - 1.0e3) / 1.0e3 <= 0.25
+
+    def test_table1_spectral_error_is_exact_at_tight_tau(self, tmp_path):
+        # K @ v - R @ v cancels at tau 1e-14; the study iterates on K - R
+        out = str(tmp_path / "table1.csv")
+        args = ["--d", "8", "--deltas", "1e-5", "--levels", "5", "--taus", "1e-14"]
+        assert main(["bench", "table1", "-o", out] + args) == 0
+        (row,) = self.read_rows(out)
+        kernel = sample_kernel_matrix(1e-5, 8)
+        train = tt_svd(tensorize_matrix_interlaced(kernel, 5), 1e-14)
+        recon = invert_plan(tt_full(train), matrix_interlace_plan(256, 5))
+        exact = np.linalg.norm(kernel.to_numpy() - recon.to_numpy(), 2)
+        # relative alone: approx's default absolute 1e-12 exceeds the norm
+        assert abs(float(row["spectral_error"]) - exact) <= 5e-3 * exact
 
     def test_streaming_levels(self, tmp_path):
         out = str(tmp_path / "streaming.csv")

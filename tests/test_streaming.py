@@ -18,6 +18,7 @@ from ttcompress import (
     SnapshotBatch,
     StructureError,
     TensorizePlan,
+    TTCompressError,
     TTTensor,
     apply_plan,
     combine_stats,
@@ -54,17 +55,14 @@ from ttcompress import (
 )
 from ttcompress import streaming
 from ttcompress.cli import main
+from ttcompress.morton import DEFAULT_BITS, fit_domain, morton_sort
 from ttcompress.streaming import CompressedSegment, DataStats, segment_metadata
 from ttcompress.tensorize import axis_offsets
 from ttcompress.tt import _orthogonalize
 
 
 def batch_from_array(arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    pos = arr[0, :, :3].copy() if arr.shape[2] >= 3 else None
-    return SnapshotBatch(
-        data=DenseTensor.from_numpy(arr), positions_first=pos, timestep_size=1.0
-    )
+    return SnapshotBatch(DenseTensor.from_numpy(arr), 1.0)
 
 
 def relfrob_config(tol, **kwargs):
@@ -108,7 +106,7 @@ def split_time(arr, n_seg, cfg, **kwargs):
     step = arr.shape[0] // n_seg
     return [
         compress_segment(
-            batch_from_array(arr[i * step : (i + 1) * step]),
+            DenseTensor.from_numpy(arr[i * step : (i + 1) * step]),
             cfg,
             first_step=i * step,
             **kwargs,
@@ -143,7 +141,7 @@ class TestToleranceConversion:
             cfg = CompressionConfig(
                 tolerance=target, tolerance_kind="nrmse", reorder="none"
             )
-            seg = compress_segment(batch_from_array(arr), cfg)
+            seg = compress_segment(DenseTensor.from_numpy(arr), cfg)
             measured = nrmse(
                 DenseTensor.from_numpy(arr), reconstruct_segment(seg)
             )
@@ -154,7 +152,7 @@ class TestCompressSegment:
     def test_constant_batch_rank_one(self):
         arr = np.full((32, 1024, 3), 7.5)
         seg = compress_segment(
-            batch_from_array(arr),
+            DenseTensor.from_numpy(arr),
             CompressionConfig(tolerance=0.1, tolerance_kind="nrmse", reorder="none"),
         )
         assert set(seg.tt.ranks) == {1}
@@ -164,15 +162,15 @@ class TestCompressSegment:
     def test_noise_ratio_below_five(self):
         batch = synth_particles(512, 32, "noise", seed=1)
         seg = compress_segment(
-            batch, CompressionConfig(tolerance=1e-3, tolerance_kind="nrmse")
+            batch.data, CompressionConfig(tolerance=1e-3, tolerance_kind="nrmse")
         )
         assert seg.compression_ratio < 5
 
     def test_tensorized_beats_flat_on_settle(self):
         batch = synth_particles(1024, 32, "settle", seed=2)
         cfg = CompressionConfig(tolerance=0.1, tolerance_kind="nrmse")
-        tens = compress_segment(batch, cfg)
-        flat = compress_segment(batch, dataclasses.replace(cfg, level=1))
+        tens = compress_segment(batch.data, cfg)
+        flat = compress_segment(batch.data, dataclasses.replace(cfg, level=1))
         assert tens.compression_ratio > flat.compression_ratio
 
     def test_error_guarantee_on_unpadded_region(self):
@@ -180,7 +178,7 @@ class TestCompressSegment:
         arr = rng.uniform(size=(6, 13, 3))  # both axes need padding
         for tol in (1e-1, 1e-3):
             cfg = relfrob_config(tol)
-            seg = compress_segment(batch_from_array(arr), cfg)
+            seg = compress_segment(DenseTensor.from_numpy(arr), cfg)
             err = rel_frob(
                 DenseTensor.from_numpy(arr), reconstruct_segment(seg)
             )
@@ -189,7 +187,7 @@ class TestCompressSegment:
     def test_reorder_roundtrip(self):
         batch = synth_particles(50, 8, "ballistic", seed=4)
         cfg = CompressionConfig(tolerance=0.0, tolerance_kind="relfrob")
-        seg = compress_segment(batch, cfg)
+        seg = compress_segment(batch.data, cfg)
         assert seg.permutations is not None
         recon = reconstruct_segment(seg).to_numpy()
         assert np.allclose(
@@ -226,21 +224,23 @@ class TestCompressSegment:
         batch = synth_particles(64, 8, "settle", seed=5)
         with pytest.raises(StructureError, match="permute"):
             compress_segment(
-                batch, CompressionConfig(tolerance=1e-2), permutation_override=override
+                batch.data, CompressionConfig(tolerance=1e-2), permutation_override=override
             )
         assert calls == []
+
+    @pytest.mark.parametrize("dims", [(4, 8), (4, 8, 3, 2)])
+    def test_data_must_be_three_dimensional(self, dims):
+        data = DenseTensor.from_numpy(np.ones(dims))
+        with pytest.raises(TTCompressError, match="3-dimensional"):
+            compress_segment(data, CompressionConfig(reorder="none"))
 
     def test_reorder_requires_positions(self):
         arr = np.zeros((4, 4, 2))
         arr[0, 0, 0] = 1.0
-        with pytest.raises(ConfigError):
+        # two components hold no positions to sort on
+        with pytest.raises(ConfigError, match="three position components"):
             compress_segment(
-                SnapshotBatch(
-                    data=DenseTensor.from_numpy(arr),
-                    positions_first=None,
-                    timestep_size=1.0,
-                ),
-                CompressionConfig(tolerance=0.1),
+                DenseTensor.from_numpy(arr), CompressionConfig(tolerance=0.1)
             )
 
 
@@ -347,8 +347,8 @@ class TestMergeStack:
         batch_a = synth_particles(16, 8, "ballistic", seed=12)
         batch_b = synth_particles(16, 8, "ballistic", seed=13)
         cfg = CompressionConfig(tolerance=0.1, tolerance_kind="nrmse")
-        a = compress_segment(batch_a, cfg, first_step=0)
-        b = compress_segment(batch_b, cfg, first_step=8)
+        a = compress_segment(batch_a.data, cfg, first_step=0)
+        b = compress_segment(batch_b.data, cfg, first_step=8)
         if np.array_equal(a.permutations, b.permutations):
             pytest.skip("random clouds coincidentally share an ordering")
         with pytest.raises(StructureError):
@@ -366,10 +366,10 @@ class TestMergeStack:
         arr = rng.uniform(size=(12, 8, 3))
         cfg = relfrob_config(1e-6)
         first = compress_segment(
-            batch_from_array(arr[:8]), cfg, first_step=0, pad_time_to=8
+            DenseTensor.from_numpy(arr[:8]), cfg, first_step=0, pad_time_to=8
         )
         tail = compress_segment(
-            batch_from_array(arr[8:]), cfg, first_step=8, pad_time_to=8
+            DenseTensor.from_numpy(arr[8:]), cfg, first_step=8, pad_time_to=8
         )
         merged = merge_stack([first, tail], 1e-8)
         assert merged.total_steps == 12
@@ -401,7 +401,7 @@ class TestMergeTree:
     def test_single_segment_identity(self):
         rng = np.random.default_rng(20)
         arr = rng.uniform(size=(4, 4, 3))
-        seg = compress_segment(batch_from_array(arr), relfrob_config(1e-3))
+        seg = compress_segment(DenseTensor.from_numpy(arr), relfrob_config(1e-3))
         levels = []
         assert merge_tree([seg]) is seg
         assert merge_tree([seg], 1e-2, levels.append) is seg
@@ -536,6 +536,25 @@ class TestCompressRun:
         compress_run(read, batch.n_t, config, merge)
         assert reads == [(0, 16), (16, 32), (32, 40)]
 
+    def test_in_memory_run_sorts_every_segment(self):
+        # the positions are the data's first three components, so every
+        # segment of an in-memory run is sorted on its own first step
+        arr = synth_particles(32, 64, "settle", seed=5).data.to_numpy()
+        batch = SnapshotBatch(DenseTensor.from_numpy(arr), 0.01)
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        parts = compress_run(batch.time_slice, 64, config, merge=False)
+        assert [p.time_range for p in parts] == [
+            (0, 15), (16, 31), (32, 47), (48, 63),
+        ]
+        for part in parts:
+            p = arr[part.time_range[0], :, :3]
+            want = morton_sort(fit_domain(p).apply(p), DEFAULT_BITS)
+            assert np.array_equal(part.permutations, want)
+        assert not all(
+            np.array_equal(parts[0].permutations, p.permutations)
+            for p in parts[1:]
+        )
+
     def test_velocity_run_merges(self):
         # velocities of a settling run: the segments where particles still
         # bounce span a wide range against their norm, so their own-range
@@ -582,7 +601,7 @@ class TestLedger:
             relfrob_config(0.0),
         ):
             # padded to 16 steps, as the short last segment of a merged run
-            seg = compress_segment(batch, cfg, pad_time_to=16)
+            seg = compress_segment(batch.data, cfg, pad_time_to=16)
             norm = np.linalg.norm(arr)
             assert abs_error(arr, seg) <= seg.error_bound + MEASURE_SLACK * norm
             # the SVD route's rounding estimate, a few eps * ||X|| per
@@ -592,7 +611,7 @@ class TestLedger:
                 tau = nrmse_to_relfrob(tau, seg.stats)
             assert seg.error_bound <= (tau * (1 + 1e-6) + 1e-13) * norm
         constant = compress_segment(
-            batch_from_array(np.full((4, 8, 3), 2.5)), CompressionConfig()
+            DenseTensor.from_numpy(np.full((4, 8, 3), 2.5)), CompressionConfig()
         )
         assert constant.error_bound == 0.0
 
@@ -972,7 +991,7 @@ class TestElementAccess:
     def test_one_entry_region_matches_dense(self):
         batch = synth_particles(20, 8, "ballistic", seed=24)
         cfg = CompressionConfig(tolerance=0.0, tolerance_kind="relfrob")
-        seg = compress_segment(batch, cfg, first_step=100)
+        seg = compress_segment(batch.data, cfg, first_step=100)
         dense = reconstruct_segment(seg).to_numpy()
         rng = np.random.default_rng(25)
         for _ in range(30):
@@ -986,7 +1005,7 @@ class TestElementAccess:
     def test_region_without_materialization(self, monkeypatch):
         batch = synth_particles(16, 8, "ballistic", seed=26)
         cfg = CompressionConfig(tolerance=0.0, tolerance_kind="relfrob")
-        seg = compress_segment(batch, cfg)
+        seg = compress_segment(batch.data, cfg)
         dense = reconstruct_segment(seg).to_numpy()
         # a cap too small for the full tensor still allows region queries
         # up to the cap's own size
@@ -1003,7 +1022,7 @@ class TestElementAccess:
         # one segment with a leaf of 64 x 4096 x 3 entries: the offsets
         # cost O(sum of extents), a row table over the leaf 8 bytes each
         batch = synth_particles(4096, 64, "settle", seed=29)
-        seg = compress_segment(batch, CompressionConfig(tolerance=1e-2))
+        seg = compress_segment(batch.data, CompressionConfig(tolerance=1e-2))
         leaf_entries = 64 * 4096 * 3
         want = reconstruct_segment(seg).to_numpy()[40, 1234, 2]
         tracemalloc.start()
@@ -1087,7 +1106,7 @@ def merged_ragged_segment(reorder="segment", n_seg=4, arity=None):
         perm = rng.permutation(5)
     parts = [
         compress_segment(
-            batch_from_array(arr[start : start + 4]),
+            DenseTensor.from_numpy(arr[start : start + 4]),
             cfg,
             first_step=start,
             permutation_override=perm,
@@ -1119,7 +1138,7 @@ def single_segment(shape, **cfg_kwargs):
     rng = np.random.default_rng(42)
     arr = np.cumsum(rng.uniform(size=shape), axis=0)
     cfg = relfrob_config(1e-2, **cfg_kwargs)
-    return compress_segment(batch_from_array(arr), cfg, first_step=5)
+    return compress_segment(DenseTensor.from_numpy(arr), cfg, first_step=5)
 
 
 READ_CASES = {
@@ -1151,7 +1170,7 @@ def run_segments(n_p, reorder, lengths=(4, 4, 4, 2), pinned=True):
     starts = np.cumsum((0,) + lengths[:-1])
     return [
         compress_segment(
-            batch_from_array(arr[start : start + n]),
+            DenseTensor.from_numpy(arr[start : start + n]),
             cfg,
             first_step=int(start),
             permutation_override=perm,
@@ -1407,7 +1426,7 @@ class TestRegionIndexMap:
 
     def test_region_output_counts_against_the_cap(self, tmp_path, monkeypatch):
         batch = synth_particles(64, 16, "settle", seed=30)
-        seg = compress_segment(batch, CompressionConfig(tolerance=1e-2))
+        seg = compress_segment(batch.data, CompressionConfig(tolerance=1e-2))
         monkeypatch.setenv("QTT_MEMORY_CAP_ENTRIES", "100")
         with pytest.raises(CapacityError):
             reconstruct_region(seg, [(1, 16), (1, 64), (1, 3)])
@@ -1473,7 +1492,7 @@ class TestStoreRoundtrip:
     def test_error_bound_roundtrip(self, tmp_path):
         batch = synth_particles(12, 8, "settle", seed=28)
         cfg = CompressionConfig(tolerance=0.05, tolerance_kind="nrmse")
-        seg = compress_segment(batch, cfg)
+        seg = compress_segment(batch.data, cfg)
         assert seg.error_bound > 0
         assert load_segment(save_segment(tmp_path, seg)).error_bound == (
             seg.error_bound
@@ -1485,7 +1504,7 @@ class TestStoreRoundtrip:
     def test_save_load_identity(self, tmp_path):
         batch = synth_particles(12, 8, "settle", seed=28)
         cfg = CompressionConfig(tolerance=0.05, tolerance_kind="nrmse")
-        seg = compress_segment(batch, cfg, first_step=16)
+        seg = compress_segment(batch.data, cfg, first_step=16)
         path = save_segment(tmp_path, seg, cfg.config_hash())
         assert path.endswith("seg_16_23.ttc")
         # the certified bound is the one error figure stored
@@ -1534,8 +1553,8 @@ class TestStoreRoundtrip:
     def test_byte_identical_recompression(self, tmp_path):
         batch = synth_particles(16, 8, "settle", seed=29)
         cfg = CompressionConfig(tolerance=0.1, tolerance_kind="nrmse")
-        a = compress_segment(batch, cfg)
-        b = compress_segment(batch, cfg)
+        a = compress_segment(batch.data, cfg)
+        b = compress_segment(batch.data, cfg)
         pa = save_segment(tmp_path / "a", a, cfg.config_hash())
         pb = save_segment(tmp_path / "b", b, cfg.config_hash())
         with open(pa, "rb") as fa, open(pb, "rb") as fb:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 
@@ -85,7 +86,7 @@ class TestSynthParticles:
     def test_noise_incompressible(self):
         batch = synth_particles(1024, 32, "noise", seed=3)
         seg = compress_segment(
-            batch, CompressionConfig(tolerance=1e-3, tolerance_kind="nrmse")
+            batch.data, CompressionConfig(tolerance=1e-3, tolerance_kind="nrmse")
         )
         assert seg.compression_ratio < 5
 
@@ -101,11 +102,13 @@ class TestSynthParticles:
         assert z[0].max() > 0.5
         assert np.all(z[-1] < 0.05)
 
-    def test_positions_match_first_step(self):
+    def test_fields_are_data_and_timestep(self):
+        # the positions are the data's first three components, not a field
+        assert [f.name for f in dataclasses.fields(SnapshotBatch)] == [
+            "data", "timestep_size",
+        ]
         batch = synth_particles(16, 8, "settle", seed=5)
-        assert np.array_equal(
-            batch.positions_first, batch.data.to_numpy()[0]
-        )
+        assert batch.data.dims == (8, 16, 3)
 
 
 class TestRunDirectory:
@@ -151,8 +154,9 @@ class TestRunDirectory:
         for start, stop in ((0, 7), (2, 5), (6, 7)):
             part = read(start, stop)
             want = batch.time_slice(start, stop)
-            assert np.array_equal(part.data.values, want.data.values)
-            assert np.array_equal(part.positions_first, want.positions_first)
+            assert isinstance(part, DenseTensor)
+            assert part.dims == want.dims == (stop - start, 6, 3)
+            assert np.array_equal(part.values, want.values)
         for start, stop in ((0, 8), (3, 3), (-1, 2)):
             with pytest.raises(IngestionError):
                 read(start, stop)
@@ -164,15 +168,11 @@ class TestRunDirectory:
         arr = rng.standard_normal((n_t, n_p, n_c))
         write_run(
             tmp_path / "run",
-            SnapshotBatch(
-                data=DenseTensor.from_numpy(arr),
-                positions_first=None,
-                timestep_size=1.0,
-            ),
+            SnapshotBatch(DenseTensor.from_numpy(arr), 1.0),
         )
         _, read = open_run(tmp_path / "run")
         for start, stop in ((0, 11), (1, 4), (3, 10), (7, 8)):
-            data = read(start, stop).data.to_numpy()
+            data = read(start, stop).to_numpy()
             assert data.flags.f_contiguous
             for k in range(start, stop):
                 step = tmp_path / "run" / f"step_{k}.bin"
