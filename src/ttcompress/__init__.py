@@ -9,7 +9,7 @@ explicit error budget.
 
 __version__ = "0.1.0"
 
-from .dense import DenseTensor, long_index
+from .dense import DenseTensor
 from .errors import (
     CapacityError,
     ConfigError,
@@ -71,7 +71,6 @@ from .tensorize import (
     invert_plan,
     matrix_interlace_plan,
     next_factorable,
-    pad_replicate,
     tensorize_matrix_interlaced,
     tensorize_vector,
 )
@@ -82,7 +81,6 @@ from .tt import (
     tt_concat_existing,
     tt_full,
     tt_get,
-    tt_norm,
     tt_round,
     tt_stack_new,
     tt_svd,

@@ -151,7 +151,7 @@ def cmd_compress(args) -> int:
     metrics = _measure(final, read) if args.verify else {}
     metrics.update(_certified(final))
     metrics["compression_ratio_cores_only"] = _overall_ratio(final)
-    metrics["ranks_final"] = list(final[0].tt.ranks)
+    metrics["ranks_final"] = [list(p.tt.ranks) for p in final]
     manifest = {
         "command": "compress",
         "tool_version": __version__,

@@ -74,40 +74,17 @@ class DenseTensor:
         return self.values.reshape(self.dims, order="F")
 
     def get(self, indices) -> float:
-        """Entry at a 1-based multi-index."""
-        return float(self.values[long_index(indices, self.dims) - 1])
+        """Entry at a 1-based multi-index, checked by :func:`index_rows`;
+        the first index varies fastest (column-major)."""
+        idx = index_rows([tuple(indices)], self.dims)[0] - 1
+        flat = np.ravel_multi_index(idx, self.dims, order="F")
+        return float(self.values[flat])
 
 
 # A matrix is a 2-D DenseTensor.  The name stays because perfbench's
 # kernel worker (perfbench/worker.py) builds its matrix with
 # dense.DenseMatrix.from_numpy.
 DenseMatrix = DenseTensor
-
-
-def long_index(indices, dims) -> int:
-    """Column-major linearization of a 1-based multi-index.
-
-    Returns ``1 + sum_j (prod_{j'<j} dims[j']) * (indices[j] - 1)``; the
-    first index varies fastest.  Bijective between the index box and
-    ``1..prod(dims)``.
-    """
-    indices = tuple(indices)
-    dims = tuple(dims)
-    if len(indices) != len(dims):
-        raise ShapeError(
-            f"multi-index length {len(indices)} != rank {len(dims)}"
-        )
-    linear = 0
-    stride = 1
-    for k, (i, n) in enumerate(zip(indices, dims)):
-        i = int(i)
-        if not 1 <= i <= n:
-            raise IndexRangeError(
-                f"index {i} out of range 1..{n} at position {k + 1}"
-            )
-        linear += stride * (i - 1)
-        stride *= int(n)
-    return linear + 1
 
 
 def index_rows(indices, dims) -> np.ndarray:

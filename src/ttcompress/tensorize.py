@@ -7,6 +7,10 @@ the last is the coarsest (the root of the factor tree).  A *level* ``l``
 keeps the top ``l - 1`` tree levels as separate dimensions and merges the
 remaining fine factors into one leaf dimension.
 
+An axis whose extent has a prime factor above the cap is first padded to
+the next extent that factors, by replicating its final slice; the plan
+records both extents, so inversion crops the copies away.
+
 For square matrices the row and column factor dimensions can additionally
 be interlaced, which makes the linear order through the tensor spatially
 coherent in the original 2-d domain.  Interlacing is an explicit entry
@@ -21,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .dense import DenseTensor
-from .errors import ConfigError, IndexRangeError, PlanError
+from .errors import ConfigError, PlanError
 
 
 def factor_dims(n: int, max_factor: int):
@@ -61,16 +65,6 @@ def next_factorable(n: int, max_factor: int) -> int:
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
-
-
-def split_dims_for_level(factors, level: int):
-    """Dimension list for one axis: merged leaf first, then the top
-    ``level - 1`` tree factors (coarsest last)."""
-    m = len(factors)
-    if not 1 <= level <= m:
-        raise PlanError(f"level {level} out of range 1..{m}")
-    leaf = math.prod(factors[: m - level + 1])
-    return [leaf] + list(factors[m - level + 1 :])
 
 
 @dataclass(frozen=True)
@@ -159,10 +153,11 @@ class TensorizePlan:
         )
 
     def axis_split_dims(self, axis: int):
-        """Split dimension list of one 1-based axis."""
-        return split_dims_for_level(
-            self.axis_factors[axis - 1], self.axis_levels[axis - 1]
-        )
+        """Split dimension list of one 1-based axis: the merged leaf
+        first, then the top ``level - 1`` tree factors (coarsest last)."""
+        factors = self.axis_factors[axis - 1]
+        cut = len(factors) - self.axis_levels[axis - 1] + 1
+        return [math.prod(factors[:cut])] + list(factors[cut:])
 
     def pre_interlace_dims(self) -> tuple:
         dims = []
@@ -177,46 +172,27 @@ class TensorizePlan:
         return tuple(pre[p] for p in self.interlace)
 
 
-def pad_replicate(t: DenseTensor, axis: int, target_extent: int):
-    """Grow one axis by replicating its final slice.
-
-    Returns ``(padded_tensor, pad_record)``; the record keeps the original
-    extent so the inverse crop and the metrics can exclude the copies.
-    """
-    axis = int(axis)
-    if not 1 <= axis <= t.ndim:
-        raise IndexRangeError(f"axis {axis} out of range 1..{t.ndim}")
-    current = t.dims[axis - 1]
-    target_extent = int(target_extent)
-    if target_extent < current:
-        raise IndexRangeError(
-            f"target extent {target_extent} below current {current}"
-        )
-    record = AxisPad(axis=axis, original=current, padded=target_extent)
-    if target_extent == current:
-        return t, record
-    arr = t.to_numpy()
-    last = arr.take([current - 1], axis=axis - 1)
-    reps = np.repeat(last, target_extent - current, axis=axis - 1)
-    return DenseTensor.from_numpy(
-        np.concatenate([arr, reps], axis=axis - 1)
-    ), record
-
-
 def apply_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
-    """Pad, split and (optionally) interlace per the plan."""
+    """Pad, split and (optionally) interlace per the plan.
+
+    Every padded axis grows by replicating its final slice, all in one
+    ``np.pad`` of the transposed array, whose C-order result is the
+    padded tensor's column-major values.  A plan without pads pads
+    nothing and copies nothing before the interlace."""
     if data.dims != plan.original_dims:
         raise PlanError(
             f"data dims {data.dims} do not match the plan's "
             f"{plan.original_dims}"
         )
-    t = data
-    for pad in plan.pads:
-        t, _ = pad_replicate(t, pad.axis, pad.padded)
+    values = data.values
+    if plan.pads:
+        grow = [(0, p - n) for n, p in zip(data.dims, plan.padded_dims())]
+        values = np.pad(data.to_numpy().T, grow[::-1], mode="edge")
+        values = values.reshape(-1)
     if plan.interlace is None:
         # splitting axes is a pure reshape of the column-major values
-        return DenseTensor(plan.tensorized_dims(), t.values)
-    arr = t.values.reshape(plan.pre_interlace_dims(), order="F")
+        return DenseTensor(plan.tensorized_dims(), values)
+    arr = values.reshape(plan.pre_interlace_dims(), order="F")
     return DenseTensor.from_numpy(np.transpose(arr, plan.interlace))
 
 

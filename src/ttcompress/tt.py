@@ -5,7 +5,7 @@ a multi-index is the product of one matrix slice per core (Oseledets,
 2011).  This module provides the sequential truncated-SVD decomposition of
 a dense tensor, the QR+SVD rank-reduction sweep for inflated chains (for
 stacks, block by block, never forming the stack), element access, full
-reconstruction, norm-from-cores, the compression ratio, and two exact
+reconstruction, the compression ratio, and two exact
 combination primitives on one block builder (:func:`_concat_trains`):
 stacking along a new trailing dimension, which streaming compression
 merges segments with, and concatenation along an existing dimension.
@@ -249,16 +249,6 @@ def tt_full(t: TTTensor) -> DenseTensor:
     return DenseTensor(t.dims, _contract_cores(t.cores).reshape(-1, order="F"))
 
 
-def tt_norm(t: TTTensor) -> float:
-    """Frobenius norm of the represented tensor, computed from the cores.
-
-    The right-to-left QR sweep of :func:`_orthogonalize` leaves every core
-    but the first with orthonormal rows, which do not change the norm, so
-    the first core carries it all.  No dense materialization.
-    """
-    return float(np.linalg.norm(_orthogonalize(t.cores)[0]))
-
-
 def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
     """Shrink inflated TT ranks while keeping the result within tolerance.
 
@@ -284,9 +274,10 @@ def tt_round(t: TTTensor, tau_rel_frob: float) -> TTTensor:
 def _orthogonalize(cores) -> list:
     """Right-to-left QR sweep: every core but the first becomes
     right-orthogonal (its ``(r0, n * r1)`` unfolding has orthonormal
-    rows) and the first carries the whole norm.  Each economy QR keeps
-    every column, so a rank ``r_{k-1}`` only shrinks to ``n_k * r_k``
-    when it exceeds it."""
+    rows) and the first carries the whole norm: its Frobenius norm is
+    the train's, which rounding and the merge read from it.  Each
+    economy QR keeps every column, so a rank ``r_{k-1}`` only shrinks to
+    ``n_k * r_k`` when it exceeds it."""
     cores = list(cores)
     for k in range(len(cores) - 1, 0, -1):
         r0, n, r1 = cores[k].shape

@@ -287,6 +287,15 @@ class TestCompress:
         assert got.shape == original.shape
         assert np.abs(got - original).max() <= 1e-9
 
+    def test_ranks_final_covers_every_archive(self, run_dir, tmp_path):
+        out = unmerged_segments(run_dir, tmp_path / "out")
+        manifest = read_manifest(out)
+        ranks = [
+            list(load_segment(o["path"]).tt.ranks) for o in manifest["outputs"]
+        ]
+        assert len(ranks) == 3 and ranks[0] != ranks[2]
+        assert manifest["metrics"]["ranks_final"] == ranks
+
     @pytest.mark.parametrize(
         "flags",
         [["--max-factor", "7"], ["--morton-bits", "8"], ["--no-tensorize"]],
@@ -507,13 +516,13 @@ class TestCompress:
         metrics = read_manifest(out)["metrics"]
         recon = reconstruct_segment(load_segment(os.path.join(out, "seg_0_15.ttc")))
         assert metrics["rel_frob"] <= 1e-6
-        assert metrics["rel_frob"] == pytest.approx(rel_frob(t, recon), rel=1e-9)
+        assert metrics["rel_frob"] == pytest.approx(rel_frob(t, recon), rel=1e-9, abs=0)
         # no singular value is dropped here: the certificate is only the
         # SVD route's rounding estimate, and decoding adds float error of
         # ~1e-15
         assert 0.0 < metrics["certified_rel_frob"] <= 1e-14
         assert metrics["rel_frob"] <= 1e-12
-        assert metrics["nrmse"] == pytest.approx(nrmse(t, recon), rel=1e-9)
+        assert metrics["nrmse"] == pytest.approx(nrmse(t, recon), rel=1e-9, abs=0)
 
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf"])
@@ -532,7 +541,8 @@ class TestCompress:
         out = str(tmp_path / "out")
         assert main(["compress", run, "-o", out, "--tolerance", "1e300"]) == 0
         assert "error" not in capsys.readouterr().err
-        assert set(read_manifest(out)["metrics"]["ranks_final"]) == {1}
+        (ranks,) = read_manifest(out)["metrics"]["ranks_final"]
+        assert set(ranks) == {1}
 
     @pytest.mark.parametrize(
         "flag, value", [("--reorder", "timestep"), ("--tolerance-kind", "rmse")]

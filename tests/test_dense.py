@@ -8,44 +8,53 @@ from ttcompress import (
     DenseTensor,
     IndexRangeError,
     ShapeError,
-    long_index,
     stats_of,
 )
 
 
+def arange_tensor(dims):
+    """The tensor whose entry at each multi-index is its column-major
+    linear index, 0-based."""
+    return DenseTensor(dims, np.arange(float(math.prod(dims))))
+
+
 class TestLongIndex:
+    """DenseTensor.get linearizes a 1-based multi-index column-major."""
+
     def test_all_ones_base_case(self):
-        assert long_index([1, 1, 1], [2, 3, 4]) == 1
+        assert arange_tensor((2, 3, 4)).get([1, 1, 1]) == 0
 
     def test_direct_evaluation(self):
-        # 1 + 1*(2-1) + 2*(1-1) + 6*(3-1) = 14
-        assert long_index([2, 1, 3], [2, 3, 4]) == 14
+        # 1*(2-1) + 2*(1-1) + 6*(3-1) = 13
+        assert arange_tensor((2, 3, 4)).get([2, 1, 3]) == 13
 
     def test_two_by_two(self):
-        assert long_index([1, 2], [2, 2]) == 3
+        assert arange_tensor((2, 2)).get([1, 2]) == 2
 
     def test_out_of_range(self):
+        t = arange_tensor((2, 2))
         with pytest.raises(IndexRangeError):
-            long_index([3, 1], [2, 2])
+            t.get([3, 1])
         with pytest.raises(IndexRangeError):
-            long_index([0, 1], [2, 2])
+            t.get([0, 1])
 
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            long_index([1, 1], [2, 2, 2])
+            arange_tensor((2, 2, 2)).get([1, 1])
 
     @settings(deadline=None)
     @given(
         st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
     )
     def test_bijective_over_index_box(self, dims):
+        t = arange_tensor(dims)
         total = math.prod(dims)
         seen = set()
-        for linear in range(1, total + 1):
+        for linear in range(total):
             idx = tuple(
-                int(i) + 1 for i in np.unravel_index(linear - 1, dims, order="F")
+                int(i) + 1 for i in np.unravel_index(linear, dims, order="F")
             )
-            assert long_index(idx, dims) == linear
+            assert t.get(idx) == linear
             seen.add(idx)
         assert len(seen) == total
 

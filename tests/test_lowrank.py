@@ -22,6 +22,7 @@ from ttcompress import (
 )
 from ttcompress.lowrank import (
     _jacobi_svd,
+    _svd_rounding,
     _tall_triangle,
     _truncated_svd_arrays,
     svd_truncation_rank,
@@ -84,9 +85,12 @@ class TestTruncatedSVD:
     """The truncation the sweeps run: ``M ~ U @ W`` with ``W = U^T M``."""
 
     def test_tail_energy_rule_on_diagonal(self):
-        u, _, discarded = _truncated_svd_arrays(np.diag([3.0, 2.0, 1e-9]), 1e-6)
+        m = np.diag([3.0, 2.0, 1e-9])
+        u, _, discarded = _truncated_svd_arrays(m, 1e-6)
         assert u.shape[1] == 2
-        assert discarded == pytest.approx(1e-9, rel=1e-6)
+        # the dropped tail plus the SVD route's own rounding estimate
+        want = 1e-9 + _svd_rounding(3, np.linalg.norm(m))
+        assert discarded == pytest.approx(want, rel=1e-6, abs=0)
 
     def test_identity_exact(self):
         u, w, _ = _truncated_svd_arrays(np.eye(2), 0.0)

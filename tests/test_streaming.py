@@ -44,7 +44,6 @@ from ttcompress import (
     synth_particles,
     tt_full,
     tt_get,
-    tt_norm,
     tt_round,
     tt_stack_new,
     tt_svd,
@@ -930,8 +929,9 @@ class TestStackRounding:
         norm = np.linalg.norm(x)
         joint = tt_round(stacked, tau)
         # tt_round's budget: tau times the norm it measures on its cores
+        budget = tau * np.linalg.norm(_orthogonalize(stacked.cores)[0])
         per_part, lost = streaming._round_orthogonal(
-            [_orthogonalize(t.cores) for t in trains], tau * tt_norm(stacked)
+            [_orthogonalize(t.cores) for t in trains], budget
         )
         assert per_part.ranks == joint.ranks
         y = tt_full(per_part).values

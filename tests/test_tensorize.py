@@ -9,10 +9,8 @@ from ttcompress import (
     apply_plan,
     factor_dims,
     invert_plan,
-    long_index,
     matrix_interlace_plan,
     next_factorable,
-    pad_replicate,
     tensorize_matrix_interlaced,
     tensorize_vector,
 )
@@ -98,8 +96,8 @@ class TestInterlacedMatrix:
             for i2 in (1, 2):
                 for j1 in (1, 2):
                     for j2 in (1, 2):
-                        row = long_index((i1, i2), (2, 2))
-                        col = long_index((j1, j2), (2, 2))
+                        row = i1 + 2 * (i2 - 1)
+                        col = j1 + 2 * (j2 - 1)
                         assert t.get((i1, j1, i2, j2)) == m.get((row, col))
 
     def test_16_by_16_level3_shape(self):
@@ -124,31 +122,60 @@ class TestInterlacedMatrix:
                 tensorize_matrix_interlaced(DenseTensor.from_numpy(np.zeros(shape)), 1)
 
 
+def pad_plan(dims, padded):
+    """A plan that grows ``dims`` to ``padded`` and keeps every axis whole."""
+    pads = [
+        AxisPad(axis=ax, original=n, padded=p)
+        for ax, (n, p) in enumerate(zip(dims, padded), 1)
+        if p != n
+    ]
+    return TensorizePlan(
+        original_dims=dims,
+        axis_factors=tuple((p,) for p in padded),
+        axis_levels=(1,) * len(dims),
+        interlace=None,
+        pads=tuple(pads),
+    )
+
+
 class TestPadReplicate:
+    """apply_plan grows every padded axis by repeating its final slice."""
+
     def test_replication_definition(self):
         t = DenseTensor.from_numpy(np.arange(6.0).reshape(3, 2))
-        padded, record = pad_replicate(t, 1, 4)
-        arr = padded.to_numpy()
+        arr = apply_plan(t, pad_plan((3, 2), (4, 2))).to_numpy()
         assert arr.shape == (4, 2)
+        assert np.array_equal(arr[:3], t.to_numpy())
         assert np.array_equal(arr[3], arr[2])
-        assert (record.original, record.padded) == (3, 4)
+
+    def test_every_padded_axis_at_once(self):
+        rng = np.random.default_rng(8)
+        x = rng.uniform(size=(3, 2, 5))
+        out = apply_plan(
+            DenseTensor.from_numpy(x), pad_plan((3, 2, 5), (4, 2, 7))
+        ).to_numpy()
+        i, j, k = np.ix_(range(4), range(2), range(7))
+        assert np.array_equal(
+            out, x[np.minimum(i, 2), j, np.minimum(k, 4)]
+        )
 
     def test_particle_padding_at_scale(self):
         rng = np.random.default_rng(3)
         t = DenseTensor.from_numpy(rng.uniform(size=(1, 488376, 1)))
-        padded, record = pad_replicate(t, 2, 500000)
+        padded = apply_plan(t, pad_plan((1, 488376, 1), (1, 500000, 1)))
         assert padded.dims == (1, 500000, 1)
         arr = padded.to_numpy()
+        assert np.array_equal(arr[0, :488376, 0], t.to_numpy()[0, :, 0])
         assert np.all(arr[0, 488376:, 0] == arr[0, 488375, 0])
-        assert record.original == 488376
         # the padded extent factors into small primes
         assert factor_dims(500000, 5) == [2] * 5 + [5] * 6
 
     def test_noop_target(self):
         t = DenseTensor.from_numpy(np.arange(4.0).reshape(2, 2))
-        padded, record = pad_replicate(t, 2, 2)
-        assert padded is t
-        assert record.original == record.padded == 2
+        out = apply_plan(t, pad_plan((2, 2), (2, 2)))
+        # a plan without pads splits the same values without a copy
+        assert np.shares_memory(out.values, t.values)
+        assert np.array_equal(out.values, t.values)
 
 
 class TestPlans:
