@@ -4,25 +4,22 @@ Truncated SVD with an absolute Frobenius truncation budget, an economy QR
 and a matrix-free spectral-norm estimator.  These are the primitives the
 tensor-train sweeps are built from.
 
-A truncation takes one of three routes.  A matrix whose smaller side is
-at least ``RANGE_MIN_SIDE`` and whose budget is positive first tries a
-seeded randomized range finder; the small projected matrix it leaves
-then takes one of the other two.  Its residual is a difference of
-squares at the Gram route's budgets and is otherwise measured directly,
-row block by row block, so it forms no temporary the size of the
-matrix.  When no sketch certifies, or the matrix is smaller, budgets of
-at least ``GRAM_MIN_RELATIVE_BUDGET`` times the matrix norm go through
-the Gram matrix of the smaller side and numpy's ``eigh``, wide and tall
-alike; the SVD serves only smaller budgets, the zero matrix and the Gram
-path's checked fallback.  On that route a matrix at least twice as wide
-as it is tall first takes the eigenvalues of its Gram, and when they
-prove that the rank keeps every row, no factorization runs at all.
-Otherwise it is factored by a QR of its long side, and the SVD sees only
-the small triangular factor; that QR is blocked (TSQR, Demmel, Grigori,
-Hoemmen & Langou, 2012): one batched LAPACK call factors cache-sized row
-blocks of the long side, and one more QR their stacked triangles.  Every
-route carries the projection ``U^T M`` of the matrix on the kept vectors
-into the next core; a wide matrix whose rank keeps every row is that
+A truncation (:func:`_truncated_svd_arrays`) takes one of three routes.
+A matrix whose smaller side is at least ``RANGE_MIN_SIDE`` and whose
+budget is positive first tries a seeded randomized range finder, whose
+residual forms no temporary the size of the matrix; the small projected
+matrix it leaves takes one of the other two.  Budgets of at least
+``GRAM_MIN_RELATIVE_BUDGET`` times the norm go through the Gram matrix
+of the smaller side and numpy's ``eigh``; the SVD serves smaller
+budgets, the zero matrix and the Gram route's checked fallback.  There a
+matrix at least twice as wide as it is tall first takes the eigenvalues
+of its Gram.  They may prove that the rank keeps every row, and then no
+factorization runs; when fewer of them than the range finder's cap clear
+the proof's margin, the range finder goes first, whatever the size.
+Otherwise a blocked QR of the long side (TSQR, Demmel, Grigori, Hoemmen
+& Langou, 2012) leaves the SVD only a small triangle.  Every route
+carries the projection ``U^T M`` of the matrix on the kept vectors into
+the next core; a wide matrix whose rank keeps every row is that
 projection itself, kept whole with ``U = I`` and nothing discarded.
 
 Every SVD is numpy's (LAPACK ``gesdd``), whatever the budget; when it
@@ -40,7 +37,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DataError, TTCompressError
+from .errors import ConfigError, DataError, ShapeError, TTCompressError
 
 # A matrix whose truncation budget is at least this multiple of its
 # Frobenius norm is truncated through the Gram matrix of its smaller side,
@@ -58,6 +55,10 @@ GRAM_MIN_RELATIVE_BUDGET = 1e-6
 # 300 that costs 5 to 20% of the direct route (0.5 ms against 8 to 18 ms
 # at 256 x 384, 6 ms against 29 to 71 ms at 256 x 4096); the kernel
 # study's 256 x 4096 unfoldings of ranks 11 to 15 certify at once.
+# Smaller wide matrices sketch only where the SVD route's full-rank proof
+# fails (_exact_truncation), as the kernel study's 64 x 16384 unfoldings
+# of ranks 10 to 14 do; a side of 64 here made a full-rank 64 x 16384 at
+# 1e-12 three times slower (13.6 against 4.2 ms).
 RANGE_MIN_SIDE = 256
 _RANGE_FIRST_BLOCK = 16
 _RANGE_SEED = 0
@@ -71,8 +72,8 @@ _RANGE_SEED = 0
 _FACTOR_FIRST_ASPECT = 2
 # That QR factors row blocks of about this many entries (256 KB) in one
 # batched LAPACK call; blocks of 2**12 to 2**17 entries timed alike.  The
-# range route's direct residual ||M - Q B||_F is summed over row blocks of
-# the same size.
+# range route's direct residual ||M - Q B||_F is summed over blocks of the
+# same size, taken along M's contiguous axis.
 _TSQR_BLOCK_ENTRIES = 2**15
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -304,7 +305,12 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
     ||M||_F^2``, every singular value exceeds ``delta``, the rank keeps
     every row, and the matrix is kept whole with no QR and no SVD.  Kept
     whole is exact, so the margin decides only whether the rank is the
-    one the SVD would choose, never the error certificate.
+    one the SVD would choose, never the error certificate.  When the
+    proof fails, the count of eigenvalues past the margin is a lower
+    bound on the rank at ``delta``; while it is below the range finder's
+    cap (a quarter of the rows, at least ``_RANGE_FIRST_BLOCK``) and
+    ``delta`` is positive, :func:`_range_truncation` tries first, with
+    its own certificate, and the QR runs only when no sketch certifies.
 
     ``W = U^T M``, not ``diag(s) V^T``, which passes the SVD's own
     rounding on to the next core; at budgets near ``eps * ||M||`` that
@@ -330,8 +336,14 @@ def _exact_truncation(arr: np.ndarray, delta: float, norm: float):
         # full rank proved from the Gram (see above); where ||M||^2 or
         # delta^2 overflows, nothing is proved and the Gram is not formed
         margin = delta * delta + (rows + cols) * _EPS * norm * norm
-        if margin < math.inf and np.linalg.eigvalsh(arr @ arr.T)[0] > margin:
-            return _kept_whole(arr, rows)
+        if margin < math.inf:
+            proved = int(np.count_nonzero(np.linalg.eigvalsh(arr @ arr.T) > margin))
+            if proved == rows:
+                return _kept_whole(arr, rows)
+            if delta > 0 and proved < rows // 4 and rows // 4 >= _RANGE_FIRST_BLOCK:
+                found = _range_truncation(arr, delta, norm)
+                if found is not None:
+                    return found
         core = _tall_triangle(arr.T).T
     else:
         core = arr
@@ -405,12 +417,14 @@ def _range_truncation(arr: np.ndarray, delta: float, norm: float):
     difference of squares ``||M||_F^2 - ||B||_F^2``, and the certificate
     adds the Gram route's own slack, ``min(rows, cols) * eps *
     ||M||_F^2``; below them it is measured directly by
-    :func:`_residual_squared`, one row block at a time, so no ``m x n``
-    temporary is formed.  Returns ``None`` when no size certifies,
-    or as soon as none can: the singular values decrease, so each column
-    up to the cap is taken to capture at most the energy per column that
-    the last block captured, and when even that leaves more than
-    ``delta^2 / 2`` uncaptured, no further sketch is drawn.
+    :func:`_residual_squared`, one block along ``M``'s contiguous axis at
+    a time, so no ``m x n`` temporary is formed.  The SVD route tries
+    smaller wide matrices too (:func:`_exact_truncation`).  Returns
+    ``None`` when no size certifies, or as soon as none can: the singular
+    values decrease, so each column up to the cap is taken to capture at
+    most the energy per column that the last block captured, and when
+    even that leaves more than ``delta^2 / 2`` uncaptured, no further
+    sketch is drawn.
     """
     rng = np.random.default_rng(_RANGE_SEED)
     sketch = np.empty((arr.shape[0], 0))
@@ -443,13 +457,22 @@ def _range_truncation(arr: np.ndarray, delta: float, norm: float):
 
 
 def _residual_squared(arr: np.ndarray, q: np.ndarray, b: np.ndarray) -> float:
-    """``||M - Q B||_F^2``, summed over row blocks of about
-    ``_TSQR_BLOCK_ENTRIES`` entries, so no ``m x n`` temporary is formed."""
+    """``||M - Q B||_F^2``, summed over blocks of about
+    ``_TSQR_BLOCK_ENTRIES`` entries taken along ``M``'s contiguous axis:
+    column blocks of the sweeps' column-major unfoldings, row blocks of a
+    C-ordered ``M``.  Every block is formed in one buffer, so no ``m x n``
+    temporary is formed and no block is a strided gather."""
+    if arr.flags.f_contiguous:
+        # ||M - Q B|| = ||M^T - B^T Q^T||, whose rows are M's columns
+        arr, q, b = arr.T, b.T, q.T
     rows = max(1, _TSQR_BLOCK_ENTRIES // arr.shape[1])
+    buffer = np.empty((min(rows, arr.shape[0]), arr.shape[1]))
     total = 0.0
     for start in range(0, arr.shape[0], rows):
-        resid = q[start : start + rows] @ b
-        resid -= arr[start : start + rows]  # the sign does not matter
+        part = arr[start : start + rows]
+        resid = buffer[: len(part)]
+        np.matmul(q[start : start + rows], b, out=resid)
+        resid -= part  # the sign does not matter
         total += float(np.vdot(resid, resid))
     return total
 
@@ -493,8 +516,10 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float, norm: Optional[float] =
       transpose and then by Jacobi rotations).  A matrix at least twice
       as wide as it is tall first takes the eigenvalues of its Gram,
       which can prove that the rank keeps every row before any
-      factorization; otherwise it is factored by a QR of its long side,
-      and the SVD sees only the small triangular factor
+      factorization; when fewer of them than the range finder's cap
+      clear the proof's margin, the range route goes first, whatever the
+      size.  Otherwise it is factored by a QR of its long side, and the
+      SVD sees only the small triangular factor
       (:func:`_exact_truncation`).  ``W`` is ``U^T M``,
       not ``diag(s) V^T``, whose rounding would reach the next core.
 
@@ -515,7 +540,8 @@ def _truncated_svd_arrays(arr: np.ndarray, delta: float, norm: Optional[float] =
     route discards.  On the
     SVD route it is the root-sum-square of the dropped singular values
     plus an estimate of the rounding, a few ``eps * ||M||_F`` (see
-    :func:`_exact_truncation`).
+    :func:`_exact_truncation`), or the range route's account where a
+    sketch certifies there.
 
     A caller that has already checked ``M`` to be finite and ``delta`` to
     be non-negative, and computed ``||M||_F``, passes it as ``norm``.
@@ -556,10 +582,16 @@ def spectral_norm_estimate(
     remaining error is projected from the ratio of successive differences;
     iteration stops once both the last step and the projection are below
     ``tol`` relative.  On hitting the iteration cap the best estimate is
-    returned with ``converged=False``.
+    returned with ``converged=False``.  ``dims`` are the operator's
+    ``(rows, cols)``, each at least 1, and ``max_iterations`` is at
+    least 1.
     """
     if not 0 < tol < 1:
         raise ConfigError(f"tolerance must be in (0, 1), got {tol}")
+    if not max_iterations >= 1:
+        raise ConfigError(f"max_iterations must be >= 1, got {max_iterations}")
+    if min(dims) < 1:
+        raise ShapeError(f"operator extents must all be >= 1, got {tuple(dims)}")
     _, n = dims
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(n)

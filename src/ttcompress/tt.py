@@ -120,11 +120,14 @@ def _tt_svd(t: DenseTensor, tau_rel_frob: float, data_norm=None):
     range route, which serves unfoldings of at least ``RANGE_MIN_SIDE``
     rows and columns, measures its residual as a difference of squares,
     with the Gram path's estimate added, at the Gram path's budgets and
-    directly, one row block at a time, below them.  A wide unfolding
-    whose Gram eigenvalues prove that its rank keeps every row is carried
-    whole, with no factorization.  Every route carries the projection of the
-    unfolding on the kept vectors into the next core, not the SVD's
-    ``diag(s) V^T``, so the SVD's own rounding stays out of the train.
+    directly, one block of the unfolding's columns at a time, below them.
+    A wide unfolding whose Gram eigenvalues prove that its rank keeps
+    every row is carried whole, with no factorization; one with fewer
+    eigenvalues past that proof's margin than the range finder's cap is
+    sketched before any QR, whatever its size.  Every route carries the
+    projection of the unfolding on the kept vectors into the next core,
+    not the SVD's ``diag(s) V^T``, so the SVD's own rounding stays out of
+    the train.
     ``tau`` is relative to ``data_norm`` when given, the norm of the data
     a padded ``t`` holds, and else to ``||t||_F``."""
     _check_tolerance(tau_rel_frob)

@@ -9,6 +9,7 @@ from ttcompress import (
     CompressionConfig,
     ConfigError,
     DataError,
+    ShapeError,
     TTCompressError,
     compress_run,
     lowrank,
@@ -457,6 +458,91 @@ class TestFullRankProof:
             assert rank == svd_truncation_rank(gesdd, delta)
 
 
+class TestSketchAfterFailedProof:
+    """A wide matrix whose full-rank proof fails is sketched by the range
+    finder before the blocked QR when the proof's count of eigenvalues
+    past the margin, a lower bound on the rank, is below the sketch's cap
+    (a quarter of the rows, and at least ``_RANGE_FIRST_BLOCK``)."""
+
+    SHAPE = (64, 16384)
+
+    @pytest.fixture
+    def range_calls(self, monkeypatch):
+        """Shapes of the matrices handed to the range finder."""
+        calls = []
+        original = lowrank._range_truncation
+
+        def counting(arr, delta, norm):
+            calls.append(arr.shape)
+            return original(arr, delta, norm)
+
+        monkeypatch.setattr(lowrank, "_range_truncation", counting)
+        return calls
+
+    def matrix(self, sigma):
+        rows, cols = self.SHAPE
+        sigma = np.concatenate([sigma, np.zeros(rows - len(sigma))])
+        return matrix_with_spectrum(np.random.default_rng(len(sigma)), sigma, cols)
+
+    def test_graded_low_rank_is_sketched(self, range_calls, triangle_calls):
+        m = self.matrix(0.1 ** np.arange(12))
+        norm = float(np.linalg.norm(m))
+        delta = 1e-12 * norm
+        u, w, discarded = _truncated_svd_arrays(m, delta)
+        assert range_calls == [self.SHAPE]
+        # only the projected 16 x 16384 matrix took the blocked QR
+        assert m.T.shape not in triangle_calls
+        assert triangle_calls == [(self.SHAPE[1], lowrank._RANGE_FIRST_BLOCK)]
+        assert u.shape[1] == 12 and discarded <= delta
+        assert np.max(np.abs(w - u.T @ m)) <= 1e-12 * norm
+        assert np.linalg.norm(m - u @ w) <= discarded + 4 * lowrank._EPS * norm
+
+    def test_full_rank_is_kept_whole(self, range_calls, triangle_calls):
+        m = matrix_with_spectrum(
+            np.random.default_rng(64), np.logspace(0, -2, 64), self.SHAPE[1]
+        )
+        u, w, discarded = _truncated_svd_arrays(m, 1e-12 * np.linalg.norm(m))
+        assert range_calls == [] and triangle_calls == []
+        assert np.array_equal(u, np.eye(64)) and w is m and discarded == 0.0
+
+    def test_high_rank_skips_the_sketch(self, monkeypatch, range_calls):
+        # 40 values past the margin: more than a 16-column sketch can hold
+        m = self.matrix(np.logspace(0, -3, 40))
+        delta = 1e-12 * float(np.linalg.norm(m))
+        got = _truncated_svd_arrays(m, delta)
+        assert range_calls == [] and got[0].shape[1] == 40
+        monkeypatch.setattr(lowrank, "_range_truncation", lambda *args: None)
+        want = _truncated_svd_arrays(m, delta)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert got[2] == want[2]
+
+
+class TestResidualSquared:
+    """``||M - Q B||_F^2`` over blocks along ``M``'s contiguous axis, in
+    one reused block buffer."""
+
+    @pytest.mark.parametrize("order", ["F", "C"])
+    def test_matches_dense_residual(self, order):
+        # 4100 columns: the F-ordered matrix takes 9 column blocks, the
+        # last of 4 columns, and the C-ordered one 10 row blocks, the last
+        # of 1 row
+        rng = np.random.default_rng(5)
+        m = np.asarray(rng.standard_normal((64, 4100)), order=order)
+        q = np.linalg.qr(rng.standard_normal((64, 16)))[0]
+        b = q.T @ m
+        want = math.fsum(((m - q @ b) ** 2).ravel())
+        block = lowrank._TSQR_BLOCK_ENTRIES * m.itemsize
+        tracemalloc.start()
+        try:
+            got = lowrank._residual_squared(m, q, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(got - want) <= 4 * lowrank._EPS * want
+        # one block buffer, not one per block
+        assert peak <= 1.25 * block
+
+
 @pytest.mark.parametrize("relative", [1e-3, 1e-12], ids=["squares", "blockwise"])
 def test_range_route_forms_no_full_size_temporary(relative):
     """The range route measures its residual from the norms of ``M`` and
@@ -481,10 +567,16 @@ def test_range_route_forms_no_full_size_temporary(relative):
 def test_settling_run_never_sketches(monkeypatch):
     """Segments and merge of a settling run of 4096 particles keep every
     unfolding's smaller side below ``RANGE_MIN_SIDE``, so they never take
-    the range route."""
+    the range route, and every truncation is certified by the Gram
+    route, so none reaches the SVD route, which sketches too."""
     batch = synth_particles(4096, 96, "settle", seed=25)
-    sides, sketched = [], []
+    sides, sketched, exact = [], [], []
     truncate, sketch = tt._truncated_svd_arrays, lowrank._range_truncation
+    svd_route = lowrank._exact_truncation
+    monkeypatch.setattr(
+        lowrank, "_exact_truncation",
+        lambda arr, *args: exact.append(arr.shape) or svd_route(arr, *args),
+    )
 
     def recording(arr, *args):
         sides.append(min(arr.shape))
@@ -499,7 +591,7 @@ def test_settling_run_never_sketches(monkeypatch):
         batch.time_slice, batch.n_t, CompressionConfig(tolerance=1e-2)
     )
     assert merged.stack_dims == (3,)
-    assert sketched == []
+    assert sketched == [] and exact == []
     assert max(sides) < lowrank.RANGE_MIN_SIDE
 
 
@@ -828,3 +920,18 @@ class TestSpectralNormEstimate:
         assert not est.converged
         assert est.iterations == 1
         assert est.value > 0
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_no_iterations_rejected(self, max_iterations):
+        a = np.eye(2)
+        with pytest.raises(ConfigError, match="max_iterations"):
+            spectral_norm_estimate(
+                lambda v: a @ v, lambda v: a.T @ v, a.shape,
+                max_iterations=max_iterations,
+            )
+
+    @pytest.mark.parametrize("shape", [(3, 0), (0, 3)])
+    def test_empty_operator_rejected(self, shape):
+        a = np.zeros(shape)
+        with pytest.raises(ShapeError, match="extents"):
+            spectral_norm_estimate(lambda v: a @ v, lambda v: a.T @ v, shape)
