@@ -2,9 +2,9 @@
 
 Compresses dense datasets (particle trajectories, sampled kernels,
 generic tensors) into tensor-train form with guaranteed reconstruction
-error bounds, optionally after Morton-order sorting and mixed-radix
-tensorization, and merges independently compressed segments under an
-explicit error budget.
+error bounds, optionally after ordering particles by balanced bisection
+of their positions and mixed-radix tensorization, and merges
+independently compressed segments under an explicit error budget.
 """
 
 __version__ = "0.1.0"

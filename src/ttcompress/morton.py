@@ -14,7 +14,6 @@ import numpy as np
 from .errors import DataError, IndexRangeError, ShapeError
 
 MAX_BITS = 21  # 3 * 21 = 63 key bits fit an unsigned 64-bit integer
-DEFAULT_BITS = 16  # the bit depth compress_segment sorts with
 
 
 @dataclass(frozen=True)

@@ -45,7 +45,6 @@ from .errors import (
     StructureError,
 )
 from .lowrank import _svd_rounding
-from .morton import DEFAULT_BITS, fit_domain, morton_sort
 from .tensorize import (
     AxisPad,
     TensorizePlan,
@@ -72,6 +71,9 @@ REORDER_POLICIES = ("none", "segment")
 # largest prime a split axis factors into; an extent with a larger prime
 # factor is padded up to the next extent without one
 MAX_FACTOR = 5
+# steps, spread over a segment or a run, whose positions fit the particle
+# order: one step goes stale on a moving field
+ORDER_STEPS = 4
 SEGMENT_FILE_RE = re.compile(r"^seg_(\d+)_(\d+)\.ttc$")
 # entries x largest rank per block of a region query, and values per
 # block of a full reconstruction: each array stays near 8 MB
@@ -167,10 +169,11 @@ class CompressionConfig:
     factor count; ``None`` keeps every factor as its own dimension, and
     ``1`` keeps every axis whole (no tensorization); split axes factor
     into primes up to :data:`MAX_FACTOR`.
-    ``reorder`` picks the Morton policy: one permutation per segment,
-    from its first step's positions, the first three components of the
-    data (default), sorted on keys of ``morton.DEFAULT_BITS`` bits per
-    axis, or none.
+    ``reorder`` picks the particle order: ``"segment"`` (default) orders
+    by balanced bisection (:func:`bisection_order`) of the positions, the
+    first three components of the data, at :data:`ORDER_STEPS` steps
+    spread over the segment, or over the run when its segments merge;
+    ``"none"`` keeps the input order.
     """
 
     tolerance: float = 0.1
@@ -219,7 +222,7 @@ class CompressedSegment:
     (:attr:`stack_dims`); each stacked leaf covers
     ``part_time_extents[j]`` real timesteps (padding copies excluded).
     ``permutations`` is ``None`` or one permutation of the particles
-    for the whole segment, checked here; the Morton policy
+    for the whole segment, checked here; the reorder policy
     (:attr:`reorder`) follows from it.
     ``error_bound`` is the certified absolute Frobenius error against
     this segment's own unpadded data, from the ledger of discarded
@@ -290,7 +293,7 @@ class CompressedSegment:
 
     @property
     def reorder(self) -> str:
-        """The Morton policy: ``"none"`` without a permutation, else
+        """The reorder policy: ``"none"`` without a permutation, else
         ``"segment"``."""
         return "none" if self.permutations is None else "segment"
 
@@ -448,6 +451,75 @@ def _compress(
     )
 
 
+def bisection_order(points, factors) -> np.ndarray:
+    """Balanced bisection (k-d) order of ``points``, an ``(n, m)`` array,
+    fitted to the digits ``factors`` of a padded extent of at least ``n``,
+    least significant first, as :func:`factor_dims` lists them.
+
+    From the most significant digit down, each group of points that
+    shares the digits above is sorted along its widest coordinate (the
+    largest max - min, in raw units) and cut at the next digit's slot
+    boundaries, clipped to ``n``.  So every digit splits its group in
+    space into as many near-equal parts as it has values, and the points
+    fill the first ``n`` slots.  The sorts are stable: ties keep their
+    order, and reruns repeat.  Returns ``perm``, with ``points[perm]`` in
+    that order.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = len(points)
+    perm = rows = np.arange(n)
+    size = math.prod(factors)
+    # non-finite points order too; compress_segment names their step
+    with np.errstate(invalid="ignore", over="ignore"):
+        for f in reversed(factors):
+            group = rows // size  # slots sharing the digits above
+            ordered = points[perm]
+            starts = np.arange(0, n, size)
+            width = np.maximum.reduceat(ordered, starts) - np.minimum.reduceat(
+                ordered, starts
+            )
+            key = ordered[rows, width.argmax(axis=1)[group]]
+            perm = perm[np.lexsort((key, group))]
+            size //= f
+    return perm
+
+
+def _sampled_steps(n_t: int) -> np.ndarray:
+    """:data:`ORDER_STEPS` steps spread over ``n_t``, the first and the
+    last among them (fewer when ``n_t`` is smaller)."""
+    k = ORDER_STEPS
+    return np.unique(np.arange(k) * (n_t - 1) // (k - 1))
+
+
+def _particle_order(steps) -> np.ndarray:
+    """Particle permutation from ``steps``, the (particles, components)
+    arrays of a segment's or a run's sampled steps: the bisection order
+    of each particle's positions, its first three components, at every
+    step side by side.  It fits the digits of the padded particle extent
+    whatever the level: an order within one train mode cannot change a
+    rank."""
+    n_p, n_c = steps[0].shape
+    if n_c < 3:
+        raise ConfigError(
+            "particle reordering needs three position components, "
+            f"got {n_c}; use reorder='none'"
+        )
+    points = np.concatenate([s[:, :3] for s in steps], axis=1)
+    padded = next_factorable(n_p, MAX_FACTOR)
+    return bisection_order(points, factor_dims(padded, MAX_FACTOR))
+
+
+def _segment_array(data: DenseTensor) -> np.ndarray:
+    """``data`` viewed as its (steps, particles, components) array; a
+    :class:`ShapeError` unless it is 3-D."""
+    if data.ndim != 3:
+        raise ShapeError(
+            "segment data must be 3-dimensional (steps, particles, "
+            f"components), got {data.ndim} dimensions"
+        )
+    return data.to_numpy()
+
+
 def compress_segment(
     data: DenseTensor,
     config: CompressionConfig,
@@ -458,33 +530,23 @@ def compress_segment(
     """Compress one segment: the 3-D tensor of its steps, dims
     (n_t, n_p, n_c).
 
-    Pipeline: reorder particles by the Morton policy, which sorts on the
-    first step's first three components (the positions), pad and
-    tensorize per the plan, then TT-SVD at the tolerance converted with
-    the segment's own statistics, taken from the raw (pre-padding) data,
+    Pipeline: reorder particles per ``config.reorder``, by the bisection
+    order of the positions (the first three components) at
+    :data:`ORDER_STEPS` steps spread over the segment, pad and tensorize
+    per the plan, then TT-SVD at the tolerance converted with the
+    segment's own statistics, taken from the raw (pre-padding) data,
     which must be finite.
 
     ``permutation_override`` pins one particle ordering across segments
     that will later be merged; it must permute the segment's particles.
     """
-    if data.ndim != 3:
-        raise ShapeError(
-            "segment data must be 3-dimensional (steps, particles, "
-            f"components), got {data.ndim} dimensions"
-        )
+    arr = _segment_array(data)
     stats = _data_stats(data, first_step)
-    arr = data.to_numpy()
 
     # checked as the segment record checks it, but before the SVD
     perms = _checked_permutation(permutation_override, arr.shape)
     if perms is None and config.reorder == "segment":
-        if arr.shape[2] < 3:
-            raise ConfigError(
-                "Morton reordering needs three position components, "
-                f"got {arr.shape[2]}; use reorder='none'"
-            )
-        first = arr[0, :, :3]
-        perms = morton_sort(fit_domain(first).apply(first), DEFAULT_BITS)
+        perms = _particle_order(arr[_sampled_steps(len(arr))])
     if perms is not None:
         # the transpose is row-major: take copies whole time columns, and
         # the column-major result makes the flat values below a view
@@ -665,13 +727,16 @@ def compress_run(
 
     ``read(start, stop)`` returns the 3-D :class:`DenseTensor` of steps
     [start, stop), as a run directory's reader and
-    ``SnapshotBatch.time_slice`` do.  Each step is read once, one segment
-    at a time, so memory holds one segment plus the compressed parts.
-    Each segment is compressed against its own statistics, at half the
-    target when merged: at an nRMSE target ``r`` segment ``i`` errs by at
-    most ``r * range_i * sqrt(n_i)``, and
+    ``SnapshotBatch.time_slice`` do.  Segments are read one at a time, so
+    memory holds one segment plus the compressed parts.  A run that
+    merges and reorders first reads :data:`ORDER_STEPS` single steps
+    spread over the run, ``read(s, s + 1)``, and orders its particles
+    once from them (:func:`bisection_order`); every other step is read
+    once.  Each segment is compressed against its own statistics, at
+    half the target when merged: at an nRMSE target ``r`` segment ``i``
+    errs by at most ``r * range_i * sqrt(n_i)``, and
     ``sum range_i^2 * n_i <= range^2 * n``.
-    Merged segments share the first segment's Morton permutation, and one
+    Merged segments share that one permutation, and one
     :func:`merge_tree` call stacks them all and rounds the stack at most
     once, spending only what their certified errors leave of the run's
     relative budget, which the merged part's ``error_bound`` thus keeps:
@@ -686,15 +751,19 @@ def compress_run(
     """
     seg_len = config.segment_length
     merging = merge and n_t > seg_len
-    seg_config, pad = config, None
+    seg_config, pad, perms = config, None, None
+    t0 = time.perf_counter()
     if merging:
         seg_config = dataclasses.replace(config, tolerance=config.tolerance / 2)
         pad = seg_len
+        if config.reorder == "segment":
+            steps = _sampled_steps(n_t)
+            perms = _particle_order(
+                [_segment_array(read(s, s + 1))[0] for s in steps]
+            )
 
-    t0 = time.perf_counter()
     parts = []  # the segments
     for start in range(0, n_t, seg_len):
-        perms = parts[0].permutations if merging and parts else None
         data = read(start, min(start + seg_len, n_t))
         parts.append(compress_segment(data, seg_config, start, perms, pad))
         del data  # one raw segment in memory at a time

@@ -60,8 +60,8 @@ class SnapshotBatch:
     """Raw per-timestep particle data before any ordering or reshaping.
 
     ``data`` has dims (n_t, n_p, n_c); its first three components, when
-    there are three, are the particle positions that Morton ordering
-    sorts on.
+    there are three, are the particle positions that the particle order
+    is fitted to.
     """
 
     data: DenseTensor

@@ -39,6 +39,33 @@ def settling_run(path, seed, n_p, n_t):
     return str(path)
 
 
+def swirl_positions(seed, n_p, n_t, dt=0.01):
+    """Positions, (n_t, n_p, 3), of a seeded spatially coherent field:
+    particles start uniform in (-1, 1)^2 x (0, 1) and turn about the z
+    axis, faster near it (``theta = theta0 + 2 t / (0.3 + r)``), while
+    their radius breathes (``r (1 + 0.1 sin(3 t + 2 z0))``) and their
+    height decays (``z0 exp(-t / 2) + 0.05 sin(4 theta)``), each plus a
+    random walk of step 0.002.  Neighbours move alike, but the field
+    shears, so an order fitted to one step goes stale."""
+    rng = np.random.default_rng([seed, 1])
+    x0 = rng.uniform(-1.0, 1.0, n_p)
+    y0 = rng.uniform(-1.0, 1.0, n_p)
+    z0 = rng.uniform(0.0, 1.0, n_p)
+    r0, theta0 = np.hypot(x0, y0), np.arctan2(y0, x0)
+    t = (np.arange(n_t) * dt)[:, None]
+    theta = theta0 + 2.0 * t / (0.3 + r0)
+    r = r0 * (1.0 + 0.1 * np.sin(3.0 * t + 2.0 * z0))
+    data = np.stack(
+        [
+            r * np.cos(theta),
+            r * np.sin(theta),
+            z0 * np.exp(-t / 2.0) + 0.05 * np.sin(4.0 * theta),
+        ],
+        axis=2,
+    )
+    return data + np.cumsum(0.002 * rng.standard_normal(data.shape), axis=0)
+
+
 def run_fresh(code, *args):
     """stdout of ``code`` run with ``args`` in a fresh interpreter that
     imports this checkout's package, with no BLAS thread count in its

@@ -633,6 +633,23 @@ class TestCompress:
         assert "internal error" not in err and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags", [["--no-merge"], []], ids=["no-merge", "merged"]
+    )
+    def test_run_without_positions_needs_reorder_none(
+        self, tmp_path, capsys, flags
+    ):
+        # two components hold no positions to order the particles on
+        run, out = tmp_path / "run", tmp_path / "out"
+        arr = np.random.default_rng(5).uniform(size=(40, 8, 2))
+        write_run(run, SnapshotBatch(DenseTensor.from_numpy(arr), 0.01))
+        argv = ["compress", str(run), "-o", str(out), "--segment-length", "16"]
+        assert main(argv + flags) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err and "three position" in err
+        assert not out.exists()
+        assert main(argv + flags + ["--reorder", "none"]) == 0
+
     def test_level_applies_to_every_dt64_axis(self, tmp_path):
         # 5 and 2 have a single factor, so their level is capped at 1
         rng = np.random.default_rng(4)

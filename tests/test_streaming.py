@@ -54,8 +54,14 @@ from ttcompress import (
 )
 from ttcompress import streaming
 from ttcompress.cli import main
-from ttcompress.morton import DEFAULT_BITS, fit_domain, morton_sort
-from ttcompress.streaming import CompressedSegment, DataStats, segment_metadata
+from conftest import swirl_positions
+from ttcompress.morton import fit_domain, morton_sort
+from ttcompress.streaming import (
+    CompressedSegment,
+    DataStats,
+    bisection_order,
+    segment_metadata,
+)
 from ttcompress.tensorize import axis_offsets
 from ttcompress.tt import _orthogonalize
 
@@ -200,7 +206,8 @@ class TestCompressSegment:
 
     @pytest.mark.parametrize("field", ["max_factor", "morton_bits"])
     def test_removed_settings_are_unknown(self, field):
-        # each took one value, now a constant: MAX_FACTOR, morton.DEFAULT_BITS
+        # each took one value; MAX_FACTOR is a constant, and the order
+        # uses no bits
         with pytest.raises(TypeError, match=field):
             CompressionConfig(**{field: 5})
         assert [f.name for f in dataclasses.fields(CompressionConfig)] == [
@@ -241,6 +248,114 @@ class TestCompressSegment:
             compress_segment(
                 DenseTensor.from_numpy(arr), CompressionConfig(tolerance=0.1)
             )
+
+
+def digit_groups(n, factors):
+    """Per digit, most significant first: its groups' slot ranges, each
+    clipped to ``n``, and the parts each group is cut into."""
+    size = int(np.prod(factors))
+    for f in reversed(factors):
+        part = size // f
+        for a in range(0, n, size):
+            cuts = [min(a + i * part, n) for i in range(f + 1)]
+            yield (a, min(a + size, n)), list(zip(cuts, cuts[1:]))
+        size = part
+
+
+class TestBisectionOrder:
+    @pytest.mark.parametrize(
+        "n, factors",
+        [(13, [3, 5]), (1000, [2, 2, 2, 5, 5, 5]), (4093, [2] * 12)],
+    )
+    def test_each_digit_is_one_spatial_split(self, n, factors):
+        # an uneven, anisotropic cloud of two steps' positions
+        rng = np.random.default_rng(n)
+        points = rng.standard_normal((n, 6)) ** 3 * [9, 3, 1, 1, 3, 9]
+        perm = bisection_order(points, factors)
+        assert np.array_equal(np.sort(perm), np.arange(n))
+        assert np.array_equal(perm, bisection_order(points.copy(), factors))
+        ordered = points[perm]
+        for (a, b), parts in digit_groups(n, factors):
+            group = ordered[a:b]
+            axis = np.argmax(group.max(axis=0) - group.min(axis=0))
+            values = [ordered[lo:hi, axis] for lo, hi in parts if lo < hi]
+            for left, right in zip(values, values[1:]):
+                assert left.max() <= right.min()
+
+    def test_ties_keep_their_order(self):
+        rng = np.random.default_rng(4)
+        points = rng.integers(0, 3, (200, 3)).astype(float)
+        perm = bisection_order(points, [2, 2, 2, 5, 5])
+        for row in np.unique(points, axis=0):
+            same = perm[(points[perm] == row).all(axis=1)]
+            assert np.all(np.diff(same) > 0)
+        assert np.array_equal(
+            bisection_order(np.ones((64, 3)), [2] * 6), np.arange(64)
+        )
+
+    def test_widest_axis_in_raw_units(self):
+        # no per-axis scaling: a cloud spread 100 times wider in y than
+        # in x is first halved in y
+        rng = np.random.default_rng(7)
+        points = rng.uniform(size=(64, 3)) * [1.0, 100.0, 0.0]
+        perm = bisection_order(points, [2] * 6)
+        assert points[perm[:32], 1].max() <= points[perm[32:], 1].min()
+
+    @pytest.mark.parametrize("n_p", [13, 4093])
+    def test_unfactorable_counts_order_and_round_trip(self, n_p):
+        batch = synth_particles(n_p, 8, "settle", seed=n_p)
+        seg = compress_segment(batch.data, CompressionConfig(tolerance=1e-2))
+        assert seg.plan.padded_dims()[1] > n_p
+        assert np.array_equal(np.sort(seg.permutations), np.arange(n_p))
+        measured = nrmse(batch.data, reconstruct_segment(seg))
+        assert measured <= 1e-2
+
+    def test_run_without_positions_fails_before_any_segment(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            streaming, "compress_segment", lambda *args: calls.append(args)
+        )
+        batch = batch_from_array(np.random.default_rng(2).uniform(size=(40, 8, 2)))
+        config = CompressionConfig(tolerance=1e-2, segment_length=16)
+        with pytest.raises(ConfigError, match="three position components"):
+            compress_run(batch.time_slice, batch.n_t, config)
+        assert calls == []
+
+
+def morton_merged_run(arr, tol, seg_len):
+    """``compress_run``'s merged run of ``arr`` at nRMSE ``tol``, but
+    with every segment in the Morton order of the first step."""
+    first = arr[0]
+    perm = morton_sort(fit_domain(first).apply(first), 16)
+    config = CompressionConfig(tolerance=tol / 2, segment_length=seg_len)
+    segments = [
+        compress_segment(
+            DenseTensor.from_numpy(arr[a : a + seg_len]), config, a, perm, seg_len
+        )
+        for a in range(0, len(arr), seg_len)
+    ]
+    stats = combine_stats(s.stats for s in segments)
+    return merge_tree(segments, nrmse_to_relfrob(tol, stats))
+
+
+class TestCoherentFieldOrder:
+    """On a spatially coherent field the bisection order over the run
+    stores more than the Morton order of its first step, at the same
+    certified error."""
+
+    @pytest.mark.parametrize("n_p, least", [(4096, 1.2), (512, 0.97)])
+    def test_ratio_against_morton(self, n_p, least):
+        arr = swirl_positions(3, n_p, 256)
+        data = DenseTensor.from_numpy(arr)
+        stats = stats_of(arr)
+        scale = (stats.x_max - stats.x_min) * np.sqrt(stats.entry_count)
+        config = CompressionConfig(tolerance=1e-2, segment_length=32)
+        (ours,) = compress_run(SnapshotBatch(data, 0.01).time_slice, 256, config)
+        morton = morton_merged_run(arr, 1e-2, 32)
+        for merged in (ours, morton):
+            measured = nrmse(data, reconstruct_segment(merged))
+            assert measured <= merged.error_bound / scale <= 1e-2
+        assert ours.compression_ratio >= least * morton.compression_ratio
 
 
 class TestMergeStack:
@@ -522,8 +637,14 @@ class TestCompressRun:
         assert held <= 0.05 * raw
         assert peak < 0.4 * raw
 
-    @pytest.mark.parametrize("merge", [True, False])
-    def test_reads_each_step_once(self, merge):
+    @pytest.mark.parametrize(
+        "merge, ordering",
+        [(True, [(0, 1), (13, 14), (26, 27), (39, 40)]), (False, [])],
+        ids=["True", "False"],
+    )
+    def test_reads_each_step_once(self, merge, ordering):
+        # a merged run first reads the steps it orders on, one at a time,
+        # spread over the run; then each segment once
         batch = synth_particles(16, 40, "settle", seed=6)
         reads = []
 
@@ -533,26 +654,39 @@ class TestCompressRun:
 
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
         compress_run(read, batch.n_t, config, merge)
-        assert reads == [(0, 16), (16, 32), (32, 40)]
+        assert reads == ordering + [(0, 16), (16, 32), (32, 40)]
 
     def test_in_memory_run_sorts_every_segment(self):
-        # the positions are the data's first three components, so every
-        # segment of an in-memory run is sorted on its own first step
+        # the positions are the data's first three components: a
+        # --no-merge segment is ordered on four steps spread over its own
+        # steps, and a merged run's segments share the order of four steps
+        # spread over the run
         arr = synth_particles(32, 64, "settle", seed=5).data.to_numpy()
         batch = SnapshotBatch(DenseTensor.from_numpy(arr), 0.01)
         config = CompressionConfig(tolerance=1e-2, segment_length=16)
+
+        def order(steps):
+            points = np.concatenate([arr[s, :, :3] for s in steps], axis=1)
+            return bisection_order(points, [2] * 5)
+
         parts = compress_run(batch.time_slice, 64, config, merge=False)
         assert [p.time_range for p in parts] == [
             (0, 15), (16, 31), (32, 47), (48, 63),
         ]
         for part in parts:
-            p = arr[part.time_range[0], :, :3]
-            want = morton_sort(fit_domain(p).apply(p), DEFAULT_BITS)
+            a = part.time_range[0]
+            want = order([a, a + 5, a + 10, a + 15])
             assert np.array_equal(part.permutations, want)
         assert not all(
             np.array_equal(parts[0].permutations, p.permutations)
             for p in parts[1:]
         )
+        levels = []
+        compress_run(batch.time_slice, 64, config, on_level=levels.append)
+        segments, (merged,) = levels
+        want = order([0, 21, 42, 63])
+        for part in segments + [merged]:
+            assert np.array_equal(part.permutations, want)
 
     def test_velocity_run_merges(self):
         # velocities of a settling run: the segments where particles still
@@ -1162,7 +1296,7 @@ def read_case(request):
 def run_segments(n_p, reorder, lengths=(4, 4, 4, 2), pinned=True):
     """Consecutive segments of one run, the last one short.  Under
     ``segment`` ordering they share one random permutation, or, unless
-    ``pinned``, each takes the Morton order of its first step."""
+    ``pinned``, each takes the bisection order of its own steps."""
     rng = np.random.default_rng(46)
     arr = np.cumsum(rng.uniform(size=(sum(lengths), n_p, 3)), axis=0)
     cfg = relfrob_config(1e-3, reorder=reorder)
@@ -1190,7 +1324,7 @@ def merged_halves(n_p):
 RUN_CASES = {
     # two merged parts of a run with 7 particles, padded to 8
     "merged-padded-particles": lambda: merged_halves(7),
-    # unmerged segments, each with its own Morton permutation
+    # unmerged segments, each with its own permutation
     "own-permutations": lambda: run_segments(5, "segment", pinned=False),
     "interlaced": lambda: [interlaced_segment()],
     # one archive whose last leaf holds 2 of 4 steps
