@@ -7,6 +7,7 @@ Subcommands: ``compress`` (run directory or raw tensor -> archives),
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -21,7 +22,7 @@ from .dense import DenseTensor
 from .errors import ConfigError, IndexRangeError, IngestionError, TTCompressError
 from .formats import _replacing, read_dt64, write_dt64
 from .lowrank import spectral_norm_estimate
-from .metrics import rel_frob, write_csv
+from .metrics import rel_frob
 from .streaming import (
     REORDER_POLICIES,
     TOLERANCE_KINDS,
@@ -296,7 +297,8 @@ def _parse_levels(text):
 
 
 def bench_fig3(args):
-    """Tensorization-level sweep on the peaked univariate samples."""
+    """Tensorization-level sweep on the peaked univariate samples: one
+    row per delta, tau and level, its keys in column order."""
     rows = []
     for delta in args.deltas:
         samples = sample_univariate(delta, args.d)
@@ -316,12 +318,12 @@ def bench_fig3(args):
                         "rel_frob_error": err,
                     }
                 )
-    columns = ["study", "delta", "tau", "level", "ndim", "ratio", "rel_frob_error"]
-    return rows, columns
+    return rows
 
 
 def bench_table1(args):
-    """Interlaced kernel-matrix compression with spectral-error readout."""
+    """Interlaced kernel-matrix compression with spectral-error readout:
+    one row per level and tau, its keys in column order."""
     delta = args.deltas[0]
     kernel = sample_kernel_matrix(delta, args.d)
     dense_k = kernel.to_numpy()
@@ -351,21 +353,13 @@ def bench_table1(args):
                     "spectral_converged": est.converged,
                 }
             )
-    columns = [
-        "study",
-        "level",
-        "tau",
-        "ndim",
-        "ratio",
-        "spectral_error",
-        "spectral_converged",
-    ]
-    return rows, columns
+    return rows
 
 
 def bench_streaming(args):
     """Segmented compression of a settling run: a row for its segments and
-    one for the merged run."""
+    one for the merged run, its keys in column order.  The untensorized
+    pass runs first, so each row is built whole."""
     n_t = args.segments * args.segment_length
     batch = synth_particles(args.particles, n_t, args.scenario, args.seed)
     config = CompressionConfig(
@@ -373,6 +367,13 @@ def bench_streaming(args):
         tolerance_kind="nrmse",
         segment_length=args.segment_length,
         reorder="segment",
+    )
+    # the same segments untensorized, at the same budget and ordering: the
+    # segments' ratio, then the merged run's when there is one
+    flat = []
+    compress_run(
+        batch.time_slice, n_t, dataclasses.replace(config, level=1),
+        on_level=lambda segs: flat.append(_overall_ratio(segs)),
     )
     rows = []
 
@@ -384,39 +385,24 @@ def bench_streaming(args):
             "steps_per_segment": segs[0].total_steps,
             "n_segments": len(segs),
             "overall_ratio": _overall_ratio(segs),
+            "overall_ratio_untensorized": flat[len(rows)],
             "overall_nrmse": _measure(segs, batch.time_slice).get("nrmse"),
         })
 
     compress_run(batch.time_slice, n_t, config, on_level=add_row)
-    # the same segments untensorized, at the same budget and ordering
-    flat = []
-    compress_run(
-        batch.time_slice, n_t, dataclasses.replace(config, level=1),
-        on_level=lambda segs: flat.append(_overall_ratio(segs)),
-    )
-    # the segments' ratio, then the merged run's when there is one
-    for row, ratio in zip(rows, flat):
-        row["overall_ratio_untensorized"] = ratio
-    columns = [
-        "study",
-        "level",
-        "steps_per_segment",
-        "n_segments",
-        "overall_ratio",
-        "overall_ratio_untensorized",
-        "overall_nrmse",
-    ]
-    return rows, columns
+    return rows
 
 
 def cmd_bench(args) -> int:
-    if args.study == "fig3":
-        rows, columns = bench_fig3(args)
-    elif args.study == "table1":
-        rows, columns = bench_table1(args)
-    else:
-        rows, columns = bench_streaming(args)
-    write_csv(args.output, rows, columns)
+    studies = {
+        "fig3": bench_fig3, "table1": bench_table1, "streaming": bench_streaming
+    }
+    rows = studies[args.study](args)
+    with open(args.output, "w", newline="") as fh:
+        # every study returns at least one row, its keys in column order
+        writer = csv.DictWriter(fh, fieldnames=rows[0].keys())
+        writer.writeheader()
+        writer.writerows(rows)
     print(f"wrote {len(rows)} rows to {args.output}")
     return EXIT_OK
 

@@ -1,11 +1,9 @@
-"""Reconstruction-error metrics and CSV reports.
+"""Reconstruction-error metrics.
 
 Two error criteria: normalized RMSE compares the root-mean-squared
 reconstruction error against the data range, and relative Frobenius error
 compares it against the average entry magnitude.
 """
-
-import csv
 
 import numpy as np
 
@@ -40,11 +38,3 @@ def rel_frob(x: DenseTensor, y: DenseTensor) -> float:
         raise DegenerateDataError("reference tensor has zero norm")
     return float(np.linalg.norm(xv - yv)) / norm
 
-
-def write_csv(path, rows, columns) -> None:
-    """Write report rows (dicts) with a fixed column order."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(columns))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({c: row.get(c, "") for c in columns})

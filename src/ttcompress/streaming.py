@@ -9,8 +9,8 @@ its actual error from what its truncations discarded.
 dimension, so the stacks carry the time hierarchy; its certificate is
 the parts' bounds in root-sum-square plus what one rounding discards,
 and that rounding spends only what the ledger leaves of the budget.
-:func:`merge_tree` owns a run's budget: one :func:`merge_stack` stacks
-every segment, and it returns the merged part alone.  Every read maps
+:func:`merge_tree` owns a run's budget and hands it to one
+:func:`merge_stack` of every segment.  Every read maps
 coordinates through ``tensorize.axis_offsets``; full reads share one
 preparation and decode in file order, a block of whole time columns at a
 time (:func:`decode_columns`), or leaf by leaf (:func:`decode_leaves`).
@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dense import DenseTensor, index_rows
+from .dense import DenseTensor
 from .errors import (
     ConfigError,
     DataError,
@@ -147,6 +147,15 @@ def error_measures(err: float, stats: DataStats):
         scale = (stats.x_max - stats.x_min) * math.sqrt(stats.entry_count)
         nrmse = err / scale
     return rel_frob, nrmse
+
+
+def _relative_tolerance(config, stats: DataStats):
+    """``config``'s target as a relative-Frobenius tolerance against data
+    of ``stats``: a ``relfrob`` target as it is, an ``nrmse`` one through
+    :func:`nrmse_to_relfrob` (``None`` for constant data)."""
+    if config.tolerance_kind == "nrmse":
+        return nrmse_to_relfrob(config.tolerance, stats)
+    return config.tolerance
 
 
 def _integer_in(value, lo) -> bool:
@@ -434,9 +443,7 @@ def _compress(
     if stats.x_max == stats.x_min or stats.frobenius_norm == 0.0:
         tt, lost = constant_tt(plan.tensorized_dims(), stats.x_min), 0.0
     else:
-        tau_rel = config.tolerance
-        if config.tolerance_kind == "nrmse":
-            tau_rel = nrmse_to_relfrob(tau_rel, stats)
+        tau_rel = _relative_tolerance(config, stats)
         tensorized = apply_plan(data, plan)
         tt, lost = _tt_svd(tensorized, tau_rel, stats.frobenius_norm)
     n_t = data.dims[0]
@@ -651,8 +658,11 @@ def merge_stack(parts, budget: float = 0.0) -> CompressedSegment:
     the stack stays exact and the bound is the ledger (``None`` if a
     part's is unknown).  So parts within a relative ``t`` merge within
     ``max(t, budget)``, inside ``t + t_r + t * t_r`` at a budget ``t_r``.
-    Parts handed over by an iterator let each original train go once its
-    orthogonalized copy is taken.
+    The one check of a merge's inputs: ``budget`` must be a finite number
+    ``>= 0``, the parts at least one, and a lone part comes back as it
+    is.  The merged part's record is taken first, and each part is then
+    popped as its orthogonalized copy is taken, so parts handed over by
+    an iterator let each original train go before the rounding.
     """
     if not 0 <= budget < math.inf:  # NaN too
         raise ConfigError(
@@ -666,53 +676,39 @@ def merge_stack(parts, budget: float = 0.0) -> CompressedSegment:
     _check_mergeable(parts)
     ledger = combine_error_bounds(parts)
     stats = combine_stats(p.stats for p in parts)
+    # the merged record, taken before the rounding lets the parts go
+    record = dict(
+        plan=_normalize_time_axis(parts[0].plan),
+        permutations=parts[0].permutations,
+        time_range=(parts[0].time_range[0], parts[-1].time_range[1]),
+        part_time_extents=sum((p.part_time_extents for p in parts), ()),
+        stats=stats,
+    )
     spare = -math.inf
     if ledger is not None:
         spare = budget * stats.frobenius_norm - ledger
     if spare > _rounding_floor(parts, stats.frobenius_norm):
-        for i in range(len(parts)):
-            # in place, so that a part handed over lets its train go
-            cores = _orthogonalize(parts[i].tt.cores)
-            parts[i] = dataclasses.replace(parts[i], tt=TTTensor(cores))
-        merged, lost = _round_orthogonal([p.tt.cores for p in parts], spare)
+        # popped, so that a part handed over lets its train go
+        orthogonal = [
+            _orthogonalize(parts.pop(0).tt.cores) for _ in range(len(parts))
+        ]
+        merged, lost = _round_orthogonal(orthogonal, spare)
     else:
         merged, lost = tt_stack_new([p.tt for p in parts]), 0.0
-    base = parts[0]
-    return CompressedSegment(
-        tt=merged,
-        plan=_normalize_time_axis(base.plan),
-        permutations=base.permutations,
-        time_range=(base.time_range[0], parts[-1].time_range[1]),
-        part_time_extents=sum((p.part_time_extents for p in parts), ()),
-        stats=stats,
-        error_bound=None if ledger is None else ledger + lost,
-    )
+    bound = None if ledger is None else ledger + lost
+    return CompressedSegment(tt=merged, error_bound=bound, **record)
 
 
-def merge_tree(segments, budget=None, on_level=None):
+def merge_tree(segments, budget=None):
     """Merge ``segments`` into one part under one relative error
-    ``budget``, in a single :func:`merge_stack`: the stack of every
-    segment, rounded at most once, spending what the segments' certified
-    errors leave of the budget.  ``budget=None`` keeps the stack exact.
-    The segments are handed over one at a time, so the merge lets each
-    go once its train is taken.  ``on_level``, when given, observes the
-    segments and then the merged part, each as a list.
+    ``budget``: one :func:`merge_stack` of every segment, which checks
+    the budget and the segments, returns a lone segment as it is, and
+    rounds the stack of several at most once, spending what the
+    segments' certified errors leave of the budget.  ``budget=None``
+    keeps the stack exact.  Segments handed over by an iterator are let
+    go once their trains are taken.
     """
-    segments = list(segments)
-    if not segments:
-        raise ConfigError("no segments to merge")
-    if budget is not None and not 0 <= budget < math.inf:  # NaN too
-        raise ConfigError(
-            f"total budget must be a finite number >= 0, got {budget}"
-        )
-    report = on_level or (lambda parts: None)
-    report(list(segments))
-    if len(segments) == 1:
-        return segments[0]
-    handed = (segments.pop(0) for _ in range(len(segments)))
-    merged = merge_stack(handed, budget or 0.0)
-    report([merged])
-    return merged
+    return merge_stack(segments, 0.0 if budget is None else budget)
 
 
 def compress_run(
@@ -744,10 +740,10 @@ def compress_run(
     on a run whose padded last segment is short and energetic too.
 
     Returns the parts the run stores: ``[merged]``, or the segments when
-    ``merge`` is off or the run fits in one segment.  ``on_level`` observes
-    the segments and the merged part as in :func:`merge_tree`, or the
-    segments alone; ``timings``,
-    when given, receives the seconds of compression and of the merge.
+    ``merge`` is off or the run fits in one segment.  ``on_level``, when
+    given, observes the segments as a list once they are all compressed,
+    and then ``[merged]`` when the run merges.  ``timings``, when given,
+    receives the seconds of compression and of the merge.
     """
     seg_len = config.segment_length
     merging = merge and n_t > seg_len
@@ -769,18 +765,17 @@ def compress_run(
         del data  # one raw segment in memory at a time
     t1 = time.perf_counter()
 
+    report = on_level or (lambda parts: None)
+    report(list(parts))  # a copy: the merge empties ``parts``
     if merging:
         stats = combine_stats(s.stats for s in parts)
         if not math.isfinite(stats.frobenius_norm):
             raise DataError(_NORM_OVERFLOW)
-        budget = config.tolerance
-        if config.tolerance_kind == "nrmse":
-            budget = nrmse_to_relfrob(config.tolerance, stats)
+        budget = _relative_tolerance(config, stats)
         # handed over, so that the merge lets each go once it is taken
         handed = (parts.pop(0) for _ in range(len(parts)))
-        parts = [merge_tree(handed, budget, on_level)]
-    elif on_level is not None:
-        on_level(parts)
+        parts = [merge_tree(handed, budget)]
+        report(list(parts))
     if timings is not None:
         timings.update(compress=t1 - t0, merge=time.perf_counter() - t1)
     return parts
@@ -906,12 +901,11 @@ def reconstruct_segment(seg: CompressedSegment) -> DenseTensor:
 
 
 def _train_indices(seg: CompressedSegment, coords) -> np.ndarray:
-    """1-based train multi-indices of 1-based original coordinates, one
-    row per entry: the digits of its :func:`_plan_rows` row, then those of
-    its stacked leaf.  Time counts within the segment (1..total steps)
-    and selects the leaf and the step within it."""
-    dims = (seg.total_steps,) + seg.plan.original_dims[1:]
-    coords = index_rows(coords, dims) - 1
+    """1-based train multi-indices of original coordinates, one row per
+    entry: the digits of its :func:`_plan_rows` row, then those of its
+    stacked leaf.  ``coords`` holds one row of 0-based indices per entry,
+    checked by the caller and changed in place; time counts within the
+    segment and selects the leaf and the step within it."""
     bounds = np.cumsum((0,) + seg.part_time_extents)
     leaf = np.searchsorted(bounds, coords[:, 0], side="right") - 1
     coords[:, 0] -= bounds[leaf]
@@ -942,7 +936,7 @@ def reconstruct_region(seg: CompressedSegment, region) -> DenseTensor:
                 f"region ({lo}, {hi}) out of range 1..{n}"
             )
     out_dims = tuple(hi - lo + 1 for lo, hi in region)
-    corner = np.array([lo for lo, _ in region])
+    corner = np.array([lo - 1 for lo, _ in region])
     _check_full_cap(out_dims)
     total = math.prod(out_dims)
     values = np.empty(total)

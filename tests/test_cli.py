@@ -1154,6 +1154,25 @@ class TestBench:
             for tau in ("0.1", "0.001"):
                 assert by_key[(delta, tau, 12)] >= by_key[(delta, tau, 6)]
 
+    @pytest.mark.parametrize(
+        "study, flags, header",
+        [
+            ("fig3", ["--d", "6", "--levels", "3", "--taus", "1e-2"],
+             "study,delta,tau,level,ndim,ratio,rel_frob_error"),
+            ("table1", ["--d", "4", "--levels", "2", "--taus", "1e-2"],
+             "study,level,tau,ndim,ratio,spectral_error,spectral_converged"),
+            ("streaming",
+             ["--segments", "2", "--segment-length", "4", "--particles", "8"],
+             "study,level,steps_per_segment,n_segments,overall_ratio,"
+             "overall_ratio_untensorized,overall_nrmse"),
+        ],
+        ids=["fig3", "table1", "streaming"],
+    )
+    def test_header_keeps_the_column_order(self, tmp_path, study, flags, header):
+        out = tmp_path / "out.csv"
+        assert main(["bench", study, "-o", str(out)] + flags) == 0
+        assert out.read_text().splitlines()[0] == header
+
     @pytest.mark.parametrize("study, limit", [("fig3", 24), ("table1", 12)])
     def test_given_d_is_kept(self, tmp_path, capsys, study, limit):
         # --d 0 is given, not absent: the study rejects it rather than

@@ -503,10 +503,7 @@ class TestMergeTree:
         rng = np.random.default_rng(19)
         arr = rng.uniform(size=(n_seg * steps, 4, 3))
         parts = split_time(arr, n_seg, relfrob_config(1e-3))
-        levels = []
-        final = merge_tree(parts, 2e-3, levels.append)
-        assert [len(lv) for lv in levels] == [n_seg, 1]
-        assert levels[-1] == [final] and levels[0] == parts
+        final = merge_tree(parts, 2e-3)
         # one leaf per segment, none empty
         assert final.stack_dims == (n_seg,)
         assert final.part_time_extents == (steps,) * n_seg
@@ -516,10 +513,10 @@ class TestMergeTree:
         rng = np.random.default_rng(20)
         arr = rng.uniform(size=(4, 4, 3))
         seg = compress_segment(DenseTensor.from_numpy(arr), relfrob_config(1e-3))
-        levels = []
         assert merge_tree([seg]) is seg
-        assert merge_tree([seg], 1e-2, levels.append) is seg
-        assert levels == [[seg]]
+        assert merge_tree(iter([seg]), 1e-2) is seg
+        with pytest.raises(MergeError):
+            merge_tree([])
 
     @pytest.mark.parametrize(
         "n_seg, steps", [(4, 2), (3, 2), (5, 3)], ids=["4-of-2", "3-of-2", "5-of-3"]
@@ -564,9 +561,7 @@ class TestMergeTree:
         rng = np.random.default_rng(24)
         arr = rng.uniform(size=(n_seg * steps, 4, 3))
         parts = split_time(arr, n_seg, relfrob_config(1e-2))
-        levels = []
-        final = merge_tree(parts, on_level=levels.append)
-        assert levels == [parts, [final]]
+        final = merge_tree(parts)
         exact = tt_stack_new([p.tt for p in parts])
         assert all(
             np.array_equal(a, b) for a, b in zip(final.tt.cores, exact.cores)
@@ -617,6 +612,31 @@ class TestCompressRun:
             tracemalloc.stop()
         assert merged.stack_dims == (16,)
         assert peak < raw / 4
+
+    @pytest.mark.parametrize(
+        "n_t, merge", [(40, True), (40, False), (16, True)],
+        ids=["merged", "no-merge", "one-segment"],
+    )
+    def test_observer_sees_the_segments_then_the_merged_part(self, n_t, merge):
+        batch = batch_from_array(
+            np.random.default_rng(27).uniform(size=(n_t, 8, 3))
+        )
+        config = relfrob_config(1e-2, segment_length=16)
+        levels = []
+        parts = compress_run(
+            batch.time_slice, n_t, config, merge, on_level=levels.append
+        )
+        segments = levels[0]
+        assert [s.time_range for s in segments] == [
+            (t, min(t + 16, n_t) - 1) for t in range(0, n_t, 16)
+        ]
+        assert not any(s.stack_dims for s in segments)
+        if len(segments) > 1 and merge:
+            assert len(levels) == 2 and levels[1][0] is parts[0]
+            assert parts[0].stack_dims == (len(segments),)
+        else:
+            assert len(levels) == 1
+            assert all(a is b for a, b in zip(segments, parts, strict=True))
 
     def test_returns_only_the_merged_part(self):
         # the segments are dropped as the merge takes them, and none
@@ -890,25 +910,23 @@ class TestSpendLeftover:
             tolerance=1e-2, tolerance_kind=kind, segment_length=16
         )
         levels = []
-        compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
+        (final,) = compress_run(
+            batch.time_slice, batch.n_t, config, on_level=levels.append
+        )
+        segments = levels[0]
+        assert [len(lv) for lv in levels] == [n_seg, 1] and levels[1] == [final]
         budget = config.tolerance
         if kind == "nrmse":
             # the run's statistics, combined from the segments'
-            stats = combine_stats(s.stats for s in levels[0])
+            stats = combine_stats(s.stats for s in segments)
             budget = nrmse_to_relfrob(config.tolerance, stats)
-        again = []
-        merge_tree(levels[0], budget, again.append)
-        assert [len(lv) for lv in again] == [len(lv) for lv in levels] == [
-            n_seg,
-            1,
-        ]
-        for a_level, b_level in zip(levels, again):
-            for a, b in zip(a_level, b_level):
-                assert a.tt.ranks == b.tt.ranks
-                assert all(
-                    np.array_equal(x, y) for x, y in zip(a.tt.cores, b.tt.cores)
-                )
-                assert a.error_bound == b.error_bound
+        again = merge_tree(segments, budget)
+        assert again.stack_dims == (n_seg,)
+        assert final.tt.ranks == again.tt.ranks
+        assert all(
+            np.array_equal(x, y) for x, y in zip(final.tt.cores, again.tt.cores)
+        )
+        assert final.error_bound == again.error_bound
 
     def test_spends_more_than_the_schedule(self):
         # the one rounding spends what the ledger leaves of the target: a
@@ -919,9 +937,7 @@ class TestSpendLeftover:
         compress_run(batch.time_slice, batch.n_t, config, on_level=levels.append)
         segments = levels[0]
         target = nrmse_to_relfrob(1e-2, stats_of(batch.data.values))
-        levels = []
-        merge_tree(segments, target, levels.append)
-        spent = levels[-1][0]
+        spent = merge_tree(segments, target)
         norm = spent.stats.frobenius_norm
         ledger = streaming.combine_error_bounds(segments)
         half = merge_stack(segments, (ledger + (target * norm - ledger) / 2) / norm)
