@@ -323,8 +323,13 @@ def bench_fig3(args):
 
 def bench_table1(args):
     """Interlaced kernel-matrix compression with spectral-error readout:
-    one row per level and tau, its keys in column order."""
-    delta = args.deltas[0]
+    one row per level and tau, its keys in column order.  Its rows name
+    no delta, so it takes exactly one."""
+    if len(args.deltas) != 1:
+        raise ConfigError(
+            f"table1 takes one delta, got {len(args.deltas)}: {args.deltas}"
+        )
+    (delta,) = args.deltas
     kernel = sample_kernel_matrix(delta, args.d)
     dense_k = kernel.to_numpy()
     rows = []

@@ -40,7 +40,6 @@ from .errors import (
     FormatError,
     IndexRangeError,
     MergeError,
-    PlanError,
     ShapeError,
     StructureError,
 )
@@ -50,6 +49,7 @@ from .tensorize import (
     TensorizePlan,
     apply_plan,
     axis_offsets,
+    build_plan,
     factor_dims,
     next_factorable,
 )
@@ -68,9 +68,6 @@ from .tt import (
 
 TOLERANCE_KINDS = ("nrmse", "relfrob")
 REORDER_POLICIES = ("none", "segment")
-# largest prime a split axis factors into; an extent with a larger prime
-# factor is padded up to the next extent without one
-MAX_FACTOR = 5
 # steps, spread over a segment or a run, whose positions fit the particle
 # order: one step goes stale on a moving field
 ORDER_STEPS = 4
@@ -171,13 +168,15 @@ def _integer_in(value, lo) -> bool:
 class CompressionConfig:
     """Everything the segment pipeline needs to know.
 
-    ``tolerance`` is a finite target; ``0`` with kind ``relfrob`` selects
-    lossless mode (keep every numerically nonzero singular value).
+    ``tolerance`` is a finite real number, ``segment_length`` an integer
+    >= 1, neither a bool; ``0`` with kind ``relfrob`` selects lossless
+    mode (keep every numerically nonzero singular value).
     ``level`` is the tensorization level of every split axis (time and
     particles of a run, every axis of a plain tensor), capped at an axis's
     factor count; ``None`` keeps every factor as its own dimension, and
-    ``1`` keeps every axis whole (no tensorization); split axes factor
-    into primes up to :data:`MAX_FACTOR`.
+    ``1`` keeps every axis whole (no tensorization); the plan comes from
+    ``tensorize.build_plan``, whose split axes factor into primes up to
+    ``tensorize.MAX_FACTOR``.
     ``reorder`` picks the particle order: ``"segment"`` (default) orders
     by balanced bisection (:func:`bisection_order`) of the positions, the
     first three components of the data, at :data:`ORDER_STEPS` steps
@@ -192,9 +191,14 @@ class CompressionConfig:
     reorder: str = "segment"
 
     def __post_init__(self):
-        if not 0 <= self.tolerance < math.inf:
+        tolerance = self.tolerance
+        if (
+            isinstance(tolerance, bool)
+            or not isinstance(tolerance, numbers.Real)
+            or not 0 <= tolerance < math.inf
+        ):
             raise ConfigError(
-                f"tolerance must be a finite number >= 0, got {self.tolerance}"
+                f"tolerance must be a finite number >= 0, got {tolerance!r}"
             )
         if self.tolerance_kind not in TOLERANCE_KINDS:
             raise ConfigError(
@@ -203,8 +207,11 @@ class CompressionConfig:
             )
         if self.tolerance == 0 and self.tolerance_kind == "nrmse":
             raise ConfigError("an nRMSE target must be > 0")
-        if self.segment_length < 1:
-            raise ConfigError("segment length must be >= 1")
+        if not _integer_in(self.segment_length, 1):
+            raise ConfigError(
+                "segment length must be an integer >= 1, got "
+                f"{self.segment_length!r}"
+            )
         level = self.level
         if level is not None and not _integer_in(level, 1):
             raise ConfigError(f"level must be an integer >= 1, got {level!r}")
@@ -358,54 +365,6 @@ def _finite(value, what: str, nonnegative: bool = False) -> float:
     return float(value)
 
 
-def build_plan(
-    dims,
-    config: CompressionConfig,
-    n_split: int,
-    pad_time_to: Optional[int] = None,
-) -> TensorizePlan:
-    """Tensorization plan for a tensor of extents ``dims``; axis 1 is time.
-
-    The leading ``n_split`` axes are factored into small primes (padding
-    by replication when an extent will not factor) and keep
-    ``config.level`` tree levels as dimensions (None: all of them; a
-    larger level is capped).  Later axes and every axis at level 1 (whose
-    one dimension would be the whole padded extent) stay whole.
-    ``pad_time_to`` grows a short segment to a common length so the
-    segments of one run share a shape and can be merged.
-    """
-    t_target = dims[0]
-    if pad_time_to is not None:
-        if pad_time_to < dims[0]:
-            raise PlanError(
-                f"cannot pad {dims[0]} timesteps down to {pad_time_to}"
-            )
-        t_target = pad_time_to
-    axis_factors, axis_levels, pads = [], [], []
-    for ax, extent in enumerate(dims):
-        target = t_target if ax == 0 else extent
-        if ax < n_split and config.level != 1:
-            factors = factor_dims(target, MAX_FACTOR)
-            if factors is None:
-                target = next_factorable(target, MAX_FACTOR)
-                factors = factor_dims(target, MAX_FACTOR)
-            level = config.level
-            level = len(factors) if level is None else min(level, len(factors))
-        else:
-            factors, level = (target,), 1
-        if target != extent:
-            pads.append(AxisPad(axis=ax + 1, original=extent, padded=target))
-        axis_factors.append(tuple(factors))
-        axis_levels.append(level)
-    return TensorizePlan(
-        original_dims=dims,
-        axis_factors=tuple(axis_factors),
-        axis_levels=tuple(axis_levels),
-        interlace=None,
-        pads=tuple(pads),
-    )
-
-
 def _data_stats(data: DenseTensor, first_step: int = 0) -> DataStats:
     """Statistics of ``data``, whose first axis counts steps from
     ``first_step``; a :class:`DataError` names the first step that holds
@@ -502,9 +461,10 @@ def _particle_order(steps) -> np.ndarray:
     """Particle permutation from ``steps``, the (particles, components)
     arrays of a segment's or a run's sampled steps: the bisection order
     of each particle's positions, its first three components, at every
-    step side by side.  It fits the digits of the padded particle extent
-    whatever the level: an order within one train mode cannot change a
-    rank."""
+    step side by side.  It fits the digits of the padded particle extent,
+    ``factor_dims(next_factorable(n_p))`` as ``tensorize.build_plan``
+    splits it, whatever the level: an order within one train mode cannot
+    change a rank."""
     n_p, n_c = steps[0].shape
     if n_c < 3:
         raise ConfigError(
@@ -512,8 +472,7 @@ def _particle_order(steps) -> np.ndarray:
             f"got {n_c}; use reorder='none'"
         )
     points = np.concatenate([s[:, :3] for s in steps], axis=1)
-    padded = next_factorable(n_p, MAX_FACTOR)
-    return bisection_order(points, factor_dims(padded, MAX_FACTOR))
+    return bisection_order(points, factor_dims(next_factorable(n_p)))
 
 
 def _segment_array(data: DenseTensor) -> np.ndarray:
@@ -540,9 +499,10 @@ def compress_segment(
     Pipeline: reorder particles per ``config.reorder``, by the bisection
     order of the positions (the first three components) at
     :data:`ORDER_STEPS` steps spread over the segment, pad and tensorize
-    per the plan, then TT-SVD at the tolerance converted with the
-    segment's own statistics, taken from the raw (pre-padding) data,
-    which must be finite.
+    per ``tensorize.build_plan`` at ``config.level`` (time and particles
+    split, components whole; ``pad_time_to`` pads time), then TT-SVD at
+    the tolerance converted with the segment's own statistics, taken from
+    the raw (pre-padding) data, which must be finite.
 
     ``permutation_override`` pins one particle ordering across segments
     that will later be merged; it must permute the segment's particles.
@@ -561,7 +521,7 @@ def compress_segment(
         data = DenseTensor(arr.shape, permuted.reshape(-1, order="F"))
 
     # time and particles are split, components stay whole
-    plan = build_plan(data.dims, config, 2, pad_time_to)
+    plan = build_plan(data.dims, config.level, 2, pad_time_to)
     return _compress(data, plan, config, stats, perms, first_step)
 
 
@@ -573,7 +533,7 @@ def compress_tensor(
     Every axis is factored, each at ``config.level``.  The first axis
     plays the role of time in the segment bookkeeping.
     """
-    plan = build_plan(data.dims, config, data.ndim)
+    plan = build_plan(data.dims, config.level, data.ndim)
     return _compress(data, plan, config, _data_stats(data))
 
 
@@ -970,7 +930,7 @@ def _plan_to_dict(plan: TensorizePlan) -> dict:
         "axis_levels": list(plan.axis_levels),
         "interlace": list(plan.interlace) if plan.interlace else None,
         "pads": [
-            [p.axis, p.original, p.padded, p.strategy] for p in plan.pads
+            [p.axis, p.original, p.padded, "replicate"] for p in plan.pads
         ],
     }
 
@@ -982,8 +942,8 @@ def _plan_from_dict(d: dict) -> TensorizePlan:
         axis_levels=tuple(d["axis_levels"]),
         interlace=tuple(d["interlace"]) if d.get("interlace") else None,
         pads=tuple(
-            AxisPad(axis=a, original=o, padded=p, strategy=s)
-            for a, o, p, s in d.get("pads", [])
+            AxisPad(axis=a, original=o, padded=p)
+            for a, o, p, _ in d.get("pads", [])
         ),
     )
 

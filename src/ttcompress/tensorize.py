@@ -7,9 +7,10 @@ the last is the coarsest (the root of the factor tree).  A *level* ``l``
 keeps the top ``l - 1`` tree levels as separate dimensions and merges the
 remaining fine factors into one leaf dimension.
 
-An axis whose extent has a prime factor above the cap is first padded to
-the next extent that factors, by replicating its final slice; the plan
-records both extents, so inversion crops the copies away.
+Every plan comes from one rule, :func:`build_plan`: an axis whose extent
+has a prime factor above :data:`MAX_FACTOR` is first padded to the next
+extent that factors, by replicating its final slice; the plan records
+both extents, so inversion crops the copies away.
 
 For square matrices the row and column factor dimensions can additionally
 be interlaced, which makes the linear order through the tensor spatially
@@ -19,7 +20,7 @@ inverted exactly.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -28,53 +29,46 @@ from .dense import DenseTensor
 from .errors import ConfigError, PlanError
 
 
-def factor_dims(n: int, max_factor: int):
-    """Nondecreasing prime factors of ``n``, all bounded by ``max_factor``.
+# largest prime a split axis factors into; an extent with a larger prime
+# factor is padded up to the next extent without one
+MAX_FACTOR = 5
 
-    Returns ``None`` when ``n`` has a prime factor above the cap, which
-    signals that the axis must be padded before it can be split.  ``n == 1``
+
+def factor_dims(n: int):
+    """Nondecreasing prime factors of ``n``, all at most :data:`MAX_FACTOR`.
+
+    Returns ``None`` when ``n`` has a larger prime factor, which signals
+    that the axis must be padded before it can be split.  ``n == 1``
     yields ``[1]`` so the axis keeps a (trivial) dimension.
     """
     n = int(n)
     if n < 1:
         raise ConfigError(f"extent must be >= 1, got {n}")
-    if max_factor < 2:
-        raise ConfigError(f"factor cap must be >= 2, got {max_factor}")
-    if n == 1:
-        return [1]
     factors = []
-    rem = n
-    p = 2
-    while p <= max_factor and rem > 1:
-        while rem % p == 0:
+    for p in range(2, MAX_FACTOR + 1):
+        while n % p == 0:
             factors.append(p)
-            rem //= p
-        p += 1
-    if rem > 1:
-        return None
-    return factors
+            n //= p
+    return None if n > 1 else factors or [1]
 
 
-def next_factorable(n: int, max_factor: int) -> int:
-    """Smallest extent >= ``n`` whose prime factors are all <= ``max_factor``."""
+def next_factorable(n: int) -> int:
+    """Smallest extent >= ``n`` whose prime factors are all at most
+    :data:`MAX_FACTOR`."""
     candidate = int(n)
-    while factor_dims(candidate, max_factor) is None:
+    while factor_dims(candidate) is None:
         candidate += 1
     return candidate
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class AxisPad:
-    """Padding applied to one original axis before splitting."""
+    """Padding applied to one original axis before splitting: the axis
+    grows from ``original`` to ``padded`` by replicating its final slice."""
 
     axis: int  # 1-based original axis
     original: int
     padded: int
-    strategy: str = "replicate"
 
 
 @dataclass(frozen=True)
@@ -112,6 +106,8 @@ class TensorizePlan:
         if len(self.axis_factors) != n_axes or len(self.axis_levels) != n_axes:
             raise PlanError("per-axis factor/level lists must match the rank")
         pad_map = self.pad_map()
+        if len(pad_map) != len(self.pads):
+            raise PlanError("an axis has more than one pad record")
         for ax0, (factors, level) in enumerate(
             zip(self.axis_factors, self.axis_levels)
         ):
@@ -172,6 +168,46 @@ class TensorizePlan:
         return tuple(pre[p] for p in self.interlace)
 
 
+def build_plan(
+    dims, level: Optional[int], n_split: int, pad_time_to: Optional[int] = None
+) -> TensorizePlan:
+    """The one tensorization plan rule, for a tensor of extents ``dims``
+    whose axis 1 is time.
+
+    The leading ``n_split`` axes are padded to the next extent that
+    factors into primes up to :data:`MAX_FACTOR` and keep ``level`` tree
+    levels as dimensions (None: all of them; a larger level is capped).
+    Later axes and every axis at level 1 (whose one dimension would be the
+    whole padded extent) stay whole.  ``pad_time_to`` grows a short
+    segment to a common length so the segments of one run share a shape
+    and can be merged.
+    """
+    if pad_time_to is not None and pad_time_to < dims[0]:
+        raise PlanError(
+            f"cannot pad {dims[0]} timesteps down to {pad_time_to}"
+        )
+    axis_factors, axis_levels, pads = [], [], []
+    for ax, extent in enumerate(dims):
+        target = extent if ax or pad_time_to is None else pad_time_to
+        if ax < n_split and level != 1:
+            target = next_factorable(target)
+            factors = factor_dims(target)
+            axis_level = min(level or len(factors), len(factors))
+        else:
+            factors, axis_level = (target,), 1
+        if target != extent:
+            pads.append(AxisPad(axis=ax + 1, original=extent, padded=target))
+        axis_factors.append(tuple(factors))
+        axis_levels.append(axis_level)
+    return TensorizePlan(
+        original_dims=dims,
+        axis_factors=tuple(axis_factors),
+        axis_levels=tuple(axis_levels),
+        interlace=None,
+        pads=tuple(pads),
+    )
+
+
 def apply_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     """Pad, split and (optionally) interlace per the plan.
 
@@ -230,6 +266,18 @@ def invert_plan(data: DenseTensor, plan: TensorizePlan) -> DenseTensor:
     return DenseTensor.from_numpy(data.values[sum(np.ix_(*axis_offsets(plan)))])
 
 
+def _dyadic_plan(extent: int, level: int, n_axes: int) -> TensorizePlan:
+    """:func:`build_plan` of ``n_axes`` axes of one power-of-two extent
+    ``2^d`` at ``level`` in ``1..max(d, 1)``: each axis splits into a leaf
+    of extent ``2^(d-level+1)`` and ``level - 1`` binary dimensions."""
+    if extent < 1 or extent & (extent - 1):
+        raise PlanError(f"extent {extent} is not a power of two")
+    d = extent.bit_length() - 1
+    if not 1 <= level <= max(d, 1):
+        raise PlanError(f"level {level} out of range 1..{max(d, 1)}")
+    return build_plan((extent,) * n_axes, level, n_axes)
+
+
 def tensorize_vector(v: DenseTensor, level: int) -> DenseTensor:
     """View a length-2^d vector as an ``l``-dimensional tensor.
 
@@ -240,14 +288,8 @@ def tensorize_vector(v: DenseTensor, level: int) -> DenseTensor:
     """
     if v.ndim != 1:
         raise PlanError(f"expected a vector, got {v.ndim} dimensions")
-    n = v.dims[0]
-    if not _is_power_of_two(n):
-        raise PlanError(f"extent {n} is not a power of two")
-    d = n.bit_length() - 1
-    if not 1 <= level <= max(d, 1):
-        raise PlanError(f"level {level} out of range 1..{max(d, 1)}")
-    new_dims = [2 ** (d - level + 1)] + [2] * (level - 1)
-    return DenseTensor(tuple(new_dims), v.values)
+    plan = _dyadic_plan(v.dims[0], level, 1)
+    return DenseTensor(plan.tensorized_dims(), v.values)
 
 
 def interlace_permutation(level: int):
@@ -261,19 +303,10 @@ def interlace_permutation(level: int):
 
 
 def matrix_interlace_plan(extent: int, level: int) -> TensorizePlan:
-    """Plan for interlaced tensorization of a square power-of-two matrix."""
-    if not _is_power_of_two(extent):
-        raise PlanError(f"extent {extent} is not a power of two")
-    d = extent.bit_length() - 1
-    if not 1 <= level <= max(d, 1):
-        raise PlanError(f"level {level} out of range 1..{max(d, 1)}")
-    factors = tuple([2] * d)
-    return TensorizePlan(
-        original_dims=(extent, extent),
-        axis_factors=(factors, factors),
-        axis_levels=(level, level),
-        interlace=interlace_permutation(level),
-        pads=(),
+    """Plan for interlaced tensorization of a square power-of-two matrix:
+    each axis split as a vector's, then :func:`interlace_permutation`."""
+    return replace(
+        _dyadic_plan(extent, level, 2), interlace=interlace_permutation(level)
     )
 
 

@@ -1194,6 +1194,15 @@ class TestBench:
         assert "lists no values" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_table1_takes_one_delta(self, tmp_path, capsys):
+        # its rows name no delta, so a second one would be dropped unseen
+        out = tmp_path / "out.csv"
+        argv = ["bench", "table1", "-o", str(out), "--d", "4", "--levels", "2",
+                "--taus", "1e-2", "--deltas", "1e-5,1e-1"]
+        assert main(argv) == 2
+        assert "table1 takes one delta, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_table1_single_cell(self, tmp_path):
         out = str(tmp_path / "table1.csv")
         code = main(

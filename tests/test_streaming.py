@@ -204,6 +204,16 @@ class TestCompressSegment:
         with pytest.raises(ConfigError, match="level"):
             CompressionConfig(level=level)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("segment_length", v) for v in (2.5, 8.0, "8", True, 0)]
+        + [("tolerance", v) for v in ("0.1", True, None, -1.0)],
+    )
+    def test_bad_type_rejected(self, field, value):
+        # a ConfigError at construction, not a TypeError now or later
+        with pytest.raises(ConfigError, match=field.replace("_", " ")):
+            CompressionConfig(**{field: value})
+
     @pytest.mark.parametrize("field", ["max_factor", "morton_bits"])
     def test_removed_settings_are_unknown(self, field):
         # each took one value; MAX_FACTOR is a constant, and the order
@@ -1684,6 +1694,29 @@ class TestStoreRoundtrip:
                 assert part.tt.dims == plan_dims + part.stack_dims
                 assert bool(part.stack_dims) == case.startswith("merge")
             assert read_ttc1(path)[1] == segment_metadata(seg)
+
+    def test_pad_records_name_the_replicate_padding(self):
+        # 13 particles pad to 15, 6 steps to 8 under pad_time_to
+        batch = synth_particles(13, 6, "settle", seed=9)
+        seg = compress_segment(
+            batch.data, CompressionConfig(tolerance=1e-2), pad_time_to=7
+        )
+        pads = segment_metadata(seg)["plan"]["pads"]
+        assert pads == [[1, 6, 8, "replicate"], [2, 13, 15, "replicate"]]
+
+    def test_duplicate_pad_records_are_a_format_error(self, tmp_path, capsys):
+        batch = synth_particles(13, 8, "settle", seed=9)
+        seg = compress_segment(batch.data, CompressionConfig(tolerance=1e-2))
+        path = save_segment(tmp_path, seg)
+        tt, meta = read_ttc1(path)
+        assert meta["plan"]["pads"] == [[2, 13, 15, "replicate"]]
+        # the last record agrees with the factors; the first is extra
+        meta["plan"]["pads"].insert(0, [2, 13, 14, "replicate"])
+        write_ttc1(path, tt, meta)
+        with pytest.raises(FormatError, match="more than one pad record"):
+            load_segment(path)
+        assert main(["info", path]) == 2
+        assert "internal error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", [[3], [2, 1], [], [2.0], "2", 2, None])
     def test_stored_stack_dims_must_be_the_trains(self, tmp_path, value):

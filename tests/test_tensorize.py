@@ -19,27 +19,27 @@ from ttcompress.tensorize import axis_offsets
 
 class TestFactorDims:
     def test_power_of_two(self):
-        assert factor_dims(16384, 5) == [2] * 14
+        assert factor_dims(16384) == [2] * 14
 
     def test_mixed_primes(self):
-        assert factor_dims(500000, 5) == [2] * 5 + [5] * 6
+        assert factor_dims(500000) == [2] * 5 + [5] * 6
 
     def test_large_prime_fails(self):
-        assert factor_dims(13, 5) is None
+        assert factor_dims(13) is None
 
     def test_one(self):
-        assert factor_dims(1, 5) == [1]
+        assert factor_dims(1) == [1]
 
     def test_nondecreasing_and_product(self):
         for n in (12, 360, 625, 2048):
-            factors = factor_dims(n, 5)
+            factors = factor_dims(n)
             assert factors == sorted(factors)
             assert np.prod(factors) == n
 
     def test_next_factorable(self):
-        assert next_factorable(13, 5) == 15
-        assert next_factorable(16, 5) == 16
-        assert next_factorable(488376, 5) <= 500000
+        assert next_factorable(13) == 15
+        assert next_factorable(16) == 16
+        assert next_factorable(488376) <= 500000
 
 
 class TestTensorizeVector:
@@ -168,7 +168,7 @@ class TestPadReplicate:
         assert np.array_equal(arr[0, :488376, 0], t.to_numpy()[0, :, 0])
         assert np.all(arr[0, 488376:, 0] == arr[0, 488375, 0])
         # the padded extent factors into small primes
-        assert factor_dims(500000, 5) == [2] * 5 + [5] * 6
+        assert factor_dims(500000) == [2] * 5 + [5] * 6
 
     def test_noop_target(self):
         t = DenseTensor.from_numpy(np.arange(4.0).reshape(2, 2))
@@ -252,6 +252,21 @@ class TestPlans:
                 pads=(),
             )
 
+    def test_duplicate_pad_records_rejected(self):
+        # the last record alone (15) matches the factors; two records for
+        # one axis are still an inconsistent plan
+        with pytest.raises(PlanError, match="more than one pad record"):
+            TensorizePlan(
+                original_dims=(13,),
+                axis_factors=((3, 5),),
+                axis_levels=(2,),
+                interlace=None,
+                pads=(
+                    AxisPad(axis=1, original=13, padded=14),
+                    AxisPad(axis=1, original=13, padded=15),
+                ),
+            )
+
     def test_plan_data_mismatch(self):
         plan = TensorizePlan(
             original_dims=(4,),
@@ -270,11 +285,11 @@ class TestPlans:
             factors = []
             pads = []
             for ax, n in enumerate(dims, start=1):
-                fs = factor_dims(n, 5)
+                fs = factor_dims(n)
                 if fs is None:
-                    padded = next_factorable(n, 5)
+                    padded = next_factorable(n)
                     pads.append(AxisPad(axis=ax, original=n, padded=padded))
-                    fs = factor_dims(padded, 5)
+                    fs = factor_dims(padded)
                 factors.append(tuple(fs))
             plan = TensorizePlan(
                 original_dims=dims,
@@ -288,3 +303,56 @@ class TestPlans:
                 invert_plan(apply_plan(data, plan), plan).to_numpy(),
                 data.to_numpy(),
             )
+
+
+def dyadic_split(extent, level):
+    """The split of one power-of-two axis at ``level``: a leaf of
+    ``2^(d-level+1)`` and ``level - 1`` binary dimensions."""
+    d = extent.bit_length() - 1
+    return [2 ** (d - level + 1)] + [2] * (level - 1)
+
+
+class TestDyadicPlans:
+    """matrix_interlace_plan and tensorize_vector build their plans with
+    build_plan and give the dims and index map of the binary split."""
+
+    CASES = [
+        (extent, level)
+        for extent in (1, 2, 16, 1024)
+        for level in range(1, max(extent.bit_length() - 1, 1) + 1)
+    ]
+
+    @pytest.mark.parametrize("extent, level", CASES)
+    def test_vector_dims(self, extent, level):
+        v = DenseTensor((extent,), np.arange(float(extent)))
+        t = tensorize_vector(v, level)
+        assert t.dims == tuple(dyadic_split(extent, level))
+        assert np.array_equal(t.values, v.values)
+
+    @pytest.mark.parametrize("extent, level", CASES)
+    def test_matrix_dims_and_offsets(self, extent, level):
+        # row and column dims alternate, each axis split alike
+        dims = [n for n in dyadic_split(extent, level) for _ in "rc"]
+        plan = matrix_interlace_plan(extent, level)
+        assert plan.tensorized_dims() == tuple(dims)
+        # the flat column-major position of each matrix entry in the
+        # interlaced tensor, from a reshape and a transpose
+        order = [ax for k in range(level) for ax in (k, level + k)]
+        flat = np.arange(extent * extent).reshape(dims, order="F")
+        where = flat.transpose(np.argsort(order)).reshape(
+            (extent, extent), order="F"
+        )
+        rows, cols = axis_offsets(plan)
+        assert np.array_equal(rows, where[:, 0])
+        assert np.array_equal(cols, where[0, :])
+        assert np.array_equal(rows[:, None] + cols[None, :], where)
+
+    def test_level1_matrix_keeps_each_axis_whole(self):
+        plan = matrix_interlace_plan(16, 1)
+        assert plan.axis_factors == ((16,), (16,))
+        assert plan.tensorized_dims() == (16, 16)
+
+    @pytest.mark.parametrize("extent, level", [(12, 1), (0, 1), (16, 0), (16, 5)])
+    def test_out_of_range_rejected(self, extent, level):
+        with pytest.raises(PlanError):
+            matrix_interlace_plan(extent, level)
